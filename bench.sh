@@ -1,15 +1,14 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_005.json by default): benchmark
-# name -> ns/op and allocs/op, plus the headline metrics — the Solve64
-# serial/parallel-8 ratio, the Solve64 line-SOR/multigrid ratio, and
-# the steady-state replay allocs/op. Committed baselines from this
-# script are how perf PRs prove their before/after claims. The baseline
-# name recorded inside the JSON is derived from the output filename, so
-# each capture is self-identifying.
+# machine-readable baseline (BENCH_006.json by default): benchmark
+# name -> ns/op and allocs/op, plus the headline metrics — the cold and
+# warm Solve64 times and the steady-state replay allocs/op. Committed
+# baselines from this script are how perf PRs prove their before/after
+# claims. The baseline name recorded inside the JSON is derived from
+# the output filename, so each capture is self-identifying.
 #
 # Host parallelism is recorded three ways, because they differ and the
-# difference matters when reading parallel-speedup numbers: "nproc" is
+# difference matters when reading multi-core numbers: "nproc" is
 # the shell's view of usable CPUs, "num_cpu" is runtime.NumCPU(), and
 # "gomaxprocs" is the GOMAXPROCS the benchmarks actually ran at (parsed
 # from the go test benchmark-name suffix; earlier baselines recorded
@@ -18,7 +17,7 @@
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_005.json}
+out=${1:-BENCH_006.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
 tmpdir=$(mktemp -d)
@@ -37,7 +36,7 @@ EOF
 numcpu=$(go run "$tmpdir/numcpu.go")
 
 go test -run '^$' -benchmem -benchtime 3x \
-    -bench 'BenchmarkSolve32$|BenchmarkSolve64$|BenchmarkSolve64Parallel8$|BenchmarkWorkspaceResolve32$|BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$' \
+    -bench 'BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$' \
     ./internal/thermal/ | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
@@ -77,10 +76,8 @@ END {
     }
     printf "  },\n"
     printf "  \"headline\": {\n"
-    printf "    \"solve64_parallel8_speedup\": %.2f,\n", \
-        ns["BenchmarkSolve64"] / ns["BenchmarkSolve64Parallel8"]
-    printf "    \"solve64_multigrid_speedup\": %.2f,\n", \
-        ns["BenchmarkSolve64"] / ns["BenchmarkSolve64Multigrid"]
+    printf "    \"solve64_ms\": %.1f,\n", ns["BenchmarkSolve64Multigrid"] / 1e6
+    printf "    \"resolve64_ms\": %.1f,\n", ns["BenchmarkWorkspaceResolve64Multigrid"] / 1e6
     printf "    \"replay_steady_state_allocs_per_op\": %s\n", \
         al["BenchmarkReplaySteadyState"]
     printf "  }\n"

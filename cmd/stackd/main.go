@@ -40,7 +40,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 		workspaces   = flag.Int("workspaces", thermal.DefaultWorkspaceCacheSize, "pooled thermal workspaces shared across requests")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, false)
+	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cli.Start(); err != nil {
 		fatal(err)

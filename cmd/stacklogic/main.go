@@ -24,7 +24,7 @@ import (
 	"diestack/internal/wire"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -40,7 +40,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 		jobs      = flag.Int("jobs", 1, "solve the Figure 11 bars on this many parallel workers")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *insts <= 0 {
@@ -64,7 +64,7 @@ func main() {
 		defer cancel()
 	}
 
-	spec := core.RunSpec{Seed: *seed, Grid: *grid, Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+	spec := core.RunSpec{Seed: *seed, Grid: *grid, Obs: cli.Obs()}
 	if *autoOnly {
 		if err := printAutoFold(ctx, spec); err != nil {
 			fatal(err)

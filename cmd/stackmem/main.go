@@ -62,7 +62,7 @@ import (
 	"diestack/internal/workload"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -106,7 +106,7 @@ func main() {
 		chaosPartition = flag.Float64("chaos-partition", 0, "injected one-way partitions per thousand socket ops (serve/worker mode)")
 		chaosLatency   = flag.Duration("chaos-latency", 0, "max injected per-op latency (serve/worker mode; 0 = none)")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
@@ -175,8 +175,7 @@ func main() {
 		defer cancel()
 	}
 
-	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid,
-		Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid, Obs: cli.Obs()}
 
 	switch {
 	case *campaign && *serveAddr != "":
@@ -231,8 +230,7 @@ func main() {
 // recorded with their cause and the process exits non-zero.
 func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 	jobs, retries int, timeout time.Duration, manifestPath string) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Parallelism: rs.Parallelism, Method: rs.Method, Obs: rs.Obs}
+	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid, Obs: rs.Obs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -268,8 +266,7 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
 	manifestPath string, injector *chaos.Injector) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Parallelism: rs.Parallelism, Method: rs.Method}
+	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}

@@ -32,7 +32,7 @@ import (
 	"diestack/internal/thermal"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -57,7 +57,7 @@ func main() {
 		sensorStuck  = flag.Float64("sensor-stuck", math.NaN(), "sensor fault: stuck-at reading in degC")
 		faultSeed    = flag.Uint64("fault-seed", 0, "sensor fault schedule seed")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *grid < 0 {
@@ -74,7 +74,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	spec := core.RunSpec{Grid: *grid, Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+	spec := core.RunSpec{Grid: *grid, Obs: cli.Obs()}
 	if *dtmOn {
 		if err := runDTM(ctx, spec, *tmax, *dtmHyst, *dtmDt, *dtmSteps, *dtmMinFreq,
 			*sensorNoise, *sensorOffset, *sensorStuck, *faultSeed); err != nil {

@@ -35,7 +35,7 @@ func main() {
 		inspect = flag.String("inspect", "", "summarize an existing trace file and exit")
 		timeout = flag.Duration("timeout", 0, "deadline for reading/validating traces (0 = none)")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, false)
+	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {

@@ -31,14 +31,6 @@ type CampaignSpec struct {
 	// SkipThermal drops the Figure 8 / Figure 11 jobs, leaving a
 	// memory-performance-only campaign.
 	SkipThermal bool
-	// Parallelism is the thermal solver's worker count per solve (0 =
-	// serial; see thermal.SolveOptions.Parallelism). It multiplies with
-	// harness.Config.Workers: a campaign running W jobs at P workers
-	// each keeps W*P goroutines busy.
-	Parallelism int
-	// Method selects the thermal iteration schedule for every thermal
-	// job (line-SOR by default; see thermal.SolveOptions.Method).
-	Method thermal.Method
 	// Obs, when non-nil, instruments every job's substrates and — unless
 	// harness.Config.Obs is set separately — the harness itself, so one
 	// registry sees the whole campaign.
@@ -53,13 +45,11 @@ type CampaignSpec struct {
 // spec.
 func (spec CampaignSpec) runSpec() RunSpec {
 	return RunSpec{
-		Seed:        spec.Seed,
-		Scale:       spec.Scale,
-		Grid:        spec.Grid,
-		Parallelism: spec.Parallelism,
-		Method:      spec.Method,
-		Obs:         spec.Obs,
-		Workspaces:  spec.Workspaces,
+		Seed:       spec.Seed,
+		Scale:      spec.Scale,
+		Grid:       spec.Grid,
+		Obs:        spec.Obs,
+		Workspaces: spec.Workspaces,
 	}
 }
 
@@ -69,15 +59,6 @@ func (spec CampaignSpec) runSpec() RunSpec {
 // option named "fig11/logic/<variant>". Job names are stable so
 // manifests from identical specs are comparable.
 func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
-	if spec.Parallelism < 0 || spec.Parallelism > thermal.MaxParallelism() {
-		// Fail the whole campaign up front rather than every thermal job
-		// individually, with the solver's own typed error.
-		return nil, &thermal.ParallelismError{Requested: spec.Parallelism, Max: thermal.MaxParallelism()}
-	}
-	if err := spec.Method.Validate(); err != nil {
-		// Same up-front treatment for an unknown iteration schedule.
-		return nil, err
-	}
 	benches := workload.All()
 	if len(spec.Benchmarks) > 0 {
 		benches = benches[:0]
@@ -135,23 +116,26 @@ func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
 	return jobs, nil
 }
 
+// campaignWireVersion numbers the campaign wire format. Version 2 is
+// the first on which every thermal job runs the multigrid solver; a
+// version-1 peer (line-SOR by default, no version key) rejects the
+// unknown "version" field, and this side rejects a missing one, so
+// mixed fleets fail loudly instead of merging manifests solved two
+// ways.
+const campaignWireVersion = 2
+
 // wireSpec is the serializable projection of a CampaignSpec: exactly
 // the fields that determine the job list and every job's result. Obs
 // is process-local and deliberately absent — each side of a
 // distributed campaign instruments with its own registry.
 //canon:wire
 type wireSpec struct {
+	Version     int      `json:"version"`
 	Seed        uint64   `json:"seed"`
 	Scale       float64  `json:"scale"`
 	Grid        int      `json:"grid"`
 	Benchmarks  []string `json:"benchmarks,omitempty"`
 	SkipThermal bool     `json:"skip_thermal,omitempty"`
-	Parallelism int      `json:"parallelism,omitempty"`
-	// Method travels as the CLI spelling ("multigrid"), not the enum
-	// ordinal, so the wire form stays self-describing; it is omitted
-	// entirely for the line-SOR default, keeping old coordinators and
-	// workers interoperable.
-	Method string `json:"method,omitempty"`
 }
 
 // EncodeWire serializes the distributable fields of the spec in
@@ -161,21 +145,14 @@ type wireSpec struct {
 // campaign. Encoding is deterministic (fixed field order), so equal
 // specs encode to equal bytes.
 func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
-	if err := spec.Method.Validate(); err != nil {
-		return nil, err
-	}
-	w := wireSpec{
+	raw, err := canon.Marshal(wireSpec{
+		Version:     campaignWireVersion,
 		Seed:        spec.Seed,
 		Scale:       spec.Scale,
 		Grid:        spec.Grid,
 		Benchmarks:  spec.Benchmarks,
 		SkipThermal: spec.SkipThermal,
-		Parallelism: spec.Parallelism,
-	}
-	if spec.Method != thermal.MethodLineSOR {
-		w.Method = spec.Method.String()
-	}
-	raw, err := canon.Marshal(w)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding campaign spec: %w", err)
 	}
@@ -183,17 +160,18 @@ func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
 }
 
 // DecodeWireSpec parses a spec encoded by EncodeWire. Unknown fields
-// are rejected so version skew between coordinator and worker fails
-// loudly instead of silently running a different campaign. The
-// returned spec carries no Obs registry; the caller attaches its own.
+// and any version other than campaignWireVersion are rejected so
+// version skew between coordinator and worker fails loudly instead of
+// silently running a different campaign. The returned spec carries no
+// Obs registry; the caller attaches its own.
 func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 	var w wireSpec
 	if err := canon.Unmarshal(raw, &w); err != nil {
 		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: %w", err)
 	}
-	m, err := thermal.ParseMethod(w.Method)
-	if err != nil {
-		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: %w", err)
+	if w.Version != campaignWireVersion {
+		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: wire version %d, want %d",
+			w.Version, campaignWireVersion)
 	}
 	return CampaignSpec{
 		Seed:        w.Seed,
@@ -201,8 +179,6 @@ func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 		Grid:        w.Grid,
 		Benchmarks:  w.Benchmarks,
 		SkipThermal: w.SkipThermal,
-		Parallelism: w.Parallelism,
-		Method:      m,
 	}, nil
 }
 

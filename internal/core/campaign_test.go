@@ -145,8 +145,7 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 
 func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	spec := CampaignSpec{Seed: 7, Scale: 0.05, Grid: 16,
-		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true, Parallelism: 2,
-		Method: thermal.MethodMultigrid}
+		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)
@@ -173,33 +172,16 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	if _, err := DecodeWireSpec([]byte(`{garbage`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Unknown solver methods are typed failures at both ends.
-	if _, err := (CampaignSpec{Method: thermal.Method(9)}).EncodeWire(); !errors.Is(err, thermal.ErrBadMethod) {
-		t.Fatalf("EncodeWire err = %v, want ErrBadMethod", err)
-	}
-	if _, err := DecodeWireSpec([]byte(`{"seed":1,"method":"jacobi"}`)); !errors.Is(err, thermal.ErrBadMethod) {
-		t.Fatalf("DecodeWireSpec err = %v, want ErrBadMethod", err)
-	}
-	// The default method stays off the wire, so old coordinators and
-	// new workers (and vice versa) interoperate.
-	raw3, err := (CampaignSpec{Seed: 1}).EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw3), "method") {
-		t.Fatalf("line-SOR default leaked onto the wire: %s", raw3)
-	}
-}
-
-// TestCampaignRejectsBadMethod mirrors the Parallelism up-front
-// validation: one typed failure for the whole campaign.
-func TestCampaignRejectsBadMethod(t *testing.T) {
-	_, err := CampaignJobs(CampaignSpec{Scale: 0.01, Method: thermal.Method(3)})
-	if !errors.Is(err, thermal.ErrBadMethod) {
-		t.Fatalf("err = %v, want ErrBadMethod", err)
-	}
-	var me *thermal.MethodError
-	if !errors.As(err, &me) || me.Requested != thermal.Method(3) {
-		t.Fatalf("err = %#v, want *MethodError{3}", err)
+	// Version-1 specs fail at decode: without a version key, or with
+	// the retired solver knobs a version-1 coordinator could send.
+	for _, old := range []string{
+		`{"seed":1,"scale":0.5,"grid":64}`,
+		`{"version":1,"seed":1,"scale":0.5,"grid":64}`,
+		`{"version":2,"seed":1,"scale":0.5,"grid":64,"method":"multigrid"}`,
+		`{"version":2,"seed":1,"scale":0.5,"grid":64,"parallelism":2}`,
+	} {
+		if _, err := DecodeWireSpec([]byte(old)); err == nil {
+			t.Errorf("version-1 spec accepted: %s", old)
+		}
 	}
 }

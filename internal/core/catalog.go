@@ -131,40 +131,17 @@ func (e Experiment) ParamsSchema() map[string]string {
 // default, so a zero spec is the empty object.
 //canon:wire
 type specWire struct {
-	Seed        uint64  `json:"seed,omitempty"`
-	Scale       float64 `json:"scale,omitempty"`
-	Grid        int     `json:"grid,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
-	// Method travels as the CLI spelling ("multigrid"), omitted for the
-	// line-SOR default — the same convention as the campaign wire spec.
-	Method string `json:"method,omitempty"`
+	Seed  uint64  `json:"seed,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	Grid  int     `json:"grid,omitempty"`
 }
 
 func specWireFrom(spec RunSpec) specWire {
-	w := specWire{
-		Seed:        spec.Seed,
-		Scale:       spec.Scale,
-		Grid:        spec.Grid,
-		Parallelism: spec.Parallelism,
-	}
-	if spec.Method != thermal.MethodLineSOR {
-		w.Method = spec.Method.String()
-	}
-	return w
+	return specWire{Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid}
 }
 
-func specFromWire(w specWire) (RunSpec, error) {
-	m, err := thermal.ParseMethod(w.Method)
-	if err != nil {
-		return RunSpec{}, err
-	}
-	return RunSpec{
-		Seed:        w.Seed,
-		Scale:       w.Scale,
-		Grid:        w.Grid,
-		Parallelism: w.Parallelism,
-		Method:      m,
-	}, nil
+func specFromWire(w specWire) RunSpec {
+	return RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid}
 }
 
 // requestWire is the canonical body of an experiment invocation — what
@@ -182,9 +159,6 @@ type requestWire struct {
 // params" and "explicit defaults" encode to the same bytes). The
 // SHA-256 of these bytes is the request's cache key.
 func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
-	if err := req.Spec.Method.Validate(); err != nil {
-		return nil, err
-	}
 	params, err := e.checkParams(req.Params)
 	if err != nil {
 		return nil, err
@@ -213,11 +187,7 @@ func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	if w.Experiment != "" && w.Experiment != e.Name {
 		return ExperimentRequest{}, fmt.Errorf("core: request names experiment %q, not %q", w.Experiment, e.Name)
 	}
-	spec, err := specFromWire(w.Spec)
-	if err != nil {
-		return ExperimentRequest{}, err
-	}
-	req := ExperimentRequest{Spec: spec}
+	req := ExperimentRequest{Spec: specFromWire(w.Spec)}
 	if len(w.Params) > 0 && string(w.Params) != "null" {
 		if e.NewParams == nil {
 			return ExperimentRequest{}, fmt.Errorf("core: experiment %q takes no parameters", e.Name)
@@ -649,10 +619,7 @@ func initCatalog() {
 					steps = DefaultManagedSteps
 				}
 				cfg := dtm.Config{TmaxC: tmax, HysteresisC: p.HysteresisC, MinFreq: p.MinFreq}
-				opt := thermal.TransientOptions{
-					Dt: dt, Steps: steps,
-					Parallelism: spec.Parallelism, Method: spec.Method,
-				}
+				opt := thermal.TransientOptions{Dt: dt, Steps: steps}
 				return RunManagedLogicThermal(ctx, spec, o, cfg, p.Faults.config(), opt)
 			},
 		},
@@ -666,7 +633,6 @@ func initCatalog() {
 				cs := CampaignSpec{
 					Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid,
 					Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal,
-					Parallelism: spec.Parallelism, Method: spec.Method,
 					Obs: spec.Obs, Workspaces: spec.Workspaces,
 				}
 				return RunCampaign(ctx, cs, harness.Config{Workers: p.Workers, Retries: p.Retries})

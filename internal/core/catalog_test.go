@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"diestack/internal/canon"
-	"diestack/internal/thermal"
 )
 
 // TestCatalogCoversEveryRunFunction parses the package source and
@@ -117,7 +116,7 @@ func TestEncodeRequestCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	explicit, err := e.EncodeRequest(ExperimentRequest{
-		Spec:   RunSpec{Seed: 1, Method: thermal.MethodLineSOR},
+		Spec:   RunSpec{Seed: 1, Grid: 0},
 		Params: &MemoryPerfParams{CapacityMB: 0, Benchmark: ""},
 	})
 	if err != nil {
@@ -134,7 +133,7 @@ func TestEncodeRequestCanonical(t *testing.T) {
 	}
 
 	// Decode → re-encode canonicalizes a sprawling hand-written body.
-	req, err := e.DecodeRequest([]byte(`{"spec":{"seed":1,"parallelism":0},"params":{"benchmark":"","capacity_mb":0}}`))
+	req, err := e.DecodeRequest([]byte(`{"spec":{"seed":1,"grid":0},"params":{"benchmark":"","capacity_mb":0}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +145,9 @@ func TestEncodeRequestCanonical(t *testing.T) {
 		t.Fatalf("decode/re-encode not canonical: %s vs %s", re, bare)
 	}
 
-	// Non-default method and params survive the round trip.
+	// Non-default spec and params survive the round trip.
 	full := ExperimentRequest{
-		Spec:   RunSpec{Seed: 2, Grid: 16, Method: thermal.MethodMultigrid},
+		Spec:   RunSpec{Seed: 2, Grid: 16},
 		Params: &MemoryPerfParams{CapacityMB: 32, Benchmark: "pcg"},
 	}
 	raw, err := e.EncodeRequest(full)
@@ -161,9 +160,6 @@ func TestEncodeRequestCanonical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, full) {
 		t.Fatalf("round trip mutated the request:\nin:  %+v\nout: %+v", full, back)
-	}
-	if !strings.Contains(string(raw), `"method":"multigrid"`) {
-		t.Fatalf("non-default method missing from the wire: %s", raw)
 	}
 }
 
@@ -178,8 +174,12 @@ func TestDecodeRequestRejects(t *testing.T) {
 	if _, err := e.DecodeRequest([]byte(`{"experiment":"fig5"}`)); err == nil {
 		t.Error("mismatched experiment name accepted")
 	}
-	if _, err := e.DecodeRequest([]byte(`{"spec":{"method":"jacobi"}}`)); err == nil {
-		t.Error("unknown method accepted")
+	// The retired solver knobs are unknown fields now, rejected like
+	// any other rather than silently ignored.
+	for _, legacy := range []string{`{"spec":{"method":"multigrid"}}`, `{"spec":{"parallelism":2}}`} {
+		if _, err := e.DecodeRequest([]byte(legacy)); err == nil {
+			t.Errorf("legacy solver key accepted: %s", legacy)
+		}
 	}
 	fig5, _ := ExperimentByName("fig5")
 	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
@@ -219,20 +219,19 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 }
 
 // TestCampaignWirePin pins the exact canonical bytes and cache-key
-// hash of a line-SOR campaign spec: old coordinators never sent a
-// "method" key, and workers hash these bytes to fence campaigns, so
-// any drift here is a cross-version interop break.
+// hash of a version-2 campaign spec: workers hash these bytes to fence
+// campaigns, so any drift here is a cross-version interop break.
 func TestCampaignWirePin(t *testing.T) {
-	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64, Parallelism: 2}
+	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantBytes = `{"seed":3,"scale":0.5,"grid":64,"parallelism":2}`
+	const wantBytes = `{"version":2,"seed":3,"scale":0.5,"grid":64}`
 	if string(raw) != wantBytes {
 		t.Fatalf("wire bytes drifted:\ngot  %s\nwant %s", raw, wantBytes)
 	}
-	const wantHash = "0320dd46db3f5be05ea38182d46375ed550a8de91beb3294f2613e319318e2dd"
+	const wantHash = "baee33fde80af5c55948889595665e5ff1b66d5c4aa01a98732b9d664b8ffd83"
 	if h := canon.HashBytes(raw); h != wantHash {
 		t.Fatalf("wire hash drifted: %s", h)
 	}

@@ -31,7 +31,7 @@ type MultiDiePoint struct {
 const DefaultMaxDies = 4
 
 // MultiDieRequest parameterizes RunMultiDieSweep. Spec.Grid sizes the
-// thermal solves; Spec.Method and Spec.Parallelism select the solver.
+// thermal solves.
 type MultiDieRequest struct {
 	Spec RunSpec
 	// MaxDies is the tallest stack solved (<= 0 selects DefaultMaxDies;
@@ -115,7 +115,7 @@ type AutoFoldComparison struct {
 }
 
 // AutoFoldRequest parameterizes RunAutoFold. Spec.Grid sizes the
-// thermal solves; Spec.Method and Spec.Parallelism select the solver.
+// thermal solves.
 type AutoFoldRequest struct {
 	Spec RunSpec
 }

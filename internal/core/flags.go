@@ -9,28 +9,19 @@ import (
 
 	"diestack/internal/obs"
 	"diestack/internal/prof"
-	"diestack/internal/thermal"
 )
 
-// CLIFlags groups the knobs every cmd shares — the thermal solver's
-// per-solve parallelism, pprof output, and the observability sinks —
-// so each binary registers them once instead of redeclaring the same
-// five flags. Register on the command's FlagSet before flag.Parse,
-// then bracket main with Start/Stop:
+// CLIFlags groups the knobs every cmd shares — pprof output and the
+// observability sinks — so each binary registers them once instead of
+// redeclaring the same four flags. Register on the command's FlagSet
+// before flag.Parse, then bracket main with Start/Stop:
 //
-//	cli := core.RegisterCLIFlags(flag.CommandLine, true)
+//	cli := core.RegisterCLIFlags(flag.CommandLine)
 //	flag.Parse()
 //	if err := cli.Start(); err != nil { fatal(err) }
 //	defer cli.Stop()
 //	... pass cli.Obs() into RunSpec / harness.Config ...
 type CLIFlags struct {
-	// Parallel is the thermal solver worker count per solve (0 =
-	// serial). Only registered when the cmd asked for it.
-	Parallel int
-	// Solver is the raw -solver flag value ("sor" or "multigrid");
-	// Start parses it into the Method accessor. Registered together
-	// with -parallel (only cmds that run thermal solves get either).
-	Solver string
 	// CPUProfile / MemProfile are pprof output paths ("" = off).
 	CPUProfile string
 	MemProfile string
@@ -39,24 +30,17 @@ type CLIFlags struct {
 	// Progress enables the live one-line progress reporter on stderr.
 	Progress bool
 
-	withParallel bool
-	method       thermal.Method
-	reg          *obs.Registry
-	exporter     *obs.Exporter
-	progress     *obs.Progress
-	metricsFile  *os.File
-	stopOnce     sync.Once
+	reg         *obs.Registry
+	exporter    *obs.Exporter
+	progress    *obs.Progress
+	metricsFile *os.File
+	stopOnce    sync.Once
 }
 
 // RegisterCLIFlags registers the shared flags on fs and returns the
-// holder. withParallel controls whether -parallel is registered —
-// cmds with no thermal solves (tracegen) skip it.
-func RegisterCLIFlags(fs *flag.FlagSet, withParallel bool) *CLIFlags {
-	f := &CLIFlags{withParallel: withParallel}
-	if withParallel {
-		fs.IntVar(&f.Parallel, "parallel", 0, "thermal solver workers per solve (0 = serial)")
-		fs.StringVar(&f.Solver, "solver", "sor", "thermal iteration schedule: sor (bit-compat default) or multigrid (fast)")
-	}
+// holder.
+func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
+	f := &CLIFlags{}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "append JSONL metric snapshots to this file (final summary on exit)")
@@ -64,21 +48,10 @@ func RegisterCLIFlags(fs *flag.FlagSet, withParallel bool) *CLIFlags {
 	return f
 }
 
-// Start validates the shared flags, starts profiling, and — when
-// -metrics-out or -progress was given — creates the metrics registry
-// with its exporter and progress reporter. Call Stop on every exit
-// path (it is idempotent).
+// Start starts profiling and — when -metrics-out or -progress was
+// given — creates the metrics registry with its exporter and progress
+// reporter. Call Stop on every exit path (it is idempotent).
 func (f *CLIFlags) Start() error {
-	if f.withParallel && (f.Parallel < 0 || f.Parallel > thermal.MaxParallelism()) {
-		return fmt.Errorf("-parallel must be in [0,%d], got %d", thermal.MaxParallelism(), f.Parallel)
-	}
-	if f.withParallel {
-		m, err := thermal.ParseMethod(f.Solver)
-		if err != nil {
-			return fmt.Errorf("-solver: %w", err)
-		}
-		f.method = m
-	}
 	if err := prof.Start(f.CPUProfile, f.MemProfile); err != nil {
 		return err
 	}
@@ -106,10 +79,6 @@ func (f *CLIFlags) Start() error {
 // was not requested — the nil registry is a free no-op everywhere it
 // is passed.
 func (f *CLIFlags) Obs() *obs.Registry { return f.reg }
-
-// Method returns the thermal schedule Start parsed from -solver
-// (MethodLineSOR when the flag was not registered or left default).
-func (f *CLIFlags) Method() thermal.Method { return f.method }
 
 // Stop closes the progress reporter, flushes the final metrics
 // snapshot, and stops profiling. Safe to call more than once and on

@@ -62,7 +62,15 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 	if err != nil {
 		return out, err
 	}
-	steady, err := solveLogicStack(ctx, spec, logicKey(o, spec.Grid), fp, 1)
+	// One workspace serves the unmanaged steady solve and then the
+	// managed integration: both run on the same stack, and a transient
+	// resets everything a steady solve leaves behind.
+	w, err := thermal.NewWorkspace(buildLogicStack(fp, spec.Grid, 1))
+	if err != nil {
+		return out, fmt.Errorf("core: unmanaged solve: %w", err)
+	}
+	defer w.Close()
+	steady, err := w.Solve(ctx, thermal.SolveOptions{Obs: spec.Obs})
 	if err != nil {
 		return out, fmt.Errorf("core: unmanaged solve: %w", err)
 	}
@@ -92,7 +100,7 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 	if opt.Obs == nil {
 		opt.Obs = spec.Obs
 	}
-	res, runErr := dtm.Run(ctx, buildLogicStack(fp, spec.Grid, 1), opt, ctrl)
+	res, runErr := dtm.RunWorkspace(ctx, w, opt, ctrl)
 	out.DTM = res
 	if inj != nil {
 		out.Faults = inj.Stats()

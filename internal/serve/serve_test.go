@@ -236,11 +236,44 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts.URL+"/v1/experiments/fig5", `{"leases":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: %d", resp.StatusCode)
 	}
-	if resp, _ := post(t, ts.URL+"/v1/experiments/fig5", `{"spec":{"method":"jacobi"}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad method: %d", resp.StatusCode)
-	}
 	if resp, _ := post(t, ts.URL+"/v1/experiments/fig5", `{"experiment":"fig8"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("name mismatch: %d", resp.StatusCode)
+	}
+}
+
+// TestLegacySolverKeysRejected: the thermal solver has one schedule,
+// so the retired "method" and "parallelism" spec keys are unknown
+// fields. A body carrying either — even with a value older clients
+// sent legitimately — gets a 400 from strict decode: no panic, and no
+// silent ignore that would run (and cache) the request as if the key
+// were absent.
+func TestLegacySolverKeysRejected(t *testing.T) {
+	var runs atomic.Int64
+	s := New(Config{Experiments: []core.Experiment{countingExperiment("count", &runs, nil)}})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	url := ts.URL + "/v1/experiments/count"
+
+	for _, body := range []string{
+		`{"spec":{"seed":1,"method":"multigrid"}}`,
+		`{"spec":{"seed":1,"method":"sor"}}`,
+		`{"spec":{"seed":1,"parallelism":2}}`,
+		`{"spec":{"seed":1,"parallelism":0}}`,
+	} {
+		resp, msg := post(t, url, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(msg, "unknown field") {
+			t.Errorf("%s: error body %q does not name the unknown field", body, msg)
+		}
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("legacy bodies ran the experiment %d times", n)
+	}
+	if resp, _ := post(t, url, `{"spec":{"seed":1}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("server unhealthy after legacy bodies: %d", resp.StatusCode)
 	}
 }
 

@@ -10,71 +10,38 @@ func benchStack(grid int) *Stack {
 	return PlanarStack(0.013, 0.011, pm, StackOptions{Nx: grid, Ny: grid})
 }
 
-func BenchmarkSolve32(b *testing.B) {
-	s := benchStack(32)
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The steady benchmarks keep their Multigrid names so they line up with
+// the same rows of earlier baselines (BENCH_005), from before multigrid
+// became the only schedule.
 
-func BenchmarkSolve64(b *testing.B) {
-	s := benchStack(64)
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolve64Parallel8 is the headline parallel benchmark: the
-// same solve as BenchmarkSolve64 on an 8-worker pipelined pool, with
-// bit-identical output. Speedup requires cores; on a single-CPU host
-// the workers time-share and this measures pipeline overhead instead.
-func BenchmarkSolve64Parallel8(b *testing.B) {
-	s := benchStack(64)
-	w, err := NewWorkspace(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(context.Background(), SolveOptions{Parallelism: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolve32Multigrid solves the 32-class stack on the multigrid
-// schedule, hierarchy build included (cold-solve cost).
+// BenchmarkSolve32Multigrid solves the 32-class stack, discretization
+// and hierarchy build included (cold-solve cost).
 func BenchmarkSolve32Multigrid(b *testing.B) {
 	s := benchStack(32)
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{Method: MethodMultigrid}); err != nil {
+		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSolve64Multigrid is the headline algorithmic benchmark: the
-// same solve as BenchmarkSolve64, same default tolerance, single core,
-// on V-cycles instead of alternating-direction line-SOR.
+// BenchmarkSolve64Multigrid is the headline solver benchmark: a cold
+// 64x64 solve at the default tolerance, single core.
 func BenchmarkSolve64Multigrid(b *testing.B) {
 	s := benchStack(64)
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{Method: MethodMultigrid}); err != nil {
+		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWorkspaceResolve32 measures a re-solve on a kept Workspace
-// (the retry/DTM/sweep path): discretization is amortized away, only
-// iteration remains.
-func BenchmarkWorkspaceResolve32(b *testing.B) {
-	s := benchStack(32)
+// BenchmarkWorkspaceResolve64Multigrid measures a re-solve on a kept
+// Workspace: the hierarchy is already allocated, so this is the pure
+// allocation-free V-cycle iteration cost — the shape of every retry,
+// transient step, and DTM sample.
+func BenchmarkWorkspaceResolve64Multigrid(b *testing.B) {
+	s := benchStack(64)
 	w, err := NewWorkspace(s)
 	if err != nil {
 		b.Fatal(err)
@@ -83,28 +50,6 @@ func BenchmarkWorkspaceResolve32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Solve(context.Background(), SolveOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWorkspaceResolve64Multigrid measures the multigrid re-solve
-// path on a kept Workspace: the hierarchy is already allocated, so
-// this is the pure allocation-free V-cycle iteration cost — the shape
-// of every transient step and DTM sample.
-func BenchmarkWorkspaceResolve64Multigrid(b *testing.B) {
-	s := benchStack(64)
-	w, err := NewWorkspace(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodMultigrid}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodMultigrid}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package thermal
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Sentinel errors for the solver's two failure modes. Both are wrapped
@@ -15,8 +14,8 @@ var (
 	// alongside the error for diagnosis.
 	ErrNotConverged = errors.New("thermal: solver did not converge")
 	// ErrDiverged reports that the iteration blew up (NaN/Inf or
-	// sustained residual growth) and every damped-relaxation recovery
-	// attempt blew up too.
+	// sustained residual growth) and every recovery-rung restart blew
+	// up too.
 	ErrDiverged = errors.New("thermal: solver diverged")
 )
 
@@ -26,12 +25,12 @@ type ConvergenceError struct {
 	// Residual is the final relative energy imbalance
 	// |heat out - power in| / power in (NaN/Inf when diverged).
 	Residual float64
-	// Sweeps is the number of alternating-direction cycles completed by
-	// the final attempt.
+	// Sweeps is the number of cycles (V-cycles, or fine-level sweeps on
+	// the recovery rung) completed by the final attempt.
 	Sweeps int
 	// Omega is the relaxation factor in effect when the attempt failed.
 	Omega float64
-	// Recoveries counts the damped-relaxation restarts that were tried.
+	// Recoveries counts the recovery-rung restarts that were tried.
 	Recoveries int
 	// Diverged distinguishes blow-up from a merely exhausted budget.
 	Diverged bool
@@ -53,91 +52,6 @@ func (e *ConvergenceError) Unwrap() error {
 		return ErrDiverged
 	}
 	return ErrNotConverged
-}
-
-// ErrBadParallelism reports a Parallelism setting outside [0,
-// MaxParallelism()]. It is wrapped by *ParallelismError, which carries
-// the offending value; match with errors.Is against this sentinel and
-// errors.As against *ParallelismError.
-var ErrBadParallelism = errors.New("thermal: invalid Parallelism")
-
-// ParallelismError is the typed error returned for a misconfigured
-// SolveOptions.Parallelism or TransientOptions.Parallelism.
-type ParallelismError struct {
-	// Requested is the rejected setting.
-	Requested int
-	// Max is the cap in effect (MaxParallelism() at the time).
-	Max int
-}
-
-// Error implements the error interface.
-func (e *ParallelismError) Error() string {
-	if e.Requested < 0 {
-		return fmt.Sprintf("thermal: Parallelism must be non-negative, got %d", e.Requested)
-	}
-	return fmt.Sprintf("thermal: Parallelism %d exceeds the cap of %d (4x GOMAXPROCS, floor 8)", e.Requested, e.Max)
-}
-
-// Unwrap maps the error onto its sentinel for errors.Is.
-func (e *ParallelismError) Unwrap() error { return ErrBadParallelism }
-
-// MaxParallelism returns the largest accepted Parallelism setting:
-// four times GOMAXPROCS, with a floor of 8. The pipeline schedule is
-// correct at any worker count (excess workers merely time-share), so
-// the cap exists to reject configuration mistakes, not modest
-// oversubscription; the floor keeps the canonical 8-worker setting
-// valid on small hosts.
-func MaxParallelism() int {
-	if n := 4 * runtime.GOMAXPROCS(0); n > 8 {
-		return n
-	}
-	return 8
-}
-
-// checkParallelism validates a Parallelism setting and returns the
-// worker count to use (0 selects the serial path).
-func checkParallelism(p int) (int, error) {
-	if p < 0 || p > MaxParallelism() {
-		return 0, &ParallelismError{Requested: p, Max: MaxParallelism()}
-	}
-	return p, nil
-}
-
-// ErrBadMethod reports a SolveOptions.Method (or
-// TransientOptions.Method) value outside the defined schedules. It is
-// wrapped by *MethodError, which carries the offending value; match
-// with errors.Is against this sentinel and errors.As against
-// *MethodError. ParseMethod failures wrap it too.
-var ErrBadMethod = errors.New("thermal: invalid Method")
-
-// MethodError is the typed error returned for an unknown
-// SolveOptions.Method or TransientOptions.Method.
-type MethodError struct {
-	// Requested is the rejected setting.
-	Requested Method
-}
-
-// Error implements the error interface.
-func (e *MethodError) Error() string {
-	return fmt.Sprintf("thermal: unknown solve method %d (have %s and %s)",
-		int(e.Requested), MethodLineSOR, MethodMultigrid)
-}
-
-// Unwrap maps the error onto its sentinel for errors.Is.
-func (e *MethodError) Unwrap() error { return ErrBadMethod }
-
-// dampForRetry maps a diverged attempt onto the next rung of the
-// recovery ladder, method-aware: a diverged line-SOR attempt keeps the
-// method and damps its own relaxation factor; a diverged (or stalled)
-// multigrid attempt falls back to damped line-SOR, restarting from the
-// caller's SOR default rather than from the multigrid smoother's
-// factor — the smoother relaxation is not an SOR over-relaxation, so
-// damping it would not pick a sensible SOR operating point.
-func dampForRetry(m Method, omega, sorOmega float64) (Method, float64) {
-	if m == MethodMultigrid {
-		return MethodLineSOR, dampOmega(sorOmega)
-	}
-	return m, dampOmega(omega)
 }
 
 // dampOmega returns the next, more conservative relaxation factor for a

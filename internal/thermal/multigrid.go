@@ -1,9 +1,9 @@
-// Geometric multigrid schedule (SolveOptions.MethodMultigrid). The die
-// stack's discretization is extremely anisotropic: micron-thin layers
-// give vertical conductances orders of magnitude above the lateral
-// ones, so pointwise smoothing cannot work, and plain SOR needs
-// hundreds of alternating-direction cycles. Multigrid attacks the two
-// remaining slow error families separately:
+// Geometric multigrid: the solver's one iteration schedule, for steady
+// solves and for every implicit transient step. The die stack's
+// discretization is extremely anisotropic: micron-thin layers give
+// vertical conductances orders of magnitude above the lateral ones, so
+// pointwise smoothing cannot work. Multigrid attacks the two slow
+// error families separately:
 //
 //   - Tightly coupled z columns are solved *exactly* by the smoother:
 //     red-black z-line Gauss-Seidel (a tridiagonal Thomas solve per
@@ -23,17 +23,22 @@
 // One V-cycle costs a small constant number of z-line sweeps (the
 // lateral coarsening gives a geometric 1 + 1/4 + 1/16 + ... work sum),
 // and contracts the error by a grid-independent factor, so solves
-// converge in tens of cycles where line-SOR needs hundreds to
-// thousands. Everything the answer depends on — conductances, power
-// rasterization, boundary conditions, the energy-imbalance convergence
-// test — is shared with the line-SOR path, so the two methods are
-// interchangeable within SolveOptions.Tolerance.
+// converge in tens of cycles.
 //
-// The hierarchy is allocated once per Workspace (first multigrid
-// solve) and reused by every later solve, retry, transient step, and
-// DTM sample; after that warm-up a V-cycle performs zero allocations
-// (TestMultigridVCycleAllocs pins this, and the smoother inner loops
-// are //stacklint:hotpath-checked).
+// Footprint: the fine level aliases the solver's five per-cell arrays
+// (three conductances, temperatures, right-hand side) and adds one, the
+// pre-cycle snapshot tPrev. Each coarse level holds five arrays (three
+// conductances, correction, right-hand side) at a quarter of the cells
+// of the level above, under two fine-level arrays across the whole
+// hierarchy. Neither the operator diagonal nor the residual is stored:
+// the diagonal is summed from the conductances the kernels load anyway,
+// plus a per-z-plane capacity term, and the residual is computed inside
+// the restriction.
+//
+// The hierarchy is allocated once per Workspace and reused by every
+// later solve, retry, transient step, and DTM sample; a V-cycle
+// performs zero allocations (TestMultigridVCycleAllocs pins this, and
+// the smoother and transfer kernels are //stacklint:hotpath-checked).
 package thermal
 
 import (
@@ -64,105 +69,89 @@ const (
 )
 
 // mgLevel is one grid of the multigrid hierarchy. Level 0 aliases the
-// fine solver's arrays (temperatures, sources, conductances, capacity
-// terms), so smoothing the fine level *is* iterating the real system;
-// coarser levels own their aggregated copies and solve the error
-// equation A·e = r, which has zero ambient (the boundary data lives in
-// the restricted residual).
+// fine solver's arrays (temperatures, right-hand side, conductances),
+// so smoothing the fine level *is* iterating the real system; coarser
+// levels own their aggregated copies and solve the error equation
+// A·e = r, which has zero ambient (the boundary data lives in the
+// restricted residual).
 type mgLevel struct {
 	nx, ny, nz int
 	gv         []float64 // vertical conductance cell -> cell below (z+1)
 	gxr        []float64 // lateral conductance cell -> x+1
 	gyu        []float64 // lateral conductance cell -> y+1
 	gTop, gBot []float64 // boundary conductance per lateral cell
-	diagStatic []float64 // sum of incident conductances per cell
-	cod        []float64 // heat capacity / dt per cell (zero for steady)
-	t          []float64 // unknown: temperature (level 0) or error correction
-	q          []float64 // right-hand side: sources (level 0) or restricted residual
-	r          []float64 // residual scratch
-	amb        float64   // ambient boundary temperature (0 on coarse levels)
-	sc         *lineScratch
+	// fine counts the fine-level lateral cells aggregated into each
+	// lateral cell (1 on level 0), which scales the capacity term.
+	fine []float64
+	// codZ is the capacity term C/dt of one fine cell in each z-plane
+	// (all zero for steady solves), shared by every level.
+	codZ []float64
+	t    []float64 // unknown: temperature (level 0) or error correction
+	q    []float64 // right-hand side: sources (level 0) or restricted residual
+	amb  float64   // ambient boundary temperature (0 on coarse levels)
+	sc   *lineScratch
 }
 
 func (lv *mgLevel) idx(z, y, x int) int { return (z*lv.ny+y)*lv.nx + x }
 
-// computeDiag fills diagStatic from the level's conductances: the full
-// diagonal of the steady operator (the capacity term rides separately
-// in cod so transient solves can rebuild it per time step).
-func (lv *mgLevel) computeDiag() {
-	nx, ny, nz := lv.nx, lv.ny, lv.nz
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				i := lv.idx(z, y, x)
-				d := 0.0
-				if z > 0 {
-					d += lv.gv[lv.idx(z-1, y, x)]
-				} else {
-					d += lv.gTop[y*nx+x]
-				}
-				if z < nz-1 {
-					d += lv.gv[i]
-				} else {
-					d += lv.gBot[y*nx+x]
-				}
-				if x > 0 {
-					d += lv.gxr[i-1]
-				}
-				if x < nx-1 {
-					d += lv.gxr[i]
-				}
-				if y > 0 {
-					d += lv.gyu[i-nx]
-				}
-				if y < ny-1 {
-					d += lv.gyu[i]
-				}
-				lv.diagStatic[i] = d
-			}
-		}
-	}
-}
-
 // relaxColumn solves the z-column at (y, x) exactly with lateral
 // neighbors fixed — one tridiagonal Thomas solve — and writes the
 // (possibly relaxed) update back, returning the column's largest
-// temperature change. This is the multigrid smoother kernel; at
-// omega 1 (the multigrid default) the column lands exactly on its
-// line-Gauss-Seidel value.
+// temperature change. This is the smoother kernel; at omega 1 (the
+// default) the column lands exactly on its line-Gauss-Seidel value.
 //
 //stacklint:hotpath
 func (lv *mgLevel) relaxColumn(sc *lineScratch, y, x int, omega float64) float64 {
 	nx, ny, nz := lv.nx, lv.ny, lv.nz
 	nyx := ny * nx
 	amb := lv.amb
+	j := y*nx + x
 	for z := 0; z < nz; z++ {
 		i := (z*ny+y)*nx + x
-		d := lv.diagStatic[i] + lv.cod[i]
 		r := lv.q[i]
+		d := 0.0
 		if z > 0 {
-			sc.sub[z] = -lv.gv[i-nyx]
+			g := lv.gv[i-nyx]
+			sc.sub[z] = -g
+			d += g
 		} else {
+			g := lv.gTop[j]
 			sc.sub[z] = 0
-			r += lv.gTop[y*nx+x] * amb
+			d += g
+			r += g * amb
 		}
 		if z < nz-1 {
-			sc.sup[z] = -lv.gv[i]
+			g := lv.gv[i]
+			sc.sup[z] = -g
+			d += g
 		} else {
+			g := lv.gBot[j]
 			sc.sup[z] = 0
-			r += lv.gBot[y*nx+x] * amb
+			d += g
+			r += g * amb
 		}
 		if x > 0 {
-			r += lv.gxr[i-1] * lv.t[i-1]
+			g := lv.gxr[i-1]
+			d += g
+			r += g * lv.t[i-1]
 		}
 		if x < nx-1 {
-			r += lv.gxr[i] * lv.t[i+1]
+			g := lv.gxr[i]
+			d += g
+			r += g * lv.t[i+1]
 		}
 		if y > 0 {
-			r += lv.gyu[i-nx] * lv.t[i-nx]
+			g := lv.gyu[i-nx]
+			d += g
+			r += g * lv.t[i-nx]
 		}
 		if y < ny-1 {
-			r += lv.gyu[i] * lv.t[i+nx]
+			g := lv.gyu[i]
+			d += g
+			r += g * lv.t[i+nx]
+		}
+		if c := lv.codZ[z]; c != 0 {
+			d += c * lv.fine[j]
 		}
 		sc.diag[z] = d
 		sc.rhs[z] = r
@@ -227,47 +216,6 @@ func (lv *mgLevel) smoothSweep(omega float64) float64 {
 	return d0
 }
 
-// residual fills lv.r with the pointwise defect q - A·t (watts per
-// cell), including the convective boundary terms.
-//
-//stacklint:hotpath
-func (lv *mgLevel) residual() {
-	nx, ny, nz := lv.nx, lv.ny, lv.nz
-	nyx := ny * nx
-	amb := lv.amb
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				i := (z*ny+y)*nx + x
-				r := lv.q[i] - (lv.diagStatic[i]+lv.cod[i])*lv.t[i]
-				if z > 0 {
-					r += lv.gv[i-nyx] * lv.t[i-nyx]
-				} else {
-					r += lv.gTop[y*nx+x] * amb
-				}
-				if z < nz-1 {
-					r += lv.gv[i] * lv.t[i+nyx]
-				} else {
-					r += lv.gBot[y*nx+x] * amb
-				}
-				if x > 0 {
-					r += lv.gxr[i-1] * lv.t[i-1]
-				}
-				if x < nx-1 {
-					r += lv.gxr[i] * lv.t[i+1]
-				}
-				if y > 0 {
-					r += lv.gyu[i-nx] * lv.t[i-nx]
-				}
-				if y < ny-1 {
-					r += lv.gyu[i] * lv.t[i+nx]
-				}
-				lv.r[i] = r
-			}
-		}
-	}
-}
-
 // solveCoarsest relaxes the level to stagnation: red-black z-line
 // sweeps until the per-sweep delta has dropped by mgCoarseReduction
 // from the first sweep (or mgCoarseMaxSweeps). On a lateral grid of a
@@ -311,44 +259,46 @@ func fineHi(c, n int) int {
 // coarsen builds the next-coarser level from f by finite-volume
 // aggregation of 2x2 lateral cell groups: conductances crossing a
 // coarse interface are the sums of the fine conductances crossing it,
-// boundary conductances aggregate the same way, and conductances
-// interior to an aggregate drop out (they connect cells that merged).
-// The z discretization is kept as is. The result is the same M-matrix
-// family as the fine operator, so the smoother and the recursion apply
-// unchanged.
+// boundary conductances and fine-cell counts aggregate the same way,
+// and conductances interior to an aggregate drop out (they connect
+// cells that merged). The z discretization is kept as is. The result
+// is the same M-matrix family as the fine operator, so the smoother
+// and the recursion apply unchanged.
 func coarsen(f *mgLevel) *mgLevel {
 	nxc, nyc := coarseDim(f.nx), coarseDim(f.ny)
 	nz := f.nz
 	cells := nz * nyc * nxc
 	c := &mgLevel{
 		nx: nxc, ny: nyc, nz: nz,
-		gv:         make([]float64, cells),
-		gxr:        make([]float64, cells),
-		gyu:        make([]float64, cells),
-		gTop:       make([]float64, nyc*nxc),
-		gBot:       make([]float64, nyc*nxc),
-		diagStatic: make([]float64, cells),
-		cod:        make([]float64, cells),
-		t:          make([]float64, cells),
-		q:          make([]float64, cells),
-		r:          make([]float64, cells),
-		amb:        0,
-		sc:         newLineScratch(nz),
+		gv:   make([]float64, cells),
+		gxr:  make([]float64, cells),
+		gyu:  make([]float64, cells),
+		gTop: make([]float64, nyc*nxc),
+		gBot: make([]float64, nyc*nxc),
+		fine: make([]float64, nyc*nxc),
+		codZ: f.codZ,
+		t:    make([]float64, cells),
+		q:    make([]float64, cells),
+		amb:  0,
+		sc:   newLineScratch(nz),
 	}
 	for Y := 0; Y < nyc; Y++ {
 		yLo, yHi := fineLo(Y), fineHi(Y, f.ny)
 		for X := 0; X < nxc; X++ {
 			xLo, xHi := fineLo(X), fineHi(X, f.nx)
-			// Boundary conductances: sum over the aggregate's footprint.
-			var top, bot float64
+			// Boundary conductances and cell counts: sum over the
+			// aggregate's footprint.
+			var top, bot, n float64
 			for y := yLo; y <= yHi; y++ {
 				for x := xLo; x <= xHi; x++ {
 					top += f.gTop[y*f.nx+x]
 					bot += f.gBot[y*f.nx+x]
+					n += f.fine[y*f.nx+x]
 				}
 			}
 			c.gTop[Y*nxc+X] = top
 			c.gBot[Y*nxc+X] = bot
+			c.fine[Y*nxc+X] = n
 			for z := 0; z < nz; z++ {
 				i := c.idx(z, Y, X)
 				// Vertical: every fine column in the aggregate crosses the
@@ -384,14 +334,15 @@ func coarsen(f *mgLevel) *mgLevel {
 			}
 		}
 	}
-	c.computeDiag()
 	return c
 }
 
-// restrictResidual transfers the fine residual to the coarse right-hand
-// side by full weighting over each lateral aggregate — for this
-// finite-volume discretization the residual is a power defect in
-// watts, so the aggregate's defect is the exact sum of its members'.
+// restrictResidual computes the fine level's pointwise defect q - A·t
+// (watts per cell, convective boundary terms included) and sums it
+// over each 2x2 lateral aggregate into the coarse right-hand side:
+// full weighting, fused with the residual so no per-cell residual
+// array exists. For this finite-volume discretization the defect is a
+// power, so the aggregate's defect is the exact sum of its members'.
 // The coarse unknown (the error correction) starts at zero.
 //
 //stacklint:hotpath
@@ -400,29 +351,66 @@ func restrictResidual(f, c *mgLevel) {
 		c.q[i] = 0
 		c.t[i] = 0
 	}
-	for z := 0; z < f.nz; z++ {
-		for y := 0; y < f.ny; y++ {
-			Y := y / 2
-			for x := 0; x < f.nx; x++ {
-				c.q[(z*c.ny+Y)*c.nx+x/2] += f.r[(z*f.ny+y)*f.nx+x]
-			}
-		}
-	}
-}
-
-// restrictCod transfers the capacity/dt term to the coarse level by
-// the same aggregation (capacities are extensive, so they sum). Called
-// once per solve attempt — steady solves restrict zeros, transient
-// solves pick up the current dt.
-func restrictCod(f, c *mgLevel) {
-	for i := range c.cod {
-		c.cod[i] = 0
-	}
-	for z := 0; z < f.nz; z++ {
-		for y := 0; y < f.ny; y++ {
-			Y := y / 2
-			for x := 0; x < f.nx; x++ {
-				c.cod[(z*c.ny+Y)*c.nx+x/2] += f.cod[(z*f.ny+y)*f.nx+x]
+	nx, ny, nz := f.nx, f.ny, f.nz
+	nyx := ny * nx
+	amb := f.amb
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			row := (z*c.ny + y/2) * c.nx
+			for x := 0; x < nx; x++ {
+				i := (z*ny+y)*nx + x
+				j := y*nx + x
+				// The diagonal, summed in relaxColumn's order.
+				d := 0.0
+				if z > 0 {
+					d += f.gv[i-nyx]
+				} else {
+					d += f.gTop[j]
+				}
+				if z < nz-1 {
+					d += f.gv[i]
+				} else {
+					d += f.gBot[j]
+				}
+				if x > 0 {
+					d += f.gxr[i-1]
+				}
+				if x < nx-1 {
+					d += f.gxr[i]
+				}
+				if y > 0 {
+					d += f.gyu[i-nx]
+				}
+				if y < ny-1 {
+					d += f.gyu[i]
+				}
+				if cod := f.codZ[z]; cod != 0 {
+					d += cod * f.fine[j]
+				}
+				r := f.q[i] - d*f.t[i]
+				if z > 0 {
+					r += f.gv[i-nyx] * f.t[i-nyx]
+				} else {
+					r += f.gTop[j] * amb
+				}
+				if z < nz-1 {
+					r += f.gv[i] * f.t[i+nyx]
+				} else {
+					r += f.gBot[j] * amb
+				}
+				if x > 0 {
+					r += f.gxr[i-1] * f.t[i-1]
+				}
+				if x < nx-1 {
+					r += f.gxr[i] * f.t[i+1]
+				}
+				if y > 0 {
+					r += f.gyu[i-nx] * f.t[i-nx]
+				}
+				if y < ny-1 {
+					r += f.gyu[i] * f.t[i+nx]
+				}
+				c.q[row+x/2] += r
 			}
 		}
 	}
@@ -460,16 +448,18 @@ func prolongAdd(c, f *mgLevel) {
 	}
 }
 
-// mgHier is a Workspace's multigrid hierarchy: built once from the
-// solver's discretization on the first multigrid solve, reused by
-// every solve after that. Level 0 aliases the solver's arrays, so the
-// hierarchy always iterates the workspace's current sources and
-// capacity terms.
+// mgHier is a Workspace's multigrid hierarchy, built once from the
+// solver's discretization and reused by every solve after that. Level
+// 0 aliases the solver's arrays, so the hierarchy always iterates the
+// workspace's current sources and temperatures.
 type mgHier struct {
 	levels []*mgLevel
-	// tPrev snapshots the fine temperatures before each V-cycle so the
-	// per-cycle max delta (the stagnation half of the convergence test)
-	// covers the whole cycle including the constant-mode shift.
+	// capZ is the fine cell heat capacity per z-plane (the solver's);
+	// codZ is capZ/dt for the current attempt, shared by every level.
+	capZ, codZ []float64
+	// tPrev snapshots the fine temperatures before each cycle so the
+	// per-cycle max delta (the stagnation test) covers the whole cycle,
+	// including coarse corrections and the constant-mode shift.
 	tPrev []float64
 	// sweepNames are the per-level obs counter names (prebuilt so
 	// publishing never formats on a solve path).
@@ -483,19 +473,21 @@ type mgHier struct {
 // newMGHier builds the hierarchy for sv's discretization.
 func newMGHier(sv *solver) *mgHier {
 	cells := sv.nz * sv.ny * sv.nx
+	codZ := make([]float64, sv.nz)
 	fine := &mgLevel{
 		nx: sv.nx, ny: sv.ny, nz: sv.nz,
 		gv: sv.gv, gxr: sv.gxr, gyu: sv.gyu,
 		gTop: sv.gTop, gBot: sv.gBot,
-		diagStatic: make([]float64, cells),
-		cod:        sv.capOverDt,
-		t:          sv.t,
-		q:          sv.q,
-		r:          make([]float64, cells),
-		amb:        sv.s.AmbientC,
-		sc:         newLineScratch(sv.nz),
+		fine: make([]float64, sv.ny*sv.nx),
+		codZ: codZ,
+		t:    sv.t,
+		q:    sv.q,
+		amb:  sv.s.AmbientC,
+		sc:   newLineScratch(sv.nz),
 	}
-	fine.computeDiag()
+	for i := range fine.fine {
+		fine.fine[i] = 1
+	}
 	levels := []*mgLevel{fine}
 	for {
 		last := levels[len(levels)-1]
@@ -510,18 +502,23 @@ func newMGHier(sv *solver) *mgHier {
 	}
 	return &mgHier{
 		levels:     levels,
+		capZ:       sv.capZ,
+		codZ:       codZ,
 		tPrev:      make([]float64, cells),
 		sweepNames: names,
 		sweeps:     make([]uint64, len(levels)),
 	}
 }
 
-// beginSolve prepares the hierarchy for one solve attempt: restrict
-// the (possibly transient) capacity terms down the hierarchy and reset
-// the attempt's tallies.
-func (h *mgHier) beginSolve() {
-	for l := 1; l < len(h.levels); l++ {
-		restrictCod(h.levels[l-1], h.levels[l])
+// beginSolve prepares the hierarchy for one solve attempt with time
+// step dt (0 for a steady solve): set the capacity term every level's
+// diagonal carries, and reset the attempt's tallies.
+func (h *mgHier) beginSolve(dt float64) {
+	for z, c := range h.capZ {
+		h.codZ[z] = 0
+		if dt > 0 {
+			h.codZ[z] = c / dt
+		}
 	}
 	for i := range h.sweeps {
 		h.sweeps[i] = 0
@@ -529,10 +526,26 @@ func (h *mgHier) beginSolve() {
 	h.cycles = 0
 }
 
+// cycle snapshots the fine temperatures into tPrev and runs one
+// iteration cycle: a V-cycle normally, or — on the recovery rung,
+// fineOnly — one red-black z-line sweep of the fine level alone. The
+// caller measures the cycle's change against tPrev (after any
+// constant-mode shift of its own).
+func (h *mgHier) cycle(omega float64, fineOnly bool) {
+	fine := h.levels[0]
+	copy(h.tPrev, fine.t)
+	if fineOnly {
+		fine.smoothSweep(omega)
+		h.sweeps[0]++
+		return
+	}
+	h.vcycle(omega)
+}
+
 // vcycle runs one V-cycle: pre-smooth / restrict down the hierarchy,
 // relax the coarsest level to stagnation, prolong / post-smooth back
 // up. omega relaxes the smoother's line updates (1 = exact line
-// Gauss-Seidel, the multigrid default).
+// Gauss-Seidel, the default).
 func (h *mgHier) vcycle(omega float64) {
 	n := len(h.levels)
 	for l := 0; l < n-1; l++ {
@@ -541,7 +554,6 @@ func (h *mgHier) vcycle(omega float64) {
 			lv.smoothSweep(omega)
 		}
 		h.sweeps[l] += mgPreSweeps
-		lv.residual()
 		restrictResidual(lv, h.levels[l+1])
 	}
 	h.sweeps[n-1] += h.levels[n-1].solveCoarsest(omega)

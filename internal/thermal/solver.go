@@ -9,40 +9,28 @@ import (
 
 // SolveOptions tunes the solver. Zero values select the defaults.
 type SolveOptions struct {
-	// Method selects the iteration schedule: MethodLineSOR (the
-	// default, bit-compatible with prior releases) or MethodMultigrid
-	// (V-cycles, typically an order of magnitude fewer cycles on fine
-	// grids; deterministic but not bit-identical to line-SOR). Unknown
-	// values are rejected with a *MethodError wrapping ErrBadMethod.
-	Method Method
 	// MaxCycles bounds the number of iteration cycles (default 4000).
-	// One cycle is a z-, x-, and y-line sweep for MethodLineSOR, or
-	// one V-cycle for MethodMultigrid.
+	// One cycle is one V-cycle, or one fine-level smoothing sweep on
+	// the recovery rung.
 	MaxCycles int
 	// Tolerance is the convergence threshold: the solution is accepted
 	// when the global energy imbalance |heat out - power in| drops
 	// below Tolerance times the injected power AND the per-cycle
-	// maximum temperature change is below 1e-4 K (default 1e-3).
+	// maximum temperature change is below 1e-4 K (stagnationK)
+	// (default 1e-3).
 	Tolerance float64
-	// Omega relaxes the line updates, in (0,2). The default is
-	// method-aware: 1.8 (over-relaxation) for MethodLineSOR, 1.0
-	// (exact line Gauss-Seidel smoothing) for MethodMultigrid. Values
-	// at or above 2 make the iteration diverge; the solver detects the
-	// blow-up and retries on the recovery ladder (see MaxRecoveries).
+	// Omega relaxes the smoother's z-line updates (default 1.0, exact
+	// line Gauss-Seidel). Values at or above 2 make the iteration
+	// diverge; the solver detects the blow-up and retries on the
+	// recovery rung (see MaxRecoveries).
 	Omega float64
-	// MaxRecoveries bounds the damped-relaxation restarts attempted
-	// after a detected divergence (NaN/Inf or sustained residual
-	// growth). Zero selects the default (2); negative disables recovery
-	// so a divergence fails immediately with ErrDiverged.
+	// MaxRecoveries bounds the restarts attempted after a detected
+	// divergence (NaN/Inf or sustained residual growth). Each restart
+	// runs the red-black z-line smoother alone on the fine level at a
+	// damped relaxation factor. Zero selects the default (2); negative
+	// disables recovery so a divergence fails immediately with
+	// ErrDiverged.
 	MaxRecoveries int
-	// Parallelism runs each sweep on this many pipelined workers
-	// (0 = serial, the default). The pipeline preserves the serial
-	// Gauss-Seidel dependency order, so the solved field is
-	// bit-identical to the serial solver at every setting — the knob
-	// trades CPU for wall clock, never accuracy. Negative values and
-	// values above MaxParallelism() are rejected with a
-	// *ParallelismError wrapping ErrBadParallelism.
-	Parallelism int
 	// Obs, when non-nil, receives solver metrics (thermal_solves,
 	// thermal_sweeps, thermal_divergence_retries counters; thermal_peak_c
 	// and thermal_residual gauges) and a "thermal/solve" span per solve.
@@ -50,11 +38,11 @@ type SolveOptions struct {
 	Obs *obs.Registry
 }
 
-// defaultSteadyOmega is the line-SOR over-relaxation default for steady
-// solves; it also anchors the multigrid→damped-SOR fallback ladder (a
-// fallback restarts from dampOmega(defaultSteadyOmega), not from the
-// multigrid smoother's factor).
-const defaultSteadyOmega = 1.8
+// stagnationK is the per-cycle maximum temperature change, in kelvin,
+// below which an iteration has stagnated. A steady solve converges
+// once it stagnates and balances energy; every implicit transient step
+// ends as soon as it stagnates.
+const stagnationK = 1e-4
 
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxCycles == 0 {
@@ -64,11 +52,7 @@ func (o SolveOptions) withDefaults() SolveOptions {
 		o.Tolerance = 1e-3
 	}
 	if o.Omega == 0 {
-		if o.Method == MethodMultigrid {
-			o.Omega = 1.0
-		} else {
-			o.Omega = defaultSteadyOmega
-		}
+		o.Omega = 1.0
 	}
 	if o.MaxRecoveries == 0 {
 		o.MaxRecoveries = 2
@@ -93,15 +77,14 @@ type Field struct {
 	nz       int
 	t        []float64 // [z][y][x] flattened
 	sweeps   int
-	// recoveries counts the damped-relaxation restarts that were needed
-	// to reach this solution (0 for a clean solve).
+	// recoveries counts the recovery-rung restarts that were needed to
+	// reach this solution (0 for a clean solve).
 	recoveries int
 	// Boundary conductances retained for HeatOut.
 	gTop, gBot []float64 // per lateral cell
 }
 
-// lineScratch is the tridiagonal assembly/solve scratch for one line.
-// Each worker owns one, so lines can be solved concurrently.
+// lineScratch is the tridiagonal assembly/solve scratch for one z-line.
 type lineScratch struct {
 	sub, diag, sup, rhs, cp, dp []float64
 }
@@ -129,30 +112,26 @@ func (sc *lineScratch) thomas(n int) {
 
 // solver holds the discretized system. The discretization (grid,
 // conductances, capacities) is built once by newSolver; the iteration
-// state (t, q, capOverDt, omega) is reinitialized by reset, so one
-// solver serves many solves, retries, and transient steps.
+// state (t, q) is reinitialized by reset and loadRHS, so one solver
+// serves many solves, retries, and transient steps.
 type solver struct {
 	s          *Stack
-	omega      float64
 	nx, ny, nz int
 	gv         []float64 // vertical conductance cell -> cell below (z+1)
 	gxr        []float64 // lateral conductance cell -> x+1
 	gyu        []float64 // lateral conductance cell -> y+1
 	gTop, gBot []float64 // boundary conductance per lateral cell
-	baseQ      []float64 // rasterized heat source per cell, W
-	q          []float64 // working right-hand side (baseQ, or the implicit-Euler RHS)
-	t          []float64
-	tOld       []float64 // previous-step temperatures during transient stepping
-	// cellCap is each cell's heat capacity in J/K; capOverDt holds
-	// cellCap/dt during transient stepping (all zero for steady
-	// solves, where it drops out of the equations).
-	cellCap   []float64
-	capOverDt []float64
-	sc        *lineScratch // serial-path scratch, sized to the longest axis
-	maxAxis   int
+	// q is the right-hand side: the rasterized heat sources (W) of a
+	// steady solve, or the implicit-Euler right-hand side of a step.
+	q []float64
+	t []float64
+	// capZ is the heat capacity of one cell of z-plane z in J/K (cells
+	// are uniform in x and y, so one value serves the whole plane).
+	capZ []float64
 
 	// z discretization retained so power maps can be re-rasterized on
-	// every reset (power mutations between solves are picked up).
+	// every solve and step (power mutations between solves are picked
+	// up).
 	zLayer   []int     // z-cell -> stack layer index
 	srcScale []float64 // per-z fraction of the layer's power map
 
@@ -162,28 +141,27 @@ type solver struct {
 
 func (sv *solver) idx(z, y, x int) int { return (z*sv.ny+y)*sv.nx + x }
 
-// Solve computes the steady-state temperature field of the stack with
-// an alternating-direction line solver: tridiagonal (Thomas) solves
-// along z, then x, then y lines, iterated to convergence. Die stacks
-// are strongly anisotropic — micron-thin layers give enormous vertical
+// Solve computes the steady-state temperature field of the stack by
+// geometric multigrid (see multigrid.go): V-cycles over a laterally
+// coarsened hierarchy with an exact z-line smoother. Die stacks are
+// strongly anisotropic — micron-thin layers give enormous vertical
 // conductances, and the thick copper sink gives enormous lateral
-// ones — so line relaxation along every axis is required for fast,
-// reliable convergence. Convergence is accepted on global energy
-// balance, not just per-sweep stagnation.
+// ones — so the smoother solves every vertical column exactly and the
+// coarse levels remove smooth lateral error. Convergence is accepted
+// on global energy balance, not just per-cycle stagnation.
 //
 // A solve that exhausts its cycle budget without meeting tolerance
 // returns the partial field together with a *ConvergenceError wrapping
 // ErrNotConverged. A solve whose iteration blows up (NaN/Inf residual
-// or sustained residual growth) is restarted with a damped relaxation
-// factor up to MaxRecoveries times before giving up with a
-// *ConvergenceError wrapping ErrDiverged.
+// or sustained residual growth) is restarted on the recovery rung up
+// to MaxRecoveries times before giving up with a *ConvergenceError
+// wrapping ErrDiverged.
 //
 // Each call discretizes the stack from scratch; callers solving the
 // same geometry repeatedly should keep a Workspace instead.
 //
-// Cancellation is cooperative: the context is checked between
-// alternating-direction cycles, and ctx.Err() is returned as soon as
-// the context is done.
+// Cancellation is cooperative: the context is checked between cycles,
+// and ctx.Err() is returned as soon as the context is done.
 func Solve(ctx context.Context, s *Stack, opt SolveOptions) (*Field, error) {
 	w, err := NewWorkspace(s)
 	if err != nil {
@@ -254,24 +232,16 @@ func newSolver(s *Stack) (*solver, error) {
 	sv.zOfLayer = zOfLayer
 	sv.zLayer = zLayer
 	sv.srcScale = srcScale
-	maxAxis := nz
-	if nx > maxAxis {
-		maxAxis = nx
-	}
-	if ny > maxAxis {
-		maxAxis = ny
-	}
-	sv.maxAxis = maxAxis
-	sv.sc = newLineScratch(maxAxis)
 
-	// Per-cell conductivity honoring bounded layer extents. Boundary
-	// cells that partially overlap the extent get an area-weighted
-	// conductivity, keeping the material mask consistent with
-	// area-weighted power rasterization (otherwise block power can
-	// land in a cell classified as near-insulating filler).
-	k := make([]float64, cells)
-	for z := 0; z < nz; z++ {
-		l := s.Layers[zLayer[z]]
+	// kPlane fills dst with the conductivity of every cell of z-plane z,
+	// honoring bounded layer extents. Boundary cells that partially
+	// overlap the extent get an area-weighted conductivity, keeping the
+	// material mask consistent with area-weighted power rasterization
+	// (otherwise block power can land in a cell classified as
+	// near-insulating filler). Only two planes are live at a time, so
+	// no per-cell conductivity array is ever allocated.
+	kPlane := func(z int, dst []float64) {
+		l := &s.Layers[zLayer[z]]
 		kin := l.Material.Conductivity
 		kout := kin
 		if l.bounded() {
@@ -291,104 +261,97 @@ func newSolver(s *Stack) (*solver, error) {
 					}
 					kk = frac*kin + (1-frac)*kout
 				}
-				k[sv.idx(z, y, x)] = kk
+				dst[y*nx+x] = kk
 			}
 		}
 	}
 
-	// Precomputed conductances.
+	// Precomputed conductances, sweeping z with the conductivities of
+	// the current plane (k) and the one below it (kBelow).
 	sv.gv = make([]float64, cells)
 	sv.gxr = make([]float64, cells)
 	sv.gyu = make([]float64, cells)
+	sv.gTop = make([]float64, ny*nx)
+	sv.gBot = make([]float64, ny*nx)
+	k, kBelow := make([]float64, ny*nx), make([]float64, ny*nx)
+	kPlane(0, k)
 	for z := 0; z < nz; z++ {
+		if z < nz-1 {
+			kPlane(z+1, kBelow)
+		}
 		for y := 0; y < ny; y++ {
 			for x := 0; x < nx; x++ {
 				i := sv.idx(z, y, x)
+				j := y*nx + x
 				if z < nz-1 {
-					j := sv.idx(z+1, y, x)
-					sv.gv[i] = area / (dz[z]/(2*k[i]) + dz[z+1]/(2*k[j]))
+					sv.gv[i] = area / (dz[z]/(2*k[j]) + dz[z+1]/(2*kBelow[j]))
 				}
 				if x < nx-1 {
-					j := sv.idx(z, y, x+1)
-					sv.gxr[i] = dz[z] * dy / (dx/(2*k[i]) + dx/(2*k[j]))
+					sv.gxr[i] = dz[z] * dy / (dx/(2*k[j]) + dx/(2*k[j+1]))
 				}
 				if y < ny-1 {
-					j := sv.idx(z, y+1, x)
-					sv.gyu[i] = dz[z] * dx / (dy/(2*k[i]) + dy/(2*k[j]))
+					sv.gyu[i] = dz[z] * dx / (dy/(2*k[j]) + dy/(2*k[j+nx]))
+				}
+				if z == 0 && s.TopH > 0 {
+					sv.gTop[j] = area / (dz[0]/(2*k[j]) + 1/s.TopH)
+				}
+				if z == nz-1 && s.BottomH > 0 {
+					sv.gBot[j] = area / (dz[nz-1]/(2*k[j]) + 1/s.BottomH)
 				}
 			}
 		}
-	}
-	sv.gTop = make([]float64, ny*nx)
-	sv.gBot = make([]float64, ny*nx)
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			if s.TopH > 0 {
-				sv.gTop[y*nx+x] = area / (dz[0]/(2*k[sv.idx(0, y, x)]) + 1/s.TopH)
-			}
-			if s.BottomH > 0 {
-				sv.gBot[y*nx+x] = area / (dz[nz-1]/(2*k[sv.idx(nz-1, y, x)]) + 1/s.BottomH)
-			}
-		}
+		k, kBelow = kBelow, k
 	}
 
-	// Heat capacities in J/K per cell.
-	sv.cellCap = make([]float64, cells)
-	cellArea := dx * dy
-	for z := 0; z < nz; z++ {
-		capPerCell := s.Layers[zLayer[z]].Material.heatCapacity() * cellArea * dz[z]
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				sv.cellCap[sv.idx(z, y, x)] = capPerCell
-			}
-		}
+	sv.capZ = make([]float64, nz)
+	for z := range sv.capZ {
+		sv.capZ[z] = s.Layers[zLayer[z]].Material.heatCapacity() * area * dz[z]
 	}
 
-	sv.baseQ = make([]float64, cells)
 	sv.q = make([]float64, cells)
-	sv.capOverDt = make([]float64, cells)
 	sv.t = make([]float64, cells)
-	sv.tOld = make([]float64, cells)
 	return sv, nil
 }
 
-// rasterize rebuilds the per-cell heat sources (W) from the stack's
-// current power maps. Called on every reset so power mutations between
-// solves on a reused workspace are honored.
-func (sv *solver) rasterize() {
-	for i := range sv.baseQ {
-		sv.baseQ[i] = 0
-	}
-	sv.totalPower = 0
+// loadRHS rasterizes the stack's current power maps into the
+// right-hand side, scaled by scale, and records the unscaled total
+// power. For an implicit-Euler step of length dt > 0 it adds the
+// capacity term (C/dt)·T of the current temperatures — the previous
+// step's field, which the step's iterations then overwrite. A steady
+// solve passes scale 1 and dt 0.
+func (sv *solver) loadRHS(scale, dt float64) {
+	nyx := sv.ny * sv.nx
+	total := 0.0
 	for z := 0; z < sv.nz; z++ {
-		pm := sv.s.Layers[sv.zLayer[z]].Power
-		if pm == nil {
-			continue
+		cod := 0.0
+		if dt > 0 {
+			cod = sv.capZ[z] / dt
 		}
-		scale := sv.srcScale[z]
+		plane := z * nyx
+		pm := sv.s.Layers[sv.zLayer[z]].Power
+		src := sv.srcScale[z]
 		for y := 0; y < sv.ny; y++ {
 			for x := 0; x < sv.nx; x++ {
-				w := pm.At(x, y) * scale
-				sv.baseQ[sv.idx(z, y, x)] = w
-				sv.totalPower += w
+				i := plane + y*sv.nx + x
+				w := 0.0
+				if pm != nil {
+					w = pm.At(x, y) * src
+				}
+				total += w
+				sv.q[i] = w*scale + cod*sv.t[i]
 			}
 		}
 	}
+	sv.totalPower = total
 }
 
 // reset reinitializes the iteration state for a fresh solve attempt:
-// ambient temperatures, steady sources, no capacity term.
-func (sv *solver) reset(omega float64) {
-	sv.omega = omega
-	sv.rasterize()
-	copy(sv.q, sv.baseQ)
-	amb := sv.s.AmbientC
+// uniform initial temperatures and the steady sources.
+func (sv *solver) reset(initC float64) {
 	for i := range sv.t {
-		sv.t[i] = amb
+		sv.t[i] = initC
 	}
-	for i := range sv.capOverDt {
-		sv.capOverDt[i] = 0
-	}
+	sv.loadRHS(1, 0)
 }
 
 // heatOut integrates convective outflow at both boundary faces.
@@ -408,250 +371,11 @@ func (sv *solver) heatOut() float64 {
 	return total
 }
 
-// zColumn assembles and solves the vertical column at (y, x), lateral
-// neighbors fixed, and writes the over-relaxed update back. It returns
-// the column's largest temperature change.
-func (sv *solver) zColumn(sc *lineScratch, y, x int) float64 {
-	nx, ny, nz := sv.nx, sv.ny, sv.nz
-	amb := sv.s.AmbientC
-	for z := 0; z < nz; z++ {
-		i := sv.idx(z, y, x)
-		d := sv.capOverDt[i]
-		r := sv.q[i]
-		if z > 0 {
-			g := sv.gv[sv.idx(z-1, y, x)]
-			sc.sub[z] = -g
-			d += g
-		} else {
-			sc.sub[z] = 0
-			g := sv.gTop[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if z < nz-1 {
-			g := sv.gv[i]
-			sc.sup[z] = -g
-			d += g
-		} else {
-			sc.sup[z] = 0
-			g := sv.gBot[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if x > 0 {
-			g := sv.gxr[sv.idx(z, y, x-1)]
-			d += g
-			r += g * sv.t[sv.idx(z, y, x-1)]
-		}
-		if x < nx-1 {
-			g := sv.gxr[i]
-			d += g
-			r += g * sv.t[sv.idx(z, y, x+1)]
-		}
-		if y > 0 {
-			g := sv.gyu[sv.idx(z, y-1, x)]
-			d += g
-			r += g * sv.t[sv.idx(z, y-1, x)]
-		}
-		if y < ny-1 {
-			g := sv.gyu[i]
-			d += g
-			r += g * sv.t[sv.idx(z, y+1, x)]
-		}
-		sc.diag[z] = d
-		sc.rhs[z] = r
-	}
-	sc.thomas(nz)
-	md := 0.0
-	for z := 0; z < nz; z++ {
-		i := sv.idx(z, y, x)
-		nv := sv.t[i] + sv.omega*(sc.dp[z]-sv.t[i])
-		if dlt := math.Abs(nv - sv.t[i]); dlt > md {
-			md = dlt
-		}
-		sv.t[i] = nv
-	}
-	return md
-}
-
-// xLine assembles and solves the x-line at (z, y), other neighbors
-// fixed, and writes the over-relaxed update back.
-func (sv *solver) xLine(sc *lineScratch, z, y int) float64 {
-	nx, ny, nz := sv.nx, sv.ny, sv.nz
-	amb := sv.s.AmbientC
-	for x := 0; x < nx; x++ {
-		i := sv.idx(z, y, x)
-		d := sv.capOverDt[i]
-		r := sv.q[i]
-		if x > 0 {
-			g := sv.gxr[sv.idx(z, y, x-1)]
-			sc.sub[x] = -g
-			d += g
-		} else {
-			sc.sub[x] = 0
-		}
-		if x < nx-1 {
-			g := sv.gxr[i]
-			sc.sup[x] = -g
-			d += g
-		} else {
-			sc.sup[x] = 0
-		}
-		if z > 0 {
-			g := sv.gv[sv.idx(z-1, y, x)]
-			d += g
-			r += g * sv.t[sv.idx(z-1, y, x)]
-		} else {
-			g := sv.gTop[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if z < nz-1 {
-			g := sv.gv[i]
-			d += g
-			r += g * sv.t[sv.idx(z+1, y, x)]
-		} else {
-			g := sv.gBot[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if y > 0 {
-			g := sv.gyu[sv.idx(z, y-1, x)]
-			d += g
-			r += g * sv.t[sv.idx(z, y-1, x)]
-		}
-		if y < ny-1 {
-			g := sv.gyu[i]
-			d += g
-			r += g * sv.t[sv.idx(z, y+1, x)]
-		}
-		sc.diag[x] = d
-		sc.rhs[x] = r
-	}
-	sc.thomas(nx)
-	md := 0.0
-	for x := 0; x < nx; x++ {
-		i := sv.idx(z, y, x)
-		nv := sv.t[i] + sv.omega*(sc.dp[x]-sv.t[i])
-		if dlt := math.Abs(nv - sv.t[i]); dlt > md {
-			md = dlt
-		}
-		sv.t[i] = nv
-	}
-	return md
-}
-
-// yLine assembles and solves the y-line at (z, x), other neighbors
-// fixed, and writes the over-relaxed update back.
-func (sv *solver) yLine(sc *lineScratch, z, x int) float64 {
-	nx, ny, nz := sv.nx, sv.ny, sv.nz
-	amb := sv.s.AmbientC
-	for y := 0; y < ny; y++ {
-		i := sv.idx(z, y, x)
-		d := sv.capOverDt[i]
-		r := sv.q[i]
-		if y > 0 {
-			g := sv.gyu[sv.idx(z, y-1, x)]
-			sc.sub[y] = -g
-			d += g
-		} else {
-			sc.sub[y] = 0
-		}
-		if y < ny-1 {
-			g := sv.gyu[i]
-			sc.sup[y] = -g
-			d += g
-		} else {
-			sc.sup[y] = 0
-		}
-		if z > 0 {
-			g := sv.gv[sv.idx(z-1, y, x)]
-			d += g
-			r += g * sv.t[sv.idx(z-1, y, x)]
-		} else {
-			g := sv.gTop[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if z < nz-1 {
-			g := sv.gv[i]
-			d += g
-			r += g * sv.t[sv.idx(z+1, y, x)]
-		} else {
-			g := sv.gBot[y*nx+x]
-			d += g
-			r += g * amb
-		}
-		if x > 0 {
-			g := sv.gxr[sv.idx(z, y, x-1)]
-			d += g
-			r += g * sv.t[sv.idx(z, y, x-1)]
-		}
-		if x < nx-1 {
-			g := sv.gxr[i]
-			d += g
-			r += g * sv.t[sv.idx(z, y, x+1)]
-		}
-		sc.diag[y] = d
-		sc.rhs[y] = r
-	}
-	sc.thomas(ny)
-	md := 0.0
-	for y := 0; y < ny; y++ {
-		i := sv.idx(z, y, x)
-		nv := sv.t[i] + sv.omega*(sc.dp[y]-sv.t[i])
-		if dlt := math.Abs(nv - sv.t[i]); dlt > md {
-			md = dlt
-		}
-		sv.t[i] = nv
-	}
-	return md
-}
-
-// sweepZ solves each vertical column exactly, lateral neighbors fixed.
-func (sv *solver) sweepZ() float64 {
-	maxDelta := 0.0
-	for y := 0; y < sv.ny; y++ {
-		for x := 0; x < sv.nx; x++ {
-			if d := sv.zColumn(sv.sc, y, x); d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	return maxDelta
-}
-
-// sweepX solves each x-line exactly, other neighbors fixed.
-func (sv *solver) sweepX() float64 {
-	maxDelta := 0.0
-	for z := 0; z < sv.nz; z++ {
-		for y := 0; y < sv.ny; y++ {
-			if d := sv.xLine(sv.sc, z, y); d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	return maxDelta
-}
-
-// sweepY solves each y-line exactly, other neighbors fixed.
-func (sv *solver) sweepY() float64 {
-	maxDelta := 0.0
-	for z := 0; z < sv.nz; z++ {
-		for x := 0; x < sv.nx; x++ {
-			if d := sv.yLine(sv.sc, z, x); d > maxDelta {
-				maxDelta = d
-			}
-		}
-	}
-	return maxDelta
-}
-
-// Sweeps returns how many alternating-direction cycles the solution
-// took.
+// Sweeps returns how many iteration cycles (V-cycles, or fine-level
+// smoothing sweeps on the recovery rung) the solution took.
 func (f *Field) Sweeps() int { return f.sweeps }
 
-// Recoveries returns how many damped-relaxation restarts were needed
+// Recoveries returns how many recovery-rung restarts were needed
 // before this solution converged (0 for a clean solve).
 func (f *Field) Recoveries() int { return f.recoveries }
 

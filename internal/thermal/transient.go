@@ -11,39 +11,30 @@ import (
 
 // TransientOptions tunes SolveTransient.
 type TransientOptions struct {
-	// Method selects the inner iteration schedule per implicit step:
-	// MethodLineSOR (default) or MethodMultigrid (V-cycles; this is
-	// where the once-allocated hierarchy pays off most, since every
-	// time step reuses it). Unknown values are rejected with a
-	// *MethodError wrapping ErrBadMethod.
-	Method Method
 	// Dt is the time step in seconds. Implicit Euler is
 	// unconditionally stable, so Dt trades accuracy for speed; the die
 	// responds in milliseconds and the sink in tens of seconds.
 	Dt float64
 	// Steps is the number of time steps to take.
 	Steps int
-	// InnerCycles is the number of inner cycles solved per implicit
-	// step (default 10): alternating-direction cycles for
-	// MethodLineSOR, V-cycles for MethodMultigrid.
+	// InnerCycles caps the cycles solved per implicit step (default
+	// 10). A step ends earlier, as soon as a cycle changes no
+	// temperature by more than 1e-4 K (stagnationK, the steady
+	// solver's stagnation test), which on V-cycles takes a handful of
+	// cycles, so the cap does not bind.
 	InnerCycles int
 	// InitialC is the uniform starting temperature (default ambient).
 	InitialC float64
-	// Omega relaxes the inner line solves. The default is
-	// method-aware: 1.5 for MethodLineSOR (the capacity term
-	// strengthens the diagonal, so less relaxation is needed than for
-	// steady solves), 1.0 for MethodMultigrid.
+	// Omega relaxes the smoother's z-line updates, in (0,2) (default
+	// 1.0, exact line Gauss-Seidel).
 	Omega float64
 	// MaxRecoveries bounds the divergence-recovery restarts: when a
 	// step produces a non-finite temperature the whole integration is
-	// restarted with a damped relaxation factor, then with a halved
-	// time step (and doubled step count, preserving the horizon).
-	// Zero selects the default (2); negative disables recovery.
+	// restarted on the recovery rung (fine-level smoothing alone at a
+	// damped relaxation factor), the last time with a halved time step
+	// (and doubled step count, preserving the horizon). Zero selects
+	// the default (2); negative disables recovery.
 	MaxRecoveries int
-	// Parallelism runs the inner sweeps on this many pipelined workers
-	// (0 = serial, the default), with the same bit-identical-to-serial
-	// guarantee and validation as SolveOptions.Parallelism.
-	Parallelism int
 	// PowerScale, when non-nil, is consulted before every step with
 	// the current simulated time and the previous step's peak
 	// temperature, and returns a multiplier applied to all power maps
@@ -59,21 +50,12 @@ type TransientOptions struct {
 	Obs *obs.Registry
 }
 
-// defaultTransientOmega is the line-SOR relaxation default for
-// transient inner solves; it anchors the multigrid→damped-SOR fallback
-// ladder the same way defaultSteadyOmega does for steady solves.
-const defaultTransientOmega = 1.5
-
 func (o TransientOptions) withDefaults() TransientOptions {
 	if o.InnerCycles == 0 {
 		o.InnerCycles = 10
 	}
 	if o.Omega == 0 {
-		if o.Method == MethodMultigrid {
-			o.Omega = 1.0
-		} else {
-			o.Omega = defaultTransientOmega
-		}
+		o.Omega = 1.0
 	}
 	if o.MaxRecoveries == 0 {
 		o.MaxRecoveries = 2
@@ -99,9 +81,9 @@ type TransientResult struct {
 	// step i (1.0 throughout when no hook is installed).
 	Scale []float64
 	// Recoveries counts the divergence-recovery restarts that were
-	// needed (0 for a clean integration). Each restart damps the
-	// relaxation factor; the final one also halves Dt. Dt reports the
-	// step actually used.
+	// needed (0 for a clean integration). Each restart runs the
+	// recovery rung; the final one also halves Dt. Dt reports the step
+	// actually used.
 	Recoveries int
 	// Dt is the time step the successful integration actually used
 	// (opt.Dt, or a halved value after recovery).
@@ -110,7 +92,9 @@ type TransientResult struct {
 
 // SolveTransient integrates the time-dependent conservation equation
 // (the paper's Equation 1 with its ∂t term) by implicit Euler: each
-// step solves the steady operator augmented with C/dt on the diagonal.
+// step solves the steady operator augmented with C/dt on the diagonal,
+// iterated until it stagnates, so every step's field balances energy
+// (stored-energy change plus outflow equals injected power).
 // Power maps are applied as a step input at t=0 from the uniform
 // initial temperature, which answers "how fast does the stack heat
 // up" — the question steady-state analysis cannot.
@@ -120,8 +104,8 @@ type TransientResult struct {
 //
 // A step that produces a non-finite temperature (a diverging inner
 // iteration, or a NaN injected through the power maps or the
-// PowerScale hook) triggers recovery: the integration restarts with a
-// damped relaxation factor, then with a halved time step, up to
+// PowerScale hook) triggers recovery: the integration restarts on the
+// recovery rung, the last time with a halved time step, up to
 // MaxRecoveries times before giving up with a *ConvergenceError
 // wrapping ErrDiverged.
 func SolveTransient(ctx context.Context, s *Stack, opt TransientOptions) (*TransientResult, error) {
@@ -134,13 +118,10 @@ func SolveTransient(ctx context.Context, s *Stack, opt TransientOptions) (*Trans
 }
 
 // SolveTransient integrates the transient response, reusing the
-// workspace's discretization and worker pool across every time step
-// and recovery attempt. Semantics match the package-level
+// workspace's discretization and multigrid hierarchy across every time
+// step and recovery attempt. Semantics match the package-level
 // SolveTransient.
 func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*TransientResult, error) {
-	if err := opt.Method.Validate(); err != nil {
-		return nil, err
-	}
 	if opt.Dt <= 0 || opt.Steps <= 0 {
 		return nil, fmt.Errorf("thermal: transient needs positive Dt and Steps, got %g/%d", opt.Dt, opt.Steps)
 	}
@@ -148,24 +129,17 @@ func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*
 	if opt.Omega <= 0 || opt.Omega >= 2 {
 		return nil, fmt.Errorf("thermal: omega %g out of (0,2)", opt.Omega)
 	}
-	workers, err := checkParallelism(opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	pool := w.poolFor(workers)
 	sp := opt.Obs.StartSpan("thermal/transient")
 	defer sp.End()
 
-	method, omega := opt.Method, opt.Omega
+	omega, fineOnly := opt.Omega, false
 	dt, steps := opt.Dt, opt.Steps
 	for attempt := 0; ; attempt++ {
-		res, err := w.transientOnce(ctx, opt, pool, method, omega, dt, steps, attempt)
+		res, err := w.transientOnce(ctx, opt, omega, fineOnly, dt, steps, attempt)
 		var ce *ConvergenceError
 		if errors.As(err, &ce) && ce.Diverged && attempt < opt.MaxRecoveries {
 			opt.Obs.Counter("thermal_divergence_retries").Inc()
-			// Method-aware ladder: multigrid falls back to damped
-			// line-SOR; line-SOR damps its own factor.
-			method, omega = dampForRetry(method, omega, defaultTransientOmega)
+			omega, fineOnly = dampOmega(omega), true
 			if attempt+1 == opt.MaxRecoveries {
 				// Last resort: also halve the time step, doubling the
 				// step count to preserve the simulated horizon.
@@ -178,30 +152,19 @@ func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*
 	}
 }
 
-// transientOnce runs one integration attempt.
-func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, pool *sweepPool, method Method, omega, dt float64, steps, recoveries int) (*TransientResult, error) {
-	sv := w.sv
-	sv.reset(omega)
+// transientOnce runs one integration attempt: V-cycles at relaxation
+// factor omega, or fine-level smoothing sweeps alone when fineOnly.
+func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, omega float64, fineOnly bool, dt float64, steps, recoveries int) (*TransientResult, error) {
+	sv, h := w.sv, w.mg
+	initC := sv.s.AmbientC
 	if opt.InitialC != 0 {
-		for i := range sv.t {
-			sv.t[i] = opt.InitialC
-		}
+		initC = opt.InitialC
 	}
-
-	for i := range sv.capOverDt {
-		sv.capOverDt[i] = sv.cellCap[i] / dt
-	}
-	copy(sv.tOld, sv.t)
-
-	// The hierarchy restricts the capacity terms per attempt (they
-	// depend on dt, which recovery halves), so beginSolve runs after
-	// capOverDt is in place.
-	var h *mgHier
-	if method == MethodMultigrid {
-		h = w.hier()
-		h.beginSolve()
-		defer h.publish(opt.Obs)
-	}
+	sv.reset(initC)
+	// The diagonals carry C/dt, which recovery may halve, so each
+	// attempt sets them for its own dt.
+	h.beginSolve(dt)
+	defer h.publish(opt.Obs)
 
 	res := &TransientResult{
 		Times:      make([]float64, 0, steps),
@@ -211,14 +174,10 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, poo
 		Recoveries: recoveries,
 		Dt:         dt,
 	}
-	prevPeak := sv.t[0]
-	for _, v := range sv.t {
-		if v > prevPeak {
-			prevPeak = v
-		}
-	}
+	prevPeak := initC
 	stepCount := opt.Obs.Counter("thermal_steps")
 	peakGauge := opt.Obs.Gauge(obs.MetricPeakC)
+	nyx := sv.ny * sv.nx
 	for step := 1; step <= steps; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -230,21 +189,14 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, poo
 				scale = 0
 			}
 		}
-		// Implicit Euler right-hand side: q·scale + (C/dt)·T_old.
-		copy(sv.tOld, sv.t)
-		for i := range sv.q {
-			sv.q[i] = sv.baseQ[i]*scale + sv.capOverDt[i]*sv.tOld[i]
-		}
+		// Implicit Euler right-hand side: q·scale + (C/dt)·T_old, built
+		// while t still holds T_old.
+		sv.loadRHS(scale, dt)
 		lastDelta := 0.0
 		for c := 0; c < opt.InnerCycles; c++ {
-			if h != nil {
-				copy(h.tPrev, sv.t)
-				h.vcycle(omega)
-				lastDelta = maxAbsDiff(sv.t, h.tPrev)
-			} else {
-				lastDelta = w.cycle(pool)
-			}
-			if lastDelta < 1e-6 {
+			h.cycle(omega, fineOnly)
+			lastDelta = maxAbsDiff(sv.t, h.tPrev)
+			if lastDelta < stagnationK {
 				break
 			}
 		}
@@ -255,7 +207,7 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, poo
 			if v > peak {
 				peak = v
 			}
-			stored += sv.cellCap[i] * (v - sv.s.AmbientC)
+			stored += sv.capZ[i/nyx] * (v - sv.s.AmbientC)
 		}
 		// Divergence: a non-finite inner update or temperature means
 		// the step polluted the field; the caller restarts damped.
@@ -276,11 +228,6 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, poo
 		prevPeak = peak
 	}
 
-	// Restore the steady sources so Final.HeatOut reflects real flux.
-	copy(sv.q, sv.baseQ)
-	for i := range sv.capOverDt {
-		sv.capOverDt[i] = 0
-	}
 	res.Final = sv.field(steps)
 	res.Final.recoveries = recoveries
 	return res, nil

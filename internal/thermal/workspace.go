@@ -8,26 +8,21 @@ import (
 	"diestack/internal/obs"
 )
 
-// Workspace holds a discretized stack and its worker pool so repeated
-// solves — divergence-recovery retries, transient time steps, DTM
-// sample loops, sensitivity sweeps over the same geometry — skip
+// Workspace holds a discretized stack and its multigrid hierarchy so
+// repeated solves — divergence-recovery retries, transient time steps,
+// DTM sample loops, sensitivity sweeps over the same geometry — skip
 // re-discretization and re-allocation. Power map mutations between
 // solves are picked up (sources are re-rasterized per solve); geometry
 // or material mutations are not — build a new Workspace for those.
 //
 // A Workspace is not safe for concurrent use, and the Fields it
 // returns own their data, so they remain valid after further solves or
-// Close. Close releases the worker pool; it is required only when a
-// solve ran with Parallelism > 0 (it is a no-op otherwise) but is
-// always safe to defer.
+// Close.
 type Workspace struct {
-	sv   *solver
-	pool *sweepPool
-	// mg is the multigrid hierarchy, built lazily on the first
-	// MethodMultigrid solve and reused by every solve after it (the
-	// coarse operators depend only on the discretization, which a
-	// Workspace never mutates). Steady-state V-cycles are
-	// allocation-free once this exists.
+	sv *solver
+	// mg is the multigrid hierarchy. Its coarse operators depend only
+	// on the discretization, which a Workspace never mutates, so it is
+	// built once and V-cycles are allocation-free from the first solve.
 	mg *mgHier
 }
 
@@ -38,96 +33,35 @@ func NewWorkspace(s *Stack) (*Workspace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Workspace{sv: sv}, nil
+	return &Workspace{sv: sv, mg: newMGHier(sv)}, nil
 }
 
-// Close stops the worker pool, if one was started. The Workspace must
-// not be used afterwards. Close is idempotent.
-func (w *Workspace) Close() {
-	if w.pool != nil {
-		w.pool.close()
-		w.pool = nil
-	}
-}
-
-// poolFor returns the sweep pool for the requested (validated) worker
-// count, or nil for the serial path. The pool persists across solves
-// and is rebuilt only when the worker count changes.
-func (w *Workspace) poolFor(workers int) *sweepPool {
-	if workers <= 0 {
-		return nil
-	}
-	if w.pool != nil && w.pool.workers != workers {
-		w.pool.close()
-		w.pool = nil
-	}
-	if w.pool == nil {
-		w.pool = newSweepPool(w.sv, workers)
-	}
-	return w.pool
-}
-
-// cycle runs one alternating-direction cycle (z, x, y sweeps) and
-// returns the largest temperature change, on the pool when non-nil.
-func (w *Workspace) cycle(pool *sweepPool) float64 {
-	var d1, d2, d3 float64
-	if pool != nil {
-		d1 = pool.sweep(sweepKindZ)
-		d2 = pool.sweep(sweepKindX)
-		d3 = pool.sweep(sweepKindY)
-	} else {
-		d1 = w.sv.sweepZ()
-		d2 = w.sv.sweepX()
-		d3 = w.sv.sweepY()
-	}
-	return math.Max(d1, math.Max(d2, d3))
-}
-
-// hier returns the workspace's multigrid hierarchy, building it on
-// first use. The hierarchy aliases the solver's arrays on its fine
-// level, so it always iterates the current sources and capacity terms.
-func (w *Workspace) hier() *mgHier {
-	if w.mg == nil {
-		w.mg = newMGHier(w.sv)
-	}
-	return w.mg
-}
+// Close marks the end of the workspace's use. A Workspace holds no
+// goroutines or OS resources — its memory is reclaimed by the garbage
+// collector — so Close does nothing, but deferring it keeps callers
+// correct if that ever changes. The Workspace must not be used
+// afterwards.
+func (w *Workspace) Close() {}
 
 // Solve computes the steady-state field, reusing the workspace's
-// discretization, multigrid hierarchy, and worker pool. Semantics
-// match the package-level Solve; the context is checked between
-// cycles.
+// discretization and multigrid hierarchy. Semantics match the
+// package-level Solve; the context is checked between cycles.
 //
-// A MethodMultigrid attempt that diverges falls back to damped
-// line-SOR (the recovery ladder is method-aware: multigrid has no
-// over-relaxation to damp, so the retry restarts line-SOR from a
-// damped copy of its own default factor). Line-SOR attempts damp their
-// own omega, as before.
+// An attempt that diverges is retried on the recovery rung: the
+// red-black z-line smoother run alone on the fine level at a damped
+// relaxation factor, which converges for any factor in (0,2) on this
+// diagonally dominant system.
 func (w *Workspace) Solve(ctx context.Context, opt SolveOptions) (*Field, error) {
-	if err := opt.Method.Validate(); err != nil {
-		return nil, err
-	}
 	opt = opt.withDefaults()
-	workers, err := checkParallelism(opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	pool := w.poolFor(workers)
 	sp := opt.Obs.StartSpan("thermal/solve")
 	defer sp.End()
-	method, omega := opt.Method, opt.Omega
+	omega, fineOnly := opt.Omega, false
 	for attempt := 0; ; attempt++ {
-		var f *Field
-		var err error
-		if method == MethodMultigrid {
-			f, err = w.solveOnceMG(ctx, opt, omega, attempt)
-		} else {
-			f, err = w.solveOnce(ctx, opt, pool, omega, attempt)
-		}
+		f, err := w.solveOnce(ctx, opt, omega, fineOnly, attempt)
 		var ce *ConvergenceError
 		if errors.As(err, &ce) && ce.Diverged && attempt < opt.MaxRecoveries {
 			opt.Obs.Counter("thermal_divergence_retries").Inc()
-			method, omega = dampForRetry(method, omega, defaultSteadyOmega)
+			omega, fineOnly = dampOmega(omega), true
 			continue
 		}
 		w.publishSolve(opt.Obs, f)
@@ -148,11 +82,13 @@ func (w *Workspace) publishSolve(reg *obs.Registry, f *Field) {
 	}
 }
 
-// solveOnce runs one steady solve attempt at the given relaxation
-// factor.
-func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweepPool, omega float64, recoveries int) (*Field, error) {
-	sv := w.sv
-	sv.reset(omega)
+// solveOnce runs one steady solve attempt: V-cycles at relaxation
+// factor omega, or fine-level smoothing sweeps alone when fineOnly.
+func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, omega float64, fineOnly bool, recoveries int) (*Field, error) {
+	sv, h := w.sv, w.mg
+	sv.reset(sv.s.AmbientC)
+	h.beginSolve(0)
+	defer h.publish(opt.Obs)
 
 	// Total boundary conductance, for the constant-mode correction.
 	gBoundary := 0.0
@@ -172,20 +108,22 @@ func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweep
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		maxDelta := w.cycle(pool)
+		h.cycle(omega, fineOnly)
 
 		// Deflate the constant mode: a uniform temperature shift leaves
 		// every interior balance unchanged but scales the boundary
 		// outflow, so the global energy imbalance can be zeroed exactly.
-		// Without this, the weakly-coupled boundary makes the overall
-		// temperature level converge arbitrarily slowly.
+		// The V-cycle's coarsest level already moves this mode well, but
+		// the weakly-coupled boundary makes it converge arbitrarily
+		// slowly under fine-level smoothing alone.
 		shift := (sv.totalPower - sv.heatOut()) / gBoundary
 		for i := range sv.t {
 			sv.t[i] += shift
 		}
-		if math.Abs(shift) > maxDelta {
-			maxDelta = math.Abs(shift)
-		}
+		// The cycle's delta spans the whole cycle plus the shift (coarse
+		// corrections land via prolongation, so per-column smoother
+		// deltas alone would understate the update).
+		maxDelta := maxAbsDiff(sv.t, h.tPrev)
 
 		if cycles == 0 {
 			delta0 = maxDelta
@@ -210,95 +148,7 @@ func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweep
 			}
 		}
 
-		if maxDelta < 1e-4 {
-			out := sv.heatOut()
-			if sv.totalPower == 0 || math.Abs(out-sv.totalPower) <= opt.Tolerance*math.Max(sv.totalPower, 1e-9) {
-				cycles++
-				converged = true
-				break
-			}
-		}
-	}
-
-	f := sv.field(cycles)
-	f.recoveries = recoveries
-	if !converged {
-		return f, &ConvergenceError{
-			Residual:   sv.relResidual(),
-			Sweeps:     cycles,
-			Omega:      omega,
-			Recoveries: recoveries,
-		}
-	}
-	return f, nil
-}
-
-// solveOnceMG runs one steady multigrid solve attempt. The structure
-// mirrors solveOnce — same reset, constant-mode deflation, divergence
-// watchdog, and convergence test — with one V-cycle taking the place
-// of one alternating-direction cycle. The multigrid path is serial by
-// construction (its red-black sweep order is already fixed and
-// deterministic); Parallelism is validated as usual but only exercises
-// the pool if the recovery ladder falls back to line-SOR.
-func (w *Workspace) solveOnceMG(ctx context.Context, opt SolveOptions, omega float64, recoveries int) (*Field, error) {
-	sv := w.sv
-	sv.reset(omega)
-	h := w.hier()
-	h.beginSolve()
-	defer h.publish(opt.Obs)
-
-	gBoundary := 0.0
-	for i := range sv.gTop {
-		gBoundary += sv.gTop[i] + sv.gBot[i]
-	}
-
-	var delta0 float64
-	prevDelta := math.Inf(1)
-	grow := 0
-	converged := false
-
-	cycles := 0
-	for ; cycles < opt.MaxCycles; cycles++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		copy(h.tPrev, sv.t)
-		h.vcycle(omega)
-
-		// Constant-mode deflation, exactly as in solveOnce: zero the
-		// global energy imbalance with a uniform shift. The V-cycle's
-		// coarsest level already moves this mode well, but the shift
-		// makes the energy test exact and keeps the two schedules'
-		// convergence contracts identical.
-		shift := (sv.totalPower - sv.heatOut()) / gBoundary
-		for i := range sv.t {
-			sv.t[i] += shift
-		}
-		// The cycle's delta spans the whole V-cycle plus the shift
-		// (coarse corrections land via prolongation, so per-column
-		// smoother deltas alone would understate the update).
-		maxDelta := maxAbsDiff(sv.t, h.tPrev)
-
-		if cycles == 0 {
-			delta0 = maxDelta
-		}
-		if maxDelta > prevDelta {
-			grow++
-		} else {
-			grow = 0
-		}
-		prevDelta = maxDelta
-		if !isFinite(maxDelta) || maxDelta > 1e8 || (grow >= 25 && maxDelta > 100*delta0) {
-			return nil, &ConvergenceError{
-				Residual:   sv.relResidual(),
-				Sweeps:     cycles + 1,
-				Omega:      omega,
-				Recoveries: recoveries,
-				Diverged:   true,
-			}
-		}
-
-		if maxDelta < 1e-4 {
+		if maxDelta < stagnationK {
 			out := sv.heatOut()
 			if sv.totalPower == 0 || math.Abs(out-sv.totalPower) <= opt.Tolerance*math.Max(sv.totalPower, 1e-9) {
 				cycles++

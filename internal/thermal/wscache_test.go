@@ -46,19 +46,6 @@ func TestWorkspaceCacheReuseIsBitIdentical(t *testing.T) {
 	}
 }
 
-func TestWorkspaceCacheServesBothMethodsFromOneEntry(t *testing.T) {
-	c := NewWorkspaceCache(4)
-	defer c.Close()
-	for _, m := range []Method{MethodLineSOR, MethodMultigrid} {
-		if _, err := c.Solve(context.Background(), "planar/16", wscacheStack(16), SolveOptions{Method: m}); err != nil {
-			t.Fatalf("method %v: %v", m, err)
-		}
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (method must not split the key)", c.Len())
-	}
-}
-
 func TestWorkspaceCacheEvictsLRU(t *testing.T) {
 	c := NewWorkspaceCache(2)
 	defer c.Close()
