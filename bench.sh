@@ -2,7 +2,8 @@
 # bench.sh — run the headline benchmarks with -benchmem and write the
 # machine-readable baseline (BENCH_006.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the cold and
-# warm Solve64 times and the steady-state replay allocs/op. Committed
+# warm Solve64 times, the V-cycle and smoother-sweep kernel times on the
+# 3D logic stack, and the steady-state replay allocs/op. Committed
 # baselines from this script are how perf PRs prove their before/after
 # claims. The baseline name recorded inside the JSON is derived from
 # the output filename, so each capture is self-identifying.
@@ -36,7 +37,10 @@ EOF
 numcpu=$(go run "$tmpdir/numcpu.go")
 
 go test -run '^$' -benchmem -benchtime 3x \
-    -bench 'BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$' \
+    -bench 'BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$|BenchmarkTransientStep$' \
+    ./internal/thermal/ | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 30x \
+    -bench 'BenchmarkVCycle64Stack3D$|BenchmarkSmoothSweep64$' \
     ./internal/thermal/ | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
@@ -78,6 +82,8 @@ END {
     printf "  \"headline\": {\n"
     printf "    \"solve64_ms\": %.1f,\n", ns["BenchmarkSolve64Multigrid"] / 1e6
     printf "    \"resolve64_ms\": %.1f,\n", ns["BenchmarkWorkspaceResolve64Multigrid"] / 1e6
+    printf "    \"vcycle64_stack3d_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D"] / 1e6
+    printf "    \"smooth_sweep64_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64"] / 1e6
     printf "    \"replay_steady_state_allocs_per_op\": %s\n", \
         al["BenchmarkReplaySteadyState"]
     printf "  }\n"

@@ -65,3 +65,40 @@ func BenchmarkTransientStep(b *testing.B) {
 	}
 	b.ReportMetric(10, "steps/op")
 }
+
+// vcycleBench prepares a workspace on the 3D logic stack at grid 64
+// for kernel benchmarks: the capacity term of a 0.25 s implicit step
+// is on, as in every DTM step, and the sources are loaded.
+func vcycleBench(b *testing.B) *Workspace {
+	w, err := NewWorkspace(logicStack3D(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.sv.reset(w.sv.s.AmbientC)
+	w.mg.beginSolve(0.25)
+	w.sv.loadRHS(1, 0.25)
+	return w
+}
+
+// BenchmarkVCycle64Stack3D is one V-cycle on the 3D logic stack, the
+// unit of work of every DTM step and steady solve.
+func BenchmarkVCycle64Stack3D(b *testing.B) {
+	w := vcycleBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.mg.vcycle(1)
+	}
+}
+
+// BenchmarkSmoothSweep64 is one red-black z-line sweep of the fine
+// level of the 3D logic stack: the smoother kernel alone.
+func BenchmarkSmoothSweep64(b *testing.B) {
+	w := vcycleBench(b)
+	fine := w.mg.levels[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fine.smoothSweep(1)
+	}
+}

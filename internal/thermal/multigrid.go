@@ -9,8 +9,9 @@
 //     red-black z-line Gauss-Seidel (a tridiagonal Thomas solve per
 //     lateral cell, checkerboard-colored so same-color columns share
 //     no lateral face). Within one color every column is independent,
-//     which makes the sweep order-free, trivially deterministic, and
-//     amenable to a cache-blocked tile layout.
+//     which makes the sweep order-free and trivially deterministic, and
+//     lets the smoother solve several columns at once with their
+//     Thomas divide chains interleaved.
 //   - Smooth lateral error is eliminated on a hierarchy of laterally
 //     coarsened grids (the z discretization is never coarsened — it is
 //     already handled exactly): finite-volume full-weighting
@@ -33,7 +34,11 @@
 // hierarchy. Neither the operator diagonal nor the residual is stored:
 // the diagonal is summed from the conductances the kernels load anyway,
 // plus a per-z-plane capacity term, and the residual is computed inside
-// the restriction.
+// the restriction. Every per-cell array on every level is stored
+// column-contiguous — cell (z, y, x) at (y*nx+x)*nz + z — so a z-line
+// solve reads each of its arrays at unit stride; the only other
+// per-level storage is the smoother's scratch, five arrays of
+// mgLanes·nz values.
 //
 // The hierarchy is allocated once per Workspace and reused by every
 // later solve, retry, transient step, and DTM sample; a V-cycle
@@ -62,10 +67,9 @@ const (
 	// cheap either way).
 	mgCoarseMaxSweeps = 64
 	mgCoarseReduction = 1e-4
-	// mgTile is the lateral tile edge of the cache-blocked smoother
-	// sweep: neighbor columns revisit each other's cache lines while
-	// they are still resident.
-	mgTile = 16
+	// mgLanes is the number of same-color z-columns the smoother
+	// relaxes together, their Thomas solves interleaved.
+	mgLanes = 4
 )
 
 // mgLevel is one grid of the multigrid hierarchy. Level 0 aliases the
@@ -73,7 +77,8 @@ const (
 // so smoothing the fine level *is* iterating the real system; coarser
 // levels own their aggregated copies and solve the error equation
 // A·e = r, which has zero ambient (the boundary data lives in the
-// restricted residual).
+// restricted residual). Per-cell arrays are column-contiguous, like
+// the solver's: cell (z, y, x) lives at (y*nx+x)*nz + z.
 type mgLevel struct {
 	nx, ny, nz int
 	gv         []float64 // vertical conductance cell -> cell below (z+1)
@@ -92,110 +97,164 @@ type mgLevel struct {
 	sc   *lineScratch
 }
 
-func (lv *mgLevel) idx(z, y, x int) int { return (z*lv.ny+y)*lv.nx + x }
+func (lv *mgLevel) idx(z, y, x int) int { return (y*lv.nx+x)*lv.nz + z }
 
-// relaxColumn solves the z-column at (y, x) exactly with lateral
-// neighbors fixed — one tridiagonal Thomas solve — and writes the
-// (possibly relaxed) update back, returning the column's largest
-// temperature change. This is the smoother kernel; at omega 1 (the
-// default) the column lands exactly on its line-Gauss-Seidel value.
+// lineScratch holds the tridiagonal systems of up to mgLanes z-columns
+// solved together, lane k in [k*nz, (k+1)*nz) of every array. No
+// subdiagonal is stored: row z's subdiagonal is sup[z-1], the same
+// vertical conductance seen from the other side.
+type lineScratch struct {
+	diag, sup, rhs, cp, dp []float64
+}
+
+func newLineScratch(nz int) *lineScratch {
+	n := mgLanes * nz
+	return &lineScratch{
+		diag: make([]float64, n), sup: make([]float64, n), rhs: make([]float64, n),
+		cp: make([]float64, n), dp: make([]float64, n),
+	}
+}
+
+// thomas solves the first lanes systems of length n into dp. Row by
+// row it steps every lane once, so the lanes' independent divide
+// chains overlap; each lane performs exactly the operations of a
+// single-column Thomas solve.
 //
 //stacklint:hotpath
-func (lv *mgLevel) relaxColumn(sc *lineScratch, y, x int, omega float64) float64 {
-	nx, ny, nz := lv.nx, lv.ny, lv.nz
-	nyx := ny * nx
-	amb := lv.amb
+func (sc *lineScratch) thomas(n, lanes int) {
+	diag, sup, rhs, cp, dp := sc.diag, sc.sup, sc.rhs, sc.cp, sc.dp
+	end := lanes * n
+	for o := 0; o < end; o += n {
+		cp[o] = sup[o] / diag[o]
+		dp[o] = rhs[o] / diag[o]
+	}
+	for i := 1; i < n; i++ {
+		for o := i; o < end; o += n {
+			sub := sup[o-1]
+			m := diag[o] - sub*cp[o-1]
+			cp[o] = sup[o] / m
+			dp[o] = (rhs[o] - sub*dp[o-1]) / m
+		}
+	}
+	for i := n - 2; i >= 0; i-- {
+		for o := i; o < end; o += n {
+			dp[o] -= cp[o] * dp[o+1]
+		}
+	}
+}
+
+// assemble loads lane k of the scratch with the tridiagonal system of
+// the z-column at (y, x), lateral neighbors fixed. The lateral edge
+// tests are made once per column: each present neighbor is one pass
+// down the column. Every row sums its diagonal and right-hand side in
+// one fixed order — vertical, x, y, capacity — which restrictResidual
+// repeats.
+//
+//stacklint:hotpath
+func (lv *mgLevel) assemble(k, y, x int) {
+	nx, nz := lv.nx, lv.nz
 	j := y*nx + x
-	for z := 0; z < nz; z++ {
-		i := (z*ny+y)*nx + x
-		r := lv.q[i]
-		d := 0.0
+	b := j * nz
+	o := k * nz
+	diag, sup, rhs := lv.sc.diag[o:o+nz], lv.sc.sup[o:o+nz], lv.sc.rhs[o:o+nz]
+	gv, q := lv.gv[b:b+nz], lv.q[b:b+nz]
+	gTop, gBot, amb := lv.gTop[j], lv.gBot[j], lv.amb
+	for z := range diag {
+		d, r := 0.0, q[z]
 		if z > 0 {
-			g := lv.gv[i-nyx]
-			sc.sub[z] = -g
-			d += g
+			d += gv[z-1]
 		} else {
-			g := lv.gTop[j]
-			sc.sub[z] = 0
-			d += g
-			r += g * amb
+			d += gTop
+			r += gTop * amb
 		}
 		if z < nz-1 {
-			g := lv.gv[i]
-			sc.sup[z] = -g
+			g := gv[z]
+			sup[z] = -g
 			d += g
 		} else {
-			g := lv.gBot[j]
-			sc.sup[z] = 0
-			d += g
-			r += g * amb
+			sup[z] = 0
+			d += gBot
+			r += gBot * amb
 		}
-		if x > 0 {
-			g := lv.gxr[i-1]
-			d += g
-			r += g * lv.t[i-1]
-		}
-		if x < nx-1 {
-			g := lv.gxr[i]
-			d += g
-			r += g * lv.t[i+1]
-		}
-		if y > 0 {
-			g := lv.gyu[i-nx]
-			d += g
-			r += g * lv.t[i-nx]
-		}
-		if y < ny-1 {
-			g := lv.gyu[i]
-			d += g
-			r += g * lv.t[i+nx]
-		}
-		if c := lv.codZ[z]; c != 0 {
-			d += c * lv.fine[j]
-		}
-		sc.diag[z] = d
-		sc.rhs[z] = r
+		diag[z], rhs[z] = d, r
 	}
-	sc.thomas(nz)
+	nxz := nx * nz
+	if x > 0 {
+		addNeighbor(diag, rhs, lv.gxr[b-nz:b], lv.t[b-nz:b])
+	}
+	if x < nx-1 {
+		addNeighbor(diag, rhs, lv.gxr[b:b+nz], lv.t[b+nz:b+2*nz])
+	}
+	if y > 0 {
+		addNeighbor(diag, rhs, lv.gyu[b-nxz:b-nxz+nz], lv.t[b-nxz:b-nxz+nz])
+	}
+	if y < lv.ny-1 {
+		addNeighbor(diag, rhs, lv.gyu[b:b+nz], lv.t[b+nxz:b+nxz+nz])
+	}
+	n := lv.fine[j]
+	for z, c := range lv.codZ {
+		if c != 0 {
+			diag[z] += c * n
+		}
+	}
+}
+
+// addNeighbor adds one lateral neighbor column's coupling to a z-line
+// system: conductance g to the diagonal, g·t to the right-hand side.
+//
+//stacklint:hotpath
+func addNeighbor(diag, rhs, g, t []float64) {
+	rhs, g, t = rhs[:len(diag)], g[:len(diag)], t[:len(diag)]
+	for z := range diag {
+		diag[z] += g[z]
+		rhs[z] += g[z] * t[z]
+	}
+}
+
+// update writes lane k's solution into the z-column at (y, x),
+// relaxed by omega, and returns the column's largest temperature
+// change. At omega 1 (the default) the column lands exactly on its
+// line-Gauss-Seidel value.
+//
+//stacklint:hotpath
+func (lv *mgLevel) update(k, y, x int, omega float64) float64 {
+	nz := lv.nz
+	b := (y*lv.nx + x) * nz
+	t := lv.t[b : b+nz]
+	dp := lv.sc.dp[k*nz : (k+1)*nz]
 	md := 0.0
-	for z := 0; z < nz; z++ {
-		i := (z*ny+y)*nx + x
-		nv := lv.t[i] + omega*(sc.dp[z]-lv.t[i])
-		if dlt := math.Abs(nv - lv.t[i]); dlt > md {
+	for z, old := range t {
+		nv := old + omega*(dp[z]-old)
+		if dlt := math.Abs(nv - old); dlt > md {
 			md = dlt
 		}
-		lv.t[i] = nv
+		t[z] = nv
 	}
 	return md
 }
 
 // smoothColor relaxes every z-column of one checkerboard color
-// ((x+y) mod 2 == color) in a cache-blocked tile order. Same-color
-// columns share no lateral face, so they are mutually independent and
-// the tile order changes nothing about the result — it only keeps
-// neighboring columns' cache lines resident. Returns the sweep's
-// largest temperature change.
+// ((x+y) mod 2 == color): each column is solved exactly, one
+// tridiagonal Thomas solve, with its lateral neighbors fixed. Same-color
+// columns share no lateral face, so they are mutually independent, and
+// each row relaxes them mgLanes at a time (fewer at the row's end) with
+// their Thomas solves interleaved; the grouping changes no result.
+// Returns the sweep's largest temperature change.
 //
 //stacklint:hotpath
 func (lv *mgLevel) smoothColor(color int, omega float64) float64 {
-	nx, ny := lv.nx, lv.ny
-	sc := lv.sc
+	nx, ny, nz := lv.nx, lv.ny, lv.nz
 	maxDelta := 0.0
-	for yt := 0; yt < ny; yt += mgTile {
-		yHi := yt + mgTile
-		if yHi > ny {
-			yHi = ny
-		}
-		for xt := 0; xt < nx; xt += mgTile {
-			xHi := xt + mgTile
-			if xHi > nx {
-				xHi = nx
+	for y := 0; y < ny; y++ {
+		for x := (y & 1) ^ color; x < nx; x += 2 * mgLanes {
+			lanes := min(mgLanes, (nx-x+1)/2)
+			for k := 0; k < lanes; k++ {
+				lv.assemble(k, y, x+2*k)
 			}
-			for y := yt; y < yHi; y++ {
-				for x := xt + (((xt + y) & 1) ^ color); x < xHi; x += 2 {
-					if d := lv.relaxColumn(sc, y, x, omega); d > maxDelta {
-						maxDelta = d
-					}
+			lv.sc.thomas(nz, lanes)
+			for k := 0; k < lanes; k++ {
+				if d := lv.update(k, y, x+2*k, omega); d > maxDelta {
+					maxDelta = d
 				}
 			}
 		}
@@ -343,7 +402,9 @@ func coarsen(f *mgLevel) *mgLevel {
 // full weighting, fused with the residual so no per-cell residual
 // array exists. For this finite-volume discretization the defect is a
 // power, so the aggregate's defect is the exact sum of its members'.
-// The coarse unknown (the error correction) starts at zero.
+// The walk is column by column, so each coarse cell still receives its
+// four fine contributions in fine-y-then-x order. The coarse unknown
+// (the error correction) starts at zero.
 //
 //stacklint:hotpath
 func restrictResidual(f, c *mgLevel) {
@@ -352,18 +413,19 @@ func restrictResidual(f, c *mgLevel) {
 		c.t[i] = 0
 	}
 	nx, ny, nz := f.nx, f.ny, f.nz
-	nyx := ny * nx
+	nxz := nx * nz
 	amb := f.amb
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			row := (z*c.ny + y/2) * c.nx
-			for x := 0; x < nx; x++ {
-				i := (z*ny+y)*nx + x
-				j := y*nx + x
-				// The diagonal, summed in relaxColumn's order.
+	for y := 0; y < ny; y++ {
+		for x := 0; x < nx; x++ {
+			j := y*nx + x
+			b := j * nz
+			cb := ((y/2)*c.nx + x/2) * nz
+			for z := 0; z < nz; z++ {
+				i := b + z
+				// The diagonal, summed in assemble's order.
 				d := 0.0
 				if z > 0 {
-					d += f.gv[i-nyx]
+					d += f.gv[i-1]
 				} else {
 					d += f.gTop[j]
 				}
@@ -373,13 +435,13 @@ func restrictResidual(f, c *mgLevel) {
 					d += f.gBot[j]
 				}
 				if x > 0 {
-					d += f.gxr[i-1]
+					d += f.gxr[i-nz]
 				}
 				if x < nx-1 {
 					d += f.gxr[i]
 				}
 				if y > 0 {
-					d += f.gyu[i-nx]
+					d += f.gyu[i-nxz]
 				}
 				if y < ny-1 {
 					d += f.gyu[i]
@@ -389,28 +451,28 @@ func restrictResidual(f, c *mgLevel) {
 				}
 				r := f.q[i] - d*f.t[i]
 				if z > 0 {
-					r += f.gv[i-nyx] * f.t[i-nyx]
+					r += f.gv[i-1] * f.t[i-1]
 				} else {
 					r += f.gTop[j] * amb
 				}
 				if z < nz-1 {
-					r += f.gv[i] * f.t[i+nyx]
+					r += f.gv[i] * f.t[i+1]
 				} else {
 					r += f.gBot[j] * amb
 				}
 				if x > 0 {
-					r += f.gxr[i-1] * f.t[i-1]
+					r += f.gxr[i-nz] * f.t[i-nz]
 				}
 				if x < nx-1 {
-					r += f.gxr[i] * f.t[i+1]
+					r += f.gxr[i] * f.t[i+nz]
 				}
 				if y > 0 {
-					r += f.gyu[i-nx] * f.t[i-nx]
+					r += f.gyu[i-nxz] * f.t[i-nxz]
 				}
 				if y < ny-1 {
-					r += f.gyu[i] * f.t[i+nx]
+					r += f.gyu[i] * f.t[i+nxz]
 				}
-				c.q[row+x/2] += r
+				c.q[cb+z] += r
 			}
 		}
 	}
@@ -419,30 +481,32 @@ func restrictResidual(f, c *mgLevel) {
 // prolongAdd interpolates the coarse correction bilinearly in the
 // lateral plane (identity along z, which is never coarsened — the
 // trilinear stencil degenerated along the exact axis) and adds it to
-// the fine unknown. Cell-centered weights: 3/4 toward the parent cell,
-// 1/4 toward the lateral neighbor on each axis, collapsing to the
-// parent at the domain edge.
+// the fine unknown, column by column. Cell-centered weights: 3/4
+// toward the parent cell, 1/4 toward the lateral neighbor on each
+// axis, collapsing to the parent at the domain edge.
 //
 //stacklint:hotpath
 func prolongAdd(c, f *mgLevel) {
 	nx, ny, nz := f.nx, f.ny, f.nz
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			Y := y / 2
-			Yn := Y + ((y&1)<<1 - 1) // y even: Y-1, y odd: Y+1
-			if Yn < 0 || Yn > c.ny-1 {
-				Yn = Y
+	for y := 0; y < ny; y++ {
+		Y := y / 2
+		Yn := Y + ((y&1)<<1 - 1) // y even: Y-1, y odd: Y+1
+		if Yn < 0 || Yn > c.ny-1 {
+			Yn = Y
+		}
+		for x := 0; x < nx; x++ {
+			X := x / 2
+			Xn := X + ((x&1)<<1 - 1)
+			if Xn < 0 || Xn > c.nx-1 {
+				Xn = X
 			}
-			rowP := (z*c.ny + Y) * c.nx
-			rowN := (z*c.ny + Yn) * c.nx
-			for x := 0; x < nx; x++ {
-				X := x / 2
-				Xn := X + ((x&1)<<1 - 1)
-				if Xn < 0 || Xn > c.nx-1 {
-					Xn = X
-				}
-				e := 0.5625*c.t[rowP+X] + 0.1875*(c.t[rowP+Xn]+c.t[rowN+X]) + 0.0625*c.t[rowN+Xn]
-				f.t[(z*ny+y)*nx+x] += e
+			p := c.t[(Y*c.nx+X)*nz:][:nz]
+			px := c.t[(Y*c.nx+Xn)*nz:][:nz]
+			py := c.t[(Yn*c.nx+X)*nz:][:nz]
+			pxy := c.t[(Yn*c.nx+Xn)*nz:][:nz]
+			t := f.t[(y*nx+x)*nz:][:nz]
+			for z := range t {
+				t[z] += 0.5625*p[z] + 0.1875*(px[z]+py[z]) + 0.0625*pxy[z]
 			}
 		}
 	}

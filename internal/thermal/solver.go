@@ -84,36 +84,15 @@ type Field struct {
 	gTop, gBot []float64 // per lateral cell
 }
 
-// lineScratch is the tridiagonal assembly/solve scratch for one z-line.
-type lineScratch struct {
-	sub, diag, sup, rhs, cp, dp []float64
-}
-
-func newLineScratch(n int) *lineScratch {
-	return &lineScratch{
-		sub: make([]float64, n), diag: make([]float64, n), sup: make([]float64, n),
-		rhs: make([]float64, n), cp: make([]float64, n), dp: make([]float64, n),
-	}
-}
-
-// thomas solves the assembled tridiagonal system of length n into dp.
-func (sc *lineScratch) thomas(n int) {
-	sc.cp[0] = sc.sup[0] / sc.diag[0]
-	sc.dp[0] = sc.rhs[0] / sc.diag[0]
-	for i := 1; i < n; i++ {
-		m := sc.diag[i] - sc.sub[i]*sc.cp[i-1]
-		sc.cp[i] = sc.sup[i] / m
-		sc.dp[i] = (sc.rhs[i] - sc.sub[i]*sc.dp[i-1]) / m
-	}
-	for i := n - 2; i >= 0; i-- {
-		sc.dp[i] -= sc.cp[i] * sc.dp[i+1]
-	}
-}
-
 // solver holds the discretized system. The discretization (grid,
 // conductances, capacities) is built once by newSolver; the iteration
 // state (t, q) is reinitialized by reset and loadRHS, so one solver
 // serves many solves, retries, and transient steps.
+//
+// Every per-cell array is stored column-contiguous: cell (z, y, x)
+// lives at (y*nx+x)*nz + z (see idx), so the smoother's z-line solves
+// walk memory at unit stride. Per-lateral-cell arrays are indexed
+// y*nx + x.
 type solver struct {
 	s          *Stack
 	nx, ny, nz int
@@ -139,7 +118,7 @@ type solver struct {
 	totalPower float64
 }
 
-func (sv *solver) idx(z, y, x int) int { return (z*sv.ny+y)*sv.nx + x }
+func (sv *solver) idx(z, y, x int) int { return (y*sv.nx+x)*sv.nz + z }
 
 // Solve computes the steady-state temperature field of the stack by
 // geometric multigrid (see multigrid.go): V-cycles over a laterally
@@ -186,11 +165,19 @@ func (sv *solver) relResidual() float64 {
 }
 
 // field packages the solver's current state. The temperatures are
-// copied so the Field survives solver reuse.
+// copied so the Field survives solver reuse, and transposed on the way
+// from the solver's column-contiguous layout to the Field's [z][y][x].
 func (sv *solver) field(cycles int) *Field {
+	nz, nyx := sv.nz, sv.ny*sv.nx
+	t := make([]float64, len(sv.t))
+	for j := 0; j < nyx; j++ {
+		for z, v := range sv.t[j*nz : (j+1)*nz] {
+			t[z*nyx+j] = v
+		}
+	}
 	return &Field{
-		stack: sv.s, zOfLayer: sv.zOfLayer, nz: sv.nz,
-		t:      append([]float64(nil), sv.t...),
+		stack: sv.s, zOfLayer: sv.zOfLayer, nz: nz,
+		t:      t,
 		sweeps: cycles,
 		gTop:   sv.gTop, gBot: sv.gBot,
 	}
@@ -320,19 +307,17 @@ func newSolver(s *Stack) (*solver, error) {
 // step's field, which the step's iterations then overwrite. A steady
 // solve passes scale 1 and dt 0.
 func (sv *solver) loadRHS(scale, dt float64) {
-	nyx := sv.ny * sv.nx
 	total := 0.0
 	for z := 0; z < sv.nz; z++ {
 		cod := 0.0
 		if dt > 0 {
 			cod = sv.capZ[z] / dt
 		}
-		plane := z * nyx
 		pm := sv.s.Layers[sv.zLayer[z]].Power
 		src := sv.srcScale[z]
 		for y := 0; y < sv.ny; y++ {
 			for x := 0; x < sv.nx; x++ {
-				i := plane + y*sv.nx + x
+				i := sv.idx(z, y, x)
 				w := 0.0
 				if pm != nil {
 					w = pm.At(x, y) * src

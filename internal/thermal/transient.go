@@ -18,10 +18,10 @@ type TransientOptions struct {
 	// Steps is the number of time steps to take.
 	Steps int
 	// InnerCycles caps the cycles solved per implicit step (default
-	// 10). A step ends earlier, as soon as a cycle changes no
-	// temperature by more than 1e-4 K (stagnationK, the steady
-	// solver's stagnation test), which on V-cycles takes a handful of
-	// cycles, so the cap does not bind.
+	// 10; negative is rejected). A step ends earlier, as soon as a
+	// cycle changes no temperature by more than 1e-4 K (stagnationK,
+	// the steady solver's stagnation test), which on V-cycles takes a
+	// handful of cycles, so the cap does not bind.
 	InnerCycles int
 	// InitialC is the uniform starting temperature (default ambient).
 	InitialC float64
@@ -122,8 +122,11 @@ func SolveTransient(ctx context.Context, s *Stack, opt TransientOptions) (*Trans
 // step and recovery attempt. Semantics match the package-level
 // SolveTransient.
 func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*TransientResult, error) {
-	if opt.Dt <= 0 || opt.Steps <= 0 {
-		return nil, fmt.Errorf("thermal: transient needs positive Dt and Steps, got %g/%d", opt.Dt, opt.Steps)
+	if opt.Dt <= 0 || !isFinite(opt.Dt) || opt.Steps <= 0 {
+		return nil, fmt.Errorf("thermal: transient needs finite positive Dt and positive Steps, got %g/%d", opt.Dt, opt.Steps)
+	}
+	if opt.InnerCycles < 0 {
+		return nil, fmt.Errorf("thermal: negative InnerCycles %d", opt.InnerCycles)
 	}
 	opt = opt.withDefaults()
 	if opt.Omega <= 0 || opt.Omega >= 2 {
@@ -201,13 +204,18 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, ome
 			}
 		}
 		res.Times = append(res.Times, float64(step)*dt)
+		// Stored energy is summed plane by plane, in (z, y, x) order,
+		// across the column-contiguous temperatures.
 		peak := math.Inf(-1)
 		stored := 0.0
-		for i, v := range sv.t {
-			if v > peak {
-				peak = v
+		for z, c := range sv.capZ {
+			for j := 0; j < nyx; j++ {
+				v := sv.t[j*sv.nz+z]
+				if v > peak {
+					peak = v
+				}
+				stored += c * (v - sv.s.AmbientC)
 			}
-			stored += sv.capZ[i/nyx] * (v - sv.s.AmbientC)
 		}
 		// Divergence: a non-finite inner update or temperature means
 		// the step polluted the field; the caller restarts damped.

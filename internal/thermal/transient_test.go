@@ -23,6 +23,15 @@ func TestTransientRejectsBadOptions(t *testing.T) {
 	if _, err := SolveTransient(context.Background(), s, TransientOptions{Dt: 0.1, Steps: 1, Omega: 3}); err == nil {
 		t.Error("bad omega accepted")
 	}
+	if _, err := SolveTransient(context.Background(), s, TransientOptions{Dt: 0.1, Steps: 3, InnerCycles: -1}); err == nil {
+		t.Error("negative InnerCycles accepted")
+	}
+	if _, err := SolveTransient(context.Background(), s, TransientOptions{Dt: math.NaN(), Steps: 3}); err == nil {
+		t.Error("NaN Dt accepted")
+	}
+	if _, err := SolveTransient(context.Background(), s, TransientOptions{Dt: math.Inf(1), Steps: 3}); err == nil {
+		t.Error("+Inf Dt accepted")
+	}
 	bad := *s
 	bad.Layers = nil
 	if _, err := SolveTransient(context.Background(), &bad, TransientOptions{Dt: 0.1, Steps: 1}); err == nil {

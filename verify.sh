@@ -30,6 +30,13 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module tests =="
+# bench/ is a nested module, so the root go test ./... above does not
+# reach it. Its tests include the traced-vs-catalog drift check: a
+# thermal change that breaks the traced layer-by-layer composition
+# fails here.
+(cd bench && go test ./...)
+
 echo "== benchmark smoke =="
 # One iteration of every internal benchmark: catches benchmarks that
 # no longer compile or crash without paying for stable timings. The
