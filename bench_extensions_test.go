@@ -18,7 +18,7 @@ import (
 // BenchmarkExtensionMultiDie climbs the tall-stack capacity ladder.
 func BenchmarkExtensionMultiDie(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := core.RunMultiDieSweep(context.Background(), core.MultiDieRequest{Spec: core.RunSpec{Grid: 48}, MaxDies: 5})
+		pts, err := core.RunMultiDieSweep(context.Background(), core.RunSpec{Grid: 48}, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkExtensionTransientWarmup(b *testing.B) {
 // hand-crafted Figure 10 floorplan.
 func BenchmarkExtensionAutoFold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmp, err := core.RunAutoFold(context.Background(), core.AutoFoldRequest{Spec: core.RunSpec{Grid: 48}})
+		cmp, err := core.RunAutoFold(context.Background(), core.RunSpec{Grid: 48})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,0 +1,130 @@
+package diestack_test
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestCLIGolden builds the three paper CLIs and checks that each
+// invocation in testdata/cli/cases prints byte-for-byte the recorded
+// standard output, exits with the recorded code and, for a campaign,
+// writes the recorded manifest. Refactors behind the CLIs must leave
+// every byte in place.
+func TestCLIGolden(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	statModuleSources(t)
+	bin := t.TempDir()
+	for _, name := range []string{"stackmem", "thermal3d", "stacklogic"} {
+		out, err := exec.Command(gobin, "build", "-o", filepath.Join(bin, name), "./cmd/"+name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		}
+	}
+
+	f, err := os.Open(filepath.Join("testdata", "cli", "cases"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	n := 0
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		if len(fields) < 3 {
+			t.Fatalf("malformed case line %q", sc.Text())
+		}
+		name, binName, args := fields[0], fields[2], fields[3:]
+		wantExit, err := strconv.Atoi(fields[1])
+		if err != nil {
+			t.Fatalf("case %s: exit code: %v", name, err)
+		}
+		n++
+		t.Run(name, func(t *testing.T) {
+			golden := filepath.Join("testdata", "cli", name)
+			wantManifest, err := os.ReadFile(golden + ".manifest.json")
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatal(err)
+			}
+			checkManifest := err == nil
+			manifest := filepath.Join(t.TempDir(), "manifest.json")
+			if checkManifest {
+				args = append(args, "-manifest", manifest)
+			}
+			cmd := exec.Command(filepath.Join(bin, binName), args...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			gotExit := 0
+			if err := cmd.Run(); err != nil {
+				var ee *exec.ExitError
+				if !errors.As(err, &ee) {
+					t.Fatal(err)
+				}
+				gotExit = ee.ExitCode()
+			}
+			if gotExit != wantExit {
+				t.Errorf("exit code %d, want %d; stderr:\n%s", gotExit, wantExit, stderr.Bytes())
+			}
+			want, err := os.ReadFile(golden + ".stdout")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("stdout differs from %s.stdout\ngot:\n%s\nwant:\n%s", golden, stdout.Bytes(), want)
+			}
+			if checkManifest {
+				got, err := os.ReadFile(manifest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, wantManifest) {
+					t.Errorf("manifest differs from %s.manifest.json\ngot:\n%s", golden, got)
+				}
+			}
+		})
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no cases in testdata/cli/cases")
+	}
+}
+
+// statModuleSources stats every Go source the CLIs are built from. The
+// binaries are compiled by a child go build, which go test's result
+// cache cannot see; the stats tie the cached verdict to those files,
+// so editing a CLI or a package only a CLI imports reruns this test.
+func statModuleSources(t *testing.T) {
+	t.Helper()
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				_, err = os.Stat(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}

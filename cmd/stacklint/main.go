@@ -1,10 +1,9 @@
 // Command stacklint runs the repository's static-analysis suite: the
 // typed invariants in internal/lint (context-first APIs, simulation
 // determinism, allocation-free hot paths, method-only observability
-// access, no deprecated calls) plus the CFG/dataflow concurrency
-// checks (lock-safety, goroutine joinability, atomic/plain access
-// mixing, canon wire-surface stability) checked over the module
-// source.
+// access) plus the CFG/dataflow concurrency checks (lock-safety,
+// goroutine joinability, atomic/plain access mixing, canon
+// wire-surface stability) checked over the module source.
 //
 // Usage:
 //

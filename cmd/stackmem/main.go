@@ -150,7 +150,7 @@ func main() {
 	if *drainTO < 0 {
 		fatal(fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO))
 	}
-	fc, err := faultConfig(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
+	faults, err := faultFlags(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
 		fatal(err)
 	}
@@ -191,12 +191,12 @@ func main() {
 			fatal(err)
 		}
 	case *ckptPath != "":
-		if err := runCheckpointed(ctx, spec, *bench, *traceFile, *capacity, fc,
+		if err := runCheckpointed(ctx, spec, *bench, *traceFile, *capacity, faults,
 			*ckptPath, *ckptEvery, *resumeFlag); err != nil {
 			fatal(err)
 		}
 	case *traceFile != "":
-		if err := replayFile(ctx, spec, *traceFile, fc); err != nil {
+		if err := replayFile(ctx, spec, *traceFile, faults.Config()); err != nil {
 			fatal(err)
 		}
 	case *showConfig:
@@ -213,7 +213,7 @@ func main() {
 			}
 		}
 	default:
-		if err := runPerf(ctx, spec, *bench, fc); err != nil {
+		if err := runPerf(ctx, spec, *bench, faults); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
@@ -230,7 +230,7 @@ func main() {
 // recorded with their cause and the process exits non-zero.
 func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 	jobs, retries int, timeout time.Duration, manifestPath string) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid, Obs: rs.Obs}
+	spec := core.CampaignSpec{RunSpec: rs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -266,7 +266,7 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
 	manifestPath string, injector *chaos.Injector) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid}
+	spec := core.CampaignSpec{RunSpec: rs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -424,12 +424,12 @@ func writeManifest(m *harness.Manifest, path string) error {
 // last snapshot. An interrupted run resumed this way produces exactly
 // the result of an uninterrupted one.
 func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile string, capacityMB int,
-	fc fault.Config, path string, every int, resume bool) error {
+	faults *core.FaultParams, path string, every int, resume bool) error {
 	cfg, ok := memhier.ConfigByCapacity(capacityMB)
 	if !ok {
 		return fmt.Errorf("-capacity must be 4, 12, 32 or 64, got %d", capacityMB)
 	}
-	cfg.Faults = fc
+	cfg.Faults = faults.Config()
 
 	var stream trace.Stream
 	switch {
@@ -471,27 +471,33 @@ func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile stri
 	return nil
 }
 
-// faultConfig assembles and validates the fault flag group.
-func faultConfig(seed uint64, corr, uncorr float64, deadBanks string, tsv float64) (fault.Config, error) {
-	fc := fault.Config{
-		Seed:                    seed,
-		CorrectablePerMAccess:   corr,
-		UncorrectablePerMAccess: uncorr,
-		TSVFailFrac:             tsv,
+// faultFlags assembles and validates the fault flag group as the
+// catalog's fault params; nil when no injection was requested, which
+// keeps the replays on their no-fault path.
+func faultFlags(seed uint64, corr, uncorr float64, deadBanks string, tsv float64) (*core.FaultParams, error) {
+	fp := &core.FaultParams{
+		Seed:              seed,
+		CorrectablePerM:   corr,
+		UncorrectablePerM: uncorr,
+		TSVFailFrac:       tsv,
 	}
 	if deadBanks != "" {
 		for _, s := range strings.Split(deadBanks, ",") {
 			b, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				return fault.Config{}, fmt.Errorf("-fault-dead-banks: bad index %q: %w", s, err)
+				return nil, fmt.Errorf("-fault-dead-banks: bad index %q: %w", s, err)
 			}
-			fc.DeadBanks = append(fc.DeadBanks, b)
+			fp.DeadBanks = append(fp.DeadBanks, b)
 		}
 	}
+	fc := fp.Config()
 	if err := fc.Validate(); err != nil {
-		return fault.Config{}, fmt.Errorf("fault flags: %w", err)
+		return nil, fmt.Errorf("fault flags: %w", err)
 	}
-	return fc, nil
+	if !fc.Enabled() {
+		return nil, nil
+	}
+	return fp, nil
 }
 
 func fatal(err error) {
@@ -512,25 +518,6 @@ func experiment(ctx context.Context, spec core.RunSpec, name string, params any)
 		return nil, err
 	}
 	return res.Value, nil
-}
-
-// faultParams projects the validated fault flag group onto the
-// catalog's wire-shaped params (nil when no injection was requested).
-func faultParams(fc fault.Config) *core.FaultParams {
-	if !fc.Enabled() {
-		return nil
-	}
-	return &core.FaultParams{
-		Seed:              fc.Seed,
-		CorrectablePerM:   fc.CorrectablePerMAccess,
-		UncorrectablePerM: fc.UncorrectablePerMAccess,
-		DeadBanks:         fc.DeadBanks,
-		TSVFailFrac:       fc.TSVFailFrac,
-		SensorNoiseC:      fc.SensorNoiseC,
-		SensorOffsetC:     fc.SensorOffsetC,
-		SensorStuck:       fc.SensorStuckAt,
-		SensorStuckAtC:    fc.SensorStuckAtC,
-	}
 }
 
 // replayFile runs a tracegen-produced binary trace through all four
@@ -593,7 +580,7 @@ func printConfig() {
 		base.BusBytesPerCycle*base.CoreGHz, base.CoreGHz, base.BusPicoJoulePerBit)
 }
 
-func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config) error {
+func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.FaultParams) error {
 	var benches []workload.Benchmark
 	if bench != "" {
 		b, ok := workload.ByName(bench)
@@ -606,6 +593,7 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 	}
 
 	fmt.Printf("Figure 5 — CPMA and off-die bandwidth, scale %.2f:\n", rs.Scale)
+	fc := faults.Config()
 	if fc.Enabled() {
 		fmt.Printf("fault injection on the stacked DRAM cache: seed %d, %g corr + %g uncorr per M reads, %d dead bank(s), %.0f%% via lanes lost\n",
 			fc.Seed, fc.CorrectablePerMAccess, fc.UncorrectablePerMAccess,
@@ -627,7 +615,7 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 		var a agg
 		for _, o := range opts {
 			v, err := experiment(ctx, rs, "memory-perf",
-				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faultParams(fc)})
+				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faults})
 			if err != nil {
 				return err
 			}

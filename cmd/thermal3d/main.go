@@ -28,7 +28,6 @@ import (
 
 	"diestack/internal/core"
 	"diestack/internal/dtm"
-	"diestack/internal/fault"
 	"diestack/internal/thermal"
 )
 
@@ -114,18 +113,22 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 	if steps <= 0 {
 		return fmt.Errorf("-dtm-steps must be positive, got %d", steps)
 	}
-	fc := fault.Config{Seed: seed, SensorNoiseC: noise, SensorOffsetC: offset}
+	faults := &core.FaultParams{Seed: seed, SensorNoiseC: noise, SensorOffsetC: offset}
 	if !math.IsNaN(stuck) {
-		fc.SensorStuckAt = true
-		fc.SensorStuckAtC = stuck
+		faults.SensorStuck = true
+		faults.SensorStuckAtC = stuck
 	}
+	fc := faults.Config()
 	if err := fc.Validate(); err != nil {
 		return fmt.Errorf("sensor flags: %w", err)
+	}
+	if !fc.Enabled() {
+		faults = nil
 	}
 
 	params := &core.ManagedThermalParams{
 		Variant: core.Logic3D.Slug(), TmaxC: tmax, HysteresisC: hyst,
-		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: faultParams(fc),
+		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: faults,
 	}
 	out, err := core.RunExperiment(ctx, "managed-logic-thermal",
 		core.ExperimentRequest{Spec: spec, Params: params})
@@ -185,21 +188,6 @@ func experiment(ctx context.Context, spec core.RunSpec, name string, params any)
 		return nil, err
 	}
 	return res.Value, nil
-}
-
-// faultParams projects the validated sensor flag group onto the
-// catalog's wire-shaped params (nil when no injection was requested).
-func faultParams(fc fault.Config) *core.FaultParams {
-	if !fc.Enabled() {
-		return nil
-	}
-	return &core.FaultParams{
-		Seed:           fc.Seed,
-		SensorNoiseC:   fc.SensorNoiseC,
-		SensorOffsetC:  fc.SensorOffsetC,
-		SensorStuck:    fc.SensorStuckAt,
-		SensorStuckAtC: fc.SensorStuckAtC,
-	}
 }
 
 func printMaterials() {

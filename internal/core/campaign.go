@@ -8,8 +8,6 @@ import (
 
 	"diestack/internal/canon"
 	"diestack/internal/harness"
-	"diestack/internal/obs"
-	"diestack/internal/thermal"
 	"diestack/internal/workload"
 )
 
@@ -18,39 +16,18 @@ import (
 // every Figure 11 logic solve become independent harness jobs, so one
 // hung replay or diverged solve cannot take down the sweep.
 
-// CampaignSpec parameterizes the paper sweep.
+// CampaignSpec parameterizes the paper sweep: the run spec every job
+// shares plus what to sweep. RunSpec.Obs, when non-nil, also
+// instruments the harness itself unless harness.Config.Obs is set
+// separately, so one registry sees the whole campaign.
 type CampaignSpec struct {
-	// Seed and Scale size the generated traces (as in RunFigure5).
-	Seed  uint64
-	Scale float64
-	// Grid is the thermal resolution (<= 0 selects the default).
-	Grid int
+	RunSpec
 	// Benchmarks restricts the Figure 5 replays to the named RMS
 	// kernels; empty runs all of them.
 	Benchmarks []string
 	// SkipThermal drops the Figure 8 / Figure 11 jobs, leaving a
 	// memory-performance-only campaign.
 	SkipThermal bool
-	// Obs, when non-nil, instruments every job's substrates and — unless
-	// harness.Config.Obs is set separately — the harness itself, so one
-	// registry sees the whole campaign.
-	Obs *obs.Registry
-	// Workspaces, when non-nil, pools thermal discretizations across
-	// the campaign's solves (see RunSpec.Workspaces). Process-local,
-	// never on the wire.
-	Workspaces *thermal.WorkspaceCache
-}
-
-// runSpec projects the campaign parameters onto the per-experiment
-// spec.
-func (spec CampaignSpec) runSpec() RunSpec {
-	return RunSpec{
-		Seed:       spec.Seed,
-		Scale:      spec.Scale,
-		Grid:       spec.Grid,
-		Obs:        spec.Obs,
-		Workspaces: spec.Workspaces,
-	}
 }
 
 // CampaignJobs expands the spec into the job list: one job per
@@ -76,13 +53,12 @@ func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
 	// entry-point surface the CLIs and the stackd service use — and
 	// unwraps the result value so manifests stay byte-identical to the
 	// direct-call era.
-	rs := spec.runSpec()
 	catalogJob := func(name, experiment string, params any) harness.Job {
 		exp := mustExperiment(experiment)
 		return harness.Job{
 			Name: name,
 			Run: func(ctx context.Context) (any, error) {
-				res, err := exp.Run(ctx, ExperimentRequest{Spec: rs, Params: params})
+				res, err := exp.Run(ctx, ExperimentRequest{Spec: spec.RunSpec, Params: params})
 				if err != nil {
 					return nil, err
 				}
@@ -128,6 +104,7 @@ const campaignWireVersion = 2
 // the fields that determine the job list and every job's result. Obs
 // is process-local and deliberately absent — each side of a
 // distributed campaign instruments with its own registry.
+//
 //canon:wire
 type wireSpec struct {
 	Version     int      `json:"version"`
@@ -162,8 +139,9 @@ func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
 // DecodeWireSpec parses a spec encoded by EncodeWire. Unknown fields
 // and any version other than campaignWireVersion are rejected so
 // version skew between coordinator and worker fails loudly instead of
-// silently running a different campaign. The returned spec carries no
-// Obs registry; the caller attaches its own.
+// silently running a different campaign; so is a spec outside the
+// bounds DecodeRequest enforces. The returned spec carries no Obs
+// registry; the caller attaches its own.
 func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 	var w wireSpec
 	if err := canon.Unmarshal(raw, &w); err != nil {
@@ -173,13 +151,20 @@ func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: wire version %d, want %d",
 			w.Version, campaignWireVersion)
 	}
-	return CampaignSpec{
-		Seed:        w.Seed,
-		Scale:       w.Scale,
-		Grid:        w.Grid,
+	spec := CampaignSpec{
+		RunSpec:     RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid},
 		Benchmarks:  w.Benchmarks,
 		SkipThermal: w.SkipThermal,
-	}, nil
+	}
+	if len(spec.Benchmarks) == 0 {
+		// "benchmarks":[] means all of them, exactly as an omitted
+		// list does; EncodeWire omits both.
+		spec.Benchmarks = nil
+	}
+	if err := spec.checkWire(); err != nil {
+		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: %w", err)
+	}
+	return spec, nil
 }
 
 // Slug returns the option's job-name/wire spelling (planar, 3d,

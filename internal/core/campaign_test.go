@@ -15,7 +15,7 @@ import (
 )
 
 func TestCampaignJobsNames(t *testing.T) {
-	jobs, err := CampaignJobs(CampaignSpec{Scale: 0.05, Benchmarks: []string{"gauss"}})
+	jobs, err := CampaignJobs(CampaignSpec{RunSpec: RunSpec{Scale: 0.05}, Benchmarks: []string{"gauss"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 		scale = 0.05
 		grid  = 12
 	)
-	spec := CampaignSpec{Seed: seed, Scale: scale, Grid: grid,
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: seed, Scale: scale, Grid: grid},
 		Benchmarks: []string{"gauss"}, SkipThermal: true}
 	jobs, err := CampaignJobs(spec)
 	if err != nil {
@@ -144,7 +144,7 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 }
 
 func TestCampaignSpecWireRoundTrip(t *testing.T) {
-	spec := CampaignSpec{Seed: 7, Scale: 0.05, Grid: 16,
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: 7, Scale: 0.05, Grid: 16},
 		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true}
 	raw, err := spec.EncodeWire()
 	if err != nil {
@@ -171,6 +171,15 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeWireSpec([]byte(`{garbage`)); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// Out-of-bounds specs fail at decode, as stackd request specs do.
+	for _, huge := range []string{
+		`{"version":2,"seed":1,"scale":0.05,"grid":3037000500}`,
+		`{"version":2,"seed":1,"scale":1e12,"grid":16}`,
+	} {
+		if _, err := DecodeWireSpec([]byte(huge)); err == nil {
+			t.Errorf("out-of-bounds spec accepted: %s", huge)
+		}
 	}
 	// Version-1 specs fail at decode: without a version key, or with
 	// the retired solver knobs a version-1 coordinator could send.

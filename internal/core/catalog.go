@@ -125,36 +125,18 @@ func (e Experiment) ParamsSchema() map[string]string {
 	return out
 }
 
-// specWire is the canonical wire projection of RunSpec: exactly the
-// fields that determine an experiment's result. Obs and Workspaces are
-// process-local and deliberately absent. Every field omits its
-// default, so a zero spec is the empty object.
-//canon:wire
-type specWire struct {
-	Seed  uint64  `json:"seed,omitempty"`
-	Scale float64 `json:"scale,omitempty"`
-	Grid  int     `json:"grid,omitempty"`
-}
-
-func specWireFrom(spec RunSpec) specWire {
-	return specWire{Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid}
-}
-
-func specFromWire(w specWire) RunSpec {
-	return RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid}
-}
-
 // requestWire is the canonical body of an experiment invocation — what
 // stackd hashes into its cache key.
+//
 //canon:wire
 type requestWire struct {
 	Experiment string          `json:"experiment"`
-	Spec       specWire        `json:"spec"`
+	Spec       RunSpec         `json:"spec"`
 	Params     json.RawMessage `json:"params,omitempty"`
 }
 
 // EncodeRequest renders req in canonical form: compact JSON with the
-// experiment name, the spec's wire projection, and the params with
+// experiment name, the spec's wire fields, and the params with
 // every default omitted (all-default params vanish entirely, so "no
 // params" and "explicit defaults" encode to the same bytes). The
 // SHA-256 of these bytes is the request's cache key.
@@ -163,7 +145,7 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := requestWire{Experiment: e.Name, Spec: specWireFrom(req.Spec)}
+	w := requestWire{Experiment: e.Name, Spec: req.Spec}
 	if params != nil {
 		raw, err := canon.Marshal(params)
 		if err != nil {
@@ -178,7 +160,9 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 
 // DecodeRequest parses a request body for this experiment. The
 // "experiment" field may be omitted (the route names it) but must
-// match when present; unknown fields anywhere are rejected.
+// match when present; unknown fields anywhere are rejected, and so is
+// a spec outside the bounds an outside request may ask for (grid in
+// [0, 256], scale in [0, 4]).
 func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	var w requestWire
 	if err := canon.Unmarshal(data, &w); err != nil {
@@ -187,7 +171,10 @@ func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	if w.Experiment != "" && w.Experiment != e.Name {
 		return ExperimentRequest{}, fmt.Errorf("core: request names experiment %q, not %q", w.Experiment, e.Name)
 	}
-	req := ExperimentRequest{Spec: specFromWire(w.Spec)}
+	if err := w.Spec.checkWire(); err != nil {
+		return ExperimentRequest{}, err
+	}
+	req := ExperimentRequest{Spec: w.Spec}
 	if len(w.Params) > 0 && string(w.Params) != "null" {
 		if e.NewParams == nil {
 			return ExperimentRequest{}, fmt.Errorf("core: experiment %q takes no parameters", e.Name)
@@ -258,6 +245,7 @@ func sweepLayerForSlug(s string) (SweepLayer, error) {
 // FaultParams is the wire form of fault.Config: stacked-DRAM error
 // rates, dead banks, via-lane loss, and sensor faults. The zero value
 // injects nothing.
+//
 //canon:wire
 type FaultParams struct {
 	Seed              uint64  `json:"seed,omitempty"`
@@ -271,7 +259,9 @@ type FaultParams struct {
 	SensorStuckAtC    float64 `json:"sensor_stuck_at_c,omitempty"`
 }
 
-func (p *FaultParams) config() fault.Config {
+// Config converts the wire form to the fault model's configuration; a
+// nil receiver injects nothing.
+func (p *FaultParams) Config() fault.Config {
 	if p == nil {
 		return fault.Config{}
 	}
@@ -289,6 +279,7 @@ func (p *FaultParams) config() fault.Config {
 }
 
 // MemoryPerfParams selects one cell of the Figure 5 sweep.
+//
 //canon:wire
 type MemoryPerfParams struct {
 	// CapacityMB picks the configuration (4, 12, 32, 64; 0 = 4).
@@ -300,6 +291,7 @@ type MemoryPerfParams struct {
 }
 
 // MemoryThermalParams selects one Figure 8 stack.
+//
 //canon:wire
 type MemoryThermalParams struct {
 	// CapacityMB picks the configuration (4, 12, 32, 64; 0 = 4).
@@ -307,6 +299,7 @@ type MemoryThermalParams struct {
 }
 
 // LogicThermalParams selects one Figure 11 bar.
+//
 //canon:wire
 type LogicThermalParams struct {
 	// Variant is planar, 3d, or 3d-worstcase ("" = planar).
@@ -314,6 +307,7 @@ type LogicThermalParams struct {
 }
 
 // Table4Params sizes the pipeline-gain measurement.
+//
 //canon:wire
 type Table4Params struct {
 	// Instructions per workload profile (0 = DefaultTable4Instructions).
@@ -321,6 +315,7 @@ type Table4Params struct {
 }
 
 // Fig3Params selects the sensitivity sweep's layer and points.
+//
 //canon:wire
 type Fig3Params struct {
 	// Layer is cu-metal or bond ("" = cu-metal).
@@ -331,6 +326,7 @@ type Fig3Params struct {
 }
 
 // MultiDieParams sizes the tall-stack sweep.
+//
 //canon:wire
 type MultiDieParams struct {
 	// MaxDies is the tallest stack solved (0 = DefaultMaxDies).
@@ -346,6 +342,7 @@ const (
 )
 
 // ManagedThermalParams configures the closed-loop DTM run.
+//
 //canon:wire
 type ManagedThermalParams struct {
 	// Variant is planar, 3d, or 3d-worstcase ("" = planar).
@@ -366,6 +363,7 @@ type ManagedThermalParams struct {
 
 // CampaignParams configures the full paper sweep (see CampaignSpec for
 // the semantics; Seed/Scale/Grid come from the request spec).
+//
 //canon:wire
 type CampaignParams struct {
 	Benchmarks  []string `json:"benchmarks,omitempty"`
@@ -447,7 +445,7 @@ func initCatalog() {
 				if p.Faults == nil {
 					return RunMemoryPerf(ctx, spec, o, b)
 				}
-				return RunMemoryPerfWithFaults(ctx, spec, o, b, p.Faults.config())
+				return RunMemoryPerfWithFaults(ctx, spec, o, b, p.Faults.Config())
 			},
 		},
 		{
@@ -545,10 +543,7 @@ func initCatalog() {
 			fn:        []string{"RunTable4"},
 			NewParams: func() any { return &Table4Params{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
-				return RunTable4(ctx, Table4Request{
-					Spec:         spec,
-					Instructions: params.(*Table4Params).Instructions,
-				})
+				return RunTable4(ctx, spec, params.(*Table4Params).Instructions)
 			},
 		},
 		{
@@ -556,23 +551,23 @@ func initCatalog() {
 			Doc:  "voltage/frequency scaling scenarios on the measured 3D thermal response (Table 5)",
 			fn:   []string{"RunTable5"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunTable5(ctx, Table5Request{Spec: spec})
+				return RunTable5(ctx, spec)
 			},
 		},
 		{
 			Name: "power-derivation",
 			Doc:  "derive the Logic+Logic interconnect power saving from the two floorplans",
 			fn:   []string{"RunPowerDerivation"},
-			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunPowerDerivation(ctx, PowerDerivationRequest{Spec: spec})
+			Runner: func(ctx context.Context, _ RunSpec, _ any) (any, error) {
+				return RunPowerDerivation(ctx)
 			},
 		},
 		{
 			Name: "wire-derivation",
 			Doc:  "derive the critical-path wire pipe stages from the planar and folded floorplans",
 			fn:   []string{"RunWireDerivation"},
-			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunWireDerivation(ctx, WireDerivationRequest{Spec: spec})
+			Runner: func(ctx context.Context, _ RunSpec, _ any) (any, error) {
+				return RunWireDerivation(ctx)
 			},
 		},
 		{
@@ -581,10 +576,7 @@ func initCatalog() {
 			fn:        []string{"RunMultiDieSweep"},
 			NewParams: func() any { return &MultiDieParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
-				return RunMultiDieSweep(ctx, MultiDieRequest{
-					Spec:    spec,
-					MaxDies: params.(*MultiDieParams).MaxDies,
-				})
+				return RunMultiDieSweep(ctx, spec, params.(*MultiDieParams).MaxDies)
 			},
 		},
 		{
@@ -592,7 +584,7 @@ func initCatalog() {
 			Doc:  "automatic place-observe-repair fold vs the hand-crafted Figure 10 fold",
 			fn:   []string{"RunAutoFold"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunAutoFold(ctx, AutoFoldRequest{Spec: spec})
+				return RunAutoFold(ctx, spec)
 			},
 		},
 		{
@@ -620,7 +612,7 @@ func initCatalog() {
 				}
 				cfg := dtm.Config{TmaxC: tmax, HysteresisC: p.HysteresisC, MinFreq: p.MinFreq}
 				opt := thermal.TransientOptions{Dt: dt, Steps: steps}
-				return RunManagedLogicThermal(ctx, spec, o, cfg, p.Faults.config(), opt)
+				return RunManagedLogicThermal(ctx, spec, o, cfg, p.Faults.Config(), opt)
 			},
 		},
 		{
@@ -630,11 +622,7 @@ func initCatalog() {
 			NewParams: func() any { return &CampaignParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
 				p := params.(*CampaignParams)
-				cs := CampaignSpec{
-					Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid,
-					Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal,
-					Obs: spec.Obs, Workspaces: spec.Workspaces,
-				}
+				cs := CampaignSpec{RunSpec: spec, Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal}
 				return RunCampaign(ctx, cs, harness.Config{Workers: p.Workers, Retries: p.Retries})
 			},
 		},

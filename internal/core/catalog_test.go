@@ -181,6 +181,25 @@ func TestDecodeRequestRejects(t *testing.T) {
 			t.Errorf("legacy solver key accepted: %s", legacy)
 		}
 	}
+	// Process-local spec fields never travel, and specs past the wire
+	// bounds would allocate without limit.
+	for _, bad := range []string{
+		`{"spec":{"Obs":{}}}`,
+		`{"spec":{"Workspaces":{}}}`,
+		`{"spec":{"grid":3037000500}}`,
+		`{"spec":{"grid":257}}`,
+		`{"spec":{"grid":-1}}`,
+		`{"spec":{"seed":1,"scale":1e12}}`,
+		`{"spec":{"scale":4.5}}`,
+		`{"spec":{"scale":-1}}`,
+	} {
+		if _, err := e.DecodeRequest([]byte(bad)); err == nil {
+			t.Errorf("out-of-bounds or process-local spec accepted: %s", bad)
+		}
+	}
+	if _, err := e.DecodeRequest([]byte(`{"spec":{"grid":256,"scale":4}}`)); err != nil {
+		t.Errorf("spec at the wire bounds rejected: %v", err)
+	}
 	fig5, _ := ExperimentByName("fig5")
 	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
 		t.Error("params accepted by a parameterless experiment")
@@ -222,7 +241,7 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 // hash of a version-2 campaign spec: workers hash these bytes to fence
 // campaigns, so any drift here is a cross-version interop break.
 func TestCampaignWirePin(t *testing.T) {
-	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64}
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: 3, Scale: 0.5, Grid: 64}}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)

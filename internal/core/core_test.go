@@ -220,7 +220,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestTable4Totals(t *testing.T) {
-	t4, err := RunTable4(context.Background(), Table4Request{Spec: RunSpec{Seed: 1}, Instructions: 30_000})
+	t4, err := RunTable4(context.Background(), RunSpec{Seed: 1}, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTable4Totals(t *testing.T) {
 }
 
 func TestTable5Rows(t *testing.T) {
-	rows, err := RunTable5(context.Background(), Table5Request{Spec: RunSpec{Grid: testGrid}})
+	rows, err := RunTable5(context.Background(), RunSpec{Grid: testGrid})
 	if err != nil {
 		t.Fatal(err)
 	}

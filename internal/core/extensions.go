@@ -27,29 +27,26 @@ type MultiDiePoint struct {
 	TotalPowerW float64
 }
 
-// DefaultMaxDies is the ladder height a zero MultiDieRequest sweeps.
+// DefaultMaxDies is the ladder height RunMultiDieSweep climbs when
+// given none.
 const DefaultMaxDies = 4
 
-// MultiDieRequest parameterizes RunMultiDieSweep. Spec.Grid sizes the
-// thermal solves.
-type MultiDieRequest struct {
-	Spec RunSpec
-	// MaxDies is the tallest stack solved (<= 0 selects DefaultMaxDies;
-	// an explicit value must be >= 2).
-	MaxDies int
-}
+// maxDiesLimit is the tallest ladder RunMultiDieSweep accepts: each
+// rung is a full thermal solve, so an outside request must not name
+// thousands of them.
+const maxDiesLimit = 16
 
-// RunMultiDieSweep solves the thermal stack for 2..MaxDies dies: the
+// RunMultiDieSweep solves the thermal stack for 2..maxDies dies: the
 // 92 W CPU plus (n-1) 64 MB DRAM dies at 6.2 W each. It quantifies the
-// thermal price of going beyond the paper's two-die limit.
-func RunMultiDieSweep(ctx context.Context, req MultiDieRequest) ([]MultiDiePoint, error) {
-	spec := req.Spec
-	maxDies := req.MaxDies
+// thermal price of going beyond the paper's two-die limit. spec.Grid
+// sizes the solves; maxDies <= 0 selects DefaultMaxDies, and an
+// explicit value must lie in [2, 16].
+func RunMultiDieSweep(ctx context.Context, spec RunSpec, maxDies int) ([]MultiDiePoint, error) {
 	if maxDies <= 0 {
 		maxDies = DefaultMaxDies
 	}
-	if maxDies < 2 {
-		return nil, fmt.Errorf("core: multi-die sweep needs MaxDies >= 2, got %d", maxDies)
+	if maxDies < 2 || maxDies > maxDiesLimit {
+		return nil, fmt.Errorf("core: multi-die sweep needs MaxDies in [2, %d], got %d", maxDiesLimit, maxDies)
 	}
 	nx, ny := gridOrDefault(spec.Grid)
 	fp := floorplan.Core2DuoPlanar()
@@ -114,16 +111,10 @@ type AutoFoldComparison struct {
 	PlanarWire float64
 }
 
-// AutoFoldRequest parameterizes RunAutoFold. Spec.Grid sizes the
-// thermal solves.
-type AutoFoldRequest struct {
-	Spec RunSpec
-}
-
 // RunAutoFold folds the planar Pentium 4-class floorplan automatically
-// and compares it with the paper's hand fold.
-func RunAutoFold(ctx context.Context, req AutoFoldRequest) (AutoFoldComparison, error) {
-	spec := req.Spec
+// and compares it with the paper's hand fold. spec.Grid sizes the
+// thermal solves.
+func RunAutoFold(ctx context.Context, spec RunSpec) (AutoFoldComparison, error) {
 	planar := floorplan.Pentium4Planar()
 	auto, err := floorplan.AutoFold(planar, floorplan.FoldOptions{
 		DensityTarget: 1.35,

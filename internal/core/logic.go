@@ -136,18 +136,9 @@ func RunFigure11(ctx context.Context, spec RunSpec) ([]LogicThermal, error) {
 	return out, nil
 }
 
-// DefaultTable4Instructions is the per-profile instruction count a
-// zero Table4Request replays — the paper-sweep default.
+// DefaultTable4Instructions is the per-profile instruction count
+// RunTable4 replays when given none — the paper-sweep default.
 const DefaultTable4Instructions = 200_000
-
-// Table4Request parameterizes RunTable4. Spec.Seed seeds the synthetic
-// instruction profiles; the other spec fields are unused.
-type Table4Request struct {
-	Spec RunSpec
-	// Instructions is the per-profile instruction count (<= 0 selects
-	// DefaultTable4Instructions).
-	Instructions int
-}
 
 // Table4Result bundles the Table 4 rows with the fold's aggregate
 // pipeline verdict.
@@ -162,14 +153,15 @@ type Table4Result struct {
 }
 
 // RunTable4 measures the per-functionality pipeline gains of the 3D
-// fold (Table 4).
-func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
-	n := req.Instructions
-	if n <= 0 {
-		n = DefaultTable4Instructions
+// fold (Table 4). spec.Seed seeds the synthetic instruction profiles;
+// instructions is the per-profile count (<= 0 selects
+// DefaultTable4Instructions).
+func RunTable4(ctx context.Context, spec RunSpec, instructions int) (Table4Result, error) {
+	if instructions <= 0 {
+		instructions = DefaultTable4Instructions
 	}
 	cfg := uarch.PlanarConfig()
-	rows, totalGainPct, err := synth.Table4(ctx, cfg, req.Spec.Seed, n)
+	rows, totalGainPct, err := synth.Table4(ctx, cfg, spec.Seed, instructions)
 	if err != nil {
 		return Table4Result{}, err
 	}
@@ -181,17 +173,9 @@ func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
 	}, nil
 }
 
-// Table5Request parameterizes RunTable5. Spec.Grid sizes the thermal
-// solves (the search solves the stack several times; coarser grids are
-// markedly faster).
-type Table5Request struct {
-	Spec RunSpec
-}
-
 // RunTable5 computes the voltage/frequency scaling rows using the
-// measured 3D thermal response.
-func RunTable5(ctx context.Context, req Table5Request) ([]power.Point, error) {
-	spec := req.Spec
+// measured 3D thermal response. spec.Grid sizes the thermal solves.
+func RunTable5(ctx context.Context, spec RunSpec) ([]power.Point, error) {
 	laws := power.PaperLaws()
 	design := power.Pentium4ThreeDDesign()
 
@@ -219,18 +203,12 @@ func RunTable5(ctx context.Context, req Table5Request) ([]power.Point, error) {
 	return laws.Table5(design, tempAt, baseline.PeakC)
 }
 
-// PowerDerivationRequest parameterizes RunPowerDerivation. The
-// derivation is closed-form over the two floorplans, so the spec is
-// carried only for catalog uniformity.
-type PowerDerivationRequest struct {
-	Spec RunSpec
-}
-
 // RunPowerDerivation derives the Logic+Logic power saving from the
 // two floorplans through the interconnect power model: half the global
 // wire, the removed wire-stage latch banks, and a clock grid over half
 // the footprint — the components the paper lists for its 15% figure.
-func RunPowerDerivation(ctx context.Context, req PowerDerivationRequest) (wire.SavingReport, error) {
+// The derivation is closed-form, so it takes no spec.
+func RunPowerDerivation(ctx context.Context) (wire.SavingReport, error) {
 	nets := append(floorplan.LoadToUseNets(),
 		floorplan.Net{A: "L2", B: "bus", Weight: 4},
 		floorplan.Net{A: "L2", B: "D$", Weight: 4},
@@ -243,13 +221,6 @@ func RunPowerDerivation(ctx context.Context, req PowerDerivationRequest) (wire.S
 	return wire.Pentium4PowerModel().DeriveSaving(wire.Pentium4Era(),
 		floorplan.Pentium4Planar(), floorplan.Pentium4ThreeD(),
 		nets, floorplan.Pentium4TotalW)
-}
-
-// WireDerivationRequest parameterizes RunWireDerivation. Like the
-// power derivation, it is closed-form; the spec rides along for
-// catalog uniformity.
-type WireDerivationRequest struct {
-	Spec RunSpec
 }
 
 // WirePath pairs a named signal path with its derived planar/3D wire
@@ -265,8 +236,9 @@ type WirePath struct {
 // the repeated-wire RC model — the physical rationale behind the
 // Table 4 fold. The load-to-use path loses its planar wire stage and
 // the FP register-read path loses both of its allocated cycles,
-// matching the paper's narrative for Figures 9 and 10.
-func RunWireDerivation(ctx context.Context, req WireDerivationRequest) ([]WirePath, error) {
+// matching the paper's narrative for Figures 9 and 10. Like the power
+// derivation, it is closed-form and takes no spec.
+func RunWireDerivation(ctx context.Context) ([]WirePath, error) {
 	tech := wire.Pentium4Era()
 	paths := [][2]string{
 		{"D$", "F"}, {"RF", "FP"}, {"RF", "SIMD"},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"diestack/internal/obs"
 	"diestack/internal/thermal"
@@ -13,24 +14,51 @@ import (
 // one spec can drive a whole campaign. The zero value means: seed 0,
 // reference-scale traces are NOT selected (Scale must be positive for
 // trace replays), default thermal grid, no instrumentation.
+//
+// RunSpec is its own canonical wire form (the "spec" object of an
+// experiment request): exactly the fields that determine a result,
+// each omitted at its default, so a zero spec is the empty object.
+// Obs and Workspaces are process-local and never travel.
+//
+//canon:wire
 type RunSpec struct {
 	// Seed seeds trace generation (replay experiments).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty"`
 	// Scale sizes the generated workload footprints (1.0 = the paper's
 	// reference; tests use smaller).
-	Scale float64
+	Scale float64 `json:"scale,omitempty"`
 	// Grid is the thermal lateral resolution (<= 0 selects the default).
-	Grid int
+	Grid int `json:"grid,omitempty"`
 	// Obs, when non-nil, receives metrics and spans from every substrate
 	// the experiment exercises (memhier_*, dram_*, thermal_*, fault_*).
 	// A nil registry costs nothing on the hot paths.
-	Obs *obs.Registry
+	Obs *obs.Registry `json:"-"`
 	// Workspaces, when non-nil, pools thermal discretizations across
 	// solves: an experiment that revisits a stack shape reuses the
 	// cached workspace instead of re-rasterizing. Pooled solves are
 	// bit-identical to fresh ones; a nil cache means every solve starts
-	// cold. Like Obs, it is process-local and never travels on the wire.
-	Workspaces *thermal.WorkspaceCache
+	// cold.
+	Workspaces *thermal.WorkspaceCache `json:"-"`
+}
+
+// Bounds on a spec that arrives from outside the process: a grid or
+// workload scale far past anything the paper runs would allocate
+// without limit. Every in-repo caller stays within grid 64, scale 1.
+const (
+	maxWireGrid  = 256
+	maxWireScale = 4
+)
+
+// checkWire rejects a decoded spec outside the bounds an outside
+// request may ask for. The CLIs build specs from flags and skip it.
+func (spec RunSpec) checkWire() error {
+	if spec.Grid < 0 || spec.Grid > maxWireGrid {
+		return fmt.Errorf("core: spec grid %d outside [0, %d]", spec.Grid, maxWireGrid)
+	}
+	if !(spec.Scale >= 0 && spec.Scale <= maxWireScale) {
+		return fmt.Errorf("core: spec scale %g outside [0, %d]", spec.Scale, maxWireScale)
+	}
+	return nil
 }
 
 // solveStack solves s with the spec's instrumentation, routing through

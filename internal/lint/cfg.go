@@ -68,10 +68,10 @@ type cfgBuilder struct {
 // branchTarget records where break and continue jump for one
 // enclosing for/range/switch/select statement.
 type branchTarget struct {
-	label        string    // enclosing label, "" when unlabeled
-	breakTo      *cfgBlock // the after-block; nil for constructs break cannot target
-	continueTo   *cfgBlock // the post/head block; nil for switch/select
-	isLoop       bool      // continue may target only loops
+	label      string    // enclosing label, "" when unlabeled
+	breakTo    *cfgBlock // the after-block; nil for constructs break cannot target
+	continueTo *cfgBlock // the post/head block; nil for switch/select
+	isLoop     bool      // continue may target only loops
 }
 
 type pendingGoto struct {

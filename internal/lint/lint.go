@@ -2,8 +2,8 @@
 // standard-library-only analyzer framework (go/ast + go/parser +
 // go/types) plus the repo-specific analyzers that turn the simulator's
 // conventions — determinism, context-first APIs, allocation-free hot
-// paths, method-only observability access, no resurrection of
-// deprecated entry points — into machine-checked invariants.
+// paths, method-only observability access — into machine-checked
+// invariants.
 //
 // A statement-level control-flow-graph builder (cfg.go) and a generic
 // forward-dataflow solver (dataflow.go) underpin the concurrency
@@ -64,8 +64,7 @@ type Analyzer struct {
 type Pass struct {
 	// Analyzer is the check being run.
 	Analyzer *Analyzer
-	// Prog is the whole loaded program (for cross-package facts such as
-	// the deprecated-object set).
+	// Prog is the whole loaded program.
 	Prog *Program
 	// Pkg is the package under analysis.
 	Pkg *Package
@@ -101,7 +100,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AtomicMix,
 		CtxFirst,
-		DeprecatedCall,
 		Determinism,
 		GoLeak,
 		HotPathAlloc,

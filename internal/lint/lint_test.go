@@ -75,24 +75,3 @@ func TestMatchPattern(t *testing.T) {
 		}
 	}
 }
-
-// TestDeprecatedCollection checks that the loader records Deprecated:
-// notes on functions, methods, and constants.
-func TestDeprecatedCollection(t *testing.T) {
-	prog, err := Load(filepath.Join("testdata", "deprecatedcall"), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for obj := range prog.Deprecated {
-		names[obj.Name()] = true
-	}
-	for _, want := range []string{"OldRun", "OldLimit", "OldSolve"} {
-		if !names[want] {
-			t.Errorf("deprecated set is missing %s (have %v)", want, names)
-		}
-	}
-	if names["Run"] || names["Limit"] || names["Solve"] {
-		t.Errorf("deprecated set over-collected: %v", names)
-	}
-}

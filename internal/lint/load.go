@@ -36,11 +36,6 @@ type Program struct {
 	Root string
 	// Packages are the packages selected by the load patterns.
 	Packages []*Package
-	// Deprecated maps every object in the module whose doc comment
-	// carries a "Deprecated:" paragraph to that paragraph's first line.
-	// It spans all loaded packages, including dependencies of the
-	// selected ones, so cross-package uses are caught.
-	Deprecated map[types.Object]string
 }
 
 // loader resolves imports: module-internal paths from source, the
@@ -56,7 +51,6 @@ type loader struct {
 	pkgs    map[string]*Package
 	loading map[string]bool
 	std     map[string]*types.Package
-	deprec  map[types.Object]string
 	errs    []error
 }
 
@@ -89,7 +83,6 @@ func Load(root string, patterns ...string) (*Program, error) {
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
 		std:     map[string]*types.Package{},
-		deprec:  map[types.Object]string{},
 	}
 	l.gc = importer.Default()
 	l.src = importer.ForCompiler(l.fset, "source", nil)
@@ -102,7 +95,7 @@ func Load(root string, patterns ...string) (*Program, error) {
 		return nil, fmt.Errorf("lint: no packages match %v under %s", patterns, root)
 	}
 
-	prog := &Program{Fset: l.fset, Module: module, Root: root, Deprecated: l.deprec}
+	prog := &Program{Fset: l.fset, Module: module, Root: root}
 	for _, dir := range dirs {
 		pkg, err := l.load(l.importPathFor(dir))
 		if err != nil {
@@ -277,7 +270,6 @@ func (l *loader) load(path string) (*Package, error) {
 
 	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
-	collectDeprecated(files, info, l.deprec)
 	return pkg, nil
 }
 
@@ -305,58 +297,4 @@ func (l *loader) importPkg(path string) (*types.Package, error) {
 	}
 	l.std[path] = pkg
 	return pkg, nil
-}
-
-// collectDeprecated records every declared object whose doc comment
-// carries a "Deprecated:" paragraph — functions, methods, types,
-// consts, and vars. The note's first line becomes the diagnostic text.
-func collectDeprecated(files []*ast.File, info *types.Info, out map[types.Object]string) {
-	record := func(name *ast.Ident, doc *ast.CommentGroup) {
-		if note, ok := deprecationNote(doc); ok {
-			if obj := info.Defs[name]; obj != nil {
-				out[obj] = note
-			}
-		}
-	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				record(d.Name, d.Doc)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						record(s.Name, doc)
-					case *ast.ValueSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						for _, name := range s.Names {
-							record(name, doc)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// deprecationNote extracts the first "Deprecated:" line from a doc
-// comment, following the standard Go convention.
-func deprecationNote(doc *ast.CommentGroup) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return strings.TrimSpace(line), true
-		}
-	}
-	return "", false
 }

@@ -21,6 +21,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -274,7 +275,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	req.Spec.Obs = s.reg
 	req.Spec.Workspaces = s.ws
 	start := time.Now()
-	res, err := exp.Run(r.Context(), req)
+	res, err := runRecovered(r.Context(), exp, req)
 	s.reg.Histogram("stackd_latency_"+exp.Name, 0, 60, 120).Observe(time.Since(start).Seconds())
 	if err != nil {
 		f.status = http.StatusInternalServerError
@@ -296,6 +297,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.cachePut(key, f.body)
 	s.closeFlight(key, f)
 	s.writeJSON(w, http.StatusOK, "miss", f.body)
+}
+
+// runRecovered runs exp, turning a runner panic into an error: the
+// request then fails with an uncached 500 like any other error, and its
+// flight and solve slot are released instead of wedging every later
+// identical request.
+func runRecovered(ctx context.Context, exp core.Experiment, req core.ExperimentRequest) (res core.ExperimentResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiment %s panicked: %v", exp.Name, p)
+		}
+	}()
+	return exp.Run(ctx, req)
 }
 
 // closeFlight publishes the flight's verdict and retires it; errors

@@ -239,6 +239,57 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts.URL+"/v1/experiments/fig5", `{"experiment":"fig8"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("name mismatch: %d", resp.StatusCode)
 	}
+	// Specs past the wire bounds would allocate without limit (a
+	// makeslice panic for the grid, an OOM for the scale): rejected at
+	// decode, before any solver work.
+	if resp, _ := post(t, ts.URL+"/v1/experiments/fig6", `{"spec":{"grid":3037000500}}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("huge grid: %d", resp.StatusCode)
+	}
+	if resp, _ := post(t, ts.URL+"/v1/experiments/memory-perf", `{"spec":{"seed":1,"scale":1e12}}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("huge scale: %d", resp.StatusCode)
+	}
+}
+
+// TestRunnerPanicRecovered: a panicking runner fails its request with
+// a 500 that is not cached, and releases its flight and solve slot, so
+// a later identical request gets an answer instead of waiting forever
+// and the server keeps serving.
+func TestRunnerPanicRecovered(t *testing.T) {
+	var runs atomic.Int64
+	boom := core.Experiment{
+		Name: "boom",
+		Doc:  "always panics",
+		Runner: func(context.Context, core.RunSpec, any) (any, error) {
+			panic("injected runner panic")
+		},
+	}
+	s := New(Config{
+		Experiments: []core.Experiment{boom, countingExperiment("count", &runs, nil)},
+		MaxSolves:   1,
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	ts.Client().Timeout = 3 * time.Second
+
+	for i := 0; i < 2; i++ {
+		resp, err := ts.Client().Post(ts.URL+"/v1/experiments/boom", "application/json",
+			strings.NewReader(`{"spec":{"seed":1}}`))
+		if err != nil {
+			t.Fatalf("POST %d: %v", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+			t.Fatalf("POST %d: status %d, body %s", i, resp.StatusCode, body)
+		}
+		if resp.Header.Get("X-Stackd-Cache") != "" {
+			t.Fatalf("POST %d: panic served with cache state %q", i, resp.Header.Get("X-Stackd-Cache"))
+		}
+	}
+	if resp, _ := post(t, ts.URL+"/v1/experiments/count", `{"spec":{"seed":1}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("server unhealthy after a runner panic: %d", resp.StatusCode)
+	}
 }
 
 // TestLegacySolverKeysRejected: the thermal solver has one schedule,

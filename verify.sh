@@ -4,18 +4,25 @@
 set -eu
 cd "$(dirname "$0")"
 
+echo "== gofmt =="
+test -z "$(gofmt -l .)" || {
+    echo "verify: gofmt needed on:" >&2
+    gofmt -l . >&2
+    exit 1
+}
+
 echo "== go vet =="
 go vet ./...
 
 echo "== stacklint =="
-# The repo's own analyzer suite: context-first entry points, no
-# deprecated references, deterministic simulation packages, annotated
-# hot paths allocation-free, obs instruments touched only via methods,
-# plus the CFG/dataflow concurrency checks (locksafe, goleak,
-# atomicmix, wirestable). First assert the full suite is registered —
+# The repo's own analyzer suite: context-first entry points,
+# deterministic simulation packages, annotated hot paths
+# allocation-free, obs instruments touched only via methods, plus the
+# CFG/dataflow concurrency checks (locksafe, goleak, atomicmix,
+# wirestable). First assert the full suite is registered —
 # a silently dropped analyzer passes every other gate.
 lintlist=$(go run ./cmd/stacklint -list)
-for a in atomicmix ctxfirst deprecatedcall determinism goleak \
+for a in atomicmix ctxfirst determinism goleak \
          hotpathalloc locksafe obsaccess wirestable; do
     echo "$lintlist" | grep -q "^$a " || {
         echo "verify: analyzer $a missing from stacklint -list" >&2
@@ -29,6 +36,14 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== fuzz =="
+# Each decoder of outside bytes fuzzed briefly beyond its committed
+# seed corpus (internal/core/testdata/fuzz): stackd request bodies
+# against every catalog experiment, and distributed-campaign specs.
+# A crasher lands in testdata/fuzz; fix it and keep it as a seed.
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzDecodeWireSpec$' -fuzztime 10s ./internal/core/
 
 echo "== benchmark module tests =="
 # bench/ is a nested module, so the root go test ./... above does not
