@@ -3,7 +3,9 @@
 # machine-readable baseline (BENCH_006.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the cold and
 # warm Solve64 times, the V-cycle and smoother-sweep kernel times on the
-# 3D logic stack, and the steady-state replay allocs/op. Committed
+# 3D logic stack, the steady-state replay allocs/op, and the time and
+# bytes allocated to generate the svm trace (the largest-footprint RMS
+# workload) at reference scale. Committed
 # baselines from this script are how perf PRs prove their before/after
 # claims. The baseline name recorded inside the JSON is derived from
 # the output filename, so each capture is self-identifying.
@@ -45,6 +47,9 @@ go test -run '^$' -benchmem -benchtime 30x \
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
     ./internal/memhier/ | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 5x \
+    -bench 'BenchmarkGenerateSVM$' \
+    ./internal/workload/ | tee -a "$tmp"
 
 awk -v nproc="$(nproc)" -v numcpu="$numcpu" -v goversion="$(go env GOVERSION)" -v baseline="$baseline" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
@@ -61,6 +66,7 @@ awk -v nproc="$(nproc)" -v numcpu="$numcpu" -v goversion="$(go env GOVERSION)" -
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns[name] = $i
         if ($(i+1) == "allocs/op") al[name] = $i
+        if ($(i+1) == "B/op")      by[name] = $i
     }
     order[++n] = name
 }
@@ -84,8 +90,10 @@ END {
     printf "    \"resolve64_ms\": %.1f,\n", ns["BenchmarkWorkspaceResolve64Multigrid"] / 1e6
     printf "    \"vcycle64_stack3d_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D"] / 1e6
     printf "    \"smooth_sweep64_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64"] / 1e6
-    printf "    \"replay_steady_state_allocs_per_op\": %s\n", \
+    printf "    \"replay_steady_state_allocs_per_op\": %s,\n", \
         al["BenchmarkReplaySteadyState"]
+    printf "    \"generate_svm_ms\": %.1f,\n", ns["BenchmarkGenerateSVM"] / 1e6
+    printf "    \"generate_svm_bytes_per_op\": %s\n", by["BenchmarkGenerateSVM"]
     printf "  }\n"
     printf "}\n"
 }' "$tmp" >"$out"

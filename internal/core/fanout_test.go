@@ -1,0 +1,118 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// settleGoroutines waits for the goroutine count to fall back to base
+// and fails the test if it does not within a few seconds.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, want %d after the sweep returned", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFigure5Cancellation cancels the sweep before it starts and while
+// its replays run: both must surface context.Canceled, and no replay
+// goroutine may outlive the call.
+func TestFigure5Cancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunFigure5(ctx, RunSpec{Seed: 1, Scale: 0.1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled sweep: err = %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, base)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	timer := time.AfterFunc(50*time.Millisecond, cancel)
+	defer timer.Stop()
+	if _, err := RunFigure5(ctx, RunSpec{Seed: 1, Scale: 0.1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep canceled mid-run: err = %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, base)
+}
+
+// TestFigure5ScheduleIndependent runs the sweep with one worker (the
+// serial loop) and with four concurrent replays per benchmark; the
+// results must be identical.
+func TestFigure5ScheduleIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two Figure 5 sweeps")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec := RunSpec{Seed: 3, Scale: 0.1}
+	serial, err := RunFigure5(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	parallel, err := RunFigure5(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatal("Figure 5 differs between GOMAXPROCS 1 and 4")
+	}
+}
+
+// TestForEachOptionErrors pins the failure semantics of the replay
+// fan-out: the lowest failing index wins, and no index is started
+// after a failure.
+func TestForEachOptionErrors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	var ran []int
+	err := forEachOption(4, func(i int) error {
+		ran = append(ran, i)
+		if i == 1 {
+			return fmt.Errorf("option %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "option 1" {
+		t.Fatalf("err = %v, want option 1", err)
+	}
+	if !reflect.DeepEqual(ran, []int{0, 1}) {
+		t.Fatalf("ran %v after the failure at 1, want [0 1]", ran)
+	}
+
+	// Concurrent: index 3 fails first, while 0–2 are still running and
+	// 1 and 2 fail too; the error of index 1 must win.
+	runtime.GOMAXPROCS(4)
+	var started sync.WaitGroup
+	started.Add(4)
+	release := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(release)
+	}()
+	err = forEachOption(4, func(i int) error {
+		started.Done()
+		if i == 3 {
+			return fmt.Errorf("option %d", i)
+		}
+		<-release
+		if i == 0 {
+			return nil
+		}
+		return fmt.Errorf("option %d", i)
+	})
+	if err == nil || err.Error() != "option 1" {
+		t.Fatalf("concurrent err = %v, want option 1", err)
+	}
+}

@@ -11,6 +11,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"diestack/internal/fault"
 	"diestack/internal/floorplan"
@@ -184,9 +186,14 @@ type Figure5Result struct {
 }
 
 // RunFigure5 sweeps every RMS benchmark over every configuration —
-// the paper's Figure 5. Traces are regenerated per benchmark and
-// shared across the four options; cancellation aborts mid-sweep with
-// the context's error.
+// the paper's Figure 5. Each benchmark's trace is generated once and
+// shared read-only by its four replays, which run on up to
+// min(GOMAXPROCS, 4) goroutines, each with its own simulator; all of
+// them finish before the next trace is generated, so one trace is
+// alive at a time. With GOMAXPROCS 1 the replays run in paper order
+// on the calling goroutine. Results do not depend on the schedule.
+// On failure the error of the first failing option in paper order is
+// returned; cancellation aborts mid-sweep with the context's error.
 func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 	benches := workload.All()
 	opts := MemoryOptions()
@@ -194,25 +201,76 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 	for _, b := range benches {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
 		recs := b.Generate(spec.Seed, spec.Scale)
-		row := make([]MemoryPerf, 0, len(opts))
-		for _, o := range opts {
-			cfg, err := o.HierarchyConfig()
+		row := make([]MemoryPerf, len(opts))
+		err := forEachOption(len(opts), func(i int) error {
+			cfg, err := opts[i].HierarchyConfig()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sim, err := memhier.New(cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
 			if err != nil {
-				return nil, fmt.Errorf("core: %s on %s: %w", b.Name, o, err)
+				return fmt.Errorf("core: %s on %s: %w", b.Name, opts[i], err)
 			}
-			row = append(row, memoryPerfFrom(b.Name, o, res))
+			row[i] = memoryPerfFrom(b.Name, opts[i], res)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// forEachOption runs fn(0) … fn(n-1) over min(GOMAXPROCS, n) workers
+// and returns the error of the lowest failing index. Workers take
+// indices in order and take none after any failure; every worker has
+// returned when forEachOption does. One worker is the serial loop.
+func forEachOption(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var (
+		mu     sync.Mutex
+		next   int
+		failed bool
+	)
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == n {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
+	work := func() {
+		for i, ok := take(); ok; i, ok = take() {
+			if errs[i] = fn(i); errs[i] != nil {
+				mu.Lock()
+				failed = true
+				mu.Unlock()
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Headline summarizes Figure 5 the way the paper's abstract does.

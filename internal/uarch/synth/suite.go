@@ -19,14 +19,36 @@ type SuiteResult struct {
 // returns the weighted aggregate (the stand-in for the paper's 650+
 // trace average). n is the per-profile instruction count.
 func RunSuite(ctx context.Context, cfg uarch.Config, seed uint64, n int) (SuiteResult, error) {
+	progs, err := programs(seed, n)
+	if err != nil {
+		return SuiteResult{}, err
+	}
+	return runPrograms(ctx, cfg, progs)
+}
+
+// programs generates every profile's n-instruction program, in
+// Profiles() order. uarch.Run only reads a program, so one set serves
+// any number of configurations.
+func programs(seed uint64, n int) ([][]uarch.Inst, error) {
+	profiles := Profiles()
+	progs := make([][]uarch.Inst, len(profiles))
+	for i, p := range profiles {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		progs[i] = p.Generate(seed, n)
+	}
+	return progs, nil
+}
+
+// runPrograms runs progs (from programs) on cfg and weights the
+// results into the suite aggregate.
+func runPrograms(ctx context.Context, cfg uarch.Config, progs [][]uarch.Inst) (SuiteResult, error) {
 	profiles := Profiles()
 	out := SuiteResult{PerProfile: make([]uarch.Result, len(profiles))}
 	sumW := 0.0
 	for i, p := range profiles {
-		if err := p.Validate(); err != nil {
-			return SuiteResult{}, err
-		}
-		res, err := uarch.Run(ctx, cfg, p.Generate(seed, n))
+		res, err := uarch.Run(ctx, cfg, progs[i])
 		if err != nil {
 			return SuiteResult{}, fmt.Errorf("synth: %s: %w", p.Name, err)
 		}
@@ -76,14 +98,20 @@ type Table4Row struct {
 
 // Table4 measures the per-group and total performance gains of the 3D
 // fold, reproducing the paper's Table 4. n is the per-profile
-// instruction count (100k is enough for stable percentages).
+// instruction count (100k is enough for stable percentages). The
+// profile programs are generated once and shared by the base, the ten
+// group folds and the full fold.
 func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []Table4Row, totalGainPct float64, err error) {
-	base, err := RunSuite(ctx, cfg, seed, n)
+	progs, err := programs(seed, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	base, err := runPrograms(ctx, cfg, progs)
 	if err != nil {
 		return nil, 0, err
 	}
 	for _, g := range Table4Groups() {
-		folded, err := RunSuite(ctx, cfg.Apply(g.Fold), seed, n)
+		folded, err := runPrograms(ctx, cfg.Apply(g.Fold), progs)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -102,7 +130,7 @@ func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []T
 			PaperGainPct:   g.PaperGainPct,
 		})
 	}
-	full, err := RunSuite(ctx, cfg.Apply(uarch.FullFold()), seed, n)
+	full, err := runPrograms(ctx, cfg.Apply(uarch.FullFold()), progs)
 	if err != nil {
 		return nil, 0, err
 	}

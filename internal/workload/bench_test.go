@@ -8,6 +8,7 @@ import (
 
 func BenchmarkGenerateGauss(b *testing.B) {
 	bench, _ := ByName("gauss")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		recs := bench.Generate(1, 1.0)
 		b.ReportMetric(float64(len(recs)), "records/op")
@@ -16,6 +17,7 @@ func BenchmarkGenerateGauss(b *testing.B) {
 
 func BenchmarkGenerateSVM(b *testing.B) {
 	bench, _ := ByName("svm")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		recs := bench.Generate(1, 1.0)
 		b.ReportMetric(float64(len(recs)), "records/op")
@@ -23,22 +25,23 @@ func BenchmarkGenerateSVM(b *testing.B) {
 }
 
 func BenchmarkInterleave(b *testing.B) {
-	// Build two thread-local record lists with dense local ids.
-	mk := func(n int) []trace.Record {
-		recs := make([]trace.Record, n)
-		for i := range recs {
+	// Two threads of dense local ids, every fourth record dependent.
+	mk := func(n int) *emitter {
+		e := &emitter{}
+		for i := 0; i < n; i++ {
 			dep := trace.NoDep
 			if i > 0 && i%4 == 0 {
 				dep = uint64(i - 1)
 			}
-			recs[i] = trace.Record{ID: uint64(i), Dep: dep, Addr: uint64(i) * 64}
+			e.push(trace.Record{Dep: dep, Addr: uint64(i) * 64})
 		}
-		return recs
+		return e
 	}
-	t0, t1 := mk(100_000), mk(100_000)
+	ths := [2]*emitter{mk(100_000), mk(100_000)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := Interleave(t0, t1)
+		out := interleave(ths)
 		if len(out) != 200_000 {
 			b.Fatal("bad interleave")
 		}

@@ -15,11 +15,21 @@ const lineBytes = 64
 // are self-describing and structures never alias.
 func region(i int) uint64 { return uint64(i+1) << 30 }
 
-// emitter builds one thread's record list with thread-local ids. Use
-// Interleave to merge threads into a global trace.
+// blockRecs is the number of records in one emitter block. Storing a
+// thread's records in fixed blocks, instead of one slice grown by
+// append, allocates each record once; the unused tail of the last block
+// is the only slack, and 4096 records (160 KB) keeps that small beside
+// even the shortest scaled-down trace.
+const blockRecs = 1 << 12
+
+// emitter builds one thread's record list with thread-local ids 0..n-1.
+// interleave merges two threads into a global trace.
 type emitter struct {
-	recs []trace.Record
-	rng  *stats.RNG
+	// blocks hold the records in id order, blockRecs to a block; only
+	// the last block may be partly filled.
+	blocks [][]trace.Record
+	n      int
+	rng    *stats.RNG
 	// codeBase/codeLines model the thread's hot loop body for the
 	// occasional instruction fetch record.
 	codeBase  uint64
@@ -45,10 +55,20 @@ func newEmitter(seed uint64, threadIdx int) *emitter {
 // none is the local "no dependency" marker, mirroring trace.NoDep.
 const none = trace.NoDep
 
+// push appends r under the next local id and returns that id.
+func (e *emitter) push(r trace.Record) uint64 {
+	if e.n%blockRecs == 0 {
+		e.blocks = append(e.blocks, make([]trace.Record, 0, blockRecs))
+	}
+	last := len(e.blocks) - 1
+	r.ID = uint64(e.n)
+	e.blocks[last] = append(e.blocks[last], r)
+	e.n++
+	return r.ID
+}
+
 func (e *emitter) emit(kind trace.Kind, addr, dep uint64, reps uint8) uint64 {
-	id := uint64(len(e.recs))
-	e.recs = append(e.recs, trace.Record{
-		ID:   id,
+	id := e.push(trace.Record{
 		Dep:  dep,
 		Addr: addr,
 		PC:   e.codeBase + uint64(e.codePos)*4,
@@ -66,11 +86,8 @@ func (e *emitter) emit(kind trace.Kind, addr, dep uint64, reps uint8) uint64 {
 }
 
 func (e *emitter) emitIfetch() {
-	id := uint64(len(e.recs))
 	addr := e.codeBase + uint64(e.codePos/(lineBytes/4))*lineBytes
-	e.recs = append(e.recs, trace.Record{
-		ID: id, Dep: none, Addr: addr, PC: addr, Kind: trace.Ifetch, Reps: 3,
-	})
+	e.push(trace.Record{Dep: none, Addr: addr, PC: addr, Kind: trace.Ifetch, Reps: 3})
 }
 
 // denseReps is the repeat count for dense sequential access: eight
@@ -139,10 +156,10 @@ func (e *emitter) sweepStore(base, bytes uint64) uint64 {
 
 // last returns the id of the most recent record, or none when empty.
 func (e *emitter) last() uint64 {
-	if len(e.recs) == 0 {
+	if e.n == 0 {
 		return none
 	}
-	return uint64(len(e.recs) - 1)
+	return uint64(e.n - 1)
 }
 
 // dims derives an integer dimension from a base size and the scale

@@ -15,13 +15,12 @@ import "diestack/internal/trace"
 
 // twoThreads runs kernel for thread 0 and 1 and interleaves.
 func twoThreads(seed uint64, kernel func(e *emitter, thread int)) []trace.Record {
-	var ths [2][]trace.Record
-	for t := 0; t < 2; t++ {
-		e := newEmitter(seed, t)
-		kernel(e, t)
-		ths[t] = e.recs
+	var ths [2]*emitter
+	for t := range ths {
+		ths[t] = newEmitter(seed, t)
+		kernel(ths[t], t)
 	}
-	return Interleave(ths[0], ths[1])
+	return interleave(ths)
 }
 
 // chainEvery returns a helper that threads a dependency through every

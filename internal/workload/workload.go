@@ -99,49 +99,45 @@ func FootprintBytes(recs []trace.Record) uint64 {
 	return uint64(Footprint(recs)) * 64
 }
 
-// Interleave merges per-thread record slices (each with thread-local
-// ids and thread-local dependencies) into one global-order trace,
-// alternating between threads record by record, the way the SMP trace
-// generator sees both processors advance together. Dependencies are
-// remapped to the new global ids; the CPU field is overwritten with
-// the thread index.
-func Interleave(threads ...[]trace.Record) []trace.Record {
-	total := 0
-	for _, th := range threads {
-		total += len(th)
-	}
-	out := make([]trace.Record, 0, total)
-	// Thread-local ids are dense (emitters assign them sequentially),
-	// so a slice maps local id -> global id.
-	remap := make([][]uint64, len(threads))
-	pos := make([]int, len(threads))
-	for i := range remap {
-		remap[i] = make([]uint64, len(threads[i]))
-	}
-	next := uint64(0)
-	for len(out) < total {
-		for ti := range threads {
-			if pos[ti] >= len(threads[ti]) {
-				continue
-			}
-			r := threads[ti][pos[ti]]
-			pos[ti]++
-			local := r.ID
-			r.ID = next
-			r.CPU = uint8(ti)
-			if r.Dep != trace.NoDep {
-				if r.Dep >= local {
-					panic(fmt.Sprintf("workload: thread %d record %d depends on non-earlier local id %d",
-						ti, local, r.Dep))
+// interleave merges two threads' records (thread-local ids and
+// dependencies) into one global-order trace, alternating between the
+// threads record by record, the way the SMP trace generator sees both
+// processors advance together: t0[0], t1[0], t0[1], t1[1], …, then the
+// longer thread's tail. Ids and dependencies are renumbered by
+// globalID, so no remap table is needed, and the CPU field is set to
+// the thread index. The output is allocated once, at its exact size.
+func interleave(threads [2]*emitter) []trace.Record {
+	m := uint64(min(threads[0].n, threads[1].n))
+	out := make([]trace.Record, threads[0].n+threads[1].n)
+	for t, e := range threads {
+		local := uint64(0)
+		for _, blk := range e.blocks {
+			for _, r := range blk {
+				if r.Dep != trace.NoDep {
+					if r.Dep >= local {
+						panic(fmt.Sprintf("workload: thread %d record %d depends on non-earlier local id %d",
+							t, local, r.Dep))
+					}
+					r.Dep = globalID(r.Dep, t, m)
 				}
-				r.Dep = remap[ti][r.Dep]
+				r.ID = globalID(local, t, m)
+				r.CPU = uint8(t)
+				out[r.ID] = r
+				local++
 			}
-			remap[ti][local] = next
-			next++
-			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// globalID is the interleaved position of local id l of thread t when
+// the shorter thread holds m records: the first m records of the two
+// threads alternate, and the longer thread's tail follows in order.
+func globalID(l uint64, t int, m uint64) uint64 {
+	if l < m {
+		return 2*l + uint64(t)
+	}
+	return m + l
 }
 
 // Mix summarizes the composition of a trace for reporting and tests.

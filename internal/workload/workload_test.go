@@ -129,16 +129,26 @@ func TestScaleGrowsFootprint(t *testing.T) {
 	}
 }
 
+// thread builds an emitter holding recs under local ids 0, 1, …, the
+// way a kernel leaves one thread for interleave.
+func thread(recs ...trace.Record) *emitter {
+	e := &emitter{}
+	for _, r := range recs {
+		e.push(r)
+	}
+	return e
+}
+
 func TestInterleaveRemapsDeps(t *testing.T) {
-	th0 := []trace.Record{
-		{ID: 0, Dep: trace.NoDep, Addr: 1},
-		{ID: 1, Dep: 0, Addr: 2},
-	}
-	th1 := []trace.Record{
-		{ID: 0, Dep: trace.NoDep, Addr: 3},
-		{ID: 1, Dep: 0, Addr: 4},
-	}
-	out := Interleave(th0, th1)
+	th0 := thread(
+		trace.Record{ID: 0, Dep: trace.NoDep, Addr: 1},
+		trace.Record{ID: 1, Dep: 0, Addr: 2},
+	)
+	th1 := thread(
+		trace.Record{ID: 0, Dep: trace.NoDep, Addr: 3},
+		trace.Record{ID: 1, Dep: 0, Addr: 4},
+	)
+	out := interleave([2]*emitter{th0, th1})
 	if len(out) != 4 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -158,16 +168,21 @@ func TestInterleaveRemapsDeps(t *testing.T) {
 }
 
 func TestInterleaveUnevenLengths(t *testing.T) {
-	th0 := []trace.Record{{ID: 0, Dep: trace.NoDep}}
-	th1 := []trace.Record{
-		{ID: 0, Dep: trace.NoDep}, {ID: 1, Dep: trace.NoDep}, {ID: 2, Dep: 1},
-	}
-	out := Interleave(th0, th1)
+	th0 := thread(trace.Record{ID: 0, Dep: trace.NoDep})
+	th1 := thread(
+		trace.Record{ID: 0, Dep: trace.NoDep}, trace.Record{ID: 1, Dep: trace.NoDep}, trace.Record{ID: 2, Dep: 1},
+	)
+	out := interleave([2]*emitter{th0, th1})
 	if len(out) != 4 {
 		t.Fatalf("len = %d", len(out))
 	}
 	if err := trace.Validate(context.Background(), trace.NewSliceStream(out)); err != nil {
 		t.Fatalf("uneven interleave invalid: %v", err)
+	}
+	// t0r0, t1r0, then thread 1's tail; its dep on local 1 lands on
+	// global 2.
+	if out[3].CPU != 1 || out[3].Dep != 2 {
+		t.Errorf("tail record = %v, want cpu1 dep=2", out[3])
 	}
 }
 
@@ -177,7 +192,7 @@ func TestInterleavePanicsOnForwardDep(t *testing.T) {
 			t.Fatal("forward dep not rejected")
 		}
 	}()
-	Interleave([]trace.Record{{ID: 0, Dep: 5}})
+	interleave([2]*emitter{thread(trace.Record{ID: 0, Dep: 5}), thread()})
 }
 
 func TestRegionsDisjoint(t *testing.T) {

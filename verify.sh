@@ -39,11 +39,13 @@ go test -race ./...
 
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
-# seed corpus (internal/core/testdata/fuzz): stackd request bodies
-# against every catalog experiment, and distributed-campaign specs.
-# A crasher lands in testdata/fuzz; fix it and keep it as a seed.
+# seed corpus (testdata/fuzz of its package): stackd request bodies
+# against every catalog experiment, distributed-campaign specs, and
+# binary trace files. A crasher lands in testdata/fuzz; fix it and keep
+# it as a seed.
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzDecodeWireSpec$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace/
 
 echo "== benchmark module tests =="
 # bench/ is a nested module, so the root go test ./... above does not
