@@ -1,7 +1,6 @@
 // Command stacklint runs the repository's static-analysis suite: the
 // typed invariants in internal/lint (context-first APIs, simulation
-// determinism, allocation-free hot paths, method-only observability
-// access) plus the CFG/dataflow concurrency checks (lock-safety,
+// determinism) plus the CFG/dataflow concurrency checks (lock-safety,
 // goroutine joinability, atomic/plain access mixing, canon
 // wire-surface stability) checked over the module source.
 //
@@ -9,11 +8,11 @@
 //
 //	go run ./cmd/stacklint ./...
 //	go run ./cmd/stacklint -json ./internal/... ./cmd/...
-//	go run ./cmd/stacklint -workers 4 -timing ./...
+//	go run ./cmd/stacklint -list
 //
-// Packages are analyzed in parallel over a bounded worker pool; the
-// output is byte-identical at any -workers value, so CI logs diff
-// cleanly against local runs.
+// Packages are analyzed in parallel over GOMAXPROCS workers; the
+// output is byte-identical at any GOMAXPROCS, so CI logs diff cleanly
+// against local runs.
 //
 // Exit status:
 //
@@ -34,15 +33,20 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array (machine-readable CI logs)")
-	list := flag.Bool("list", false, "list the analyzers, their invariants, and fixture status, then exit")
-	workers := flag.Int("workers", 0, "package-analysis worker bound (0 = GOMAXPROCS); output is identical at any value")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time to stderr")
+	list := flag.Bool("list", false, "list the analyzers and their invariants, then exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: stacklint [-json] [-list] [-workers n] [-timing] [patterns ...]\n\npatterns default to ./... relative to the module root\n\nexit status: 0 clean, 1 findings, 2 load/type-check failure\n\nflags:\n")
+			"usage: stacklint [-json] [-list] [patterns ...]\n\npatterns default to ./... relative to the module root\n\nexit status: 0 clean, 1 findings, 2 load/type-check failure\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+
+	if *list {
+		for _, a := range lint.Analyzers() {
+			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+		}
+		return
+	}
 
 	root, err := moduleRoot()
 	if err != nil {
@@ -50,28 +54,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-16s %-18s %s\n", a.Name, fixtureStatus(root, a.Name), a.Doc)
-		}
-		return
-	}
-
 	prog, err := lint.Load(root, flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stacklint:", err)
 		os.Exit(2)
 	}
-	diags, timings := lint.AnalyzeWith(prog, lint.Analyzers(), lint.AnalyzeOptions{
-		Workers: *workers,
-		Timing:  *timing,
-	})
-
-	if *timing {
-		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(os.Stderr, "stacklint: %-16s %s\n", a.Name, timings[a.Name])
-		}
-	}
+	diags := lint.Analyze(prog, lint.Analyzers())
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -94,17 +82,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// fixtureStatus reports whether the analyzer has a `// want`-checked
-// fixture module under internal/lint/testdata — the self-test that
-// fails if the analyzer goes quiet.
-func fixtureStatus(root, name string) string {
-	dir := filepath.Join(root, "internal", "lint", "testdata", name)
-	if st, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil && !st.IsDir() {
-		return "[fixture: yes]"
-	}
-	return "[fixture: MISSING]"
 }
 
 // moduleRoot walks up from the working directory to the nearest go.mod.

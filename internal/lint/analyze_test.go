@@ -2,23 +2,26 @@ package lint
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // TestAnalyzeDeterministicAcrossWorkers runs the full suite over a
-// multi-package fixture at several worker counts and requires the
-// rendered output to be byte-identical: the parallel schedule must
-// never leak into the diagnostics.
+// multi-package fixture at several GOMAXPROCS values, and so several
+// worker-pool sizes, and requires the rendered output to be
+// byte-identical: the parallel schedule must never leak into the
+// diagnostics.
 func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "wirestable"), "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(workers int) string {
-		diags, _ := AnalyzeWith(prog, Analyzers(), AnalyzeOptions{Workers: workers})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	render := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
 		var sb strings.Builder
-		for _, d := range diags {
+		for _, d := range Analyze(prog, Analyzers()) {
 			sb.WriteString(d.String())
 			sb.WriteString("\n")
 		}
@@ -28,24 +31,9 @@ func TestAnalyzeDeterministicAcrossWorkers(t *testing.T) {
 	if serial == "" {
 		t.Fatal("fixture produced no diagnostics; the determinism check is vacuous")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		if got := render(workers); got != serial {
-			t.Errorf("output at %d workers differs from serial:\n%s\nvs\n%s", workers, got, serial)
-		}
-	}
-}
-
-// TestAnalyzeTimings checks that the timing option reports every
-// analyzer that ran.
-func TestAnalyzeTimings(t *testing.T) {
-	prog, err := Load(filepath.Join("testdata", "locksafe"), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, timings := AnalyzeWith(prog, Analyzers(), AnalyzeOptions{Timing: true})
-	for _, a := range Analyzers() {
-		if _, ok := timings[a.Name]; !ok {
-			t.Errorf("timing missing for %s", a.Name)
+	for _, procs := range []int{2, 4, 8} {
+		if got := render(procs); got != serial {
+			t.Errorf("output at GOMAXPROCS %d differs from GOMAXPROCS 1:\n%s\nvs\n%s", procs, got, serial)
 		}
 	}
 }

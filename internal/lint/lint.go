@@ -1,9 +1,9 @@
 // Package lint is the repo's static-analysis suite: a small,
 // standard-library-only analyzer framework (go/ast + go/parser +
 // go/types) plus the repo-specific analyzers that turn the simulator's
-// conventions — determinism, context-first APIs, allocation-free hot
-// paths, method-only observability access — into machine-checked
-// invariants.
+// conventions — determinism and context-first APIs — into
+// machine-checked invariants. Allocation-free hot paths are pinned by
+// AllocsPerRun tests in their own packages, not here.
 //
 // A statement-level control-flow-graph builder (cfg.go) and a generic
 // forward-dataflow solver (dataflow.go) underpin the concurrency
@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Diagnostic is one finding, positioned in the source tree.
@@ -102,56 +101,21 @@ func Analyzers() []*Analyzer {
 		CtxFirst,
 		Determinism,
 		GoLeak,
-		HotPathAlloc,
 		LockSafe,
-		ObsAccess,
 		WireStable,
 	}
 }
 
-// AnalyzeOptions tunes one Analyze run.
-type AnalyzeOptions struct {
-	// Workers bounds the package-level analysis pool; <= 0 selects
-	// GOMAXPROCS. Output is byte-identical at any worker count.
-	Workers int
-	// Timing, when true, makes AnalyzeWith return per-analyzer wall
-	// time summed across packages.
-	Timing bool
-}
-
 // Analyze applies every analyzer to every package and returns the
 // findings sorted by position, analyzer, then message, so output is
-// stable across runs, machines, and worker counts.
+// stable across runs, machines, and GOMAXPROCS. Analyzers are pure per
+// package, so packages fan out over GOMAXPROCS workers; each package
+// appends into its own slot, and the slots concatenate in package
+// order before the final total-order sort — the parallel schedule
+// cannot leak into the output bytes.
 func Analyze(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := AnalyzeWith(prog, analyzers, AnalyzeOptions{})
-	return diags
-}
-
-// AnalyzeWith is Analyze with an explicit worker bound and optional
-// per-analyzer timing. Analyzers are pure per package, so packages
-// fan out over a bounded pool; each package appends into its own
-// slot, and the slots concatenate in package order before the final
-// total-order sort — the parallel schedule cannot leak into the
-// output bytes.
-func AnalyzeWith(prog *Program, analyzers []*Analyzer, opts AnalyzeOptions) ([]Diagnostic, map[string]time.Duration) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(prog.Packages) {
-		workers = len(prog.Packages)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
+	workers := min(runtime.GOMAXPROCS(0), len(prog.Packages))
 	perPkg := make([][]Diagnostic, len(prog.Packages))
-	var timingMu sync.Mutex
-	var timings map[string]time.Duration
-	if opts.Timing {
-		timings = make(map[string]time.Duration, len(analyzers))
-	}
-
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -161,15 +125,7 @@ func AnalyzeWith(prog *Program, analyzers []*Analyzer, opts AnalyzeOptions) ([]D
 			for i := range jobs {
 				pkg := prog.Packages[i]
 				for _, a := range analyzers {
-					pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &perPkg[i]}
-					start := time.Now()
-					a.Run(pass)
-					if opts.Timing {
-						elapsed := time.Since(start)
-						timingMu.Lock()
-						timings[a.Name] += elapsed
-						timingMu.Unlock()
-					}
+					a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &perPkg[i]})
 				}
 			}
 		}()
@@ -200,5 +156,5 @@ func AnalyzeWith(prog *Program, analyzers []*Analyzer, opts AnalyzeOptions) ([]D
 		}
 		return a.Message < b.Message
 	})
-	return diags, timings
+	return diags
 }

@@ -1,19 +1,39 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestAnalyzerFixtures runs every analyzer against its testdata module
 // and checks the diagnostics against the fixture's // want comments in
-// both directions: nothing unexpected, nothing missing.
+// both directions: nothing unexpected, nothing missing. It also
+// requires the fixture modules and the registered analyzers to be the
+// same set, so an analyzer dropped from Analyzers() fails here rather
+// than going quiet.
 func TestAnalyzerFixtures(t *testing.T) {
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixtures, names []string
+	for _, e := range entries {
+		if e.IsDir() {
+			fixtures = append(fixtures, e.Name())
+		}
+	}
 	for _, a := range Analyzers() {
+		names = append(names, a.Name)
 		t.Run(a.Name, func(t *testing.T) {
 			CheckFixture(t, a, filepath.Join("testdata", a.Name))
 		})
+	}
+	slices.Sort(names)
+	if !slices.Equal(fixtures, names) {
+		t.Errorf("testdata fixtures %v, registered analyzers %v: want the same set", fixtures, names)
 	}
 }
 

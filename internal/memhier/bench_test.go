@@ -53,8 +53,9 @@ func (s *benchStream) Next() (trace.Record, error) {
 // BenchmarkReplaySteadyState measures the per-record cost of a warm
 // replay loop with the simulator built once — the regime a
 // billion-record campaign run spends essentially all its time in. One
-// op is one record; allocs/op must report 0 (the fixed run-state setup
-// amortizes to nothing over b.N records).
+// op is one record; allocs/op reports 0 (the fixed run-state setup
+// amortizes to nothing over b.N records). TestRunAllocsFlatInRecords is
+// the gate that fails if a per-record allocation appears.
 func BenchmarkReplaySteadyState(b *testing.B) {
 	sim, err := New(StackedDRAMConfig(32))
 	if err != nil {

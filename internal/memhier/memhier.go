@@ -365,8 +365,6 @@ func newRunState(cfg Config) *runState {
 }
 
 // hashRecord folds one record into a rolling FNV-1a-style digest.
-//
-//stacklint:hotpath
 func hashRecord(h uint64, rec trace.Record) uint64 {
 	const prime = 1099511628211
 	for _, v := range [...]uint64{rec.ID, rec.Dep, rec.Addr, rec.PC,
@@ -377,8 +375,6 @@ func hashRecord(h uint64, rec trace.Record) uint64 {
 }
 
 // absorb folds one consumed record into the stream digest.
-//
-//stacklint:hotpath
 func (st *runState) absorb(rec trace.Record) { st.hash = hashRecord(st.hash, rec) }
 
 // RunOptions supervises a Run replay. The zero value replays the whole
@@ -418,8 +414,6 @@ type RunOptions struct {
 // checkpointing, and resumption from a prior checkpoint. A resumed run
 // produces a Result bit-identical to an uninterrupted one. The zero
 // RunOptions replays the whole stream unsupervised.
-//
-//stacklint:hotpath
 func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions) (Result, error) {
 	cancelEvery := opt.CancelEvery
 	if cancelEvery <= 0 {
@@ -579,8 +573,6 @@ func addCacheStats(a, b cache.Stats) cache.Stats {
 
 // access services one reference beginning at cycle now and returns the
 // completion cycle.
-//
-//stacklint:hotpath
 func (s *Simulator) access(now int64, cpu int, addr uint64, kind trace.Kind) int64 {
 	l1 := s.l1d[cpu]
 	if kind == trace.Ifetch {
@@ -611,8 +603,6 @@ func (s *Simulator) access(now int64, cpu int, addr uint64, kind trace.Kind) int
 // store: every other core's L1D copy of the line is invalidated, and a
 // dirty copy is flushed into the shared L2 first (off the critical
 // path of the store itself).
-//
-//stacklint:hotpath
 func (s *Simulator) invalidateOthers(cpu int, addr uint64, now int64) {
 	for i, other := range s.l1d {
 		if i == cpu {
@@ -629,8 +619,6 @@ func (s *Simulator) invalidateOthers(cpu int, addr uint64, now int64) {
 
 // l2Access reads (fill request) or writes (L1 writeback) the shared L2
 // at time t, returning the completion cycle.
-//
-//stacklint:hotpath
 func (s *Simulator) l2Access(t int64, addr uint64, write bool) int64 {
 	out := s.l2.Access(addr, write)
 	tagDone := t + s.l2.Config().Latency
@@ -694,8 +682,6 @@ func (s *Simulator) l2Access(t int64, addr uint64, write bool) int64 {
 // exponential backoff; if the line still will not verify after the
 // configured retry budget the access is served from the memory fill and
 // the line stays invalid (counted as Unrecovered).
-//
-//stacklint:hotpath
 func (s *Simulator) recoverUncorrectable(t int64, addr uint64) int64 {
 	s.inj.CountPoisoned()
 	// Drop the poisoned line; a dirty line's data is lost, which the
@@ -730,8 +716,6 @@ func (s *Simulator) recoverUncorrectable(t int64, addr uint64) int64 {
 
 // sectorBytes returns the fill granule for a cache: the sector size
 // when sectored, else the full line.
-//
-//stacklint:hotpath
 func sectorBytes(c cache.Config) uint64 {
 	if c.SectorBytes != 0 {
 		return c.SectorBytes
@@ -740,8 +724,6 @@ func sectorBytes(c cache.Config) uint64 {
 }
 
 // handleL2Eviction writes dirty evicted data back to main memory.
-//
-//stacklint:hotpath
 func (s *Simulator) handleL2Eviction(t int64, out cache.Outcome) {
 	if !out.Evicted || !out.Eviction.Dirty {
 		return
@@ -755,7 +737,6 @@ func (s *Simulator) handleL2Eviction(t int64, out cache.Outcome) {
 	s.memAccess(t, out.Eviction.Addr, true, granule*uint64(n))
 }
 
-//stacklint:hotpath
 func popcount(x uint64) int {
 	n := 0
 	for x != 0 {
@@ -768,8 +749,6 @@ func popcount(x uint64) int {
 // memAccess moves nbytes over the off-die bus and accesses main
 // memory, returning the completion cycle. The bus is a shared FCFS
 // resource with finite bandwidth; transfers queue behind each other.
-//
-//stacklint:hotpath
 func (s *Simulator) memAccess(t int64, addr uint64, write bool, nbytes uint64) int64 {
 	slot := int64(float64(nbytes)/s.cfg.BusBytesPerCycle + 0.5)
 	if slot < 1 {

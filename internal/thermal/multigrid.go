@@ -42,8 +42,8 @@
 //
 // The hierarchy is allocated once per Workspace and reused by every
 // later solve, retry, transient step, and DTM sample; a V-cycle
-// performs zero allocations (TestMultigridVCycleAllocs pins this, and
-// the smoother and transfer kernels are //stacklint:hotpath-checked).
+// performs zero allocations (TestMultigridVCycleAllocs pins this for
+// the cycle and its convergence delta).
 package thermal
 
 import (
@@ -119,8 +119,6 @@ func newLineScratch(nz int) *lineScratch {
 // row it steps every lane once, so the lanes' independent divide
 // chains overlap; each lane performs exactly the operations of a
 // single-column Thomas solve.
-//
-//stacklint:hotpath
 func (sc *lineScratch) thomas(n, lanes int) {
 	diag, sup, rhs, cp, dp := sc.diag, sc.sup, sc.rhs, sc.cp, sc.dp
 	end := lanes * n
@@ -149,8 +147,6 @@ func (sc *lineScratch) thomas(n, lanes int) {
 // down the column. Every row sums its diagonal and right-hand side in
 // one fixed order — vertical, x, y, capacity — which restrictResidual
 // repeats.
-//
-//stacklint:hotpath
 func (lv *mgLevel) assemble(k, y, x int) {
 	nx, nz := lv.nx, lv.nz
 	j := y*nx + x
@@ -201,8 +197,6 @@ func (lv *mgLevel) assemble(k, y, x int) {
 
 // addNeighbor adds one lateral neighbor column's coupling to a z-line
 // system: conductance g to the diagonal, g·t to the right-hand side.
-//
-//stacklint:hotpath
 func addNeighbor(diag, rhs, g, t []float64) {
 	rhs, g, t = rhs[:len(diag)], g[:len(diag)], t[:len(diag)]
 	for z := range diag {
@@ -215,8 +209,6 @@ func addNeighbor(diag, rhs, g, t []float64) {
 // relaxed by omega, and returns the column's largest temperature
 // change. At omega 1 (the default) the column lands exactly on its
 // line-Gauss-Seidel value.
-//
-//stacklint:hotpath
 func (lv *mgLevel) update(k, y, x int, omega float64) float64 {
 	nz := lv.nz
 	b := (y*lv.nx + x) * nz
@@ -240,8 +232,6 @@ func (lv *mgLevel) update(k, y, x int, omega float64) float64 {
 // each row relaxes them mgLanes at a time (fewer at the row's end) with
 // their Thomas solves interleaved; the grouping changes no result.
 // Returns the sweep's largest temperature change.
-//
-//stacklint:hotpath
 func (lv *mgLevel) smoothColor(color int, omega float64) float64 {
 	nx, ny, nz := lv.nx, lv.ny, lv.nz
 	maxDelta := 0.0
@@ -264,8 +254,6 @@ func (lv *mgLevel) smoothColor(color int, omega float64) float64 {
 
 // smoothSweep runs one full red-black smoothing sweep (both colors)
 // and returns the largest temperature change.
-//
-//stacklint:hotpath
 func (lv *mgLevel) smoothSweep(omega float64) float64 {
 	d0 := lv.smoothColor(0, omega)
 	d1 := lv.smoothColor(1, omega)
@@ -405,8 +393,6 @@ func coarsen(f *mgLevel) *mgLevel {
 // The walk is column by column, so each coarse cell still receives its
 // four fine contributions in fine-y-then-x order. The coarse unknown
 // (the error correction) starts at zero.
-//
-//stacklint:hotpath
 func restrictResidual(f, c *mgLevel) {
 	for i := range c.q {
 		c.q[i] = 0
@@ -484,8 +470,6 @@ func restrictResidual(f, c *mgLevel) {
 // the fine unknown, column by column. Cell-centered weights: 3/4
 // toward the parent cell, 1/4 toward the lateral neighbor on each
 // axis, collapsing to the parent at the domain edge.
-//
-//stacklint:hotpath
 func prolongAdd(c, f *mgLevel) {
 	nx, ny, nz := f.nx, f.ny, f.nz
 	for y := 0; y < ny; y++ {
@@ -645,8 +629,6 @@ func (h *mgHier) publish(reg *obs.Registry) {
 }
 
 // maxAbsDiff returns the largest |a[i]-b[i]|.
-//
-//stacklint:hotpath
 func maxAbsDiff(a, b []float64) float64 {
 	md := 0.0
 	for i, v := range a {

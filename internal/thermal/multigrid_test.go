@@ -162,8 +162,11 @@ func TestMultigridFallbackExhausts(t *testing.T) {
 }
 
 // TestMultigridVCycleAllocs pins the steady-state hot path: once the
-// Workspace's hierarchy is warm, a V-cycle must not allocate (the
-// one-time hierarchy build is exempt by design).
+// Workspace's hierarchy is warm, a V-cycle and the convergence delta
+// each steady and transient cycle takes must not allocate (the
+// one-time hierarchy build is exempt by design). The V-cycle reaches
+// every smoother and transfer kernel, so an allocation added to any of
+// them fails here.
 func TestMultigridVCycleAllocs(t *testing.T) {
 	w, err := NewWorkspace(benchStack(32))
 	if err != nil {
@@ -174,10 +177,12 @@ func TestMultigridVCycleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := w.mg
+	var delta float64
 	if allocs := testing.AllocsPerRun(10, func() {
 		h.cycle(1.0, false)
+		delta += maxAbsDiff(w.sv.t, h.tPrev)
 	}); allocs != 0 {
-		t.Fatalf("V-cycle allocates %v objects per run, want 0", allocs)
+		t.Fatalf("V-cycle and delta allocate %v objects per run, want 0", allocs)
 	}
 }
 

