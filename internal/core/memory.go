@@ -18,7 +18,6 @@ import (
 	"diestack/internal/floorplan"
 	"diestack/internal/memhier"
 	"diestack/internal/thermal"
-	"diestack/internal/trace"
 	"diestack/internal/workload"
 )
 
@@ -160,22 +159,10 @@ type MemoryPerf struct {
 // RunMemoryPerf replays one benchmark's trace against one
 // configuration. spec.Seed and spec.Scale size the workload; spec.Obs
 // instruments the replay. The replay checks ctx periodically and
-// aborts with its error on cancellation.
+// aborts with its error on cancellation. It is
+// RunMemoryPerfWithFaults with injection disabled.
 func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark) (MemoryPerf, error) {
-	cfg, err := o.HierarchyConfig()
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	recs := bench.Generate(spec.Seed, spec.Scale)
-	res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
-	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
-	}
-	return memoryPerfFrom(bench.Name, o, res), nil
+	return RunMemoryPerfWithFaults(ctx, spec, o, bench, fault.Config{})
 }
 
 // Figure5Result holds the full sweep: rows[benchmark][option].
@@ -186,32 +173,42 @@ type Figure5Result struct {
 }
 
 // RunFigure5 sweeps every RMS benchmark over every configuration —
-// the paper's Figure 5. Each benchmark's trace is generated once and
-// shared read-only by its four replays, which run on up to
-// min(GOMAXPROCS, 4) goroutines, each with its own simulator; all of
-// them finish before the next trace is generated, so one trace is
-// alive at a time. With GOMAXPROCS 1 the replays run in paper order
-// on the calling goroutine. Results do not depend on the schedule.
-// On failure the error of the first failing option in paper order is
-// returned; cancellation aborts mid-sweep with the context's error.
+// the paper's Figure 5. All four configurations share their L1s, so
+// each benchmark's trace is generated and run through the L1 front end
+// once (memhier.FilterL1); the four L2 back ends then replay that
+// read-only log on up to min(GOMAXPROCS, 4) goroutines, each with its
+// own simulator. Each replay equals a full memhier Run of the trace,
+// bit for bit. All four finish before the next trace is generated, so
+// one trace's log is alive at a time. With GOMAXPROCS 1 the replays run
+// in paper order on the calling goroutine. Results do not depend on the
+// schedule. On failure the error of the first failing option in paper
+// order is returned; cancellation aborts mid-sweep with the context's
+// error.
 func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 	benches := workload.All()
 	opts := MemoryOptions()
+	cfgs := make([]memhier.Config, len(opts))
+	for i, o := range opts {
+		cfg, err := o.HierarchyConfig()
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
 	out := &Figure5Result{Options: opts}
 	for _, b := range benches {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
-		recs := b.Generate(spec.Seed, spec.Scale)
+		lg, err := memhier.FilterL1(ctx, cfgs[0], b.Generate(spec.Seed, spec.Scale))
+		if err != nil {
+			return nil, fmt.Errorf("core: %s on %s: %w", b.Name, opts[0], err)
+		}
 		row := make([]MemoryPerf, len(opts))
-		err := forEachOption(len(opts), func(i int) error {
-			cfg, err := opts[i].HierarchyConfig()
+		err = forEachOption(len(opts), func(i int) error {
+			sim, err := memhier.New(cfgs[i])
 			if err != nil {
 				return err
 			}
-			sim, err := memhier.New(cfg)
-			if err != nil {
-				return err
-			}
-			res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
+			res, err := sim.Replay(ctx, lg, spec.Obs)
 			if err != nil {
 				return fmt.Errorf("core: %s on %s: %w", b.Name, opts[i], err)
 			}

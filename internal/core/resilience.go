@@ -9,7 +9,6 @@ import (
 	"diestack/internal/memhier"
 	"diestack/internal/power"
 	"diestack/internal/thermal"
-	"diestack/internal/trace"
 	"diestack/internal/workload"
 )
 
@@ -110,7 +109,9 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 
 // RunMemoryPerfWithFaults replays one benchmark's trace against one
 // Memory+Logic configuration with fault injection on the stacked DRAM
-// cache. A zero fc reproduces RunMemoryPerf exactly.
+// cache. A zero fc is RunMemoryPerf. The trace runs through the L1
+// front end once (memhier.FilterL1) and the back end replays the log,
+// which equals a full memhier Run bit for bit.
 func RunMemoryPerfWithFaults(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
 	cfg, err := o.HierarchyConfig()
 	if err != nil {
@@ -127,8 +128,11 @@ func RunMemoryPerfWithFaults(ctx context.Context, spec RunSpec, o MemoryOption, 
 	if err != nil {
 		return MemoryPerf{}, err
 	}
-	recs := bench.Generate(spec.Seed, spec.Scale)
-	res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
+	lg, err := memhier.FilterL1(ctx, cfg, bench.Generate(spec.Seed, spec.Scale))
+	if err != nil {
+		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
+	}
+	res, err := sim.Replay(ctx, lg, spec.Obs)
 	if err != nil {
 		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
 	}

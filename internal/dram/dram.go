@@ -375,6 +375,9 @@ func (d *Device) Restore(st State) error {
 		return fmt.Errorf("dram: restore bank count mismatch: have %d, snapshot %d", len(d.banks), len(st.Banks))
 	}
 	for i := range d.banks {
+		if n := len(st.Banks[i].Rows); n > d.cfg.rowBuffers() {
+			return fmt.Errorf("dram: restore bank %d has %d open rows, device holds %d", i, n, d.cfg.rowBuffers())
+		}
 		d.banks[i].rows = append(d.banks[i].rows[:0], st.Banks[i].Rows...)
 		d.banks[i].busyUntil = st.Banks[i].BusyUntil
 	}

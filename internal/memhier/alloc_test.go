@@ -51,11 +51,12 @@ func (s *mixedStream) Next() (trace.Record, error) {
 // TestRunAllocsFlatInRecords is the replay loop's allocation gate: a
 // warm Simulator.Run may allocate its fixed run state, but nothing per
 // record, so its allocation count at 100k records must equal the count
-// at 1k. It covers the planar SRAM L2, the stacked DRAM L2, and a
-// stacked DRAM L2 whose ECC faults are frequent enough to reach
-// recoverUncorrectable; an allocation put into access,
-// invalidateOthers, l2Access, recoverUncorrectable or memAccess makes
-// the counts differ.
+// at 1k. The same holds for Replay of a filtered log. It covers the
+// planar SRAM L2, the stacked DRAM L2, and a stacked DRAM L2 whose ECC
+// faults are frequent enough to reach recoverUncorrectable; an
+// allocation put into either half of the replay step — the front end's
+// L1s and coherence, or the back end's access, l2Access,
+// recoverUncorrectable or memAccess — makes the counts differ.
 func TestRunAllocsFlatInRecords(t *testing.T) {
 	faulty := StackedDRAMConfig(32)
 	faulty.Faults = fault.Config{Seed: 1, CorrectablePerMAccess: 20000, UncorrectablePerMAccess: 20000}
@@ -102,6 +103,30 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 			small, large := allocs(1_000), allocs(100_000)
 			if large != small {
 				t.Errorf("Run allocates %v objects at 100k records but %v at 1k: the replay loop allocates per record", large, small)
+			}
+
+			replayAllocs := func(n int) float64 {
+				recs := make([]trace.Record, n)
+				for i := range recs {
+					recs[i], _ = src.Next()
+				}
+				lg, err := FilterL1(context.Background(), tc.cfg, recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fewest := math.Inf(1)
+				for range 3 {
+					fewest = min(fewest, testing.AllocsPerRun(1, func() {
+						if _, err := sim.Replay(context.Background(), lg, nil); err != nil {
+							t.Fatal(err)
+						}
+					}))
+				}
+				return fewest
+			}
+			small, large = replayAllocs(1_000), replayAllocs(100_000)
+			if large != small {
+				t.Errorf("Replay allocates %v objects at 100k records but %v at 1k: the back end allocates per record", large, small)
 			}
 		})
 	}

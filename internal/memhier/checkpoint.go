@@ -107,14 +107,14 @@ func (s *Simulator) checkpoint(st *runState) *Checkpoint {
 		SumLat:      st.sumLat,
 		BusFree:     s.busFree,
 		OffDieBytes: s.offDieBytes,
-		Invals:      s.invals,
+		Invals:      s.fe.invals,
 		RepHits:     s.repHits,
 		L2:          s.l2.State(),
 		Mem:         s.mem.State(),
 		Latencies:   s.latencies.State(),
 	}
-	for w, id := range st.doneID {
-		if id != ^uint64(0) {
+	for w, id := range s.fe.doneID {
+		if id != emptySlot {
 			cp.Done = append(cp.Done, DepEntry{W: uint64(w), ID: id, At: st.doneAt[w]})
 		}
 	}
@@ -131,8 +131,8 @@ func (s *Simulator) checkpoint(st *runState) *Checkpoint {
 		cp.ROB[i] = append(cp.ROB[i][:0], st.rob[i]...)
 	}
 	for i := 0; i < s.cfg.Cores; i++ {
-		cp.L1I = append(cp.L1I, s.l1i[i].State())
-		cp.L1D = append(cp.L1D, s.l1d[i].State())
+		cp.L1I = append(cp.L1I, s.fe.l1i[i].State())
+		cp.L1D = append(cp.L1D, s.fe.l1d[i].State())
 	}
 	if s.darr != nil {
 		dst := s.darr.State()
@@ -188,16 +188,27 @@ func (s *Simulator) restore(st *runState, cp *Checkpoint, stream trace.Stream) e
 
 	// Loop state.
 	copy(st.slot, cp.Slot)
+	// A window entry lives at its id's slot, one per slot; anything else
+	// would silently drop or misdirect dependencies.
 	for _, e := range cp.Done {
-		if e.W >= depWindow {
-			return fmt.Errorf("%w: dependency-window index %d out of range", ErrCheckpointMismatch, e.W)
+		if e.ID == emptySlot || e.W != e.ID%depWindow {
+			return fmt.Errorf("%w: dependency-window entry for id %d sits in slot %d", ErrCheckpointMismatch, e.ID, e.W)
 		}
-		st.doneID[e.W] = e.ID
+		if s.fe.doneID[e.W] != emptySlot {
+			return fmt.Errorf("%w: two dependency-window entries in slot %d", ErrCheckpointMismatch, e.W)
+		}
+		s.fe.doneID[e.W] = e.ID
 		st.doneAt[e.W] = e.At
 	}
 	for i := 0; i < cores; i++ {
 		if len(cp.MSHR[i]) != len(st.mshr[i]) || len(cp.ROB[i]) != len(st.rob[i]) {
 			return fmt.Errorf("%w: core %d ring sizes differ", ErrCheckpointMismatch, i)
+		}
+		if p := cp.MSHRPos[i]; p < 0 || p >= len(st.mshr[i]) {
+			return fmt.Errorf("%w: core %d MSHR position %d out of range", ErrCheckpointMismatch, i, p)
+		}
+		if p := cp.ROBPos[i]; p < 0 || p >= len(st.rob[i]) {
+			return fmt.Errorf("%w: core %d reorder-window position %d out of range", ErrCheckpointMismatch, i, p)
 		}
 		copy(st.mshr[i], cp.MSHR[i])
 		copy(st.rob[i], cp.ROB[i])
@@ -213,13 +224,13 @@ func (s *Simulator) restore(st *runState, cp *Checkpoint, stream trace.Stream) e
 	// Component state.
 	s.busFree = cp.BusFree
 	s.offDieBytes = cp.OffDieBytes
-	s.invals = cp.Invals
+	s.fe.invals = cp.Invals
 	s.repHits = cp.RepHits
 	for i := 0; i < cores; i++ {
-		if err := s.l1i[i].Restore(cp.L1I[i]); err != nil {
+		if err := s.fe.l1i[i].Restore(cp.L1I[i]); err != nil {
 			return fmt.Errorf("%w: L1I[%d]: %v", ErrCheckpointMismatch, i, err)
 		}
-		if err := s.l1d[i].Restore(cp.L1D[i]); err != nil {
+		if err := s.fe.l1d[i].Restore(cp.L1D[i]); err != nil {
 			return fmt.Errorf("%w: L1D[%d]: %v", ErrCheckpointMismatch, i, err)
 		}
 	}
@@ -308,11 +319,18 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memhier: reading checkpoint: %w", err)
 	}
+	return decodeCheckpoint(path, raw)
+}
+
+// decodeCheckpoint validates the header, length and CRC of the framed
+// checkpoint raw, read from the named file, and decodes its gob
+// payload. Every error matches ErrCorruptCheckpoint.
+func decodeCheckpoint(name string, raw []byte) (*Checkpoint, error) {
 	if len(raw) < len(checkpointMagic)+16 {
-		return nil, fmt.Errorf("%w: file %q is %d bytes, shorter than the header", ErrCorruptCheckpoint, path, len(raw))
+		return nil, fmt.Errorf("%w: file %q is %d bytes, shorter than the header", ErrCorruptCheckpoint, name, len(raw))
 	}
 	if string(raw[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: %q is not a checkpoint file (bad magic)", ErrCorruptCheckpoint, path)
+		return nil, fmt.Errorf("%w: %q is not a checkpoint file (bad magic)", ErrCorruptCheckpoint, name)
 	}
 	hdr := raw[len(checkpointMagic):]
 	version := binary.BigEndian.Uint32(hdr[0:4])

@@ -206,3 +206,110 @@ func TestCheckpointEveryRequiresPath(t *testing.T) {
 		t.Fatal("CheckpointEvery without CheckpointPath should be rejected")
 	}
 }
+
+// TestChainedResumeBitIdentical resumes a run that itself checkpoints,
+// then resumes again from that run's last checkpoint: the third leg's
+// Result must equal an uninterrupted run's. Run folds records into the
+// stream digest only while it writes checkpoints, so the second leg
+// must carry the digest on from the first checkpoint.
+func TestChainedResumeBitIdentical(t *testing.T) {
+	faulty := StackedDRAMConfig(32)
+	faulty.Faults = fault.Config{Seed: 5, CorrectablePerMAccess: 5000, UncorrectablePerMAccess: 500}
+	recs := ckptTrace(6000)
+	for _, cfg := range []Config{BaselineConfig(), faulty} {
+		ctx := context.Background()
+		uninterrupted, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		first, second := filepath.Join(dir, "first.ckpt"), filepath.Join(dir, "second.ckpt")
+		if _, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{
+			Limit: 1500, CheckpointEvery: 1500, CheckpointPath: first,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{
+			Resume: cp, Limit: 4000, CheckpointEvery: 1000, CheckpointPath: second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if cp, err = LoadCheckpoint(second); err != nil {
+			t.Fatal(err)
+		}
+		if cp.Records != 4000 {
+			t.Fatalf("second checkpoint at record %d, want 4000", cp.Records)
+		}
+		resumed, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{Resume: cp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(uninterrupted, resumed) {
+			t.Errorf("%s: twice-resumed result differs:\nuninterrupted: %+v\nresumed:       %+v",
+				cfg.L2Type, uninterrupted, resumed)
+		}
+	}
+}
+
+// TestCheckpointRefusesInconsistentState checks that a well-framed
+// checkpoint whose dependency window is inconsistent — an entry outside
+// its id's slot, two entries in one slot, or an empty-slot id — is
+// refused rather than silently dropping dependencies, and that ring
+// positions outside their rings and more open DRAM rows than a bank
+// holds are refused too.
+func TestCheckpointRefusesInconsistentState(t *testing.T) {
+	cfg := BaselineConfig()
+	recs := ckptTrace(1000)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, err := mustSim(t, cfg).Run(context.Background(), trace.NewSliceStream(recs), RunOptions{
+		Limit: 500, CheckpointEvery: 500, CheckpointPath: path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func(cp *Checkpoint)
+	}{
+		{"slot is not id mod window", func(cp *Checkpoint) { cp.Done[3].W++ }},
+		{"slot beyond window", func(cp *Checkpoint) { cp.Done[3].W += depWindow }},
+		{"two entries in one slot", func(cp *Checkpoint) { cp.Done = append(cp.Done, cp.Done[3]) }},
+		{"aliasing id in a taken slot", func(cp *Checkpoint) {
+			e := cp.Done[3]
+			e.ID += depWindow
+			cp.Done = append(cp.Done, e)
+		}},
+		{"empty-slot id", func(cp *Checkpoint) {
+			cp.Done = append(cp.Done, DepEntry{W: emptySlot % depWindow, ID: emptySlot})
+		}},
+		{"MSHR position", func(cp *Checkpoint) { cp.MSHRPos[1] = len(cp.MSHR[1]) }},
+		{"ROB position", func(cp *Checkpoint) { cp.ROBPos[0] = -1 }},
+		{"open rows beyond the row buffers", func(cp *Checkpoint) {
+			cp.Mem.Banks[0].Rows = append(cp.Mem.Banks[0].Rows, 1, 2, 3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mangle(cp)
+			// Re-frame the mangled snapshot: the file is well formed,
+			// only its content is inconsistent.
+			bad := filepath.Join(t.TempDir(), "bad.ckpt")
+			if err := SaveCheckpoint(bad, cp); err != nil {
+				t.Fatal(err)
+			}
+			if cp, err = LoadCheckpoint(bad); err != nil {
+				t.Fatalf("re-framed checkpoint does not load: %v", err)
+			}
+			_, err = mustSim(t, cfg).Run(context.Background(), trace.NewSliceStream(recs), RunOptions{Resume: cp})
+			if !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("want ErrCheckpointMismatch, got %v", err)
+			}
+		})
+	}
+}

@@ -206,10 +206,22 @@ type Result struct {
 
 // Simulator replays traces against one machine configuration. It is
 // not safe for concurrent use; create one per goroutine.
+//
+// A replay step has two halves. The front end (frontEnd) runs the
+// record through the L1s and resolves its dependency; the back end —
+// the Simulator's own methods over a runState — times the L2, DRAM and
+// bus accesses that the front end's event carries. Run streams each
+// record through both halves; Replay runs only the back end over an
+// L1Log that FilterL1 recorded once for several machines.
 type Simulator struct {
-	cfg  Config
-	l1i  []*cache.Cache
-	l1d  []*cache.Cache
+	cfg Config
+	// fe is the front end Run streams records through; Replay reads
+	// its L1 events from an L1Log instead.
+	fe frontEnd
+	// addrs is the L2-address scratch of Run's current event, sized
+	// for the most one record can carry.
+	addrs []uint64
+
 	l2   *cache.Cache
 	darr *dram.Device // stacked DRAM data array, nil for SRAM L2
 	mem  *dram.Device
@@ -217,7 +229,6 @@ type Simulator struct {
 
 	busFree     int64
 	offDieBytes uint64
-	invals      uint64
 	repHits     uint64
 	latencies   *stats.Histogram
 
@@ -275,11 +286,7 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg}
-	for i := 0; i < cfg.Cores; i++ {
-		s.l1i = append(s.l1i, cache.New(cfg.L1I))
-		s.l1d = append(s.l1d, cache.New(cfg.L1D))
-	}
+	s := &Simulator{cfg: cfg, fe: newFrontEnd(cfg), addrs: make([]uint64, 0, maxEventAddrs(cfg.Cores))}
 	s.l2 = cache.New(cfg.L2)
 	if cfg.L2Type == L2DRAM {
 		s.darr = dram.New(cfg.DRAMArray)
@@ -306,19 +313,25 @@ func New(cfg Config) (*Simulator, error) {
 // Config returns the machine configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// depWindow is the sliding completion-time window size, in records.
-// Dependencies in real traces reach back a bounded distance; a
-// reference older than the window completed long before the dependent
-// record can issue, so a window miss is treated as already complete.
-// This bounds memory for billion-record traces.
+// depWindow is the size, in records, of Run's dependency window: the
+// front end's record-ID table and the back end's completion table,
+// both indexed by id mod depWindow. Dependencies in real traces reach
+// back a bounded distance; a dependency whose id has left the window
+// (or was overwritten by an aliasing id) completed long before the
+// dependent record can issue, so it is treated as already complete.
+// This bounds Run's memory for billion-record traces. FilterL1 resolves
+// dependencies against the same window, so its log is exact, and
+// sizes Replay's completion ring to the longest dependency distance it
+// saw instead.
 const depWindow = 1 << 20
 
-// runState is the replay loop's mutable state, extracted so a run can
+// runState is the back end's mutable loop state, extracted so a run can
 // be checkpointed mid-stream and resumed bit-identically.
 type runState struct {
 	slot []int64 // per-core program-order issue slot
-	// Completion times in a sliding window keyed by record id.
-	doneID []uint64
+	// doneAt holds completion times at the slots the front end
+	// resolves dependencies to: Run's record-ID window, or Replay's
+	// ring indexed by record position.
 	doneAt []int64
 	// Per-core MSHR ring: the completion times of the last M in-flight
 	// misses. A new reference cannot issue until the M-th previous miss
@@ -335,19 +348,18 @@ type runState struct {
 	records, refs uint64
 	wall, sumLat  int64
 	// hash is a rolling FNV-style digest of every record consumed, used
-	// to refuse resuming a checkpoint against a different trace.
+	// to refuse resuming a checkpoint against a different trace. Run
+	// folds records into it only when it writes checkpoints.
 	hash uint64
 }
 
-func newRunState(cfg Config) *runState {
+// newRunState returns a fresh loop state whose completion table has
+// the given number of slots.
+func newRunState(cfg Config, slots int) *runState {
 	st := &runState{
 		slot:   make([]int64, cfg.Cores),
-		doneID: make([]uint64, depWindow),
-		doneAt: make([]int64, depWindow),
+		doneAt: make([]int64, slots),
 		hash:   1469598103934665603, // FNV-1a offset basis
-	}
-	for i := range st.doneID {
-		st.doneID[i] = ^uint64(0)
 	}
 	mshrN := cfg.maxOutstanding()
 	st.mshr = make([][]int64, cfg.Cores)
@@ -422,7 +434,8 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 	s.bindObs(opt.Obs)
 	sp := opt.Obs.StartSpan("memhier/replay")
 	defer sp.End()
-	st := newRunState(s.cfg)
+	st := newRunState(s.cfg, depWindow)
+	s.fe.resetWindow(depWindow)
 	if opt.Resume != nil {
 		if err := s.restore(st, opt.Resume, stream); err != nil {
 			return Result{}, err
@@ -432,7 +445,6 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		return Result{}, errors.New("memhier: CheckpointEvery set without CheckpointPath")
 	}
 
-	l1Lat := s.cfg.L1D.Latency
 	sinceCancel := 0
 	for {
 		if opt.Limit > 0 && st.records >= uint64(opt.Limit) {
@@ -451,64 +463,14 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		if err != nil {
 			return Result{}, fmt.Errorf("memhier: reading trace: %w", err)
 		}
-		if int(rec.CPU) >= s.cfg.Cores {
-			return Result{}, fmt.Errorf("memhier: record %d names cpu %d but machine has %d cores",
-				rec.ID, rec.CPU, s.cfg.Cores)
+		if err := s.fe.check(rec); err != nil {
+			return Result{}, err
 		}
-		st.absorb(rec)
-		cpu := int(rec.CPU)
-
-		issue := st.slot[cpu]
-		if rec.HasDep() {
-			w := rec.Dep % depWindow
-			if st.doneID[w] == rec.Dep && st.doneAt[w] > issue {
-				issue = st.doneAt[w]
-			}
+		if opt.CheckpointEvery > 0 {
+			st.absorb(rec)
 		}
-		if oldest := st.mshr[cpu][st.mshrPos[cpu]]; oldest > issue {
-			issue = oldest
-		}
-		if oldest := st.rob[cpu][st.robPos[cpu]]; oldest > issue {
-			issue = oldest
-		}
-
-		completion := s.access(issue, cpu, rec.Addr, rec.Kind)
-		if completion-issue > l1Lat {
-			// The reference went past the L1: it held a miss slot.
-			st.mshr[cpu][st.mshrPos[cpu]] = completion
-			st.mshrPos[cpu] = (st.mshrPos[cpu] + 1) % len(st.mshr[cpu])
-		}
-
-		s.latencies.Add(float64(completion - issue))
-		s.obs.latency.Observe(float64(completion - issue))
-
-		// Replay the same-line repeats as back-to-back L1 hits: one
-		// issue slot each, completing L1-latency later. The program
-		// slot advances one cycle per reference; dependence stalls do
-		// not drag it forward — younger independent records may issue
-		// at their own slots (out-of-order issue within the window).
-		reps := int64(rec.Reps)
-		st.slot[cpu] += 1 + reps
-		st.refs += uint64(1 + reps)
-		s.obs.records.Inc()
-		s.obs.refs.Add(uint64(1 + reps))
-		st.sumLat += (completion - issue) + reps*l1Lat
-		s.repHits += uint64(reps)
-		repDone := issue + reps + l1Lat
-		if repDone > completion {
-			completion = repDone
-		}
-
-		st.rob[cpu][st.robPos[cpu]] = completion
-		st.robPos[cpu] = (st.robPos[cpu] + 1) % len(st.rob[cpu])
-
-		w := rec.ID % depWindow
-		st.doneID[w] = rec.ID
-		st.doneAt[w] = completion
-		if completion > st.wall {
-			st.wall = completion
-		}
-		st.records++
+		ev, addrs, dep := s.fe.step(rec, s.addrs[:0])
+		s.step(st, ev, addrs, dep, int(rec.ID%depWindow))
 
 		if opt.CheckpointEvery > 0 && st.records%uint64(opt.CheckpointEvery) == 0 {
 			if err := saveCheckpoint(opt.CheckpointPath, s.checkpoint(st), &s.cpBuf); err != nil {
@@ -517,11 +479,81 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		}
 	}
 
-	return s.result(st), nil
+	l1i, l1d := s.fe.stats()
+	return s.result(st, l1i, l1d, s.fe.invals), nil
 }
 
-// result aggregates the final Result from the loop state.
-func (s *Simulator) result(st *runState) Result {
+// step is the back end's half of a replay step. The record issues no
+// earlier than its core's program slot, its dependency's completion
+// (doneAt[dep]; dep < 0 when it has none), its core's M-th previous
+// miss and its reorder window; the L2 accesses its L1 event carries
+// are then timed from that cycle, and its completion is stored in
+// doneAt[own].
+func (s *Simulator) step(st *runState, ev event, addrs []uint64, dep, own int) {
+	cpu := int(ev.cpu)
+	l1Lat := s.cfg.L1D.Latency
+
+	issue := st.slot[cpu]
+	if dep >= 0 && st.doneAt[dep] > issue {
+		issue = st.doneAt[dep]
+	}
+	if oldest := st.mshr[cpu][st.mshrPos[cpu]]; oldest > issue {
+		issue = oldest
+	}
+	if oldest := st.rob[cpu][st.robPos[cpu]]; oldest > issue {
+		issue = oldest
+	}
+
+	completion := s.access(issue, ev, addrs)
+	if completion-issue > l1Lat {
+		// The reference went past the L1: it held a miss slot.
+		st.mshr[cpu][st.mshrPos[cpu]] = completion
+		st.mshrPos[cpu] = ringNext(st.mshrPos[cpu], len(st.mshr[cpu]))
+	}
+
+	s.latencies.Add(float64(completion - issue))
+	s.obs.latency.Observe(float64(completion - issue))
+
+	// Replay the same-line repeats as back-to-back L1 hits: one
+	// issue slot each, completing L1-latency later. The program
+	// slot advances one cycle per reference; dependence stalls do
+	// not drag it forward — younger independent records may issue
+	// at their own slots (out-of-order issue within the window).
+	reps := int64(ev.reps)
+	st.slot[cpu] += 1 + reps
+	st.refs += uint64(1 + reps)
+	s.obs.records.Inc()
+	s.obs.refs.Add(uint64(1 + reps))
+	st.sumLat += (completion - issue) + reps*l1Lat
+	s.repHits += uint64(reps)
+	repDone := issue + reps + l1Lat
+	if repDone > completion {
+		completion = repDone
+	}
+
+	st.rob[cpu][st.robPos[cpu]] = completion
+	st.robPos[cpu] = ringNext(st.robPos[cpu], len(st.rob[cpu]))
+
+	st.doneAt[own] = completion
+	if completion > st.wall {
+		st.wall = completion
+	}
+	st.records++
+}
+
+// ringNext advances a position in a ring of n slots. It is (p+1) % n
+// without the integer division, which the per-record step cannot
+// afford twice.
+func ringNext(p, n int) int {
+	if p++; p == n {
+		return 0
+	}
+	return p
+}
+
+// result aggregates the final Result from the loop state and the
+// front end's L1 totals.
+func (s *Simulator) result(st *runState, l1i, l1d cache.Stats, invals uint64) Result {
 	if st.refs == 0 {
 		return Result{}
 	}
@@ -535,14 +567,12 @@ func (s *Simulator) result(st *runState) Result {
 		LatencyP95:    s.latencies.Quantile(0.95),
 		LatencyP99:    s.latencies.Quantile(0.99),
 		OffDieBytes:   s.offDieBytes,
+		L1I:           l1i,
+		L1D:           l1d,
 		L2:            s.l2.Stats(),
 		Memory:        s.mem.Stats(),
-		Invalidations: s.invals,
+		Invalidations: invals,
 		RepHits:       s.repHits,
-	}
-	for i := 0; i < s.cfg.Cores; i++ {
-		res.L1I = addCacheStats(res.L1I, s.l1i[i].Stats())
-		res.L1D = addCacheStats(res.L1D, s.l1d[i].Stats())
 	}
 	if s.darr != nil {
 		res.DRAMCache = s.darr.Stats()
@@ -571,50 +601,31 @@ func addCacheStats(a, b cache.Stats) cache.Stats {
 	}
 }
 
-// access services one reference beginning at cycle now and returns the
-// completion cycle.
-func (s *Simulator) access(now int64, cpu int, addr uint64, kind trace.Kind) int64 {
-	l1 := s.l1d[cpu]
-	if kind == trace.Ifetch {
-		l1 = s.l1i[cpu]
+// access times the L2 accesses of one reference's L1 event, beginning
+// at cycle now, and returns the reference's completion cycle. A store's
+// dirty flushes from the other cores' L1Ds enter the L2 at now, off the
+// critical path of the store itself. A hit completes at L1 latency; a
+// miss first writes a displaced dirty line back into the L2 (also off
+// the critical path) and then fills from the L2.
+func (s *Simulator) access(now int64, ev event, addrs []uint64) int64 {
+	for _, a := range addrs[:ev.flushes] {
+		s.l2Access(now, a, true)
 	}
-	write := kind == trace.Store
-
-	if write {
-		s.invalidateOthers(cpu, addr, now)
+	t := now + s.cfg.L1D.Latency
+	if ev.flags&evIfetch != 0 {
+		t = now + s.cfg.L1I.Latency
 	}
-
-	out := l1.Access(addr, write)
-	t := now + l1.Config().Latency
-	if out.Hit {
+	if ev.flags&evHit != 0 {
 		s.obs.l1Hits.Inc()
 		return t
 	}
 	s.obs.l1Misses.Inc()
-	// A displaced dirty L1 line is written back into the shared L2
-	// off the critical path.
-	if out.Evicted && out.Eviction.Dirty {
-		s.l2Access(t, out.Eviction.Addr, true)
+	addrs = addrs[ev.flushes:]
+	if ev.flags&evWriteback != 0 {
+		s.l2Access(t, addrs[0], true)
+		addrs = addrs[1:]
 	}
-	return s.l2Access(t, addr, false)
-}
-
-// invalidateOthers performs the cross-core coherence action for a
-// store: every other core's L1D copy of the line is invalidated, and a
-// dirty copy is flushed into the shared L2 first (off the critical
-// path of the store itself).
-func (s *Simulator) invalidateOthers(cpu int, addr uint64, now int64) {
-	for i, other := range s.l1d {
-		if i == cpu {
-			continue
-		}
-		if ev, ok := other.Invalidate(addr); ok {
-			s.invals++
-			if ev.Dirty {
-				s.l2Access(now, ev.Addr, true)
-			}
-		}
-	}
+	return s.l2Access(t, addrs[0], false)
 }
 
 // l2Access reads (fill request) or writes (L1 writeback) the shared L2

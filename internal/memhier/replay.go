@@ -1,0 +1,284 @@
+package memhier
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"diestack/internal/cache"
+	"diestack/internal/obs"
+	"diestack/internal/trace"
+)
+
+// frontEnd is the timing-free half of a replay step: the per-core L1s,
+// the cross-core coherence invalidations, and dependency resolution
+// against the record-ID window. Nothing it computes depends on the L2,
+// the DRAM devices or timing — only on the order of the records — so
+// one front-end pass over a trace serves every machine that shares its
+// L1s.
+type frontEnd struct {
+	l1i, l1d []*cache.Cache
+	// invals counts cross-core L1 coherence invalidations.
+	invals uint64
+	// doneID holds, per window slot, the id of the last record stored
+	// there, or emptySlot. Its length is a power of two and a record's
+	// slot is its id modulo that length.
+	doneID []uint64
+}
+
+// emptySlot marks a dependency-window slot no record has filled.
+const emptySlot = ^uint64(0)
+
+func newFrontEnd(cfg Config) frontEnd {
+	var f frontEnd
+	for i := 0; i < cfg.Cores; i++ {
+		f.l1i = append(f.l1i, cache.New(cfg.L1I))
+		f.l1d = append(f.l1d, cache.New(cfg.L1D))
+	}
+	return f
+}
+
+// resetWindow installs an empty dependency window of the given
+// power-of-two size.
+func (f *frontEnd) resetWindow(size int) {
+	f.doneID = make([]uint64, size)
+	for i := range f.doneID {
+		f.doneID[i] = emptySlot
+	}
+}
+
+// check refuses a record naming a core the machine does not have.
+func (f *frontEnd) check(rec trace.Record) error {
+	if int(rec.CPU) >= len(f.l1d) {
+		return fmt.Errorf("memhier: record %d names cpu %d but machine has %d cores",
+			rec.ID, rec.CPU, len(f.l1d))
+	}
+	return nil
+}
+
+// event is one record's L1 outcome: everything the back end needs to
+// time it. The L2 addresses it carries travel beside it in access
+// order — first its dirty flushes from other cores' L1Ds, then the
+// dirty line its own L1 displaced, then, on a miss, the demand fill.
+type event struct {
+	cpu, reps uint8
+	flags     uint8
+	// flushes is the number of dirty flushes; a store flushes at most
+	// one copy per other core, and Config caps cores at 255.
+	flushes uint8
+	// dep is, in an L1Log, how many records back the record's
+	// dependency is (0: none, or no longer in the ID window). Run
+	// passes the dependency's window slot alongside instead.
+	dep uint32
+}
+
+// event flags.
+const (
+	evHit       uint8 = 1 << iota // the reference hit its L1
+	evIfetch                      // the reference went to the L1I
+	evWriteback                   // the miss displaced a dirty L1 line
+)
+
+// addrCount returns how many L2 addresses the event carries.
+func (e event) addrCount() int {
+	n := int(e.flushes)
+	if e.flags&evWriteback != 0 {
+		n++
+	}
+	if e.flags&evHit == 0 {
+		n++
+	}
+	return n
+}
+
+// maxEventAddrs is the most L2 addresses one event can carry on a
+// machine with the given core count: a flush from every other core, a
+// writeback and a fill.
+func maxEventAddrs(cores int) int { return cores + 1 }
+
+// step runs one checked record through the L1s, appending its event's
+// L2 addresses to addrs. dep is the window slot holding the record's
+// dependency, or -1 when it has none or the dependency's id is no
+// longer in the window.
+func (f *frontEnd) step(rec trace.Record, addrs []uint64) (ev event, _ []uint64, dep int) {
+	mask := uint64(len(f.doneID) - 1)
+	dep = -1
+	if rec.HasDep() {
+		if w := rec.Dep & mask; f.doneID[w] == rec.Dep {
+			dep = int(w)
+		}
+	}
+	f.doneID[rec.ID&mask] = rec.ID
+
+	cpu := int(rec.CPU)
+	ev = event{cpu: rec.CPU, reps: rec.Reps}
+	l1 := f.l1d[cpu]
+	if rec.Kind == trace.Ifetch {
+		l1 = f.l1i[cpu]
+		ev.flags |= evIfetch
+	}
+	write := rec.Kind == trace.Store
+	if write {
+		// Coherence: every other core's L1D copy of the line is
+		// invalidated, and a dirty copy is flushed into the L2.
+		for i, other := range f.l1d {
+			if i == cpu {
+				continue
+			}
+			if e, ok := other.Invalidate(rec.Addr); ok {
+				f.invals++
+				if e.Dirty {
+					addrs = append(addrs, e.Addr)
+					ev.flushes++
+				}
+			}
+		}
+	}
+	out := l1.Access(rec.Addr, write)
+	if out.Hit {
+		ev.flags |= evHit
+		return ev, addrs, dep
+	}
+	if out.Evicted && out.Eviction.Dirty {
+		addrs = append(addrs, out.Eviction.Addr)
+		ev.flags |= evWriteback
+	}
+	return ev, append(addrs, rec.Addr), dep
+}
+
+// stats totals the L1 statistics over all cores.
+func (f *frontEnd) stats() (l1i, l1d cache.Stats) {
+	for i := range f.l1d {
+		l1i = addCacheStats(l1i, f.l1i[i].Stats())
+		l1d = addCacheStats(l1d, f.l1d[i].Stats())
+	}
+	return l1i, l1d
+}
+
+// addrChunk is the capacity, in addresses, of one L1Log address chunk.
+const addrChunk = 1 << 16
+
+// L1Log is the front end's record of one in-memory trace: an L1 event
+// per record and the L2 addresses those events carry. Every machine
+// with the same core count and L1 geometry sees exactly these events,
+// so a log filtered once can be replayed against any number of L2
+// back ends. It is read-only once built and safe to Replay from
+// several goroutines at once.
+type L1Log struct {
+	cores    int
+	l1i, l1d cache.Config
+
+	events []event
+	// addrs holds the events' L2 addresses in order, in chunks of
+	// addrChunk capacity that no event's addresses straddle, so the
+	// log never copies itself to grow.
+	addrs [][]uint64
+	// ring is the size of the back end's completion ring: the smallest
+	// power of two above the longest dependency distance in events.
+	ring int
+
+	l1iStats, l1dStats cache.Stats
+	invals             uint64
+}
+
+// FilterL1 runs the front end of cfg once over recs and records each
+// record's L1 event. Dependencies resolve against the same record-ID
+// window Run uses, so replaying the log gives the Result Run gives on
+// the same records, bit for bit. The window shrinks to the smallest
+// power of two above the largest record id when that is smaller:
+// every id then keeps its own slot, so no lookup changes.
+func FilterL1(ctx context.Context, cfg Config, recs []trace.Record) (*L1Log, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if uint64(len(recs)) > math.MaxUint32 {
+		return nil, fmt.Errorf("memhier: %d records is more than an L1 log holds", len(recs))
+	}
+	var maxID uint64
+	for _, rec := range recs {
+		maxID = max(maxID, rec.ID)
+	}
+	window := depWindow
+	if maxID < depWindow {
+		window = 1 << bits.Len64(maxID)
+	}
+	fe := newFrontEnd(cfg)
+	fe.resetWindow(window)
+	// pos holds the position of the record in each window slot.
+	pos := make([]uint32, window)
+	mask := uint64(window - 1)
+
+	lg := &L1Log{
+		cores: cfg.Cores, l1i: cfg.L1I, l1d: cfg.L1D,
+		events: make([]event, len(recs)),
+	}
+	chunk := make([]uint64, 0, max(addrChunk, maxEventAddrs(cfg.Cores)))
+	longest := 0
+	for i, rec := range recs {
+		if i%4096 == 4095 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("memhier: L1 filter canceled after %d records: %w", i, err)
+			}
+		}
+		if err := fe.check(rec); err != nil {
+			return nil, err
+		}
+		if len(chunk)+maxEventAddrs(cfg.Cores) > cap(chunk) {
+			lg.addrs = append(lg.addrs, chunk)
+			chunk = make([]uint64, 0, cap(chunk))
+		}
+		ev, addrs, dep := fe.step(rec, chunk)
+		chunk = addrs
+		if dep >= 0 {
+			d := i - int(pos[dep])
+			ev.dep = uint32(d)
+			longest = max(longest, d)
+		}
+		pos[rec.ID&mask] = uint32(i)
+		lg.events[i] = ev
+	}
+	lg.addrs = append(lg.addrs, chunk)
+	lg.ring = 1 << bits.Len(uint(longest))
+	lg.l1iStats, lg.l1dStats = fe.stats()
+	lg.invals = fe.invals
+	return lg, nil
+}
+
+// Replay runs the simulator's back end over a filtered log: the L2,
+// DRAM and bus timing of every record, with its L1 outcome taken from
+// the log. The Result equals Run's on the records the log was filtered
+// from. The log must come from a machine with this one's core count
+// and L1 geometry. reg instruments the replay as RunOptions.Obs does
+// for Run. The replay checks ctx every 4096 records.
+func (s *Simulator) Replay(ctx context.Context, lg *L1Log, reg *obs.Registry) (Result, error) {
+	if lg.cores != s.cfg.Cores || lg.l1i != s.cfg.L1I || lg.l1d != s.cfg.L1D {
+		return Result{}, fmt.Errorf("memhier: L1 log was filtered for %d cores with L1I %+v and L1D %+v; machine has %d cores with L1I %+v and L1D %+v",
+			lg.cores, lg.l1i, lg.l1d, s.cfg.Cores, s.cfg.L1I, s.cfg.L1D)
+	}
+	s.bindObs(reg)
+	sp := reg.StartSpan("memhier/replay")
+	defer sp.End()
+	st := newRunState(s.cfg, lg.ring)
+	mask := lg.ring - 1
+	chunks, chunk, next := lg.addrs[1:], lg.addrs[0], 0
+	for i, ev := range lg.events {
+		if i%4096 == 4095 {
+			if err := ctx.Err(); err != nil {
+				return Result{}, fmt.Errorf("memhier: replay canceled after %d records: %w", i, err)
+			}
+		}
+		dep := -1
+		if ev.dep != 0 {
+			dep = (i - int(ev.dep)) & mask
+		}
+		n := ev.addrCount()
+		if next+n > len(chunk) {
+			// The filter started a new chunk before this event.
+			chunk, chunks, next = chunks[0], chunks[1:], 0
+		}
+		s.step(st, ev, chunk[next:next+n], dep, i&mask)
+		next += n
+	}
+	return s.result(st, lg.l1iStats, lg.l1dStats, lg.invals), nil
+}

@@ -1,0 +1,307 @@
+package memhier
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"testing"
+
+	"diestack/internal/fault"
+	"diestack/internal/obs"
+	"diestack/internal/trace"
+)
+
+// figure5Configs returns the four Figure 5 machines — planar 4 MB,
+// stacked 12 MB SRAM, stacked 32 and 64 MB DRAM — resized to the given
+// core count, with fault injection fc.
+func figure5Configs(t *testing.T, cores int, fc fault.Config) []Config {
+	t.Helper()
+	var cfgs []Config
+	for _, mb := range []int{4, 12, 32, 64} {
+		cfg, ok := ConfigByCapacity(mb)
+		if !ok {
+			t.Fatalf("no %d MB config", mb)
+		}
+		cfg.Cores = cores
+		cfg.Faults = fc
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs
+}
+
+// replayFaults injects frequent correctable and uncorrectable ECC
+// events, two dead banks and degraded vias on the stacked DRAM caches.
+var replayFaults = fault.Config{
+	Seed: 11, CorrectablePerMAccess: 30000, UncorrectablePerMAccess: 5000,
+	DeadBanks: []int{1, 6}, TSVFailFrac: 0.25,
+}
+
+// adversarialTrace builds n records on four cores that stress the
+// front end's dependency resolution and coherence:
+//   - ids are sparse (7 + 3i), every 11th record reuses an id from
+//     three records back, and every 13th takes an id that aliases an
+//     earlier one mod the window, evicting it;
+//   - dependencies point at the previous record, at ids that never
+//     occur, at ids that alias a live id mod the window, and at ids
+//     that an aliasing id has evicted;
+//   - half the data references go to 16 lines all four cores share, so
+//     one store invalidates copies in several L1Ds, dirty ones among
+//     them; a quarter go to one L2 set so the L2 evicts dirty lines.
+func adversarialTrace(n int) []trace.Record {
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		u := uint64(i)
+		h := u * 2654435761
+		r := trace.Record{
+			ID:   7 + 3*u,
+			Dep:  trace.NoDep,
+			PC:   0x400000 + u%97*4,
+			CPU:  uint8(h >> 9 % 4),
+			Kind: trace.Kind(h >> 5 % 3),
+			Reps: uint8(h >> 13 % 4),
+		}
+		switch {
+		case i >= 3 && i%11 == 0:
+			r.ID = recs[i-3].ID
+		case i >= 2 && i%13 == 0:
+			r.ID = recs[i-2].ID + 5*depWindow
+		}
+		switch {
+		case r.Kind == trace.Ifetch:
+			r.Addr = 1<<40 + h>>20%1024*64
+		case i%4 < 2:
+			r.Addr = h >> 17 % 16 * 64
+		case i%4 == 2:
+			r.Addr = h >> 15 % 4096 << 26
+		default:
+			r.Addr = h % (8 << 20) &^ 63
+		}
+		switch {
+		case i >= 1 && i%7 == 1:
+			r.Dep = recs[i-1].ID
+		case i%7 == 2:
+			r.Dep = 2 // no record has this id
+		case i >= 4 && i%7 == 4:
+			r.Dep = recs[i-4].ID + depWindow
+		case i >= 2 && i%7 == 6:
+			r.Dep = recs[i-2].ID
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// farDepTrace builds a trace whose last records depend on record 0,
+// more than depWindow records back: every id in between is odd, so
+// none evicts id 0 from its window slot. One dependency aliases id 0
+// mod the window and must not resolve to it. The records in between
+// hit in their core's L1D, which keeps the million-record replays
+// cheap.
+func farDepTrace() []trace.Record {
+	n := depWindow + 300
+	recs := make([]trace.Record, n)
+	recs[0] = trace.Record{ID: 0, Dep: trace.NoDep, Addr: 1 << 30, Kind: trace.Store}
+	for i := 1; i < n; i++ {
+		u := uint64(i)
+		recs[i] = trace.Record{
+			ID: 2*u + 1, Dep: trace.NoDep,
+			Addr: u%2<<20 | u/2%256*64, CPU: uint8(u % 2), Kind: trace.Kind(u % 2),
+		}
+		if i%5 == 0 {
+			recs[i].Dep = recs[i-1].ID
+		}
+	}
+	recs[n-200].Dep = depWindow
+	recs[n-1].Dep = 0
+	recs[n-2].Dep = 0
+	return recs
+}
+
+// TestFilterReplayMatchesRun checks that filtering a trace once and
+// replaying the log gives every Figure 5 machine the Result a full Run
+// gives it, with and without faults.
+func TestFilterReplayMatchesRun(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		cores int
+		recs  []trace.Record
+	}{
+		{"adversarial", 4, adversarialTrace(30_000)},
+		{"far-deps", 2, farDepTrace()},
+		{"checkpoint-trace", 2, ckptTrace(5000)},
+	} {
+		for _, fc := range []fault.Config{{}, replayFaults} {
+			name := tc.name
+			if fc.Enabled() {
+				name += "/faults"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfgs := figure5Configs(t, tc.cores, fc)
+				lg, err := FilterL1(ctx, cfgs[0], tc.recs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.name == "far-deps" && lg.ring <= depWindow {
+					t.Fatalf("completion ring has %d slots; the trace's dependencies reach back more than %d records", lg.ring, depWindow)
+				}
+				for _, cfg := range cfgs {
+					want, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(tc.recs), RunOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := mustSim(t, cfg).Replay(ctx, lg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d MB: replay differs from Run:\nreplay: %+v\nrun:    %+v", cfg.L2.SizeBytes>>20, got, want)
+					}
+					if tc.name == "adversarial" && fc.Enabled() && cfg.L2Type == L2DRAM &&
+						(want.Faults.LinesPoisoned == 0 || want.DRAMCache.Remapped == 0) {
+						t.Errorf("%d MB: trace reaches no poisoned line or dead bank: %+v", cfg.L2.SizeBytes>>20, want.Faults)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFilterResolvesLikeRun checks every dependency the filter stores
+// against a direct model of Run's window: a map from slot (id mod
+// depWindow) to the last record stored there. The filter's window may
+// be smaller than depWindow; the distances must not change. The
+// dense-ids trace has ids below 2^15, so its window shrinks, and
+// dependencies reaching back more than half of it.
+func TestFilterResolvesLikeRun(t *testing.T) {
+	dense := ckptTrace(20_000)
+	for i := 17_000; i < len(dense); i += 3 {
+		dense[i].Dep = uint64(i - 17_000)
+	}
+	for name, recs := range map[string][]trace.Record{
+		"adversarial": adversarialTrace(30_000),
+		"far-deps":    farDepTrace(),
+		"dense-ids":   dense,
+	} {
+		lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type entry struct {
+			id  uint64
+			pos int
+		}
+		window := map[uint64]entry{}
+		longest := 0
+		for i, r := range recs {
+			want := 0
+			if e, ok := window[r.Dep%depWindow]; r.HasDep() && ok && e.id == r.Dep {
+				want = i - e.pos
+			}
+			window[r.ID%depWindow] = entry{r.ID, i}
+			if got := int(lg.events[i].dep); got != want {
+				t.Fatalf("%s: record %d resolves its dependency %d records back, want %d", name, i, got, want)
+			}
+			longest = max(longest, want)
+		}
+		if lg.ring <= longest || lg.ring&(lg.ring-1) != 0 {
+			t.Errorf("%s: completion ring of %d slots for dependencies up to %d back", name, lg.ring, longest)
+		}
+	}
+}
+
+// TestAdversarialTraceReachesEdges keeps adversarialTrace honest: its
+// stores must invalidate and flush other cores' copies, and its
+// dependencies must both resolve and miss.
+func TestAdversarialTraceReachesEdges(t *testing.T) {
+	recs := adversarialTrace(30_000)
+	lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flushes, deps int
+	for _, ev := range lg.events {
+		flushes += int(ev.flushes)
+		if ev.dep != 0 {
+			deps++
+		}
+	}
+	withDep := 0
+	for _, r := range recs {
+		if r.HasDep() {
+			withDep++
+		}
+	}
+	if lg.invals < 1000 || flushes < 100 {
+		t.Errorf("%d invalidations, %d dirty flushes: want at least 1000 and 100", lg.invals, flushes)
+	}
+	if deps < 1000 || withDep-deps < 1000 {
+		t.Errorf("%d of %d dependencies resolve: want at least 1000 of each kind", deps, withDep)
+	}
+}
+
+// TestReplaySharedRegistry checks that four replays of one log into a
+// shared registry total the same replay counters as four Runs.
+func TestReplaySharedRegistry(t *testing.T) {
+	ctx := context.Background()
+	recs := adversarialTrace(10_000)
+	cfgs := figure5Configs(t, 4, replayFaults)
+	lg, err := FilterL1(ctx, cfgs[0], recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, replays := obs.NewRegistry(), obs.NewRegistry()
+	for _, cfg := range cfgs {
+		if _, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{Obs: runs}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mustSim(t, cfg).Replay(ctx, lg, replays); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := runs.Snapshot(false), replays.Snapshot(false)
+	if want.Counters["memhier_l1_hits"] == 0 || want.Counters["memhier_l2_misses"] == 0 {
+		t.Fatalf("runs counted nothing: %v", want.Counters)
+	}
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("counters differ:\nreplays: %v\nruns:    %v", got.Counters, want.Counters)
+	}
+	if !reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Error("histograms differ between replays and runs")
+	}
+}
+
+// TestReplayRefusesOtherL1s checks that a log replays only on machines
+// with the core count and L1s it was filtered for.
+func TestReplayRefusesOtherL1s(t *testing.T) {
+	ctx := context.Background()
+	lg, err := FilterL1(ctx, BaselineConfig(), ckptTrace(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moreCores := StackedDRAMConfig(32)
+	moreCores.Cores = 4
+	biggerL1I := StackedDRAMConfig(32)
+	biggerL1I.L1I.SizeBytes *= 2
+	slowerL1D := StackedDRAMConfig(32)
+	slowerL1D.L1D.Latency++
+	for name, cfg := range map[string]Config{"cores": moreCores, "L1I": biggerL1I, "L1D": slowerL1D} {
+		if _, err := mustSim(t, cfg).Replay(ctx, lg, nil); err == nil || !strings.Contains(err.Error(), "L1 log") {
+			t.Errorf("%s: replay on another machine returned %v, want an L1 log error", name, err)
+		}
+	}
+	if _, err := mustSim(t, StackedDRAMConfig(64)).Replay(ctx, lg, nil); err != nil {
+		t.Errorf("replay on a machine with the same L1s: %v", err)
+	}
+}
+
+// TestFilterRejectsBadCPU checks that the filter refuses a record
+// naming a missing core with Run's error.
+func TestFilterRejectsBadCPU(t *testing.T) {
+	recs := []trace.Record{{ID: 0, Dep: trace.NoDep, CPU: 7, Kind: trace.Load}}
+	_, runErr := mustSim(t, BaselineConfig()).Run(context.Background(), trace.NewSliceStream(recs), RunOptions{})
+	_, err := FilterL1(context.Background(), BaselineConfig(), recs)
+	if err == nil || runErr == nil || err.Error() != runErr.Error() {
+		t.Fatalf("filter error %v, Run error %v: want the same error", err, runErr)
+	}
+}

@@ -30,12 +30,16 @@ go test -race ./...
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
 # seed corpus (testdata/fuzz of its package): stackd request bodies
-# against every catalog experiment, distributed-campaign specs, and
-# binary trace files. A crasher lands in testdata/fuzz; fix it and keep
-# it as a seed.
+# against every catalog experiment, distributed-campaign specs, binary
+# trace files, and replay checkpoints resumed from their gob payload. A
+# crasher lands in testdata/fuzz; fix it and keep it as a seed.
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzDecodeWireSpec$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace/
+# A checkpoint that decodes is resumed, and every resume clears Run's
+# 16 MB dependency window (~10 ms); uncapped, minimizing the first new
+# input would take the whole 10 s.
+go test -run '^$' -fuzz '^FuzzResumeCheckpoint$' -fuzztime 10s -fuzzminimizetime 200x ./internal/memhier/
 
 echo "== benchmark module tests =="
 # bench/ is a nested module, so the root go test ./... above does not
