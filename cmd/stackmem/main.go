@@ -176,10 +176,14 @@ func main() {
 	}
 
 	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid, Obs: cli.Obs()}
+	var sweep core.CampaignParams
+	if *bench != "" {
+		sweep.Benchmarks = []string{*bench}
+	}
 
 	switch {
 	case *campaign && *serveAddr != "":
-		if err := runCampaignServe(ctx, spec, *bench, *serveAddr, *leaseTTL, *leaseBdgt, *drainTO, *manifest, injector); err != nil {
+		if err := runCampaignServe(ctx, spec, sweep, *serveAddr, *leaseTTL, *leaseBdgt, *drainTO, *manifest, injector); err != nil {
 			fatal(err)
 		}
 	case *campaign && *workerAddr != "":
@@ -187,7 +191,7 @@ func main() {
 			fatal(err)
 		}
 	case *campaign:
-		if err := runCampaign(ctx, spec, *bench, *jobs, *retries, *timeout, *manifest); err != nil {
+		if err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest); err != nil {
 			fatal(err)
 		}
 	case *ckptPath != "":
@@ -228,12 +232,8 @@ func main() {
 // runCampaign executes the paper sweep as a supervised campaign and
 // writes the manifest. Failed jobs do not abort the sweep; they are
 // recorded with their cause and the process exits non-zero.
-func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
+func runCampaign(ctx context.Context, spec core.RunSpec, sweep core.CampaignParams,
 	jobs, retries int, timeout time.Duration, manifestPath string) error {
-	spec := core.CampaignSpec{RunSpec: rs}
-	if bench != "" {
-		spec.Benchmarks = []string{bench}
-	}
 	cfg := harness.Config{
 		Workers: jobs,
 		Timeout: timeout,
@@ -243,7 +243,7 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 		},
 	}
-	m, err := core.RunCampaign(ctx, spec, cfg)
+	m, err := core.RunCampaign(ctx, spec, sweep, cfg)
 	if err != nil {
 		return err
 	}
@@ -258,19 +258,16 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 }
 
 // runCampaignServe coordinates a distributed campaign: it expands the
-// sweep into job names, listens for workers, and writes the merged
-// manifest. With -manifest set, a crash-safe journal rides alongside
-// the manifest file, so a restarted coordinator resumes the merge
-// instead of rerunning finished jobs; the journal is removed once the
-// campaign runs to completion.
-func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
+// sweep into job names, sends every worker the sweep as a canonical
+// catalog "campaign" request, and writes the merged manifest. With
+// -manifest set, a crash-safe journal rides alongside the manifest
+// file, so a restarted coordinator resumes the merge instead of
+// rerunning finished jobs; the journal is removed once the campaign
+// runs to completion.
+func runCampaignServe(ctx context.Context, spec core.RunSpec, sweep core.CampaignParams, addr string,
 	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
 	manifestPath string, injector *chaos.Injector) error {
-	spec := core.CampaignSpec{RunSpec: rs}
-	if bench != "" {
-		spec.Benchmarks = []string{bench}
-	}
-	campaignJobs, err := core.CampaignJobs(spec)
+	campaignJobs, err := core.CampaignJobs(spec, sweep)
 	if err != nil {
 		return err
 	}
@@ -278,7 +275,8 @@ func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 	for i, j := range campaignJobs {
 		names[i] = j.Name
 	}
-	payload, err := spec.EncodeWire()
+	exp, _ := core.ExperimentByName("campaign")
+	payload, err := exp.EncodeRequest(core.ExperimentRequest{Spec: spec, Params: &sweep})
 	if err != nil {
 		return err
 	}
@@ -326,7 +324,8 @@ func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 }
 
 // runCampaignWorker joins a distributed campaign: the sweep definition
-// comes from the coordinator, so only execution knobs (-jobs,
+// comes from the coordinator as a catalog "campaign" request, decoded
+// as strictly as stackd decodes one, so only execution knobs (-jobs,
 // -retries, -timeout) are local. Pass the same -retries/-timeout as a
 // single-process run would use to keep attempt counts — and therefore
 // the merged manifest bytes — identical. -manifest names this worker's
@@ -346,12 +345,13 @@ func runCampaignWorker(ctx context.Context, addr, name string,
 		Addr: addr,
 		Name: name,
 		MakeJobs: func(raw json.RawMessage) ([]harness.Job, error) {
-			spec, err := core.DecodeWireSpec(raw)
+			exp, _ := core.ExperimentByName("campaign")
+			req, err := exp.DecodeRequest(raw)
 			if err != nil {
 				return nil, err
 			}
-			spec.Obs = cli.Obs()
-			return core.CampaignJobs(spec)
+			req.Spec.Obs = cli.Obs()
+			return core.CampaignJobs(req.Spec, *req.Params.(*core.CampaignParams))
 		},
 		Parallel:    parallel,
 		JournalPath: journalPath,

@@ -15,7 +15,7 @@ import (
 )
 
 func TestCampaignJobsNames(t *testing.T) {
-	jobs, err := CampaignJobs(CampaignSpec{RunSpec: RunSpec{Scale: 0.05}, Benchmarks: []string{"gauss"}})
+	jobs, err := CampaignJobs(RunSpec{Scale: 0.05}, CampaignParams{Benchmarks: []string{"gauss"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestCampaignJobsNames(t *testing.T) {
 			t.Errorf("missing job %s (have %v)", want, seen)
 		}
 	}
-	if _, err := CampaignJobs(CampaignSpec{Benchmarks: []string{"nope"}}); err == nil {
+	if _, err := CampaignJobs(RunSpec{}, CampaignParams{Benchmarks: []string{"nope"}}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -48,9 +48,8 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 		scale = 0.05
 		grid  = 12
 	)
-	spec := CampaignSpec{RunSpec: RunSpec{Seed: seed, Scale: scale, Grid: grid},
-		Benchmarks: []string{"gauss"}, SkipThermal: true}
-	jobs, err := CampaignJobs(spec)
+	jobs, err := CampaignJobs(RunSpec{Seed: seed, Scale: scale, Grid: grid},
+		CampaignParams{Benchmarks: []string{"gauss"}, SkipThermal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,54 +142,31 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 	}
 }
 
-func TestCampaignSpecWireRoundTrip(t *testing.T) {
-	spec := CampaignSpec{RunSpec: RunSpec{Seed: 7, Scale: 0.05, Grid: 16},
-		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true}
-	raw, err := spec.EncodeWire()
+// TestCampaignPayloadRoundTrip carries a non-default campaign request
+// through the fleet wire: the coordinator's payload decodes, as a
+// worker decodes it, to the same request, and equal requests encode to
+// equal bytes (the coordinator hashes them). Rejected payloads are
+// campaign rows of TestDecodeRequestRejects.
+func TestCampaignPayloadRoundTrip(t *testing.T) {
+	e := mustExperiment("campaign")
+	req := ExperimentRequest{Spec: RunSpec{Seed: 7, Scale: 0.05, Grid: 16},
+		Params: &CampaignParams{Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true}}
+	raw, err := e.EncodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWireSpec(raw)
+	got, err := e.DecodeRequest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, spec) {
-		t.Fatalf("round trip mutated the spec:\nin:  %+v\nout: %+v", spec, got)
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("round trip mutated the request:\nin:  %+v\nout: %+v", req, got)
 	}
-	// Equal specs encode to equal bytes (the coordinator hashes them).
-	raw2, err := spec.EncodeWire()
+	raw2, err := e.EncodeRequest(got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(raw) != string(raw2) {
 		t.Fatalf("encoding not canonical: %s vs %s", raw, raw2)
-	}
-	// Version skew fails loudly.
-	if _, err := DecodeWireSpec([]byte(`{"seed":1,"lease_style":"new"}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := DecodeWireSpec([]byte(`{garbage`)); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Out-of-bounds specs fail at decode, as stackd request specs do.
-	for _, huge := range []string{
-		`{"version":2,"seed":1,"scale":0.05,"grid":3037000500}`,
-		`{"version":2,"seed":1,"scale":1e12,"grid":16}`,
-	} {
-		if _, err := DecodeWireSpec([]byte(huge)); err == nil {
-			t.Errorf("out-of-bounds spec accepted: %s", huge)
-		}
-	}
-	// Version-1 specs fail at decode: without a version key, or with
-	// the retired solver knobs a version-1 coordinator could send.
-	for _, old := range []string{
-		`{"seed":1,"scale":0.5,"grid":64}`,
-		`{"version":1,"seed":1,"scale":0.5,"grid":64}`,
-		`{"version":2,"seed":1,"scale":0.5,"grid":64,"method":"multigrid"}`,
-		`{"version":2,"seed":1,"scale":0.5,"grid":64,"parallelism":2}`,
-	} {
-		if _, err := DecodeWireSpec([]byte(old)); err == nil {
-			t.Errorf("version-1 spec accepted: %s", old)
-		}
 	}
 }

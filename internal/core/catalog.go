@@ -162,7 +162,9 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 // "experiment" field may be omitted (the route names it) but must
 // match when present; unknown fields anywhere are rejected, and so is
 // a spec outside the bounds an outside request may ask for (grid in
-// [0, 256], scale in [0, 4]).
+// [0, 256], scale in [0, 4]). An experiment that takes parameters
+// always gets a NewParams pointer back, all-default when the body
+// omits them.
 func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	var w requestWire
 	if err := canon.Unmarshal(data, &w); err != nil {
@@ -184,6 +186,9 @@ func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 			return ExperimentRequest{}, err
 		}
 		req.Params = p
+	}
+	if req.Params == nil && e.NewParams != nil {
+		req.Params = e.NewParams()
 	}
 	return req, nil
 }
@@ -361,16 +366,19 @@ type ManagedThermalParams struct {
 	Faults *FaultParams `json:"faults,omitempty"`
 }
 
-// CampaignParams configures the full paper sweep (see CampaignSpec for
-// the semantics; Seed/Scale/Grid come from the request spec).
+// CampaignParams says what the full paper sweep covers; every job
+// shares the request spec. A campaign request is also the distributed
+// campaign's wire payload: a coordinator sends its canonical bytes to
+// every worker and hashes them to fence the fleet onto one campaign.
 //
 //canon:wire
 type CampaignParams struct {
-	Benchmarks  []string `json:"benchmarks,omitempty"`
-	SkipThermal bool     `json:"skip_thermal,omitempty"`
-	// Workers and Retries are the harness execution knobs.
-	Workers int `json:"workers,omitempty"`
-	Retries int `json:"retries,omitempty"`
+	// Benchmarks restricts the Figure 5 replays to the named RMS
+	// kernels; empty runs all of them.
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	// SkipThermal drops the Figure 8 / Figure 11 jobs, leaving a
+	// memory-performance-only campaign.
+	SkipThermal bool `json:"skip_thermal,omitempty"`
 }
 
 // Figure6Result pairs the two panels of Figure 6.
@@ -621,9 +629,7 @@ func initCatalog() {
 			fn:        []string{"RunCampaign", "CampaignJobs"},
 			NewParams: func() any { return &CampaignParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
-				p := params.(*CampaignParams)
-				cs := CampaignSpec{RunSpec: spec, Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal}
-				return RunCampaign(ctx, cs, harness.Config{Workers: p.Workers, Retries: p.Retries})
+				return RunCampaign(ctx, spec, *params.(*CampaignParams), harness.Config{})
 			},
 		},
 	}

@@ -200,6 +200,26 @@ func TestDecodeRequestRejects(t *testing.T) {
 	if _, err := e.DecodeRequest([]byte(`{"spec":{"grid":256,"scale":4}}`)); err != nil {
 		t.Errorf("spec at the wire bounds rejected: %v", err)
 	}
+	// A campaign request is also the distributed fleet's wire payload.
+	// The harness knobs are not part of it (unbounded retries would
+	// let one client pin a solve slot), and neither is anything from
+	// the retired version-2 campaign wire form.
+	campaign, _ := ExperimentByName("campaign")
+	for _, bad := range []string{
+		`{"params":{"retries":200000}}`,
+		`{"params":{"workers":4}}`,
+		`{"spec":{"seed":1},"params":{"lease_style":"new"}}`,
+		`{garbage`,
+		`{"spec":{"seed":1,"scale":0.05,"grid":3037000500}}`,
+		`{"spec":{"seed":1,"scale":1e12,"grid":16}}`,
+		`{"spec":{"seed":1,"scale":0.5,"grid":64,"method":"multigrid"}}`,
+		`{"spec":{"seed":1,"scale":0.5,"grid":64,"parallelism":2}}`,
+		`{"version":2,"seed":3,"scale":0.5,"grid":64}`,
+	} {
+		if _, err := campaign.DecodeRequest([]byte(bad)); err == nil {
+			t.Errorf("campaign request accepted: %s", bad)
+		}
+	}
 	fig5, _ := ExperimentByName("fig5")
 	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
 		t.Error("params accepted by a parameterless experiment")
@@ -237,28 +257,53 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// TestCampaignWirePin pins the exact canonical bytes and cache-key
-// hash of a version-2 campaign spec: workers hash these bytes to fence
-// campaigns, so any drift here is a cross-version interop break.
+// TestCampaignWirePin pins the exact canonical bytes and hash of a
+// campaign request. The same bytes are stackd's cache-key input and
+// the distributed coordinator's spec payload, which workers hash to
+// fence campaigns, so any drift here is a cross-version interop break.
 func TestCampaignWirePin(t *testing.T) {
-	spec := CampaignSpec{RunSpec: RunSpec{Seed: 3, Scale: 0.5, Grid: 64}}
-	raw, err := spec.EncodeWire()
+	e, _ := ExperimentByName("campaign")
+	spec := RunSpec{Seed: 3, Scale: 0.5, Grid: 64}
+	raw, err := e.EncodeRequest(ExperimentRequest{Spec: spec, Params: &CampaignParams{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantBytes = `{"version":2,"seed":3,"scale":0.5,"grid":64}`
+	const wantBytes = `{"experiment":"campaign","spec":{"seed":3,"scale":0.5,"grid":64}}`
 	if string(raw) != wantBytes {
 		t.Fatalf("wire bytes drifted:\ngot  %s\nwant %s", raw, wantBytes)
 	}
-	const wantHash = "baee33fde80af5c55948889595665e5ff1b66d5c4aa01a98732b9d664b8ffd83"
+	const wantHash = "f04d903928ca79c9328f2d3a96b4b44e5423c1be56cd6e6f210772c0adc197c4"
 	if h := canon.HashBytes(raw); h != wantHash {
 		t.Fatalf("wire hash drifted: %s", h)
 	}
-	got, err := DecodeWireSpec(raw)
+	// A worker decodes the payload as stackd decodes a body; the
+	// re-encoded bytes are stackd's cache key, equal to the fleet hash.
+	req, err := e.DecodeRequest(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, spec) {
-		t.Fatalf("round trip mutated the spec: %+v", got)
+	canonical, err := e.EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := canon.HashBytes(canonical); h != wantHash {
+		t.Fatalf("stackd cache key %s differs from the fleet hash %s", h, wantHash)
+	}
+	// The decoded payload expands to the in-process spec's job list.
+	want, err := CampaignJobs(spec, CampaignParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CampaignJobs(req.Spec, *req.Params.(*CampaignParams))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded payload expands to %d jobs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name {
+			t.Errorf("job %d: decoded payload names %q, want %q", i, got[i].Name, want[i].Name)
+		}
 	}
 }

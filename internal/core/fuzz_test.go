@@ -42,37 +42,43 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWireSpec feeds outside bytes — a campaign spec as a
-// coordinator would send it — to DecodeWireSpec. Decoding must never
-// panic, and decode → EncodeWire → decode must be stable: the same
-// spec, encoded to the same bytes. Seeds live in
-// testdata/fuzz/FuzzDecodeWireSpec.
-func FuzzDecodeWireSpec(f *testing.F) {
+// FuzzCampaignPayload feeds outside bytes — a fleet coordinator's spec
+// payload — down a worker's path: decode as a campaign request, then
+// expand to jobs. Decoding must never panic, and an accepted payload
+// must expand to the same job names as its canonical re-encoding (the
+// bytes whose hash fences the campaign), so one spec hash names one
+// job list. Seeds live in testdata/fuzz/FuzzCampaignPayload.
+func FuzzCampaignPayload(f *testing.F) {
+	e := mustExperiment("campaign")
+	names := func(req ExperimentRequest) ([]string, error) {
+		jobs, err := CampaignJobs(req.Spec, *req.Params.(*CampaignParams))
+		if err != nil {
+			return nil, err
+		}
+		out := make([]string, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.Name
+		}
+		return out, nil
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		spec, err := DecodeWireSpec(raw)
+		req, err := e.DecodeRequest(raw)
 		if err != nil {
 			return
 		}
-		if err := spec.checkWire(); err != nil {
-			t.Fatalf("accepted an out-of-bounds spec: %v", err)
-		}
-		enc, err := spec.EncodeWire()
+		want, wantErr := names(req)
+		canonical, err := e.EncodeRequest(req)
 		if err != nil {
-			t.Fatalf("accepted spec does not encode: %v", err)
+			t.Fatalf("accepted payload does not encode: %v", err)
 		}
-		back, err := DecodeWireSpec(enc)
+		back, err := e.DecodeRequest(canonical)
 		if err != nil {
-			t.Fatalf("encoded bytes %s rejected: %v", enc, err)
+			t.Fatalf("canonical payload %s rejected: %v", canonical, err)
 		}
-		if !reflect.DeepEqual(back, spec) {
-			t.Fatalf("round trip mutated the spec:\nin:  %+v\nout: %+v", spec, back)
-		}
-		enc2, err := back.EncodeWire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("encoding not stable:\n%s\n%s", enc, enc2)
+		got, gotErr := names(back)
+		if (wantErr == nil) != (gotErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("canonical payload %s expands differently:\n%v (%v)\n%v (%v)",
+				canonical, want, wantErr, got, gotErr)
 		}
 	})
 }

@@ -26,8 +26,13 @@ import (
 // Responses with Type "error" carry Err; the worker treats them as
 // fatal for the exchange that triggered them.
 
-// protoVersion gates handshakes: both sides must agree exactly.
-const protoVersion = 1
+// protoVersion gates handshakes: both sides must agree exactly. It is
+// the fleet's only version number — the spec payload is opaque here —
+// so a change to what a payload means bumps it. Version 2 carries the
+// campaign as a canonical catalog request; a version-1 peer, which
+// sent a differently shaped spec, is refused at hello and never
+// merges results.
+const protoVersion = 2
 
 // maxLineBytes bounds one protocol line; a job value bigger than this
 // is a bug, not a workload.

@@ -8,12 +8,13 @@ import (
 )
 
 // wireDirective marks a struct as part of the canonical wire surface:
-// encoded or decoded by internal/canon (the campaign wire spec, the
-// catalog request schemas, the stackd cache-key bytes). It rides
-// directly above the type declaration:
+// encoded or decoded by internal/canon (the catalog request and its
+// parameter schemas, whose bytes are the stackd cache key and the
+// distributed campaign's spec payload). It rides directly above the
+// type declaration:
 //
 //	//canon:wire
-//	type wireSpec struct { ... }
+//	type requestWire struct { ... }
 //
 // The marker is the registry WireStable pins exhaustiveness against.
 const wireDirective = "//canon:wire"

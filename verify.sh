@@ -29,12 +29,16 @@ go test -race ./...
 
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
-# seed corpus (testdata/fuzz of its package): stackd request bodies
-# against every catalog experiment, distributed-campaign specs, binary
-# trace files, and replay checkpoints resumed from their gob payload. A
-# crasher lands in testdata/fuzz; fix it and keep it as a seed.
+# seed corpus (testdata/fuzz of its package): request bodies against
+# every catalog experiment (a stackd POST, or a distributed campaign's
+# spec payload, which is a "campaign" request), a fleet payload down a
+# worker's decode-and-expand path, the coordinator's merge journal after
+# its header, binary trace files, and replay checkpoints
+# resumed from their gob payload. A crasher lands in testdata/fuzz; fix
+# it and keep it as a seed.
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
-go test -run '^$' -fuzz '^FuzzDecodeWireSpec$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzCampaignPayload$' -fuzztime 10s ./internal/core/
+go test -run '^$' -fuzz '^FuzzJournal$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace/
 # A checkpoint that decodes is resumed, and every resume clears Run's
 # 16 MB dependency window (~10 ms); uncapped, minimizing the first new
