@@ -54,7 +54,8 @@ type ManagedLogicThermal struct {
 // share of total power, i.e. what survives parking the stacked die.
 // The returned error wraps dtm.ErrThermalRunaway when Tmax cannot be
 // held; the partial result is still returned for diagnosis. spec.Obs
-// flows into both the transient solver and the controller.
+// flows into both the transient solver and the controller, and
+// receives the sensor's fault_* counters when the run returns.
 func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cfg dtm.Config, fc fault.Config, opt thermal.TransientOptions) (ManagedLogicThermal, error) {
 	out := ManagedLogicThermal{Option: o}
 	fp, err := o.Floorplan()
@@ -85,7 +86,7 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 		if inj, err = fault.New(fc); err != nil {
 			return out, fmt.Errorf("core: faults: %w", err)
 		}
-		inj.AttachObs(spec.Obs)
+		defer func() { fault.Publish(spec.Obs, fault.Stats{}, inj.Stats()) }()
 		sensor = inj.Sensor()
 	}
 	if cfg.Obs == nil {

@@ -32,12 +32,6 @@ type CoordinatorConfig struct {
 	// ReissueBudget bounds lease re-issues per job before the job is
 	// recorded failed (0 = harness default of 8).
 	ReissueBudget int
-	// ReissueBackoff delays an expired job's re-issue, doubling per
-	// expiry of the same job (0 = 250ms).
-	ReissueBackoff time.Duration
-	// MaxHolders caps concurrent speculative holders per job; see
-	// harness.LeaseConfig (0 = 2, 1 disables work stealing).
-	MaxHolders int
 	// JournalPath, when non-empty, makes the merge crash-safe: every
 	// accepted result is journaled and fsynced before it is
 	// acknowledged, and an existing journal for the same campaign is
@@ -55,9 +49,6 @@ type CoordinatorConfig struct {
 	// coordinator accepts connections (tests listen on port 0). The
 	// channel should be buffered or promptly read.
 	Ready chan<- string
-	// Clock replaces time.Now for lease bookkeeping; tests inject a
-	// fake. Nil uses the wall clock.
-	Clock func() time.Time
 	// Listen overrides net.Listen; tests and the chaos layer
 	// (internal/chaos.Injector.Listen) interpose here. Nil listens
 	// plain TCP.
@@ -84,7 +75,6 @@ type coordinator struct {
 	cfg  CoordinatorConfig
 	hash string
 	logf func(string, ...any)
-	now  func() time.Time
 
 	mu       sync.Mutex // guards table + journal, so they never disagree
 	table    *harness.LeaseTable
@@ -126,14 +116,12 @@ func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (*harness.Manife
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
-	if cfg.ReissueBackoff == 0 {
-		cfg.ReissueBackoff = 250 * time.Millisecond
-	}
+	// An expired job waits 250ms before its re-issue, doubling per
+	// expiry of the same job; up to two workers may hold one job.
 	table, err := harness.NewLeaseTable(harness.LeaseConfig{
 		TTL:            cfg.LeaseTTL,
 		ReissueBudget:  cfg.ReissueBudget,
-		ReissueBackoff: cfg.ReissueBackoff,
-		MaxHolders:     cfg.MaxHolders,
+		ReissueBackoff: 250 * time.Millisecond,
 	}, cfg.Jobs)
 	if err != nil {
 		return nil, err
@@ -145,13 +133,9 @@ func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (*harness.Manife
 		done:  make(chan struct{}),
 		conns: map[net.Conn]struct{}{},
 		logf:  cfg.Log,
-		now:   cfg.Clock,
 	}
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
-	}
-	if c.now == nil {
-		c.now = time.Now
 	}
 	c.ioTimeout = cfg.IOTimeout
 	if c.ioTimeout == 0 {
@@ -426,7 +410,7 @@ func (c *coordinator) expireLoop(stop <-chan struct{}) {
 		case <-t.C:
 		}
 		c.mu.Lock()
-		requeued, failed, expired := c.table.ExpireDue(c.now())
+		requeued, failed, expired := c.table.ExpireDue(time.Now())
 		var failedResults []wireResult
 		for _, name := range failed {
 			if res, ok := c.table.Result(name); ok {
@@ -551,7 +535,7 @@ func (c *coordinator) serve(conn net.Conn) {
 			resp = c.handlePull(worker, req)
 		case "heartbeat":
 			c.mu.Lock()
-			renewed := c.table.Heartbeat(worker, req.Leases, c.now())
+			renewed := c.table.Heartbeat(worker, req.Leases, time.Now())
 			c.mu.Unlock()
 			resp = response{Type: "ok", Renewed: renewed}
 		case "result":
@@ -587,7 +571,7 @@ func (c *coordinator) handlePull(worker string, req request) response {
 		c.mu.Unlock()
 		return response{Type: "done"}
 	}
-	grants := c.table.Acquire(worker, req.Max, c.now())
+	grants := c.table.Acquire(worker, req.Max, time.Now())
 	c.mu.Unlock()
 	if len(grants) == 0 {
 		return c.waitResponse()

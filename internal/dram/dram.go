@@ -171,6 +171,21 @@ type Stats struct {
 	FaultCycles int64
 }
 
+// Publish adds the change in a device's books from was to now to reg's
+// RAS/CAS page-policy counters: <prefix>_accesses, _row_hits,
+// _row_closed, _row_conflicts and _remapped. A nil registry publishes
+// nothing.
+func Publish(reg *obs.Registry, prefix string, was, now Stats) {
+	if reg == nil {
+		return
+	}
+	reg.Counter(prefix + "_accesses").Add(now.Accesses - was.Accesses)
+	reg.Counter(prefix + "_row_hits").Add(now.Hits - was.Hits)
+	reg.Counter(prefix + "_row_closed").Add(now.Closed - was.Closed)
+	reg.Counter(prefix + "_row_conflicts").Add(now.Conflicts - was.Conflicts)
+	reg.Counter(prefix + "_remapped").Add(now.Remapped - was.Remapped)
+}
+
 // RowHitRate returns the fraction of accesses that hit the open row.
 func (s Stats) RowHitRate() float64 {
 	if s.Accesses == 0 {
@@ -202,15 +217,6 @@ type Device struct {
 	bankMask  uint64
 	stats     Stats
 	faults    FaultModel
-	obs       deviceObs
-}
-
-// deviceObs holds the device's observability counters; all nil (no-op)
-// until AttachObs installs real ones. It lives beside Stats rather
-// than inside Config or State so checkpoints stay comparable and
-// serializable.
-type deviceObs struct {
-	accesses, rowHits, rowClosed, rowConflicts, remapped *obs.Counter
 }
 
 // New builds a Device from cfg. It panics on invalid configuration;
@@ -234,23 +240,6 @@ func (d *Device) Config() Config { return d.cfg }
 // model restores fault-free behaviour. Attach before the first access;
 // remapping mid-run would tear open rows away from their banks.
 func (d *Device) AttachFaults(fm FaultModel) { d.faults = fm }
-
-// AttachObs resolves the device's RAS/CAS page-policy counters —
-// <prefix>_accesses, _row_hits, _row_closed, _row_conflicts,
-// _remapped — against reg. A nil registry detaches (the default).
-func (d *Device) AttachObs(reg *obs.Registry, prefix string) {
-	if reg == nil {
-		d.obs = deviceObs{}
-		return
-	}
-	d.obs = deviceObs{
-		accesses:     reg.Counter(prefix + "_accesses"),
-		rowHits:      reg.Counter(prefix + "_row_hits"),
-		rowClosed:    reg.Counter(prefix + "_row_closed"),
-		rowConflicts: reg.Counter(prefix + "_row_conflicts"),
-		remapped:     reg.Counter(prefix + "_remapped"),
-	}
-}
 
 // Bank returns the bank index addr maps to. Pages interleave across
 // banks with the row bits XOR-folded into the index, the standard
@@ -282,7 +271,6 @@ func (d *Device) Access(now int64, addr uint64, isWrite bool) (done int64, res R
 	if d.faults != nil {
 		if nb := d.faults.RemapBank(bankIdx, d.cfg.Banks); nb != bankIdx {
 			d.stats.Remapped++
-			d.obs.remapped.Inc()
 			bankIdx = nb
 		}
 	}
@@ -303,24 +291,20 @@ func (d *Device) Access(now int64, addr uint64, isWrite bool) (done int64, res R
 		lat = t.Read
 		occ = t.burst()
 		d.stats.Hits++
-		d.obs.rowHits.Inc()
 	default:
 		if b.openRow(row, d.cfg.rowBuffers()) {
 			res = RowConflict
 			lat = t.Precharge + t.PageOpen + t.Read
 			occ = t.Precharge + t.PageOpen + t.burst()
 			d.stats.Conflicts++
-			d.obs.rowConflicts.Inc()
 		} else {
 			res = RowClosed
 			lat = t.PageOpen + t.Read
 			occ = t.PageOpen + t.burst()
 			d.stats.Closed++
-			d.obs.rowClosed.Inc()
 		}
 	}
 	d.stats.Accesses++
-	d.obs.accesses.Inc()
 
 	if d.faults != nil {
 		// Lost die-to-die via lanes serialize the transfer over the

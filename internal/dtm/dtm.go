@@ -70,10 +70,11 @@ type Config struct {
 	// RunawaySamples is how many consecutive over-Tmax samples at
 	// minimum throttle escalate (zero selects DefaultRunawaySamples).
 	RunawaySamples int
-	// Obs, when non-nil, receives the controller's throttle-transition
-	// counters (dtm_samples, dtm_throttle_steps, dtm_emergency_drops,
-	// dtm_release_steps, dtm_fallbacks), a dtm_freq gauge, and a
-	// "dtm/step" span per control step. A nil registry costs nothing.
+	// Obs, when non-nil, receives a live dtm_freq gauge, a "dtm/step"
+	// span per control step and, when Run or RunWorkspace returns, the
+	// change in the controller's Stats over the run as the counters
+	// dtm_samples, dtm_throttle_steps, dtm_emergency_drops,
+	// dtm_release_steps and dtm_fallbacks. A nil registry costs nothing.
 	Obs *obs.Registry
 }
 
@@ -159,15 +160,9 @@ type Controller struct {
 	overN    int
 	err      error
 	stats    Stats
-	obs      ctrlObs
-}
-
-// ctrlObs holds the controller's instruments, all nil (no-op) unless
-// Config.Obs installed real ones.
-type ctrlObs struct {
-	samples, throttle, emergency, release, fallbacks *obs.Counter
-	freq                                             *obs.Gauge
-	reg                                              *obs.Registry
+	// freqGauge shows freq live as dtm_freq; nil (a no-op) without
+	// Config.Obs.
+	freqGauge *obs.Gauge
 }
 
 // New builds a controller. sensor translates true peak temperature to
@@ -185,19 +180,10 @@ func New(cfg Config, laws power.Laws, design power.Design, sensor func(float64) 
 		sensor: sensor,
 		freq:   1,
 		stats:  Stats{MinScale: 1, PeakSensedC: math.Inf(-1), PeakTrueC: math.Inf(-1)},
+		// A nil registry hands out a nil gauge.
+		freqGauge: cfg.Obs.Gauge("dtm_freq"),
 	}
-	if reg := cfg.Obs; reg != nil {
-		c.obs = ctrlObs{
-			samples:   reg.Counter("dtm_samples"),
-			throttle:  reg.Counter("dtm_throttle_steps"),
-			emergency: reg.Counter("dtm_emergency_drops"),
-			release:   reg.Counter("dtm_release_steps"),
-			fallbacks: reg.Counter("dtm_fallbacks"),
-			freq:      reg.Gauge("dtm_freq"),
-			reg:       reg,
-		}
-		c.obs.freq.Set(1)
-	}
+	c.freqGauge.Set(1)
 	return c, nil
 }
 
@@ -247,10 +233,9 @@ func (c *Controller) PowerPct() float64 {
 // returns the power multiplier for the next interval. It is shaped to
 // serve directly as thermal.TransientOptions.PowerScale.
 func (c *Controller) Step(_ float64, trueC float64) float64 {
-	sp := c.obs.reg.StartSpan("dtm/step")
+	sp := c.cfg.Obs.StartSpan("dtm/step")
 	defer sp.End()
 	c.stats.Samples++
-	c.obs.samples.Inc()
 	sensed := trueC
 	if c.sensor != nil {
 		sensed = c.sensor(trueC)
@@ -270,7 +255,6 @@ func (c *Controller) Step(_ float64, trueC float64) float64 {
 		if c.freq > c.cfg.MinFreq {
 			c.freq = c.cfg.MinFreq
 			c.stats.EmergencyDrops++
-			c.obs.emergency.Inc()
 		}
 		c.overN++
 		c.escalate()
@@ -279,7 +263,6 @@ func (c *Controller) Step(_ float64, trueC float64) float64 {
 		if c.freq > c.cfg.MinFreq {
 			c.freq = math.Max(c.cfg.MinFreq, c.freq-step)
 			c.stats.ThrottleSteps++
-			c.obs.throttle.Inc()
 		}
 		c.overN = 0
 	case sensed < guard-c.cfg.HysteresisC:
@@ -288,7 +271,6 @@ func (c *Controller) Step(_ float64, trueC float64) float64 {
 		if c.freq < 1 && !c.fallback {
 			c.freq = math.Min(1, c.freq+step)
 			c.stats.ReleaseSteps++
-			c.obs.release.Inc()
 		}
 		c.overN = 0
 	default:
@@ -296,7 +278,7 @@ func (c *Controller) Step(_ float64, trueC float64) float64 {
 		c.overN = 0
 	}
 
-	c.obs.freq.Set(c.freq)
+	c.freqGauge.Set(c.freq)
 	scale := c.Scale()
 	if scale < c.stats.MinScale {
 		c.stats.MinScale = scale
@@ -316,7 +298,6 @@ func (c *Controller) escalate() {
 	if c.cfg.FallbackPowerFraction > 0 && !c.fallback {
 		c.fallback = true
 		c.stats.FallbackEngaged = true
-		c.obs.fallbacks.Inc()
 		c.overN = 0
 		return
 	}
@@ -361,8 +342,13 @@ func Run(ctx context.Context, s *thermal.Stack, opt thermal.TransientOptions, ct
 // running many managed transients over one geometry discretizes the
 // stack once and reuses it (power-map edits between runs are picked
 // up). The workspace remains usable — and owned by the caller —
-// afterwards.
+// afterwards. On every return the change in the controller's Stats is
+// published to its Config.Obs.
 func RunWorkspace(ctx context.Context, w *thermal.Workspace, opt thermal.TransientOptions, ctrl *Controller) (Result, error) {
+	if reg := ctrl.cfg.Obs; reg != nil {
+		was := ctrl.stats
+		defer func() { publish(reg, was, ctrl.stats) }()
+	}
 	if opt.PowerScale != nil {
 		return Result{}, fmt.Errorf("dtm: TransientOptions.PowerScale is reserved for the controller")
 	}
@@ -388,6 +374,21 @@ func RunWorkspace(ctx context.Context, w *thermal.Workspace, opt thermal.Transie
 		return res, cerr
 	}
 	return res, nil
+}
+
+// publish adds the change in a controller's books from was to now to
+// reg's dtm_* counters. The fallback is one-way, so dtm_fallbacks
+// counts whether it engaged in between.
+func publish(reg *obs.Registry, was, now Stats) {
+	reg.Counter("dtm_samples").Add(now.Samples - was.Samples)
+	reg.Counter("dtm_throttle_steps").Add(now.ThrottleSteps - was.ThrottleSteps)
+	reg.Counter("dtm_emergency_drops").Add(now.EmergencyDrops - was.EmergencyDrops)
+	reg.Counter("dtm_release_steps").Add(now.ReleaseSteps - was.ReleaseSteps)
+	var fallbacks uint64
+	if now.FallbackEngaged && !was.FallbackEngaged {
+		fallbacks = 1
+	}
+	reg.Counter("dtm_fallbacks").Add(fallbacks)
 }
 
 // peakOf returns the hottest step of a trajectory.

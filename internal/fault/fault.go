@@ -19,17 +19,10 @@ import (
 	"diestack/internal/obs"
 )
 
-// Sentinel errors. Callers match them with errors.Is.
-var (
-	// ErrUncorrectable marks a multi-bit ECC error that SECDED can
-	// detect but not correct. The memory hierarchy recovers by
-	// invalidating the poisoned line and refetching from main memory;
-	// the sentinel surfaces only when recovery itself is exhausted.
-	ErrUncorrectable = errors.New("fault: uncorrectable ECC error")
-	// ErrAllBanksDead marks a bank-failure configuration that leaves a
-	// DRAM device with no live banks to remap into.
-	ErrAllBanksDead = errors.New("fault: all DRAM banks dead")
-)
+// ErrAllBanksDead marks a bank-failure configuration that leaves a
+// DRAM device with no live banks to remap into. Callers match it with
+// errors.Is.
+var ErrAllBanksDead = errors.New("fault: all DRAM banks dead")
 
 // Defaults used when the corresponding Config field is zero.
 const (
@@ -214,6 +207,24 @@ func (s *Stats) Merge(other Stats) {
 	s.SensorReads += other.SensorReads
 }
 
+// Publish adds the change in an injector's books from was to now to
+// reg's injection-by-kind counters: fault_ecc_checks,
+// fault_ecc_corrected, fault_ecc_uncorrectable, fault_refetches,
+// fault_lines_poisoned, fault_unrecovered and fault_sensor_reads. A nil
+// registry publishes nothing.
+func Publish(reg *obs.Registry, was, now Stats) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("fault_ecc_checks").Add(now.ECCChecks - was.ECCChecks)
+	reg.Counter("fault_ecc_corrected").Add(now.Corrected - was.Corrected)
+	reg.Counter("fault_ecc_uncorrectable").Add(now.Uncorrectable - was.Uncorrectable)
+	reg.Counter("fault_refetches").Add(now.Refetches - was.Refetches)
+	reg.Counter("fault_lines_poisoned").Add(now.LinesPoisoned - was.LinesPoisoned)
+	reg.Counter("fault_unrecovered").Add(now.Unrecovered - was.Unrecovered)
+	reg.Counter("fault_sensor_reads").Add(now.SensorReads - was.SensorReads)
+}
+
 // ECCOutcome classifies one read through the SECDED model.
 type ECCOutcome uint8
 
@@ -265,35 +276,6 @@ type Injector struct {
 	eccN    uint64
 	sensorN uint64
 	stats   Stats
-	obs     injectorObs
-}
-
-// injectorObs mirrors Stats into observability counters; all nil
-// (no-op) until AttachObs installs real ones. It lives outside State
-// so checkpoints keep gob-encoding plain data.
-type injectorObs struct {
-	eccChecks, corrected, uncorrectable, refetches,
-	poisoned, unrecovered, sensorReads *obs.Counter
-}
-
-// AttachObs resolves the injection-by-kind counters (fault_ecc_checks,
-// fault_ecc_corrected, fault_ecc_uncorrectable, fault_refetches,
-// fault_lines_poisoned, fault_unrecovered, fault_sensor_reads) against
-// reg. A nil registry detaches (the default).
-func (in *Injector) AttachObs(reg *obs.Registry) {
-	if reg == nil {
-		in.obs = injectorObs{}
-		return
-	}
-	in.obs = injectorObs{
-		eccChecks:     reg.Counter("fault_ecc_checks"),
-		corrected:     reg.Counter("fault_ecc_corrected"),
-		uncorrectable: reg.Counter("fault_ecc_uncorrectable"),
-		refetches:     reg.Counter("fault_refetches"),
-		poisoned:      reg.Counter("fault_lines_poisoned"),
-		unrecovered:   reg.Counter("fault_unrecovered"),
-		sensorReads:   reg.Counter("fault_sensor_reads"),
-	}
 }
 
 // New builds an injector, returning an error for invalid configs.
@@ -349,7 +331,6 @@ func (in *Injector) draw(domain, n uint64) float64 {
 // the seed and the read counter.
 func (in *Injector) CheckRead() ECCOutcome {
 	in.stats.ECCChecks++
-	in.obs.eccChecks.Inc()
 	n := in.eccN
 	in.eccN++
 	pu := in.cfg.UncorrectablePerMAccess / 1e6
@@ -361,11 +342,9 @@ func (in *Injector) CheckRead() ECCOutcome {
 	switch {
 	case u < pu:
 		in.stats.Uncorrectable++
-		in.obs.uncorrectable.Inc()
 		return ECCUncorrectable
 	case u < pu+pc:
 		in.stats.Corrected++
-		in.obs.corrected.Inc()
 		return ECCCorrected
 	default:
 		return ECCClean
@@ -385,22 +364,13 @@ func (in *Injector) BackoffBase() int64 { return in.cfg.backoffBase() }
 func (in *Injector) CountRetryCycles(c int64) { in.stats.RetryCyclesAdded += c }
 
 // CountRefetch records one recovery refetch from main memory.
-func (in *Injector) CountRefetch() {
-	in.stats.Refetches++
-	in.obs.refetches.Inc()
-}
+func (in *Injector) CountRefetch() { in.stats.Refetches++ }
 
 // CountPoisoned records one line invalidated by an uncorrectable error.
-func (in *Injector) CountPoisoned() {
-	in.stats.LinesPoisoned++
-	in.obs.poisoned.Inc()
-}
+func (in *Injector) CountPoisoned() { in.stats.LinesPoisoned++ }
 
 // CountUnrecovered records one access that exhausted its retry budget.
-func (in *Injector) CountUnrecovered() {
-	in.stats.Unrecovered++
-	in.obs.unrecovered.Inc()
-}
+func (in *Injector) CountUnrecovered() { in.stats.Unrecovered++ }
 
 // DRAMModel is the device-side view of the injector: it implements the
 // dram package's FaultModel interface (bank remapping and TSV latency
@@ -487,7 +457,6 @@ func (c Config) ValidateBanks(banks int) error {
 func (in *Injector) Sensor() func(trueC float64) float64 {
 	return func(trueC float64) float64 {
 		in.stats.SensorReads++
-		in.obs.sensorReads.Inc()
 		if in.cfg.SensorStuckAt {
 			return in.cfg.SensorStuckAtC
 		}

@@ -18,8 +18,6 @@ const (
 	CorePowerW    = 41.0
 	SRAM4MBPowerW = 7.0
 	BusPowerW     = 3.0
-	// Core2DuoTotalW is the 92 W total of the baseline skew.
-	Core2DuoTotalW = 2*CorePowerW + SRAM4MBPowerW + BusPowerW
 )
 
 // Stacked-die cache powers from Figure 7 of the paper.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diestack/internal/fault"
+	"diestack/internal/obs"
 	"diestack/internal/trace"
 )
 
@@ -56,24 +57,28 @@ func (s *mixedStream) Next() (trace.Record, error) {
 // faults are frequent enough to reach recoverUncorrectable; an
 // allocation put into either half of the replay step — the front end's
 // L1s and coherence, or the back end's access, l2Access,
-// recoverUncorrectable or memAccess — makes the counts differ.
+// recoverUncorrectable or memAccess — makes the counts differ. The
+// last case binds a registry: a run publishes its statistics once, when
+// it returns, so telemetry adds nothing per record either.
 func TestRunAllocsFlatInRecords(t *testing.T) {
 	faulty := StackedDRAMConfig(32)
 	faulty.Faults = fault.Config{Seed: 1, CorrectablePerMAccess: 20000, UncorrectablePerMAccess: 20000}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		reg  *obs.Registry
 	}{
-		{"baseline", BaselineConfig()},
-		{"dram32", StackedDRAMConfig(32)},
-		{"dram32-faults", faulty},
+		{"baseline", BaselineConfig(), nil},
+		{"dram32", StackedDRAMConfig(32), nil},
+		{"dram32-faults", faulty, nil},
+		{"dram32-faults-obs", faulty, obs.NewRegistry()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := mustSim(t, tc.cfg)
 			src := &mixedStream{}
 			// The first 1k records, on a cold simulator, must already reach
 			// the paths the gate guards.
-			res, err := sim.Run(context.Background(), src, RunOptions{Limit: 1_000})
+			res, err := sim.Run(context.Background(), src, RunOptions{Limit: 1_000, Obs: tc.reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +98,7 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 				fewest := math.Inf(1)
 				for range 3 {
 					fewest = min(fewest, testing.AllocsPerRun(1, func() {
-						if _, err := sim.Run(context.Background(), src, RunOptions{Limit: limit}); err != nil {
+						if _, err := sim.Run(context.Background(), src, RunOptions{Limit: limit, Obs: tc.reg}); err != nil {
 							t.Fatal(err)
 						}
 					}))
@@ -117,7 +122,7 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 				fewest := math.Inf(1)
 				for range 3 {
 					fewest = min(fewest, testing.AllocsPerRun(1, func() {
-						if _, err := sim.Replay(context.Background(), lg, nil); err != nil {
+						if _, err := sim.Replay(context.Background(), lg, tc.reg); err != nil {
 							t.Fatal(err)
 						}
 					}))

@@ -193,7 +193,7 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	recs := ckptTrace(20000)
-	_, err := mustSim(t, BaselineConfig()).Run(ctx, trace.NewSliceStream(recs), RunOptions{CancelEvery: 1})
+	_, err := mustSim(t, BaselineConfig()).Run(ctx, trace.NewSliceStream(recs), RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

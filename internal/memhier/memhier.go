@@ -237,47 +237,69 @@ type Simulator struct {
 	// encode buffer every interval.
 	cpScratch Checkpoint
 	cpBuf     bytes.Buffer
-
-	// obs holds the replay's observability instruments, all nil (no-op)
-	// unless RunOptions.Obs installed real ones. Kept out of Config so
-	// checkpointed configs stay plain serializable data.
-	obs simObs
 }
 
-// simObs is the per-simulator instrument set resolved by bindObs.
-type simObs struct {
-	records, refs        *obs.Counter
-	l1Hits, l1Misses     *obs.Counter
-	l2Hits, l2Misses     *obs.Counter
-	writebacks, busBytes *obs.Counter
-	latency              *obs.Histogram
+// books is a snapshot of the statistics a run keeps for its Result. A
+// run publishes the change in them between two snapshots.
+type books struct {
+	records, refs, l1Hits uint64
+	busBytes              uint64
+	l2                    cache.Stats
+	darr, mem             dram.Stats
+	faults                fault.Stats
+	latency               []int64
 }
 
-// bindObs resolves the simulator's instruments against reg (nil
-// detaches everything) and attaches the DRAM devices and the fault
-// injector.
-func (s *Simulator) bindObs(reg *obs.Registry) {
-	if reg == nil {
-		s.obs = simObs{}
-	} else {
-		s.obs = simObs{
-			records:    reg.Counter("memhier_records"),
-			refs:       reg.Counter("memhier_refs"),
-			l1Hits:     reg.Counter("memhier_l1_hits"),
-			l1Misses:   reg.Counter("memhier_l1_misses"),
-			l2Hits:     reg.Counter("memhier_l2_hits"),
-			l2Misses:   reg.Counter("memhier_l2_misses"),
-			writebacks: reg.Counter("memhier_writebacks"),
-			busBytes:   reg.Counter("memhier_bus_bytes"),
-			latency:    reg.Histogram("memhier_latency_cycles", 0, 2048, 64),
+// books snapshots the simulator's statistics with st's record counts
+// and the given count of L1 hits, which the caller takes from the front
+// end or the log it replays.
+func (s *Simulator) books(st *runState, l1Hits uint64) books {
+	b := books{
+		records: st.records, refs: st.refs, l1Hits: l1Hits,
+		busBytes: s.offDieBytes,
+		l2:       s.l2.Stats(),
+		mem:      s.mem.Stats(),
+		latency:  s.latencies.State().Counts,
+	}
+	if s.darr != nil {
+		b.darr = s.darr.Stats()
+	}
+	if s.inj != nil {
+		b.faults = s.inj.Stats()
+	}
+	return b
+}
+
+// publish adds the change in the books from was to now to reg: the
+// memhier_* counters and the memhier_latency_cycles histogram, the
+// DRAM devices' dram_cache_* (with a DRAM L2) and dram_mem_* counters,
+// and the injector's fault_* counters (with injection on). Each
+// latency bucket of 4 cycles lies inside one registry bucket of 32, so
+// the registry histogram holds exactly what observing each latency
+// would have put there.
+func (s *Simulator) publish(reg *obs.Registry, was, now books) {
+	records, l1Hits := now.records-was.records, now.l1Hits-was.l1Hits
+	l2Hits := now.l2.Hits - was.l2.Hits
+	reg.Counter("memhier_records").Add(records)
+	reg.Counter("memhier_refs").Add(now.refs - was.refs)
+	reg.Counter("memhier_l1_hits").Add(l1Hits)
+	reg.Counter("memhier_l1_misses").Add(records - l1Hits)
+	reg.Counter("memhier_l2_hits").Add(l2Hits)
+	reg.Counter("memhier_l2_misses").Add(now.l2.Accesses - was.l2.Accesses - l2Hits)
+	reg.Counter("memhier_writebacks").Add(now.l2.Writebacks - was.l2.Writebacks)
+	reg.Counter("memhier_bus_bytes").Add(now.busBytes - was.busBytes)
+	h := reg.Histogram("memhier_latency_cycles", 0, 2048, 64)
+	for i, n := range now.latency {
+		if d := n - was.latency[i]; d > 0 {
+			h.ObserveN(s.latencies.BucketLow(i), uint64(d))
 		}
 	}
 	if s.darr != nil {
-		s.darr.AttachObs(reg, "dram_cache")
+		dram.Publish(reg, "dram_cache", was.darr, now.darr)
 	}
-	s.mem.AttachObs(reg, "dram_mem")
+	dram.Publish(reg, "dram_mem", was.mem, now.mem)
 	if s.inj != nil {
-		s.inj.AttachObs(reg)
+		fault.Publish(reg, was.faults, now.faults)
 	}
 }
 
@@ -408,38 +430,37 @@ type RunOptions struct {
 	// first record; the run skips to the checkpoint position, verifying
 	// the stream digest along the way.
 	Resume *Checkpoint
-	// CancelEvery is how many records pass between context checks
-	// (default 4096).
-	CancelEvery int
-	// Obs, when non-nil, receives replay metrics — memhier_records,
-	// memhier_refs, L1/L2 hit and miss counters, memhier_writebacks,
-	// memhier_bus_bytes, a memhier_latency_cycles histogram — plus the
-	// attached DRAM devices' row-buffer counters (dram_cache_*,
-	// dram_mem_*), the fault injector's injection counters, and a
-	// "memhier/replay" span. A nil registry keeps the replay loop
-	// allocation-free and observability-free.
+	// Obs, when non-nil, receives a "memhier/replay" span and, when the
+	// run returns, the change in the simulator's statistics over the
+	// run: memhier_records, memhier_refs, L1/L2 hit and miss counters,
+	// memhier_writebacks, memhier_bus_bytes, a memhier_latency_cycles
+	// histogram, the DRAM devices' row-buffer counters (dram_cache_*,
+	// dram_mem_*) and the fault injector's counters (fault_*). A
+	// resumed run publishes what it replays, not what the checkpoint
+	// carries. The replay loop itself never touches the registry.
 	Obs *obs.Registry
 }
 
 // Run replays the stream under supervision: cooperative cancellation
-// via ctx (checked every opt.CancelEvery records), periodic
-// checkpointing, and resumption from a prior checkpoint. A resumed run
-// produces a Result bit-identical to an uninterrupted one. The zero
-// RunOptions replays the whole stream unsupervised.
+// via ctx (checked every 4096 records), periodic checkpointing, and
+// resumption from a prior checkpoint. A resumed run produces a Result
+// bit-identical to an uninterrupted one. The zero RunOptions replays
+// the whole stream unsupervised.
 func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions) (Result, error) {
-	cancelEvery := opt.CancelEvery
-	if cancelEvery <= 0 {
-		cancelEvery = 4096
-	}
-	s.bindObs(opt.Obs)
 	sp := opt.Obs.StartSpan("memhier/replay")
 	defer sp.End()
 	st := newRunState(s.cfg, depWindow)
 	s.fe.resetWindow(depWindow)
+	var err error
 	if opt.Resume != nil {
-		if err := s.restore(st, opt.Resume, stream); err != nil {
-			return Result{}, err
-		}
+		err = s.restore(st, opt.Resume, stream)
+	}
+	if reg := opt.Obs; reg != nil {
+		was := s.books(st, s.fe.l1Hits())
+		defer func() { s.publish(reg, was, s.books(st, s.fe.l1Hits())) }()
+	}
+	if err != nil {
+		return Result{}, err
 	}
 	if opt.CheckpointEvery > 0 && opt.CheckpointPath == "" {
 		return Result{}, errors.New("memhier: CheckpointEvery set without CheckpointPath")
@@ -450,7 +471,7 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		if opt.Limit > 0 && st.records >= uint64(opt.Limit) {
 			break
 		}
-		if sinceCancel++; sinceCancel >= cancelEvery {
+		if sinceCancel++; sinceCancel >= 4096 {
 			sinceCancel = 0
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("memhier: replay canceled after %d records: %w", st.records, err)
@@ -512,7 +533,6 @@ func (s *Simulator) step(st *runState, ev event, addrs []uint64, dep, own int) {
 	}
 
 	s.latencies.Add(float64(completion - issue))
-	s.obs.latency.Observe(float64(completion - issue))
 
 	// Replay the same-line repeats as back-to-back L1 hits: one
 	// issue slot each, completing L1-latency later. The program
@@ -522,8 +542,6 @@ func (s *Simulator) step(st *runState, ev event, addrs []uint64, dep, own int) {
 	reps := int64(ev.reps)
 	st.slot[cpu] += 1 + reps
 	st.refs += uint64(1 + reps)
-	s.obs.records.Inc()
-	s.obs.refs.Add(uint64(1 + reps))
 	st.sumLat += (completion - issue) + reps*l1Lat
 	s.repHits += uint64(reps)
 	repDone := issue + reps + l1Lat
@@ -616,10 +634,8 @@ func (s *Simulator) access(now int64, ev event, addrs []uint64) int64 {
 		t = now + s.cfg.L1I.Latency
 	}
 	if ev.flags&evHit != 0 {
-		s.obs.l1Hits.Inc()
 		return t
 	}
-	s.obs.l1Misses.Inc()
 	addrs = addrs[ev.flushes:]
 	if ev.flags&evWriteback != 0 {
 		s.l2Access(t, addrs[0], true)
@@ -633,11 +649,6 @@ func (s *Simulator) access(now int64, ev event, addrs []uint64) int64 {
 func (s *Simulator) l2Access(t int64, addr uint64, write bool) int64 {
 	out := s.l2.Access(addr, write)
 	tagDone := t + s.l2.Config().Latency
-	if out.Hit {
-		s.obs.l2Hits.Inc()
-	} else {
-		s.obs.l2Misses.Inc()
-	}
 
 	if s.cfg.L2Type == L2SRAM {
 		if out.Hit {
@@ -744,7 +755,6 @@ func (s *Simulator) handleL2Eviction(t int64, out cache.Outcome) {
 	if s.cfg.L2.SectorBytes == 0 {
 		n = 1
 	}
-	s.obs.writebacks.Inc()
 	s.memAccess(t, out.Eviction.Addr, true, granule*uint64(n))
 }
 
@@ -771,7 +781,6 @@ func (s *Simulator) memAccess(t int64, addr uint64, write bool, nbytes uint64) i
 	}
 	s.busFree = start + slot
 	s.offDieBytes += nbytes
-	s.obs.busBytes.Add(nbytes)
 
 	done, _ := s.mem.Access(start+slot, addr, write)
 	return done

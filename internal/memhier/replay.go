@@ -156,6 +156,13 @@ func (f *frontEnd) stats() (l1i, l1d cache.Stats) {
 	return l1i, l1d
 }
 
+// l1Hits totals the L1 hits over all cores. Each record accesses one
+// L1 once, so the rest of the records missed.
+func (f *frontEnd) l1Hits() uint64 {
+	l1i, l1d := f.stats()
+	return l1i.Hits + l1d.Hits
+}
+
 // addrChunk is the capacity, in addresses, of one L1Log address chunk.
 const addrChunk = 1 << 16
 
@@ -245,21 +252,37 @@ func FilterL1(ctx context.Context, cfg Config, recs []trace.Record) (*L1Log, err
 	return lg, nil
 }
 
+// l1Hits counts the L1 hits among the log's first n events.
+func (lg *L1Log) l1Hits(n uint64) uint64 {
+	var hits uint64
+	for _, ev := range lg.events[:n] {
+		if ev.flags&evHit != 0 {
+			hits++
+		}
+	}
+	return hits
+}
+
 // Replay runs the simulator's back end over a filtered log: the L2,
 // DRAM and bus timing of every record, with its L1 outcome taken from
 // the log. The Result equals Run's on the records the log was filtered
 // from. The log must come from a machine with this one's core count
-// and L1 geometry. reg instruments the replay as RunOptions.Obs does
-// for Run. The replay checks ctx every 4096 records.
+// and L1 geometry. reg receives what RunOptions.Obs receives from Run:
+// a span, and the change in the statistics when the replay returns,
+// with the L1 hits counted from the events it replayed. The replay
+// checks ctx every 4096 records.
 func (s *Simulator) Replay(ctx context.Context, lg *L1Log, reg *obs.Registry) (Result, error) {
 	if lg.cores != s.cfg.Cores || lg.l1i != s.cfg.L1I || lg.l1d != s.cfg.L1D {
 		return Result{}, fmt.Errorf("memhier: L1 log was filtered for %d cores with L1I %+v and L1D %+v; machine has %d cores with L1I %+v and L1D %+v",
 			lg.cores, lg.l1i, lg.l1d, s.cfg.Cores, s.cfg.L1I, s.cfg.L1D)
 	}
-	s.bindObs(reg)
 	sp := reg.StartSpan("memhier/replay")
 	defer sp.End()
 	st := newRunState(s.cfg, lg.ring)
+	if reg != nil {
+		was := s.books(st, 0)
+		defer func() { s.publish(reg, was, s.books(st, lg.l1Hits(st.records))) }()
+	}
 	mask := lg.ring - 1
 	chunks, chunk, next := lg.addrs[1:], lg.addrs[0], 0
 	for i, ev := range lg.events {

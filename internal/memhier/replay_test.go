@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"diestack/internal/fault"
@@ -268,6 +269,39 @@ func TestReplaySharedRegistry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Histograms, want.Histograms) {
 		t.Error("histograms differ between replays and runs")
+	}
+}
+
+// TestReplayPublishConcurrent checks that replays publishing into one
+// registry from several goroutines at once total what the same
+// replays publish one after another.
+func TestReplayPublishConcurrent(t *testing.T) {
+	ctx := context.Background()
+	recs := adversarialTrace(10_000)
+	cfgs := figure5Configs(t, 4, replayFaults)
+	lg, err := FilterL1(ctx, cfgs[0], recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, shared := obs.NewRegistry(), obs.NewRegistry()
+	var wg sync.WaitGroup
+	for _, cfg := range cfgs {
+		if _, err := mustSim(t, cfg).Replay(ctx, lg, serial); err != nil {
+			t.Fatal(err)
+		}
+		sim := mustSim(t, cfg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sim.Replay(ctx, lg, shared); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	want, got := serial.Snapshot(false), shared.Snapshot(false)
+	if !reflect.DeepEqual(got.Counters, want.Counters) || !reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("concurrent replays published\n%v\nserial replays\n%v", got.Counters, want.Counters)
 	}
 }
 

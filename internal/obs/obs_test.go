@@ -69,6 +69,25 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN checks that ObserveN(v, n) lands where n
+// Observe(v) calls land, clamping included.
+func TestHistogramObserveN(t *testing.T) {
+	reg := NewRegistry()
+	one, bulk := reg.Histogram("one", 0, 100, 10), reg.Histogram("bulk", 0, 100, 10)
+	for _, v := range []float64{-5, 0, 9.9, 10, 55, 99.9, 100, 1e9} {
+		for range 3 {
+			one.Observe(v)
+		}
+		bulk.ObserveN(v, 3)
+	}
+	bulk.ObserveN(42, 0)
+	for i := range one.buckets {
+		if a, b := one.buckets[i].Load(), bulk.buckets[i].Load(); a != b {
+			t.Errorf("bucket %d: ObserveN counts %d, Observe %d", i, b, a)
+		}
+	}
+}
+
 func TestGaugeAddConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("depth")
@@ -190,6 +209,7 @@ func TestNoopAllocs(t *testing.T) {
 		g.Set(1.5)
 		g.Add(1)
 		h.Observe(0.5)
+		h.ObserveN(0.5, 2)
 		sp := reg.StartSpan("phase")
 		sp.Child("sub").End()
 		sp.End()

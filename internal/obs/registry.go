@@ -121,7 +121,12 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v at once: a simulator that keeps
+// its own finer histogram publishes it bucket by bucket with one call
+// per bucket.
+func (h *Histogram) ObserveN(v float64, n uint64) {
 	if h == nil {
 		return
 	}
@@ -132,7 +137,7 @@ func (h *Histogram) Observe(v float64) {
 			i = len(h.buckets) - 1
 		}
 	}
-	h.buckets[i].Add(1)
+	h.buckets[i].Add(n)
 }
 
 // Count sums all buckets.

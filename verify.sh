@@ -76,6 +76,8 @@ echo "== supervised campaign smoke =="
 # A small supervised sweep: every job must finish OK, the manifest must
 # be written, and the -metrics-out JSONL must carry all five metric
 # families — harness end to end from the CLI, observability included.
+# The replays publish their statistics when they return, so the final
+# snapshot must hold nonzero memhier and main-memory counts.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/stackmem -campaign -bench gauss -scale 0.05 -grid 16 \
@@ -83,7 +85,8 @@ go run ./cmd/stackmem -campaign -bench gauss -scale 0.05 -grid 16 \
     -metrics-out "$tmpdir/metrics.jsonl"
 grep -q '"status": "ok"' "$tmpdir/manifest.json"
 test -s "$tmpdir/metrics.jsonl"
-go run ./internal/obs/cmd/checksnap "$tmpdir/metrics.jsonl"
+go run ./internal/obs/cmd/checksnap -min memhier_records=1 -min dram_mem_accesses=1 \
+    "$tmpdir/metrics.jsonl"
 
 echo "== distributed campaign smoke =="
 # One coordinator, two loopback workers, one SIGKILLed mid-campaign,
