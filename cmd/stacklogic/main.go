@@ -19,7 +19,6 @@ import (
 	"text/tabwriter"
 
 	"diestack/internal/core"
-	"diestack/internal/harness"
 	"diestack/internal/power"
 	"diestack/internal/wire"
 )
@@ -38,7 +37,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "workload generation seed")
 		grid      = flag.Int("grid", 0, "thermal grid resolution (0 = default 64)")
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole run (0 = none)")
-		jobs      = flag.Int("jobs", 1, "solve the Figure 11 bars on this many parallel workers")
 	)
 	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -48,9 +46,6 @@ func main() {
 	}
 	if *grid < 0 {
 		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
-	}
-	if *jobs <= 0 {
-		fatal(fmt.Errorf("-jobs must be positive, got %d", *jobs))
 	}
 	if err := cli.Start(); err != nil {
 		fatal(err)
@@ -79,7 +74,7 @@ func main() {
 	}
 	if *thermOnly || all {
 		fmt.Println()
-		if err := printFigure11(ctx, spec, *jobs); err != nil {
+		if err := printFigure11(ctx, spec); err != nil {
 			fatal(err)
 		}
 	}
@@ -151,20 +146,12 @@ func printTable4(ctx context.Context, spec core.RunSpec, n int) error {
 	return nil
 }
 
-func printFigure11(ctx context.Context, spec core.RunSpec, jobs int) error {
-	var rows []core.LogicThermal
-	var err error
-	if jobs > 1 {
-		rows, err = runFigure11Parallel(ctx, spec, jobs)
-	} else {
-		var v any
-		if v, err = experiment(ctx, spec, "fig11", nil); err == nil {
-			rows = v.([]core.LogicThermal)
-		}
-	}
+func printFigure11(ctx context.Context, spec core.RunSpec) error {
+	v, err := experiment(ctx, spec, "fig11", nil)
 	if err != nil {
 		return err
 	}
+	rows := v.([]core.LogicThermal)
 	paper := map[core.LogicOption]float64{
 		core.LogicPlanar: 98.6, core.Logic3D: 112.5, core.Logic3DWorst: 124.75,
 	}
@@ -174,34 +161,6 @@ func printFigure11(ctx context.Context, spec core.RunSpec, jobs int) error {
 			r.Option, r.PeakC, paper[r.Option], r.TotalPowerW, r.DensityRatio)
 	}
 	return nil
-}
-
-// runFigure11Parallel solves the three Figure 11 bars as supervised
-// harness jobs and reassembles them in paper order.
-func runFigure11Parallel(ctx context.Context, spec core.RunSpec, jobs int) ([]core.LogicThermal, error) {
-	var hjobs []harness.Job
-	for _, o := range core.LogicOptions() {
-		o := o
-		hjobs = append(hjobs, harness.Job{
-			Name: o.String(),
-			Run: func(ctx context.Context) (any, error) {
-				return experiment(ctx, spec, "logic-thermal", &core.LogicThermalParams{Variant: o.Slug()})
-			},
-		})
-	}
-	m, err := harness.Run(ctx, harness.Config{Workers: jobs, Obs: spec.Obs}, hjobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]core.LogicThermal, 0, len(hjobs))
-	for _, o := range core.LogicOptions() {
-		r, _ := m.Result(o.String())
-		if r.Status != harness.StatusOK {
-			return nil, fmt.Errorf("solve for %s %s: %s", o, r.Status, r.Error)
-		}
-		rows = append(rows, r.Value.(core.LogicThermal))
-	}
-	return rows, nil
 }
 
 func printTable5(ctx context.Context, spec core.RunSpec) error {

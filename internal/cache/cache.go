@@ -388,9 +388,6 @@ func (c *Cache) Restore(st State) error {
 // Stats returns a copy of accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears counters without disturbing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // Occupancy returns the fraction of lines currently valid.
 func (c *Cache) Occupancy() float64 {
 	valid := 0

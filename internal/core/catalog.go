@@ -161,8 +161,9 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 // DecodeRequest parses a request body for this experiment. The
 // "experiment" field may be omitted (the route names it) but must
 // match when present; unknown fields anywhere are rejected, and so is
-// a spec outside the bounds an outside request may ask for (grid in
-// [0, 256], scale in [0, 4]). An experiment that takes parameters
+// a spec or params outside the bounds an outside request may ask for
+// (grid in [0, 256], scale in [0, 4], at most 1M instructions, 10k
+// steps and 64 conductivities). An experiment that takes parameters
 // always gets a NewParams pointer back, all-default when the body
 // omits them.
 func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
@@ -172,9 +173,6 @@ func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	}
 	if w.Experiment != "" && w.Experiment != e.Name {
 		return ExperimentRequest{}, fmt.Errorf("core: request names experiment %q, not %q", w.Experiment, e.Name)
-	}
-	if err := w.Spec.checkWire(); err != nil {
-		return ExperimentRequest{}, err
 	}
 	req := ExperimentRequest{Spec: w.Spec}
 	if len(w.Params) > 0 && string(w.Params) != "null" {
@@ -190,7 +188,44 @@ func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	if req.Params == nil && e.NewParams != nil {
 		req.Params = e.NewParams()
 	}
+	if err := req.checkWire(); err != nil {
+		return ExperimentRequest{}, err
+	}
 	return req, nil
+}
+
+// Bounds on params that size a run arriving from outside the process:
+// past them a run allocates or loops without limit. Every in-repo
+// caller stays within 200k instructions, 600 steps and Figure 3's nine
+// points.
+const (
+	maxWireInstructions   = 1_000_000
+	maxWireSteps          = 10_000
+	maxWireConductivities = 64
+)
+
+// checkWire rejects a decoded request whose spec or params lie outside
+// the bounds an outside request may ask for. The CLIs build requests
+// from flags and skip it.
+func (req ExperimentRequest) checkWire() error {
+	if err := req.Spec.checkWire(); err != nil {
+		return err
+	}
+	switch p := req.Params.(type) {
+	case *Table4Params:
+		if p.Instructions > maxWireInstructions {
+			return fmt.Errorf("core: %d instructions above %d", p.Instructions, maxWireInstructions)
+		}
+	case *ManagedThermalParams:
+		if p.Steps > maxWireSteps {
+			return fmt.Errorf("core: %d steps above %d", p.Steps, maxWireSteps)
+		}
+	case *Fig3Params:
+		if len(p.Conductivities) > maxWireConductivities {
+			return fmt.Errorf("core: %d conductivities above %d", len(p.Conductivities), maxWireConductivities)
+		}
+	}
+	return nil
 }
 
 // MemoryOptionForCapacity maps a last-level capacity in MB onto its

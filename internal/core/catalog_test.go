@@ -220,6 +220,28 @@ func TestDecodeRequestRejects(t *testing.T) {
 			t.Errorf("campaign request accepted: %s", bad)
 		}
 	}
+	// Params that size the run are bounded like the spec: each of these
+	// would allocate or loop without limit once it ran.
+	manyKs := "[" + strings.Repeat("1,", 100000) + "1]"
+	for _, bad := range []struct{ exp, body string }{
+		{"table4", `{"params":{"instructions":1000000000000}}`},
+		{"managed-logic-thermal", `{"params":{"steps":4000000000}}`},
+		{"fig3", `{"params":{"conductivities":` + manyKs + `}}`},
+	} {
+		if _, err := mustExperiment(bad.exp).DecodeRequest([]byte(bad.body)); err == nil {
+			t.Errorf("%s: out-of-bounds params accepted: %.80s", bad.exp, bad.body)
+		}
+	}
+	atBound := "[" + strings.Repeat("1,", 63) + "1]"
+	for _, ok := range []struct{ exp, body string }{
+		{"table4", `{"params":{"instructions":1000000}}`},
+		{"managed-logic-thermal", `{"params":{"steps":10000}}`},
+		{"fig3", `{"params":{"conductivities":` + atBound + `}}`},
+	} {
+		if _, err := mustExperiment(ok.exp).DecodeRequest([]byte(ok.body)); err != nil {
+			t.Errorf("%s: params at the wire bounds rejected: %v", ok.exp, err)
+		}
+	}
 	fig5, _ := ExperimentByName("fig5")
 	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
 		t.Error("params accepted by a parameterless experiment")

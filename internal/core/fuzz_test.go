@@ -10,8 +10,8 @@ import (
 // every catalog experiment's decoder. Decoding must never panic; an
 // accepted body must re-encode to a canonical fixed point (decoding the
 // canonical bytes and encoding again yields the same bytes, so one
-// request has one cache key); and an accepted spec must lie within the
-// wire bounds. Seeds live in testdata/fuzz/FuzzDecodeRequest.
+// request has one cache key); and an accepted spec and its params must
+// lie within the wire bounds. Seeds live in testdata/fuzz/FuzzDecodeRequest.
 func FuzzDecodeRequest(f *testing.F) {
 	exps := Experiments()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -20,8 +20,8 @@ func FuzzDecodeRequest(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if err := req.Spec.checkWire(); err != nil {
-				t.Fatalf("%s: accepted an out-of-bounds spec: %v", e.Name, err)
+			if err := req.checkWire(); err != nil {
+				t.Fatalf("%s: accepted an out-of-bounds request: %v", e.Name, err)
 			}
 			canonical, err := e.EncodeRequest(req)
 			if err != nil {

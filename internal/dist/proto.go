@@ -60,7 +60,6 @@ type request struct {
 	SpecHash string      `json:"spec_hash,omitempty"`
 	Max      int         `json:"max,omitempty"`
 	Leases   []uint64    `json:"leases,omitempty"`
-	LeaseID  uint64      `json:"lease_id,omitempty"`
 	Result   *wireResult `json:"result,omitempty"`
 }
 

@@ -372,9 +372,6 @@ func (d *Device) Restore(st State) error {
 // Stats returns a copy of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats clears statistics without disturbing bank state.
-func (d *Device) ResetStats() { d.stats = Stats{} }
-
 // UncontendedLatency returns the access latency for each row outcome
 // with no bank queueing, including interface overhead. Useful for
 // configuration reporting and analytical checks.

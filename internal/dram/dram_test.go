@@ -169,14 +169,6 @@ func TestStatsAccounting(t *testing.T) {
 	if r := s.RowHitRate(); r != 0.5 {
 		t.Fatalf("RowHitRate = %v, want 0.5", r)
 	}
-	d.ResetStats()
-	if d.Stats().Accesses != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
-	// Bank state survives reset: next access to same row is a hit.
-	if _, res := d.Access(2000, 25*512+64, false); res != RowHit {
-		t.Fatal("ResetStats disturbed bank state")
-	}
 }
 
 func TestRowHitRateEmpty(t *testing.T) {

@@ -24,16 +24,16 @@ import (
 // errors.Is.
 var ErrAllBanksDead = errors.New("fault: all DRAM banks dead")
 
-// Defaults used when the corresponding Config field is zero.
+// The fixed ECC recovery schedule.
 const (
-	// DefaultECCRetryCycles is the added latency of a correctable ECC
-	// fix: the controller re-reads the word and runs the corrector.
-	DefaultECCRetryCycles = 16
-	// DefaultMaxRefetchRetries bounds the uncorrectable recovery loop.
-	DefaultMaxRefetchRetries = 3
-	// DefaultRefetchBackoffCycles is the first retry's backoff; each
-	// further attempt doubles it (bounded by DefaultMaxRefetchRetries).
-	DefaultRefetchBackoffCycles = 32
+	// ECCRetryCycles is the added latency of a correctable ECC fix:
+	// the controller re-reads the word and runs the corrector.
+	ECCRetryCycles = 16
+	// MaxRefetchRetries bounds the uncorrectable recovery loop.
+	MaxRefetchRetries = 3
+	// RefetchBackoffCycles is the first retry's backoff; each further
+	// attempt doubles it (bounded by MaxRefetchRetries).
+	RefetchBackoffCycles = 32
 )
 
 // maxDeadBankIndex bounds DeadBanks entries so the injector can track
@@ -53,16 +53,6 @@ type Config struct {
 	// UncorrectablePerMAccess is the expected number of multi-bit
 	// (detectable, uncorrectable) errors per million stacked-DRAM reads.
 	UncorrectablePerMAccess float64
-	// ECCRetryCycles is the extra latency of a correctable fix
-	// (zero selects DefaultECCRetryCycles).
-	ECCRetryCycles int64
-	// MaxRefetchRetries bounds the uncorrectable recovery loop
-	// (zero selects DefaultMaxRefetchRetries).
-	MaxRefetchRetries int
-	// RefetchBackoffCycles is the base of the bounded exponential
-	// backoff between refetch attempts (zero selects
-	// DefaultRefetchBackoffCycles).
-	RefetchBackoffCycles int64
 
 	// DeadBanks lists stacked-DRAM bank indices that have failed
 	// outright. Accesses aimed at a dead bank remap to the next live
@@ -113,15 +103,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fault: ECC rates sum to %v per million accesses, exceeding 1e6",
 			c.CorrectablePerMAccess+c.UncorrectablePerMAccess)
 	}
-	if c.ECCRetryCycles < 0 {
-		return fmt.Errorf("fault: negative ECCRetryCycles %d", c.ECCRetryCycles)
-	}
-	if c.MaxRefetchRetries < 0 || c.MaxRefetchRetries > 16 {
-		return fmt.Errorf("fault: MaxRefetchRetries must be in [0,16], got %d", c.MaxRefetchRetries)
-	}
-	if c.RefetchBackoffCycles < 0 {
-		return fmt.Errorf("fault: negative RefetchBackoffCycles %d", c.RefetchBackoffCycles)
-	}
 	seen := map[int]bool{}
 	for _, b := range c.DeadBanks {
 		if b < 0 || b > maxDeadBankIndex {
@@ -142,30 +123,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fault: NaN sensor parameter")
 	}
 	return nil
-}
-
-// retryCycles resolves the configured or default correctable-fix cost.
-func (c Config) retryCycles() int64 {
-	if c.ECCRetryCycles > 0 {
-		return c.ECCRetryCycles
-	}
-	return DefaultECCRetryCycles
-}
-
-// maxRetries resolves the configured or default recovery bound.
-func (c Config) maxRetries() int {
-	if c.MaxRefetchRetries > 0 {
-		return c.MaxRefetchRetries
-	}
-	return DefaultMaxRefetchRetries
-}
-
-// backoffBase resolves the configured or default backoff base.
-func (c Config) backoffBase() int64 {
-	if c.RefetchBackoffCycles > 0 {
-		return c.RefetchBackoffCycles
-	}
-	return DefaultRefetchBackoffCycles
 }
 
 // Stats aggregates injected faults and the recovery work they caused.
@@ -286,9 +243,6 @@ func New(cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg}, nil
 }
 
-// Config returns the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Stats returns a copy of the accumulated fault statistics.
 func (in *Injector) Stats() Stats { return in.stats }
 
@@ -350,15 +304,6 @@ func (in *Injector) CheckRead() ECCOutcome {
 		return ECCClean
 	}
 }
-
-// RetryCycles is the latency of one correctable ECC fix.
-func (in *Injector) RetryCycles() int64 { return in.cfg.retryCycles() }
-
-// MaxRetries is the uncorrectable recovery loop bound.
-func (in *Injector) MaxRetries() int { return in.cfg.maxRetries() }
-
-// BackoffBase is the first retry's backoff in cycles.
-func (in *Injector) BackoffBase() int64 { return in.cfg.backoffBase() }
 
 // CountRetryCycles records latency added by ECC fixes and backoff.
 func (in *Injector) CountRetryCycles(c int64) { in.stats.RetryCyclesAdded += c }

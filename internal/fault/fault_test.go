@@ -16,10 +16,6 @@ func TestValidateRejects(t *testing.T) {
 		{"correctable rate above 1e6", Config{CorrectablePerMAccess: 2e6}},
 		{"rates sum above 1e6", Config{CorrectablePerMAccess: 6e5, UncorrectablePerMAccess: 6e5}},
 		{"NaN rate", Config{CorrectablePerMAccess: math.NaN()}},
-		{"negative retry cycles", Config{ECCRetryCycles: -1}},
-		{"negative max retries", Config{MaxRefetchRetries: -1}},
-		{"huge max retries", Config{MaxRefetchRetries: 100}},
-		{"negative backoff", Config{RefetchBackoffCycles: -8}},
 		{"negative bank index", Config{DeadBanks: []int{-1}}},
 		{"bank index above 63", Config{DeadBanks: []int{64}}},
 		{"duplicate dead bank", Config{DeadBanks: []int{3, 3}}},

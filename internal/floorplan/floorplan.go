@@ -8,7 +8,6 @@ package floorplan
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"diestack/internal/thermal"
 )
@@ -244,23 +243,4 @@ func (f *Floorplan) WireLength(nets []Net) (float64, error) {
 		total += w * (math.Abs(ax-bx) + math.Abs(ay-by))
 	}
 	return total, nil
-}
-
-// DensityOutliers returns the names of blocks whose density exceeds
-// ratio times the floorplan's average density, sorted hottest first.
-// This drives the paper's iterative place-observe-repair loop.
-func (f *Floorplan) DensityOutliers(ratio float64) []string {
-	avg := f.TotalPower() / (f.DieW * f.DieH * float64(f.Dies))
-	var out []Block
-	for _, b := range f.Blocks {
-		if b.Density() > ratio*avg {
-			out = append(out, b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Density() > out[j].Density() })
-	names := make([]string, len(out))
-	for i, b := range out {
-		names[i] = b.Name
-	}
-	return names
 }

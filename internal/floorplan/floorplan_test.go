@@ -228,19 +228,6 @@ func TestScalePowerAndClone(t *testing.T) {
 	}
 }
 
-func TestDensityOutliers(t *testing.T) {
-	f := Pentium4Planar()
-	out := f.DensityOutliers(1.5)
-	if len(out) == 0 {
-		t.Fatal("no outliers found in a floorplan with hot blocks")
-	}
-	// The scheduler is the planar floorplan's hottest block (the paper
-	// names the area over the instruction scheduler as the hot spot).
-	if out[0] != "sched" {
-		t.Errorf("hottest outlier = %s, want sched", out[0])
-	}
-}
-
 func TestDiePower(t *testing.T) {
 	f := Core2DuoStacked12MB()
 	if math.Abs(f.DiePower(0)-92) > 1e-9 {

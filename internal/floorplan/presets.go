@@ -15,7 +15,6 @@ const (
 // Power budget of the 92 W baseline skew (Figure 6): two 41 W cores, a
 // 7 W 4 MB L2 (the paper's SRAM power figure), and a 3 W bus interface.
 const (
-	CorePowerW    = 41.0
 	SRAM4MBPowerW = 7.0
 	BusPowerW     = 3.0
 )

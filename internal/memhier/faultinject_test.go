@@ -149,10 +149,6 @@ func TestFaultConfigValidateRejects(t *testing.T) {
 				c.Faults.CorrectablePerMAccess = 6e5
 				c.Faults.UncorrectablePerMAccess = 6e5
 			}},
-		{name: "negative retry cycles",
-			mut: func(c *Config) { c.Faults.ECCRetryCycles = -1 }},
-		{name: "oversized retry budget",
-			mut: func(c *Config) { c.Faults.MaxRefetchRetries = 99 }},
 		{name: "dead bank out of device range",
 			mut: func(c *Config) { c.Faults.DeadBanks = []int{16} }},
 		{name: "duplicate dead bank",
@@ -200,5 +196,35 @@ func TestDeadBanksOnSRAML2Ignored(t *testing.T) {
 	}
 	if res.DRAMCache.Remapped != 0 {
 		t.Fatalf("SRAM machine remapped DRAM banks: %+v", res.DRAMCache)
+	}
+}
+
+// TestRecoveryScheduleFixed pins the costs of the fixed ECC recovery
+// schedule: a correctable fix adds 16 cycles, and an uncorrectable line
+// is refetched at most 3 times with backoff 32 then 64 cycles between
+// attempts before it is served unrecovered.
+func TestRecoveryScheduleFixed(t *testing.T) {
+	recs := l2WorkingSetTrace(20000)
+
+	storm := runFaulty(t, fault.Config{Seed: 1, UncorrectablePerMAccess: 1e6}, recs).Faults
+	if storm.LinesPoisoned == 0 {
+		t.Fatalf("no poisoned lines: %+v", storm)
+	}
+	if storm.Refetches != 3*storm.LinesPoisoned {
+		t.Errorf("Refetches %d, want 3 x %d poisoned", storm.Refetches, storm.LinesPoisoned)
+	}
+	if storm.Unrecovered != storm.LinesPoisoned {
+		t.Errorf("Unrecovered %d, want %d poisoned", storm.Unrecovered, storm.LinesPoisoned)
+	}
+	if storm.RetryCyclesAdded != 96*int64(storm.LinesPoisoned) {
+		t.Errorf("RetryCyclesAdded %d, want 96 x %d poisoned", storm.RetryCyclesAdded, storm.LinesPoisoned)
+	}
+
+	fixed := runFaulty(t, fault.Config{Seed: 1, CorrectablePerMAccess: 1e6}, recs).Faults
+	if fixed.Corrected == 0 {
+		t.Fatalf("no corrections: %+v", fixed)
+	}
+	if fixed.RetryCyclesAdded != 16*int64(fixed.Corrected) {
+		t.Errorf("RetryCyclesAdded %d, want 16 x %d corrected", fixed.RetryCyclesAdded, fixed.Corrected)
 	}
 }

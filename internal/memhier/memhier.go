@@ -76,9 +76,6 @@ type Config struct {
 	// BusPicoJoulePerBit prices off-die bus traffic. The paper assumes
 	// 20 mW per Gb/s, i.e. 20 pJ per bit.
 	BusPicoJoulePerBit float64
-	// MaxOutstanding bounds the number of in-flight L1 misses per core
-	// (the MSHR limit). Zero selects DefaultMaxOutstanding.
-	MaxOutstanding int
 	// WindowRecords bounds how far a core's issue can run ahead of an
 	// incomplete older record (the reorder-buffer depth, in trace
 	// records). Zero selects DefaultWindowRecords.
@@ -91,9 +88,9 @@ type Config struct {
 	Faults fault.Config
 }
 
-// DefaultMaxOutstanding is the per-core in-flight miss limit used when
-// Config.MaxOutstanding is zero, sized like a Core-2-era machine.
-const DefaultMaxOutstanding = 12
+// maxOutstanding bounds the number of in-flight L1 misses per core
+// (the MSHR limit), sized like a Core-2-era machine.
+const maxOutstanding = 12
 
 // DefaultWindowRecords is the per-core reorder window used when
 // Config.WindowRecords is zero. References issue out of order past a
@@ -130,9 +127,6 @@ func (c Config) Validate() error {
 	if c.BusPicoJoulePerBit < 0 {
 		return fmt.Errorf("memhier: negative BusPicoJoulePerBit")
 	}
-	if c.MaxOutstanding < 0 {
-		return fmt.Errorf("memhier: negative MaxOutstanding")
-	}
 	if c.WindowRecords < 0 {
 		return fmt.Errorf("memhier: negative WindowRecords")
 	}
@@ -145,14 +139,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// maxOutstanding resolves the configured or default MSHR limit.
-func (c Config) maxOutstanding() int {
-	if c.MaxOutstanding > 0 {
-		return c.MaxOutstanding
-	}
-	return DefaultMaxOutstanding
 }
 
 // windowRecords resolves the configured or default reorder window.
@@ -332,9 +318,6 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Config returns the machine configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // depWindow is the size, in records, of Run's dependency window: the
 // front end's record-ID table and the back end's completion table,
 // both indexed by id mod depWindow. Dependencies in real traces reach
@@ -383,11 +366,10 @@ func newRunState(cfg Config, slots int) *runState {
 		doneAt: make([]int64, slots),
 		hash:   1469598103934665603, // FNV-1a offset basis
 	}
-	mshrN := cfg.maxOutstanding()
 	st.mshr = make([][]int64, cfg.Cores)
 	st.mshrPos = make([]int, cfg.Cores)
 	for i := range st.mshr {
-		st.mshr[i] = make([]int64, mshrN)
+		st.mshr[i] = make([]int64, maxOutstanding)
 	}
 	robN := cfg.windowRecords()
 	st.rob = make([][]int64, cfg.Cores)
@@ -675,9 +657,8 @@ func (s *Simulator) l2Access(t int64, addr uint64, write bool) int64 {
 		if s.inj != nil && !write {
 			switch s.inj.CheckRead() {
 			case fault.ECCCorrected:
-				retry := s.inj.RetryCycles()
-				s.inj.CountRetryCycles(retry)
-				dataDone += retry
+				s.inj.CountRetryCycles(fault.ECCRetryCycles)
+				dataDone += fault.ECCRetryCycles
 			case fault.ECCUncorrectable:
 				dataDone = s.recoverUncorrectable(dataDone, addr)
 			}
@@ -709,7 +690,7 @@ func (s *Simulator) recoverUncorrectable(t int64, addr uint64) int64 {
 	// Drop the poisoned line; a dirty line's data is lost, which the
 	// SECDED model cannot repair — the refetch restores memory's copy.
 	s.l2.Invalidate(addr)
-	backoff := s.inj.BackoffBase()
+	backoff := int64(fault.RefetchBackoffCycles)
 	granule := sectorBytes(s.cfg.L2)
 	for attempt := 0; ; attempt++ {
 		s.inj.CountRefetch()
@@ -717,7 +698,7 @@ func (s *Simulator) recoverUncorrectable(t int64, addr uint64) int64 {
 		done, _ := s.darr.Access(fill, addr, true)
 		switch s.inj.CheckRead() {
 		case fault.ECCUncorrectable:
-			if attempt+1 >= s.inj.MaxRetries() {
+			if attempt+1 >= fault.MaxRefetchRetries {
 				s.inj.CountUnrecovered()
 				// Served straight from the memory fill; the tags stay
 				// invalid, so the next touch misses back to memory.
@@ -727,9 +708,8 @@ func (s *Simulator) recoverUncorrectable(t int64, addr uint64) int64 {
 			t = done + backoff
 			backoff *= 2
 		case fault.ECCCorrected:
-			retry := s.inj.RetryCycles()
-			s.inj.CountRetryCycles(retry)
-			return done + retry
+			s.inj.CountRetryCycles(fault.ECCRetryCycles)
+			return done + fault.ECCRetryCycles
 		default:
 			return done
 		}

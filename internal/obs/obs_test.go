@@ -223,7 +223,7 @@ func TestNoopAllocs(t *testing.T) {
 }
 
 // TestEnabledCounterAllocs asserts the enabled counter hot path is
-// also allocation-free (the shard probe must stay on the stack).
+// also allocation-free.
 func TestEnabledCounterAllocs(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("x")

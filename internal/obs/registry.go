@@ -11,45 +11,21 @@
 // *Counter) and pay nothing when observability is disabled, which is
 // the common case for the replay hot loop.
 //
-// The hot path is lock-free: counters spread their increments across
-// cache-line-padded atomic shards (indexed from the goroutine's stack
-// address, approximating per-P accumulation without runtime
-// dependencies) and are summed only at snapshot time. Spans and
-// registration take a mutex; they run once per phase, not per record.
+// Instruments are lock-free: counters, gauges and histogram buckets
+// are single atomics. Spans and registration take a mutex; they run
+// once per phase, not per record.
 package obs
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
-
-// nShards is the counter fan-out. 16 shards comfortably cover the
-// worker-pool sizes the harness and thermal solver run (GOMAXPROCS on
-// typical hosts) while keeping snapshot sums cheap.
-const nShards = 16
-
-// counterShard pads each atomic to its own cache line so concurrent
-// writers on different shards never false-share.
-type counterShard struct {
-	n atomic.Uint64
-	_ [56]byte
-}
 
 // Counter is a monotonically increasing metric. The zero value is
 // usable; a nil Counter is a no-op.
 type Counter struct {
-	shards [nShards]counterShard
-}
-
-// shardIndex derives a shard from the address of a stack local: stacks
-// of distinct goroutines live in distinct allocations, so concurrent
-// writers spread across shards without any runtime/per-P machinery.
-// The local never escapes, so this is allocation-free.
-func shardIndex() int {
-	var probe byte
-	return int(uintptr(unsafe.Pointer(&probe)) >> 10 % nShards)
+	n atomic.Uint64
 }
 
 // Add increments the counter by n. Safe for concurrent use; a no-op on
@@ -58,23 +34,18 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardIndex()].n.Add(n)
+	c.n.Add(n)
 }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value sums the shards. It is a snapshot, not a linearization point:
-// concurrent Adds may or may not be included.
+// Value returns the current count, or 0 for a nil counter.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // Gauge is a last-value metric (queue depth, current peak temperature).

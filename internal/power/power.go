@@ -1,6 +1,5 @@
-// Package power implements the paper's power accounting: the off-die
-// bus energy model (20 mW per Gb/s) and the voltage/frequency scaling
-// laws used to trade the Logic+Logic 3D floorplan's simultaneous
+// Package power implements the paper's voltage/frequency scaling
+// laws, used to trade the Logic+Logic 3D floorplan's simultaneous
 // +15% performance / -15% power for lower temperature or lower power
 // (Table 5).
 package power
@@ -9,16 +8,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// BusMilliWattPerGbps is the paper's bus power assumption: 20 mW for
-// every Gb/s of off-die traffic.
-const BusMilliWattPerGbps = 20.0
-
-// BusPowerW converts an off-die bandwidth in GB/s to bus power in
-// watts (20 mW/Gb/s x 8 bits).
-func BusPowerW(bandwidthGBs float64) float64 {
-	return BusMilliWattPerGbps / 1000 * 8 * bandwidthGBs
-}
 
 // Laws captures the Table 5 conversion equations.
 type Laws struct {
@@ -100,13 +89,6 @@ func (l Laws) VccForFreq(freq float64) float64 {
 // that yields the target performance percentage.
 func (l Laws) FreqForPerf(d Design, perfPct float64) float64 {
 	return 1 + (perfPct-100-d.PerfGainPct)/(l.PerfPerFreqPct*100)
-}
-
-// FreqForPower solves P = base x factor x v²f with v coupled to f for
-// the relative frequency that yields the target power in watts.
-func (l Laws) FreqForPower(d Design, powerW float64) float64 {
-	// With v = f (1:1 law), P = base x factor x f³.
-	return math.Cbrt(powerW / (d.BasePowerW * d.PowerFactor))
 }
 
 // SamePowerFreq returns the frequency step available at constant

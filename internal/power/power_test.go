@@ -7,17 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestBusPowerW(t *testing.T) {
-	// 20 mW/Gb/s: 1 GB/s = 8 Gb/s = 0.16 W.
-	if got := BusPowerW(1); math.Abs(got-0.16) > 1e-12 {
-		t.Fatalf("BusPowerW(1) = %v, want 0.16", got)
-	}
-	// The paper's ~0.5 W bus saving corresponds to ~3 GB/s saved.
-	if got := BusPowerW(3.1); math.Abs(got-0.496) > 1e-9 {
-		t.Fatalf("BusPowerW(3.1) = %v", got)
-	}
-}
-
 func TestPaperLaws(t *testing.T) {
 	l := PaperLaws()
 	if l.PerfPerFreqPct != 0.82 || l.FreqPerVccPct != 1.0 {
@@ -83,15 +72,6 @@ func TestSamePerfPoint(t *testing.T) {
 	}
 	if math.Abs(p.PerfPct-100) > 1e-9 {
 		t.Errorf("PerfPct = %v, want 100", p.PerfPct)
-	}
-}
-
-func TestFreqForPower(t *testing.T) {
-	l := PaperLaws()
-	d := Pentium4ThreeDDesign()
-	f := l.FreqForPower(d, 124.95)
-	if math.Abs(f-1) > 1e-9 {
-		t.Fatalf("FreqForPower(124.95) = %v, want 1", f)
 	}
 }
 

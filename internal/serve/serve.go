@@ -99,10 +99,11 @@ type cacheEntry struct {
 // flight is one in-progress run; identical requests arriving while it
 // is open wait on done and replay status/body.
 type flight struct {
-	done   chan struct{}
-	status int
-	body   []byte
-	shed   bool
+	done    chan struct{}
+	status  int
+	body    []byte
+	shed    bool
+	waiters int // followers latched onto done; guarded by Server.mu
 }
 
 // New builds a Server from cfg.
@@ -241,6 +242,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// waits for its verdict.
 	s.mu.Lock()
 	if f := s.flights[key]; f != nil {
+		f.waiters++
 		s.mu.Unlock()
 		select {
 		case <-f.done:

@@ -92,6 +92,17 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// flightWaiters counts the followers latched onto s's open flights.
+func flightWaiters(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, f := range s.flights {
+		n += f.waiters
+	}
+	return n
+}
+
 func TestSingleflightMerge(t *testing.T) {
 	const n = 8
 	var runs atomic.Int64
@@ -118,9 +129,11 @@ func TestSingleflightMerge(t *testing.T) {
 			states[i] = resp.Header.Get("X-Stackd-Cache")
 		}(i)
 	}
-	// Release the leader only once every request has arrived (the
-	// followers are waiting on its flight, the leader inside the gate).
-	for reg.CounterValue("stackd_requests") < n {
+	// Release the leader only once it is inside the gate and every
+	// other request has latched onto its flight; a follower that had
+	// merely arrived could otherwise miss the flight and be served from
+	// the cache instead.
+	for runs.Load() < 1 || flightWaiters(s) < n-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)

@@ -1,5 +1,6 @@
 // Package stats provides deterministic pseudo-random number generation
-// and summary statistics used throughout the die-stacking simulators.
+// and the fixed-bucket histogram used throughout the die-stacking
+// simulators.
 //
 // Simulation reproducibility is a hard requirement: every workload
 // generator and every synthetic instruction stream must produce the
@@ -7,8 +8,6 @@
 // therefore carries its own splitmix64/xoshiro256** implementation
 // instead of depending on math/rand's unspecified evolution.
 package stats
-
-import "math"
 
 // splitmix64 advances a 64-bit state and returns the next output.
 // It is used to seed xoshiro and as a cheap standalone generator.
@@ -113,57 +112,4 @@ func (r *RNG) Geometric(p float64) int {
 		}
 	}
 	return n
-}
-
-// Zipf samples from a bounded Zipf-like distribution over [0, n) with
-// exponent s > 0. Small indices are most likely; larger s skews harder.
-// It uses inverse-CDF sampling over a precomputed table when the caller
-// retains the Zipf value, so construct once per distribution.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over [0, n) with exponent s using rng.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1.0 / powFloat(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Next returns the next sample in [0, len(cdf)).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// powFloat is x**y for positive x with fast paths for the exponents the
-// workload generators actually use.
-func powFloat(x, y float64) float64 {
-	switch y {
-	case 1:
-		return x
-	case 2:
-		return x * x
-	}
-	return math.Pow(x, y)
 }

@@ -93,111 +93,6 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := NewRNG(9)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 50000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf sample %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[10] || counts[10] <= counts[50] {
-		t.Errorf("Zipf not monotonically skewed: c0=%d c10=%d c50=%d",
-			counts[0], counts[10], counts[50])
-	}
-}
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d, want 8", s.N())
-	}
-	if s.Mean() != 5 {
-		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-	// Sample variance of the classic dataset: population var is 4, so
-	// sample var is 4*8/7.
-	if want := 32.0 / 7; math.Abs(s.Variance()-want) > 1e-12 {
-		t.Errorf("Variance = %v, want %v", s.Variance(), want)
-	}
-}
-
-func TestSummaryEmptySafe(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 {
-		t.Error("empty summary should report zeros")
-	}
-	_ = s.String()
-}
-
-func TestSummaryMeanPropertyQuick(t *testing.T) {
-	f := func(xs []float64) bool {
-		var s Summary
-		sum := 0.0
-		valid := 0
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				continue
-			}
-			s.Add(x)
-			sum += x
-			valid++
-		}
-		if valid == 0 {
-			return s.N() == 0
-		}
-		want := sum / float64(valid)
-		scale := math.Max(1, math.Abs(want))
-		return math.Abs(s.Mean()-want) < 1e-6*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 1}, {100, 10}, {50, 5.5}, {25, 3.25}, {90, 9.1},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	Percentile(xs, 50)
-	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) should be 0")
-	}
-}
-
 func TestHistogramClamping(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	h.Add(-1)  // clamps to bucket 0

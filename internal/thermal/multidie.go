@@ -25,8 +25,7 @@ func MultiDieStack(dieW, dieH float64, dies []DieSpec, opt StackOptions) (*Stack
 		return nil, fmt.Errorf("thermal: MultiDieStack needs at least 2 dies, got %d", len(dies))
 	}
 	nx, ny := opt.grid()
-	pw, ph := opt.pkg()
-	die := CenteredDie(pw, ph, dieW, dieH)
+	die := CenteredDie(DefaultPackageW, DefaultPackageH, dieW, dieH)
 
 	layers := coolingAssemblyTop()
 	layers = append(layers,
@@ -48,7 +47,7 @@ func MultiDieStack(dieW, dieH float64, dies []DieSpec, opt StackOptions) (*Stack
 	layers = append(layers, packageAssemblyBottom()...)
 
 	return &Stack{
-		Width: pw, Height: ph, Nx: nx, Ny: ny,
+		Width: DefaultPackageW, Height: DefaultPackageH, Nx: nx, Ny: ny,
 		Layers:   layers,
 		TopH:     opt.topH(),
 		BottomH:  DefaultBottomH,

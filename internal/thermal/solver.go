@@ -232,7 +232,7 @@ func newSolver(s *Stack) (*solver, error) {
 		kin := l.Material.Conductivity
 		kout := kin
 		if l.bounded() {
-			kout = l.filler().Conductivity
+			kout = EpoxyFill.Conductivity
 		}
 		for y := 0; y < ny; y++ {
 			y0 := float64(y) * dy
@@ -363,9 +363,6 @@ func (f *Field) Sweeps() int { return f.sweeps }
 // Recoveries returns how many recovery-rung restarts were needed
 // before this solution converged (0 for a clean solve).
 func (f *Field) Recoveries() int { return f.recoveries }
-
-// Stack returns the geometry the field was solved on.
-func (f *Field) Stack() *Stack { return f.stack }
 
 // Peak returns the hottest temperature anywhere in the stack.
 func (f *Field) Peak() float64 {

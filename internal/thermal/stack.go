@@ -15,13 +15,9 @@ type Layer struct {
 	Thickness float64 // meters
 	Material  Material
 	// Extent limits the layer's material to a lateral rectangle; cells
-	// outside it are Filler (e.g. the epoxy fillet around a die that
-	// is smaller than the package). A zero Extent covers the whole
-	// column.
+	// outside it are EpoxyFill (the fillet around a die that is smaller
+	// than the package). A zero Extent covers the whole column.
 	Extent Rect
-	// Filler is the material outside Extent; a zero Filler defaults to
-	// EpoxyFill.
-	Filler Material
 	// Power, when non-nil, injects per-cell wattage into this layer
 	// (the active silicon of a die). Its grid must match the stack's.
 	Power *PowerMap
@@ -29,14 +25,6 @@ type Layer struct {
 
 // bounded reports whether the layer has a restricted extent.
 func (l Layer) bounded() bool { return l.Extent.W > 0 && l.Extent.H > 0 }
-
-// filler returns the out-of-extent material.
-func (l Layer) filler() Material {
-	if l.Filler.Conductivity > 0 {
-		return l.Filler
-	}
-	return EpoxyFill
-}
 
 // Stack is the full thermal assembly: lateral extent, grid resolution,
 // the layer list, and the convective boundary conditions of
@@ -111,7 +99,7 @@ func (s *Stack) LayerIndex(name string) int {
 	return -1
 }
 
-// Default package column dimensions: the heat-sink base / IHS
+// The package column dimensions: the heat-sink base / IHS
 // footprint shared by every configuration, independent of die size.
 const (
 	DefaultPackageW = 24e-3
@@ -122,8 +110,6 @@ const (
 type StackOptions struct {
 	// Nx, Ny default to 64x64.
 	Nx, Ny int
-	// PackageW, PackageH default to DefaultPackageW/H.
-	PackageW, PackageH float64
 	// CuMetalK overrides the Table 2 Cu-metal conductivity for the
 	// Figure 3 sensitivity sweep (zero keeps the default).
 	CuMetalK float64
@@ -145,17 +131,6 @@ func (o StackOptions) grid() (int, int) {
 		ny = 64
 	}
 	return nx, ny
-}
-
-func (o StackOptions) pkg() (float64, float64) {
-	w, h := o.PackageW, o.PackageH
-	if w == 0 {
-		w = DefaultPackageW
-	}
-	if h == 0 {
-		h = DefaultPackageH
-	}
-	return w, h
 }
 
 func (o StackOptions) cuMetal() Material {
@@ -212,8 +187,7 @@ func packageAssemblyBottom() []Layer {
 // grid (use the floorplan rasterization helpers).
 func PlanarStack(dieW, dieH float64, power *PowerMap, opt StackOptions) *Stack {
 	nx, ny := opt.grid()
-	pw, ph := opt.pkg()
-	die := CenteredDie(pw, ph, dieW, dieH)
+	die := CenteredDie(DefaultPackageW, DefaultPackageH, dieW, dieH)
 	layers := coolingAssemblyTop()
 	layers = append(layers,
 		Layer{Name: "TIM1", Thickness: 25e-6, Material: TIM, Extent: die},
@@ -224,7 +198,7 @@ func PlanarStack(dieW, dieH float64, power *PowerMap, opt StackOptions) *Stack {
 	)
 	layers = append(layers, packageAssemblyBottom()...)
 	return &Stack{
-		Width: pw, Height: ph, Nx: nx, Ny: ny,
+		Width: DefaultPackageW, Height: DefaultPackageH, Nx: nx, Ny: ny,
 		Layers:   layers,
 		TopH:     opt.topH(),
 		BottomH:  DefaultBottomH,
@@ -272,8 +246,7 @@ func SRAMDie(power *PowerMap) DieSpec {
 // dieW x dieH footprint centered in the package.
 func ThreeDStack(dieW, dieH float64, topDie, bottomDie DieSpec, opt StackOptions) *Stack {
 	nx, ny := opt.grid()
-	pw, ph := opt.pkg()
-	die := CenteredDie(pw, ph, dieW, dieH)
+	die := CenteredDie(DefaultPackageW, DefaultPackageH, dieW, dieH)
 	layers := coolingAssemblyTop()
 	topMetal := topDie.Metal
 	if topMetal.Name == CuMetal.Name && opt.CuMetalK > 0 {
@@ -296,7 +269,7 @@ func ThreeDStack(dieW, dieH float64, topDie, bottomDie DieSpec, opt StackOptions
 	)
 	layers = append(layers, packageAssemblyBottom()...)
 	return &Stack{
-		Width: pw, Height: ph, Nx: nx, Ny: ny,
+		Width: DefaultPackageW, Height: DefaultPackageH, Nx: nx, Ny: ny,
 		Layers:   layers,
 		TopH:     opt.topH(),
 		BottomH:  DefaultBottomH,

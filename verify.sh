@@ -162,6 +162,16 @@ pair2=$!
 wait "$pair1"
 wait "$pair2"
 cmp "$tmpdir/stackd-c.json" "$tmpdir/stackd-d.json"
+# A body whose params would size a run past the wire bounds is refused
+# at decode with 400, before any work; the service stays up.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    "http://127.0.0.1:$sport/v1/experiments/table4" \
+    -d '{"params":{"instructions":1000000000000}}')
+test "$code" = 400 || {
+    echo "verify: over-bound table4 body got HTTP $code, want 400" >&2
+    exit 1
+}
+curl -sf "http://127.0.0.1:$sport/healthz" >/dev/null
 kill -TERM "$stackd"
 wait "$stackd"
 go run ./internal/obs/cmd/checksnap -families stackd \
