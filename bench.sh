@@ -1,9 +1,11 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_006.json by default): benchmark
+# machine-readable baseline (BENCH_007.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the cold and
 # warm Solve64 times, the V-cycle and smoother-sweep kernel times on the
-# 3D logic stack, the steady-state replay allocs/op, and the time and
+# 3D logic stack (each twice: "serial", one core, and "crew", split
+# across the solver's helpers at the run's GOMAXPROCS), the
+# steady-state replay allocs/op, and the time and
 # bytes allocated to generate the svm trace (the largest-footprint RMS
 # workload) at reference scale. Committed
 # baselines from this script are how perf PRs prove their before/after
@@ -20,7 +22,7 @@
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_006.json}
+out=${1:-BENCH_007.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
 tmpdir=$(mktemp -d)
@@ -88,8 +90,10 @@ END {
     printf "  \"headline\": {\n"
     printf "    \"solve64_ms\": %.1f,\n", ns["BenchmarkSolve64Multigrid"] / 1e6
     printf "    \"resolve64_ms\": %.1f,\n", ns["BenchmarkWorkspaceResolve64Multigrid"] / 1e6
-    printf "    \"vcycle64_stack3d_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D"] / 1e6
-    printf "    \"smooth_sweep64_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64"] / 1e6
+    printf "    \"vcycle64_stack3d_serial_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D/serial"] / 1e6
+    printf "    \"vcycle64_stack3d_crew_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D/crew"] / 1e6
+    printf "    \"smooth_sweep64_serial_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64/serial"] / 1e6
+    printf "    \"smooth_sweep64_crew_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64/crew"] / 1e6
     printf "    \"replay_steady_state_allocs_per_op\": %s,\n", \
         al["BenchmarkReplaySteadyState"]
     printf "    \"generate_svm_ms\": %.1f,\n", ns["BenchmarkGenerateSVM"] / 1e6

@@ -224,6 +224,9 @@ func (req ExperimentRequest) checkWire() error {
 		if len(p.Conductivities) > maxWireConductivities {
 			return fmt.Errorf("core: %d conductivities above %d", len(p.Conductivities), maxWireConductivities)
 		}
+		if err := checkConductivities(p.Conductivities); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -223,16 +223,20 @@ func TestDecodeRequestRejects(t *testing.T) {
 	// Params that size the run are bounded like the spec: each of these
 	// would allocate or loop without limit once it ran.
 	manyKs := "[" + strings.Repeat("1,", 100000) + "1]"
+	atBound := "[" + strings.Repeat("1,", 63) + "1]"
 	for _, bad := range []struct{ exp, body string }{
 		{"table4", `{"params":{"instructions":1000000000000}}`},
 		{"managed-logic-thermal", `{"params":{"steps":4000000000}}`},
 		{"fig3", `{"params":{"conductivities":` + manyKs + `}}`},
+		// A non-positive point is refused at decode, not after the
+		// solves of the points before it.
+		{"fig3", `{"params":{"conductivities":` + strings.TrimSuffix(atBound, "1]") + `0]}}`},
+		{"fig3", `{"params":{"conductivities":[-5]}}`},
 	} {
 		if _, err := mustExperiment(bad.exp).DecodeRequest([]byte(bad.body)); err == nil {
 			t.Errorf("%s: out-of-bounds params accepted: %.80s", bad.exp, bad.body)
 		}
 	}
-	atBound := "[" + strings.Repeat("1,", 63) + "1]"
 	for _, ok := range []struct{ exp, body string }{
 		{"table4", `{"params":{"instructions":1000000}}`},
 		{"managed-logic-thermal", `{"params":{"steps":10000}}`},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"diestack/internal/obs"
 	"diestack/internal/workload"
 )
 
@@ -309,6 +310,20 @@ func TestFigure3BadInput(t *testing.T) {
 	}
 	if SweepCuMetal.String() != "Cu Metal Layers" || SweepBond.String() != "Bonding Layer" {
 		t.Error("sweep layer names wrong")
+	}
+}
+
+// TestFigure3ChecksEveryPointFirst: a bad point at the end of the
+// sweep is refused before any solve runs, not after the solves of the
+// points ahead of it.
+func TestFigure3ChecksEveryPointFirst(t *testing.T) {
+	reg := obs.NewRegistry()
+	spec := RunSpec{Grid: 16, Obs: reg}
+	if _, err := RunFigure3(context.Background(), spec, SweepBond, []float64{60, 12, 0}); err == nil {
+		t.Fatal("zero conductivity accepted")
+	}
+	if n := reg.Counter("thermal_solves").Value(); n != 0 {
+		t.Fatalf("%d thermal solves ran before the bad point was refused, want 0", n)
 	}
 }
 

@@ -70,6 +70,37 @@ func TestFigure5ScheduleIndependent(t *testing.T) {
 	}
 }
 
+// TestThermalScheduleIndependent: the thermal solver splits each
+// large multigrid level across a crew sized by GOMAXPROCS, and a
+// closed-loop DTM run and Figure 8's steady solves must come out the
+// same at GOMAXPROCS 1 (no crew) and 4.
+func TestThermalScheduleIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reqs := []struct {
+		exp string
+		req ExperimentRequest
+	}{
+		{"managed-logic-thermal", ExperimentRequest{Spec: RunSpec{Grid: testGrid},
+			Params: &ManagedThermalParams{Variant: "3d", Steps: 24}}},
+		{"fig8", ExperimentRequest{Spec: RunSpec{Grid: testGrid}}},
+	}
+	for _, r := range reqs {
+		runtime.GOMAXPROCS(1)
+		serial, err := RunExperiment(context.Background(), r.exp, r.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GOMAXPROCS(4)
+		crewed, err := RunExperiment(context.Background(), r.exp, r.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Value, crewed.Value) {
+			t.Errorf("%s differs between GOMAXPROCS 1 and 4", r.exp)
+		}
+	}
+}
+
 // TestForEachOptionErrors pins the failure semantics of the replay
 // fan-out: the lowest failing index wins, and no index is started
 // after a failure.

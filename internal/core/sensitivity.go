@@ -65,6 +65,11 @@ func RunFigure3(ctx context.Context, spec RunSpec, layer SweepLayer, ks []float6
 	if len(ks) == 0 {
 		ks = Figure3Conductivities()
 	}
+	// Every point is checked before the first solve, so a bad one late
+	// in the list costs no solves.
+	if err := checkConductivities(ks); err != nil {
+		return nil, err
+	}
 	fp := floorplan.Pentium4ThreeD()
 	nx, ny := gridOrDefault(spec.Grid)
 	pkgW, pkgH := thermal.DefaultPackageW, thermal.DefaultPackageH
@@ -73,9 +78,6 @@ func RunFigure3(ctx context.Context, spec RunSpec, layer SweepLayer, ks []float6
 
 	out := make([]SensitivityPoint, 0, len(ks))
 	for _, k := range ks {
-		if k <= 0 {
-			return nil, fmt.Errorf("core: non-positive conductivity %g", k)
-		}
 		opt := thermal.StackOptions{Nx: nx, Ny: ny, TopH: thermal.PerformanceTopH}
 		switch layer {
 		case SweepCuMetal:
@@ -94,6 +96,16 @@ func RunFigure3(ctx context.Context, spec RunSpec, layer SweepLayer, ks []float6
 		out = append(out, SensitivityPoint{ConductivityWmK: k, PeakC: field.Peak()})
 	}
 	return out, nil
+}
+
+// checkConductivities rejects a sweep with a non-positive point.
+func checkConductivities(ks []float64) error {
+	for _, k := range ks {
+		if k <= 0 {
+			return fmt.Errorf("core: non-positive conductivity %g", k)
+		}
+	}
+	return nil
 }
 
 // Figure6Maps returns the baseline planar power-density map (W/m²) and

@@ -80,25 +80,35 @@ func vcycleBench(b *testing.B) *Workspace {
 	return w
 }
 
+// kernelModes runs a kernel benchmark twice: "serial" with no crew,
+// the single-core path, and "crew" with the attempt's crew attached at
+// the benchmark's GOMAXPROCS (at 1 it starts no helpers, and times the
+// serial path again).
+func kernelModes(b *testing.B, kernel func(w *Workspace)) {
+	for _, mode := range []string{"serial", "crew"} {
+		b.Run(mode, func(b *testing.B) {
+			w := vcycleBench(b)
+			if mode == "crew" {
+				w.mg.attachCrew()
+				defer w.mg.detachCrew()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(w)
+			}
+		})
+	}
+}
+
 // BenchmarkVCycle64Stack3D is one V-cycle on the 3D logic stack, the
 // unit of work of every DTM step and steady solve.
 func BenchmarkVCycle64Stack3D(b *testing.B) {
-	w := vcycleBench(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.mg.vcycle(1)
-	}
+	kernelModes(b, func(w *Workspace) { w.mg.vcycle(1) })
 }
 
 // BenchmarkSmoothSweep64 is one red-black z-line sweep of the fine
 // level of the 3D logic stack: the smoother kernel alone.
 func BenchmarkSmoothSweep64(b *testing.B) {
-	w := vcycleBench(b)
-	fine := w.mg.levels[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fine.smoothSweep(1)
-	}
+	kernelModes(b, func(w *Workspace) { w.mg.levels[0].smoothSweep(1) })
 }

@@ -38,7 +38,8 @@
 // column-contiguous — cell (z, y, x) at (y*nx+x)*nz + z — so a z-line
 // solve reads each of its arrays at unit stride; the only other
 // per-level storage is the smoother's scratch, five arrays of
-// mgLanes·nz values.
+// mgLanes·nz values (one set per band on levels a crew splits, see
+// crew.go).
 //
 // The hierarchy is allocated once per Workspace and reused by every
 // later solve, retry, transient step, and DTM sample; a V-cycle
@@ -95,6 +96,11 @@ type mgLevel struct {
 	q    []float64 // right-hand side: sources (level 0) or restricted residual
 	amb  float64   // ambient boundary temperature (0 on coarse levels)
 	sc   *lineScratch
+	// crew, while a solve attempt has one attached and the level is
+	// large enough, splits the level's kernels into bands (crew.go);
+	// nil runs them serial.
+	crew  *crew
+	bands []band
 }
 
 func (lv *mgLevel) idx(z, y, x int) int { return (y*lv.nx+x)*lv.nz + z }
@@ -141,18 +147,18 @@ func (sc *lineScratch) thomas(n, lanes int) {
 	}
 }
 
-// assemble loads lane k of the scratch with the tridiagonal system of
+// assemble loads lane k of sc with the tridiagonal system of
 // the z-column at (y, x), lateral neighbors fixed. The lateral edge
 // tests are made once per column: each present neighbor is one pass
 // down the column. Every row sums its diagonal and right-hand side in
 // one fixed order — vertical, x, y, capacity — which restrictResidual
 // repeats.
-func (lv *mgLevel) assemble(k, y, x int) {
+func (lv *mgLevel) assemble(sc *lineScratch, k, y, x int) {
 	nx, nz := lv.nx, lv.nz
 	j := y*nx + x
 	b := j * nz
 	o := k * nz
-	diag, sup, rhs := lv.sc.diag[o:o+nz], lv.sc.sup[o:o+nz], lv.sc.rhs[o:o+nz]
+	diag, sup, rhs := sc.diag[o:o+nz], sc.sup[o:o+nz], sc.rhs[o:o+nz]
 	gv, q := lv.gv[b:b+nz], lv.q[b:b+nz]
 	gTop, gBot, amb := lv.gTop[j], lv.gBot[j], lv.amb
 	for z := range diag {
@@ -205,15 +211,15 @@ func addNeighbor(diag, rhs, g, t []float64) {
 	}
 }
 
-// update writes lane k's solution into the z-column at (y, x),
+// update writes lane k's solution in sc into the z-column at (y, x),
 // relaxed by omega, and returns the column's largest temperature
 // change. At omega 1 (the default) the column lands exactly on its
 // line-Gauss-Seidel value.
-func (lv *mgLevel) update(k, y, x int, omega float64) float64 {
+func (lv *mgLevel) update(sc *lineScratch, k, y, x int, omega float64) float64 {
 	nz := lv.nz
 	b := (y*lv.nx + x) * nz
 	t := lv.t[b : b+nz]
-	dp := lv.sc.dp[k*nz : (k+1)*nz]
+	dp := sc.dp[k*nz : (k+1)*nz]
 	md := 0.0
 	for z, old := range t {
 		nv := old + omega*(dp[z]-old)
@@ -233,17 +239,26 @@ func (lv *mgLevel) update(k, y, x int, omega float64) float64 {
 // their Thomas solves interleaved; the grouping changes no result.
 // Returns the sweep's largest temperature change.
 func (lv *mgLevel) smoothColor(color int, omega float64) float64 {
-	nx, ny, nz := lv.nx, lv.ny, lv.nz
+	if lv.crew != nil {
+		return lv.crew.smooth(lv, color, omega)
+	}
+	return lv.smoothRows(lv.sc, color, omega, 0, lv.ny)
+}
+
+// smoothRows relaxes one color's z-columns in rows [y0, y1), solving
+// their lines in sc, and returns their largest temperature change.
+func (lv *mgLevel) smoothRows(sc *lineScratch, color int, omega float64, y0, y1 int) float64 {
+	nx, nz := lv.nx, lv.nz
 	maxDelta := 0.0
-	for y := 0; y < ny; y++ {
+	for y := y0; y < y1; y++ {
 		for x := (y & 1) ^ color; x < nx; x += 2 * mgLanes {
 			lanes := min(mgLanes, (nx-x+1)/2)
 			for k := 0; k < lanes; k++ {
-				lv.assemble(k, y, x+2*k)
+				lv.assemble(sc, k, y, x+2*k)
 			}
-			lv.sc.thomas(nz, lanes)
+			sc.thomas(nz, lanes)
 			for k := 0; k < lanes; k++ {
-				if d := lv.update(k, y, x+2*k, omega); d > maxDelta {
+				if d := lv.update(sc, k, y, x+2*k, omega); d > maxDelta {
 					maxDelta = d
 				}
 			}
@@ -394,14 +409,25 @@ func coarsen(f *mgLevel) *mgLevel {
 // four fine contributions in fine-y-then-x order. The coarse unknown
 // (the error correction) starts at zero.
 func restrictResidual(f, c *mgLevel) {
-	for i := range c.q {
-		c.q[i] = 0
-		c.t[i] = 0
+	if f.crew != nil {
+		f.crew.transfer(f, opRestrict)
+		return
 	}
+	restrictRows(f, c, 0, c.ny)
+}
+
+// restrictRows restricts into coarse rows [c0, c1): it zeroes their
+// cells, then walks the fine rows they cover.
+func restrictRows(f, c *mgLevel, c0, c1 int) {
 	nx, ny, nz := f.nx, f.ny, f.nz
+	cq, ct := c.q[c0*c.nx*nz:c1*c.nx*nz], c.t[c0*c.nx*nz:c1*c.nx*nz]
+	for i := range cq {
+		cq[i] = 0
+		ct[i] = 0
+	}
 	nxz := nx * nz
 	amb := f.amb
-	for y := 0; y < ny; y++ {
+	for y := 2 * c0; y < min(2*c1, ny); y++ {
 		for x := 0; x < nx; x++ {
 			j := y*nx + x
 			b := j * nz
@@ -471,8 +497,17 @@ func restrictResidual(f, c *mgLevel) {
 // toward the parent cell, 1/4 toward the lateral neighbor on each
 // axis, collapsing to the parent at the domain edge.
 func prolongAdd(c, f *mgLevel) {
-	nx, ny, nz := f.nx, f.ny, f.nz
-	for y := 0; y < ny; y++ {
+	if f.crew != nil {
+		f.crew.transfer(f, opProlong)
+		return
+	}
+	prolongRows(c, f, 0, f.ny)
+}
+
+// prolongRows prolongs the correction into fine rows [y0, y1).
+func prolongRows(c, f *mgLevel, y0, y1 int) {
+	nx, nz := f.nx, f.nz
+	for y := y0; y < y1; y++ {
 		Y := y / 2
 		Yn := Y + ((y&1)<<1 - 1) // y even: Y-1, y odd: Y+1
 		if Yn < 0 || Yn > c.ny-1 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -184,6 +185,23 @@ func TestMultigridVCycleAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("V-cycle and delta allocate %v objects per run, want 0", allocs)
 	}
+
+	// With a crew attached, every dispatch reuses the bands built when
+	// the crew attached: the hand-offs allocate nothing either.
+	t.Run("crew", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		h.attachCrew()
+		defer h.detachCrew()
+		if h.levels[0].crew == nil {
+			t.Fatal("no crew attached at GOMAXPROCS 4")
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			h.cycle(1.0, false)
+			delta += maxAbsDiff(w.sv.t, h.tPrev)
+		}); allocs != 0 {
+			t.Fatalf("V-cycle and delta with a crew allocate %v objects per run, want 0", allocs)
+		}
+	})
 }
 
 // TestMultigridTransient is the transient correctness contract on a

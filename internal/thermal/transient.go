@@ -168,6 +168,8 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, ome
 	// attempt sets them for its own dt.
 	h.beginSolve(dt)
 	defer h.publish(opt.Obs)
+	h.attachCrew()
+	defer h.detachCrew()
 
 	res := &TransientResult{
 		Times:      make([]float64, 0, steps),

@@ -37,10 +37,11 @@ func NewWorkspace(s *Stack) (*Workspace, error) {
 }
 
 // Close marks the end of the workspace's use. A Workspace holds no
-// goroutines or OS resources — its memory is reclaimed by the garbage
-// collector — so Close does nothing, but deferring it keeps callers
-// correct if that ever changes. The Workspace must not be used
-// afterwards.
+// goroutines or OS resources between solves — the helpers that split
+// a solve's kernels across cores start and stop inside each attempt,
+// and its memory is reclaimed by the garbage collector — so Close does
+// nothing, but deferring it keeps callers correct if that ever
+// changes. The Workspace must not be used afterwards.
 func (w *Workspace) Close() {}
 
 // Solve computes the steady-state field, reusing the workspace's
@@ -89,6 +90,8 @@ func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, omega float
 	sv.reset(sv.s.AmbientC)
 	h.beginSolve(0)
 	defer h.publish(opt.Obs)
+	h.attachCrew()
+	defer h.detachCrew()
 
 	// Total boundary conductance, for the constant-mode correction.
 	gBoundary := 0.0

@@ -27,6 +27,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== solver crew race =="
+# The thermal solver splits each large multigrid level across a crew of
+# helpers sized by GOMAXPROCS. -cpu 1,4 races the crew at four workers
+# even on a one-core runner, and checks the GOMAXPROCS 1 serial path.
+go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs' ./internal/thermal/
+
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
 # seed corpus (testdata/fuzz of its package): request bodies against
