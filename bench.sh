@@ -1,13 +1,16 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_007.json by default): benchmark
+# machine-readable baseline (BENCH_008.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the cold and
 # warm Solve64 times, the V-cycle and smoother-sweep kernel times on the
 # 3D logic stack (each twice: "serial", one core, and "crew", split
 # across the solver's helpers at the run's GOMAXPROCS), the
-# steady-state replay allocs/op, and the time and
+# steady-state replay allocs/op, the time and
 # bytes allocated to generate the svm trace (the largest-footprint RMS
-# workload) at reference scale. Committed
+# workload) at reference scale, and the whole Figure 5 sweep (fig5_s)
+# and Table 4 (table4_ms) at GOMAXPROCS 1 and 2, keyed by GOMAXPROCS:
+# both spread their work over the cores, so the pair shows what the
+# second core buys. Committed
 # baselines from this script are how perf PRs prove their before/after
 # claims. The baseline name recorded inside the JSON is derived from
 # the output filename, so each capture is self-identifying.
@@ -17,16 +20,18 @@
 # the shell's view of usable CPUs, "num_cpu" is runtime.NumCPU(), and
 # "gomaxprocs" is the GOMAXPROCS the benchmarks actually ran at (parsed
 # from the go test benchmark-name suffix; earlier baselines recorded
-# nproc under this key).
+# nproc under this key). The Figure 5 and Table 4 runs set their own
+# GOMAXPROCS with -cpu; their results are keyed "<name>-<GOMAXPROCS>".
 #
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_007.json}
+out=${1:-BENCH_008.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
+percpu=$(mktemp)
 tmpdir=$(mktemp -d)
-trap 'rm -f "$tmp"; rm -rf "$tmpdir"' EXIT
+trap 'rm -f "$tmp" "$percpu"; rm -rf "$tmpdir"' EXIT
 
 cat >"$tmpdir/numcpu.go" <<'EOF'
 package main
@@ -52,18 +57,31 @@ go test -run '^$' -benchmem -benchtime 2s \
 go test -run '^$' -benchmem -benchtime 5x \
     -bench 'BenchmarkGenerateSVM$' \
     ./internal/workload/ | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 2x -cpu 1,2 \
+    -bench 'BenchmarkFigure5MemoryStacking$|BenchmarkTable4PipelineGains$' \
+    . | tee -a "$percpu"
 
-awk -v nproc="$(nproc)" -v numcpu="$numcpu" -v goversion="$(go env GOVERSION)" -v baseline="$baseline" '
+awk -v nproc="$(nproc)" -v numcpu="$numcpu" -v goversion="$(go env GOVERSION)" -v baseline="$baseline" \
+    -v percpu="$percpu" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
+# A benchmark that prints splits its line: go test writes the name,
+# then what the benchmark prints, then the numbers.
+/^Benchmark/ && NF == 1 { pending = $1; next }
+pending != "" && /ns\/op/ { $0 = pending " " $0; pending = "" }
 /^Benchmark/ {
     name = $1
     # go test appends "-<GOMAXPROCS>" to benchmark names, except at
     # GOMAXPROCS=1 where the suffix is omitted entirely.
     if (match(name, /-[0-9]+$/)) {
-        gomaxprocs = substr(name, RSTART + 1)
+        procs = substr(name, RSTART + 1)
         name = substr(name, 1, RSTART - 1)
     } else {
-        gomaxprocs = 1
+        procs = 1
+    }
+    if (FILENAME == percpu) {
+        name = name "-" procs
+    } else {
+        gomaxprocs = procs
     }
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns[name] = $i
@@ -97,9 +115,13 @@ END {
     printf "    \"replay_steady_state_allocs_per_op\": %s,\n", \
         al["BenchmarkReplaySteadyState"]
     printf "    \"generate_svm_ms\": %.1f,\n", ns["BenchmarkGenerateSVM"] / 1e6
-    printf "    \"generate_svm_bytes_per_op\": %s\n", by["BenchmarkGenerateSVM"]
+    printf "    \"generate_svm_bytes_per_op\": %s,\n", by["BenchmarkGenerateSVM"]
+    printf "    \"fig5_s\": {\"1\": %.2f, \"2\": %.2f},\n", \
+        ns["BenchmarkFigure5MemoryStacking-1"] / 1e9, ns["BenchmarkFigure5MemoryStacking-2"] / 1e9
+    printf "    \"table4_ms\": {\"1\": %.0f, \"2\": %.0f}\n", \
+        ns["BenchmarkTable4PipelineGains-1"] / 1e6, ns["BenchmarkTable4PipelineGains-2"] / 1e6
     printf "  }\n"
     printf "}\n"
-}' "$tmp" >"$out"
+}' "$tmp" "$percpu" >"$out"
 
 echo "wrote $out"

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 )
@@ -48,11 +46,10 @@ func TestFigure5Cancellation(t *testing.T) {
 }
 
 // TestFigure5ScheduleIndependent runs the sweep with one worker (the
-// serial loop) and with four concurrent replays per benchmark; the
-// results must be identical.
+// serial loop), two and four; the results must be identical.
 func TestFigure5ScheduleIndependent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two Figure 5 sweeps")
+		t.Skip("three Figure 5 sweeps")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := RunSpec{Seed: 3, Scale: 0.1}
@@ -60,14 +57,48 @@ func TestFigure5ScheduleIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, procs := range []int{2, 4} {
+		runtime.GOMAXPROCS(procs)
+		parallel, err := RunFigure5(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("Figure 5 differs between GOMAXPROCS 1 and %d", procs)
+		}
+	}
+}
+
+// TestTable4ScheduleIndependent runs Table 4's twelve configurations
+// one after another and side by side; the results must be identical.
+func TestTable4ScheduleIndependent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := RunTable4(context.Background(), RunSpec{Seed: 3}, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	runtime.GOMAXPROCS(4)
-	parallel, err := RunFigure5(context.Background(), spec)
+	parallel, err := RunTable4(context.Background(), RunSpec{Seed: 3}, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("Figure 5 differs between GOMAXPROCS 1 and 4")
+		t.Fatal("Table 4 differs between GOMAXPROCS 1 and 4")
 	}
+}
+
+// TestTable4Cancellation: a pre-canceled Table 4 surfaces
+// context.Canceled, and none of its configurations' goroutines outlive
+// the call.
+func TestTable4Cancellation(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunTable4(ctx, RunSpec{Seed: 1}, 20_000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled Table 4: err = %v, want context.Canceled", err)
+	}
+	settleGoroutines(t, base)
 }
 
 // TestThermalScheduleIndependent: the thermal solver splits each
@@ -98,52 +129,5 @@ func TestThermalScheduleIndependent(t *testing.T) {
 		if !reflect.DeepEqual(serial.Value, crewed.Value) {
 			t.Errorf("%s differs between GOMAXPROCS 1 and 4", r.exp)
 		}
-	}
-}
-
-// TestForEachOptionErrors pins the failure semantics of the replay
-// fan-out: the lowest failing index wins, and no index is started
-// after a failure.
-func TestForEachOptionErrors(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	var ran []int
-	err := forEachOption(4, func(i int) error {
-		ran = append(ran, i)
-		if i == 1 {
-			return fmt.Errorf("option %d", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "option 1" {
-		t.Fatalf("err = %v, want option 1", err)
-	}
-	if !reflect.DeepEqual(ran, []int{0, 1}) {
-		t.Fatalf("ran %v after the failure at 1, want [0 1]", ran)
-	}
-
-	// Concurrent: index 3 fails first, while 0–2 are still running and
-	// 1 and 2 fail too; the error of index 1 must win.
-	runtime.GOMAXPROCS(4)
-	var started sync.WaitGroup
-	started.Add(4)
-	release := make(chan struct{})
-	go func() {
-		started.Wait()
-		close(release)
-	}()
-	err = forEachOption(4, func(i int) error {
-		started.Done()
-		if i == 3 {
-			return fmt.Errorf("option %d", i)
-		}
-		<-release
-		if i == 0 {
-			return nil
-		}
-		return fmt.Errorf("option %d", i)
-	})
-	if err == nil || err.Error() != "option 1" {
-		t.Fatalf("concurrent err = %v, want option 1", err)
 	}
 }

@@ -11,9 +11,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"diestack/internal/fanout"
 	"diestack/internal/fault"
 	"diestack/internal/floorplan"
 	"diestack/internal/memhier"
@@ -175,15 +176,16 @@ type Figure5Result struct {
 // RunFigure5 sweeps every RMS benchmark over every configuration —
 // the paper's Figure 5. All four configurations share their L1s, so
 // each benchmark's trace is generated and run through the L1 front end
-// once (memhier.FilterL1); the four L2 back ends then replay that
-// read-only log on up to min(GOMAXPROCS, 4) goroutines, each with its
-// own simulator. Each replay equals a full memhier Run of the trace,
-// bit for bit. All four finish before the next trace is generated, so
-// one trace's log is alive at a time. With GOMAXPROCS 1 the replays run
-// in paper order on the calling goroutine. Results do not depend on the
-// schedule. On failure the error of the first failing option in paper
-// order is returned; cancellation aborts mid-sweep with the context's
-// error.
+// once (memhier.FilterL1), on a producer goroutine, in paper order.
+// The (benchmark, option) replays form one list in paper order that up
+// to min(GOMAXPROCS, 4) workers take from, each replay on its own
+// simulator reading the shared, read-only log; each equals a full
+// memhier Run of the trace, bit for bit. There is no join between
+// benchmarks: trace k+1 is built while trace k's options replay. Two
+// tokens keep at most two logs alive; a trace's token returns when its
+// last replay does. Results do not depend on the schedule. On failure
+// the error of the first failing (benchmark, option) in paper order is
+// returned; cancellation aborts mid-sweep with the context's error.
 func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 	benches := workload.All()
 	opts := MemoryOptions()
@@ -195,79 +197,85 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 		}
 		cfgs[i] = cfg
 	}
-	out := &Figure5Result{Options: opts}
-	for _, b := range benches {
+	out := &Figure5Result{Options: opts, Rows: make([][]MemoryPerf, len(benches))}
+	traces := make([]figure5Trace, len(benches))
+	for k, b := range benches {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
-		lg, err := memhier.FilterL1(ctx, cfgs[0], b.Generate(spec.Seed, spec.Scale))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s on %s: %w", b.Name, opts[0], err)
-		}
-		row := make([]MemoryPerf, len(opts))
-		err = forEachOption(len(opts), func(i int) error {
-			sim, err := memhier.New(cfgs[i])
-			if err != nil {
-				return err
+		out.Rows[k] = make([]MemoryPerf, len(opts))
+		traces[k].ready = make(chan struct{})
+		traces[k].left.Store(int32(len(opts)))
+	}
+
+	// genCtx is canceled once the replays have returned, so a producer
+	// still building a trace that no replay will read stops early.
+	genCtx, cancelGen := context.WithCancel(ctx)
+	tokens := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k, b := range benches {
+			var err error
+			select {
+			case tokens <- struct{}{}:
+				traces[k].lg, err = memhier.FilterL1(genCtx, cfgs[0], b.Generate(spec.Seed, spec.Scale))
+			case <-genCtx.Done():
+				err = genCtx.Err()
 			}
-			res, err := sim.Replay(ctx, lg, spec.Obs)
 			if err != nil {
-				return fmt.Errorf("core: %s on %s: %w", b.Name, opts[i], err)
+				err = fmt.Errorf("core: %s on %s: %w", b.Name, opts[0], err)
+				for j := k; j < len(traces); j++ {
+					traces[j].err = err
+					close(traces[j].ready)
+				}
+				return
 			}
-			row[i] = memoryPerfFrom(b.Name, opts[i], res)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			close(traces[k].ready)
 		}
-		out.Rows = append(out.Rows, row)
+	}()
+
+	err := fanout.ForEach(len(benches)*len(opts), len(opts), func(t int) error {
+		k, i := t/len(opts), t%len(opts)
+		tr := &traces[k]
+		<-tr.ready
+		if tr.err != nil {
+			return tr.err
+		}
+		lg := tr.lg
+		defer func() {
+			if tr.left.Add(-1) == 0 {
+				tr.lg = nil
+				<-tokens
+			}
+		}()
+		sim, err := memhier.New(cfgs[i])
+		if err != nil {
+			return err
+		}
+		res, err := sim.Replay(ctx, lg, spec.Obs)
+		if err != nil {
+			return fmt.Errorf("core: %s on %s: %w", benches[k].Name, opts[i], err)
+		}
+		out.Rows[k][i] = memoryPerfFrom(benches[k].Name, opts[i], res)
+		return nil
+	})
+	cancelGen()
+	wg.Wait()
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// forEachOption runs fn(0) … fn(n-1) over min(GOMAXPROCS, n) workers
-// and returns the error of the lowest failing index. Workers take
-// indices in order and take none after any failure; every worker has
-// returned when forEachOption does. One worker is the serial loop.
-func forEachOption(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var (
-		mu     sync.Mutex
-		next   int
-		failed bool
-	)
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if failed || next == n {
-			return 0, false
-		}
-		next++
-		return next - 1, true
-	}
-	work := func() {
-		for i, ok := take(); ok; i, ok = take() {
-			if errs[i] = fn(i); errs[i] != nil {
-				mu.Lock()
-				failed = true
-				mu.Unlock()
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// figure5Trace is one benchmark's L1 log on its way through
+// RunFigure5: the producer sets lg or err, then closes ready; the
+// replay that brings left to zero drops lg and returns the trace's
+// token.
+type figure5Trace struct {
+	ready chan struct{}
+	lg    *memhier.L1Log
+	err   error
+	left  atomic.Int32
 }
 
 // Headline summarizes Figure 5 the way the paper's abstract does.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"diestack/internal/fanout"
 	"diestack/internal/uarch"
 )
 
@@ -99,22 +100,35 @@ type Table4Row struct {
 // Table4 measures the per-group and total performance gains of the 3D
 // fold, reproducing the paper's Table 4. n is the per-profile
 // instruction count (100k is enough for stable percentages). The
-// profile programs are generated once and shared by the base, the ten
-// group folds and the full fold.
+// profile programs are generated once and shared by the twelve
+// configurations — the base, the ten group folds and the full fold —
+// which run side by side on up to GOMAXPROCS goroutines, each suite
+// into its own slot, so the result does not depend on the schedule.
+// On failure the error of the first failing configuration in that
+// order is returned.
 func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []Table4Row, totalGainPct float64, err error) {
 	progs, err := programs(seed, n)
 	if err != nil {
 		return nil, 0, err
 	}
-	base, err := runPrograms(ctx, cfg, progs)
+	groups := Table4Groups()
+	cfgs := []uarch.Config{cfg}
+	for _, g := range groups {
+		cfgs = append(cfgs, cfg.Apply(g.Fold))
+	}
+	cfgs = append(cfgs, cfg.Apply(uarch.FullFold()))
+	suites := make([]SuiteResult, len(cfgs))
+	err = fanout.ForEach(len(cfgs), len(cfgs), func(i int) error {
+		var err error
+		suites[i], err = runPrograms(ctx, cfgs[i], progs)
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, g := range Table4Groups() {
-		folded, err := runPrograms(ctx, cfg.Apply(g.Fold), progs)
-		if err != nil {
-			return nil, 0, err
-		}
+	base := suites[0]
+	for j, g := range groups {
+		folded := suites[1+j]
 		removed, _ := cfg.StagesEliminated(g.Fold)
 		// The group's own planar stage count for the percent column.
 		groupTotal := groupStageCount(cfg, g.Fold)
@@ -130,10 +144,7 @@ func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []T
 			PaperGainPct:   g.PaperGainPct,
 		})
 	}
-	full, err := runPrograms(ctx, cfg.Apply(uarch.FullFold()), progs)
-	if err != nil {
-		return nil, 0, err
-	}
+	full := suites[len(suites)-1]
 	return rows, (full.IPC/base.IPC - 1) * 100, nil
 }
 

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"diestack/internal/trace"
-)
+import "testing"
 
 func BenchmarkGenerateGauss(b *testing.B) {
 	bench, _ := ByName("gauss")
@@ -29,11 +25,11 @@ func BenchmarkInterleave(b *testing.B) {
 	mk := func(n int) *emitter {
 		e := &emitter{}
 		for i := 0; i < n; i++ {
-			dep := trace.NoDep
+			dep := none
 			if i > 0 && i%4 == 0 {
 				dep = uint64(i - 1)
 			}
-			e.push(trace.Record{Dep: dep, Addr: uint64(i) * 64})
+			e.push(rec{addr: uint64(i) * 64, dep: dep})
 		}
 		return e
 	}

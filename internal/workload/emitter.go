@@ -18,16 +18,28 @@ func region(i int) uint64 { return uint64(i+1) << 30 }
 // blockRecs is the number of records in one emitter block. Storing a
 // thread's records in fixed blocks, instead of one slice grown by
 // append, allocates each record once; the unused tail of the last block
-// is the only slack, and 4096 records (160 KB) keeps that small beside
+// is the only slack, and 4096 records (96 KB) keeps that small beside
 // even the shortest scaled-down trace.
 const blockRecs = 1 << 12
+
+// rec is one record as an emitter block holds it: 24 bytes, where a
+// trace.Record takes 40. Its id is its position in the thread, its CPU
+// is the thread, and its PC is kept as an offset from the thread's
+// codeBase; interleave expands it into the full form.
+type rec struct {
+	addr uint64
+	dep  uint64 // local id, or none
+	pc   uint32 // PC - codeBase
+	kind trace.Kind
+	reps uint8
+}
 
 // emitter builds one thread's record list with thread-local ids 0..n-1.
 // interleave merges two threads into a global trace.
 type emitter struct {
 	// blocks hold the records in id order, blockRecs to a block; only
 	// the last block may be partly filled.
-	blocks [][]trace.Record
+	blocks [][]rec
 	n      int
 	rng    *stats.RNG
 	// codeBase/codeLines model the thread's hot loop body for the
@@ -56,25 +68,18 @@ func newEmitter(seed uint64, threadIdx int) *emitter {
 const none = trace.NoDep
 
 // push appends r under the next local id and returns that id.
-func (e *emitter) push(r trace.Record) uint64 {
+func (e *emitter) push(r rec) uint64 {
 	if e.n%blockRecs == 0 {
-		e.blocks = append(e.blocks, make([]trace.Record, 0, blockRecs))
+		e.blocks = append(e.blocks, make([]rec, 0, blockRecs))
 	}
 	last := len(e.blocks) - 1
-	r.ID = uint64(e.n)
 	e.blocks[last] = append(e.blocks[last], r)
 	e.n++
-	return r.ID
+	return uint64(e.n - 1)
 }
 
 func (e *emitter) emit(kind trace.Kind, addr, dep uint64, reps uint8) uint64 {
-	id := e.push(trace.Record{
-		Dep:  dep,
-		Addr: addr,
-		PC:   e.codeBase + uint64(e.codePos)*4,
-		Kind: kind,
-		Reps: reps,
-	})
+	id := e.push(rec{addr: addr, dep: dep, pc: uint32(e.codePos) * 4, kind: kind, reps: reps})
 	if kind != trace.Ifetch {
 		e.dataCount++
 		if e.ifetchEvery > 0 && e.dataCount%e.ifetchEvery == 0 {
@@ -86,8 +91,8 @@ func (e *emitter) emit(kind trace.Kind, addr, dep uint64, reps uint8) uint64 {
 }
 
 func (e *emitter) emitIfetch() {
-	addr := e.codeBase + uint64(e.codePos/(lineBytes/4))*lineBytes
-	e.push(trace.Record{Dep: none, Addr: addr, PC: addr, Kind: trace.Ifetch, Reps: 3})
+	off := uint32(e.codePos/(lineBytes/4)) * lineBytes
+	e.push(rec{addr: e.codeBase + uint64(off), dep: none, pc: off, kind: trace.Ifetch, reps: 3})
 }
 
 // denseReps is the repeat count for dense sequential access: eight

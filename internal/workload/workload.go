@@ -104,8 +104,9 @@ func FootprintBytes(recs []trace.Record) uint64 {
 // threads record by record, the way the SMP trace generator sees both
 // processors advance together: t0[0], t1[0], t0[1], t1[1], …, then the
 // longer thread's tail. Ids and dependencies are renumbered by
-// globalID, so no remap table is needed, and the CPU field is set to
-// the thread index. The output is allocated once, at its exact size.
+// globalID, so no remap table is needed; the CPU field is the thread
+// index and the PC is the thread's codeBase plus the record's offset.
+// The output is allocated once, at its exact size.
 func interleave(threads [2]*emitter) []trace.Record {
 	m := uint64(min(threads[0].n, threads[1].n))
 	out := make([]trace.Record, threads[0].n+threads[1].n)
@@ -113,16 +114,24 @@ func interleave(threads [2]*emitter) []trace.Record {
 		local := uint64(0)
 		for _, blk := range e.blocks {
 			for _, r := range blk {
-				if r.Dep != trace.NoDep {
-					if r.Dep >= local {
+				dep := r.dep
+				if dep != none {
+					if dep >= local {
 						panic(fmt.Sprintf("workload: thread %d record %d depends on non-earlier local id %d",
-							t, local, r.Dep))
+							t, local, dep))
 					}
-					r.Dep = globalID(r.Dep, t, m)
+					dep = globalID(dep, t, m)
 				}
-				r.ID = globalID(local, t, m)
-				r.CPU = uint8(t)
-				out[r.ID] = r
+				id := globalID(local, t, m)
+				out[id] = trace.Record{
+					ID:   id,
+					Dep:  dep,
+					Addr: r.addr,
+					PC:   e.codeBase + uint64(r.pc),
+					CPU:  uint8(t),
+					Kind: r.kind,
+					Reps: r.reps,
+				}
 				local++
 			}
 		}

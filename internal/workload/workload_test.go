@@ -131,7 +131,7 @@ func TestScaleGrowsFootprint(t *testing.T) {
 
 // thread builds an emitter holding recs under local ids 0, 1, …, the
 // way a kernel leaves one thread for interleave.
-func thread(recs ...trace.Record) *emitter {
+func thread(recs ...rec) *emitter {
 	e := &emitter{}
 	for _, r := range recs {
 		e.push(r)
@@ -141,12 +141,12 @@ func thread(recs ...trace.Record) *emitter {
 
 func TestInterleaveRemapsDeps(t *testing.T) {
 	th0 := thread(
-		trace.Record{ID: 0, Dep: trace.NoDep, Addr: 1},
-		trace.Record{ID: 1, Dep: 0, Addr: 2},
+		rec{dep: none, addr: 1},
+		rec{dep: 0, addr: 2},
 	)
 	th1 := thread(
-		trace.Record{ID: 0, Dep: trace.NoDep, Addr: 3},
-		trace.Record{ID: 1, Dep: 0, Addr: 4},
+		rec{dep: none, addr: 3},
+		rec{dep: 0, addr: 4},
 	)
 	out := interleave([2]*emitter{th0, th1})
 	if len(out) != 4 {
@@ -168,9 +168,9 @@ func TestInterleaveRemapsDeps(t *testing.T) {
 }
 
 func TestInterleaveUnevenLengths(t *testing.T) {
-	th0 := thread(trace.Record{ID: 0, Dep: trace.NoDep})
+	th0 := thread(rec{dep: none})
 	th1 := thread(
-		trace.Record{ID: 0, Dep: trace.NoDep}, trace.Record{ID: 1, Dep: trace.NoDep}, trace.Record{ID: 2, Dep: 1},
+		rec{dep: none}, rec{dep: none}, rec{dep: 1},
 	)
 	out := interleave([2]*emitter{th0, th1})
 	if len(out) != 4 {
@@ -192,7 +192,7 @@ func TestInterleavePanicsOnForwardDep(t *testing.T) {
 			t.Fatal("forward dep not rejected")
 		}
 	}()
-	interleave([2]*emitter{thread(trace.Record{ID: 0, Dep: 5}), thread()})
+	interleave([2]*emitter{thread(rec{dep: 5}), thread()})
 }
 
 func TestRegionsDisjoint(t *testing.T) {

@@ -33,6 +33,14 @@ echo "== solver crew race =="
 # even on a one-core runner, and checks the GOMAXPROCS 1 serial path.
 go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs' ./internal/thermal/
 
+echo "== perf-sim fan-out race =="
+# Figure 5 builds the next trace while the current one replays, and
+# Table 4 runs its twelve configurations side by side, both through
+# internal/fanout. -cpu 1,2,4 races the trace pipeline and the fan-out
+# at two and four workers even on a one-core runner, and checks the
+# GOMAXPROCS 1 serial path.
+go test -race -cpu 1,2,4 -run 'Figure5|Table4|ForEach|Generate' ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/
+
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
 # seed corpus (testdata/fuzz of its package): request bodies against
