@@ -22,24 +22,11 @@
 //	stackmem -campaign -jobs 4 -retries 1 -manifest out.json
 //	stackmem -bench gauss -capacity 32 -checkpoint run.ckpt -checkpoint-every 100000
 //	stackmem -bench gauss -capacity 32 -checkpoint run.ckpt -resume
-//
-// Distributed campaigns (one coordinator, any number of workers; the
-// merged manifest is byte-identical to a single-process -campaign run):
-//
-//	stackmem -campaign -serve :9090 -manifest merged.json
-//	stackmem -campaign -worker host:9090 -jobs 2 -worker-name w1
-//
-// Chaos drills (deterministic per -chaos-seed; serve and worker mode):
-//
-//	stackmem -campaign -serve :9090 -chaos-seed 7 -chaos-drop 5 -chaos-latency 2ms
-//	stackmem -campaign -worker host:9090 -chaos-seed 8 -chaos-partial 3
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -51,9 +38,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"diestack/internal/chaos"
 	"diestack/internal/core"
-	"diestack/internal/dist"
 	"diestack/internal/fault"
 	"diestack/internal/harness"
 	"diestack/internal/memhier"
@@ -82,13 +67,7 @@ func main() {
 		jobs       = flag.Int("jobs", 0, "campaign worker-pool size (0 = number of CPUs)")
 		retries    = flag.Int("retries", 0, "campaign retries per failed or timed-out job")
 		campaign   = flag.Bool("campaign", false, "run the paper sweep as a supervised parallel campaign")
-		manifest   = flag.String("manifest", "", "write the campaign manifest JSON to this file (default stdout); worker mode: shard journal path")
-		serveAddr  = flag.String("serve", "", "with -campaign: coordinate the sweep from this listen address, sharding jobs to workers")
-		workerAddr = flag.String("worker", "", "with -campaign: pull jobs from the coordinator at this address (-bench/-seed/-scale come from the coordinator)")
-		workerName = flag.String("worker-name", "", "worker identity, unique per campaign (default hostname-pid)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "serve mode: lease time-to-live without a worker heartbeat")
-		leaseBdgt  = flag.Int("lease-budget", 0, "serve mode: lease re-issues per job before it is recorded failed (0 = 8)")
-		drainTO    = flag.Duration("drain-timeout", 0, "serve mode: grace for in-flight leases on SIGTERM/interrupt before recording the rest canceled (0 = 5s)")
+		manifest   = flag.String("manifest", "", "write the campaign manifest JSON to this file (default stdout)")
 		ckptPath   = flag.String("checkpoint", "", "checkpoint file for a single-configuration supervised replay")
 		ckptEvery  = flag.Int("checkpoint-every", 1<<20, "records between checkpoint snapshots")
 		resumeFlag = flag.Bool("resume", false, "resume the -checkpoint replay from its last snapshot")
@@ -99,12 +78,6 @@ func main() {
 		faultUncorr = flag.Float64("fault-uncorr", 0, "uncorrectable ECC errors per million stacked-DRAM reads")
 		faultBanks  = flag.String("fault-dead-banks", "", "comma-separated dead stacked-DRAM bank indices")
 		faultTSV    = flag.Float64("fault-tsv", 0, "fraction of die-to-die via lanes failed, in [0,0.9]")
-
-		chaosSeed      = flag.Uint64("chaos-seed", 0, "network fault schedule seed (same seed = same faults)")
-		chaosDrop      = flag.Float64("chaos-drop", 0, "injected connection drops per thousand socket ops (serve/worker mode)")
-		chaosPartial   = flag.Float64("chaos-partial", 0, "injected torn writes per thousand socket ops (serve/worker mode)")
-		chaosPartition = flag.Float64("chaos-partition", 0, "injected one-way partitions per thousand socket ops (serve/worker mode)")
-		chaosLatency   = flag.Duration("chaos-latency", 0, "max injected per-op latency (serve/worker mode; 0 = none)")
 	)
 	cli = core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -124,32 +97,6 @@ func main() {
 	if *ckptEvery <= 0 {
 		fatal(fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
 	}
-	if *serveAddr != "" && *workerAddr != "" {
-		fatal(fmt.Errorf("-serve and -worker are mutually exclusive"))
-	}
-	if (*serveAddr != "" || *workerAddr != "") && !*campaign {
-		fatal(fmt.Errorf("-serve and -worker require -campaign"))
-	}
-	if *workerName != "" && *workerAddr == "" {
-		fatal(fmt.Errorf("-worker-name only applies to -worker mode"))
-	}
-	if *leaseTTL <= 0 {
-		fatal(fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL))
-	}
-	if *leaseBdgt < 0 {
-		fatal(fmt.Errorf("-lease-budget must be non-negative, got %d", *leaseBdgt))
-	}
-	flag.Visit(func(f *flag.Flag) {
-		if (f.Name == "lease-ttl" || f.Name == "lease-budget" || f.Name == "drain-timeout") && *serveAddr == "" {
-			fatal(fmt.Errorf("-%s only applies to -serve mode", f.Name))
-		}
-		if strings.HasPrefix(f.Name, "chaos-") && *serveAddr == "" && *workerAddr == "" {
-			fatal(fmt.Errorf("-%s only applies to -serve or -worker mode", f.Name))
-		}
-	})
-	if *drainTO < 0 {
-		fatal(fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO))
-	}
 	faults, err := faultFlags(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
 		fatal(err)
@@ -158,15 +105,10 @@ func main() {
 		fatal(err)
 	}
 	defer cli.Stop()
-	injector, err := chaosInjector(*chaosSeed, *chaosDrop, *chaosPartial, *chaosPartition, *chaosLatency)
-	if err != nil {
-		fatal(err)
-	}
 
 	// Interrupts and SIGTERM cancel the run cooperatively: replays and
 	// solves observe the context and stop at the next check, leaving
-	// any checkpoint file intact for -resume; a serving coordinator
-	// drains gracefully and leaves its journal resumable.
+	// any checkpoint file intact for -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 && !*campaign {
@@ -182,14 +124,6 @@ func main() {
 	}
 
 	switch {
-	case *campaign && *serveAddr != "":
-		if err := runCampaignServe(ctx, spec, sweep, *serveAddr, *leaseTTL, *leaseBdgt, *drainTO, *manifest, injector); err != nil {
-			fatal(err)
-		}
-	case *campaign && *workerAddr != "":
-		if err := runCampaignWorker(ctx, *workerAddr, *workerName, *jobs, *retries, *timeout, *manifest, injector); err != nil {
-			fatal(err)
-		}
 	case *campaign:
 		if err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest); err != nil {
 			fatal(err)
@@ -255,148 +189,6 @@ func runCampaign(ctx context.Context, spec core.RunSpec, sweep core.CampaignPara
 		os.Exit(1)
 	}
 	return nil
-}
-
-// runCampaignServe coordinates a distributed campaign: it expands the
-// sweep into job names, sends every worker the sweep as a canonical
-// catalog "campaign" request, and writes the merged manifest. With
-// -manifest set, a crash-safe journal rides alongside the manifest
-// file, so a restarted coordinator resumes the merge instead of
-// rerunning finished jobs; the journal is removed once the campaign
-// runs to completion.
-func runCampaignServe(ctx context.Context, spec core.RunSpec, sweep core.CampaignParams, addr string,
-	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
-	manifestPath string, injector *chaos.Injector) error {
-	campaignJobs, err := core.CampaignJobs(spec, sweep)
-	if err != nil {
-		return err
-	}
-	names := make([]string, len(campaignJobs))
-	for i, j := range campaignJobs {
-		names[i] = j.Name
-	}
-	exp, _ := core.ExperimentByName("campaign")
-	payload, err := exp.EncodeRequest(core.ExperimentRequest{Spec: spec, Params: &sweep})
-	if err != nil {
-		return err
-	}
-	journalPath := ""
-	if manifestPath != "" {
-		journalPath = manifestPath + ".journal"
-	}
-	cfg := dist.CoordinatorConfig{
-		Addr:          addr,
-		Jobs:          names,
-		SpecPayload:   payload,
-		LeaseTTL:      leaseTTL,
-		ReissueBudget: leaseBudget,
-		DrainTimeout:  drainTimeout,
-		JournalPath:   journalPath,
-		Obs:           cli.Obs(),
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	if injector != nil {
-		cfg.Listen = injector.Listen
-	}
-	m, err := dist.RunCoordinator(ctx, cfg)
-	var integrity *dist.IntegrityError
-	if err != nil && !errors.As(err, &integrity) {
-		return err
-	}
-	if err := writeManifest(m, manifestPath); err != nil {
-		return err
-	}
-	if journalPath != "" && ctx.Err() == nil {
-		// The campaign ran to completion; the journal has nothing left
-		// to resume. An interrupted campaign keeps it for restart.
-		os.Remove(journalPath)
-	}
-	if integrity != nil {
-		fmt.Fprintln(os.Stderr, "campaign:", integrity)
-	}
-	if integrity != nil || m.OK != len(m.Jobs) {
-		cli.Stop()
-		os.Exit(1)
-	}
-	return nil
-}
-
-// runCampaignWorker joins a distributed campaign: the sweep definition
-// comes from the coordinator as a catalog "campaign" request, decoded
-// as strictly as stackd decodes one, so only execution knobs (-jobs,
-// -retries, -timeout) are local. Pass the same -retries/-timeout as a
-// single-process run would use to keep attempt counts — and therefore
-// the merged manifest bytes — identical. -manifest names this worker's
-// shard journal: on restart the journaled results are resubmitted so
-// finished work survives a worker crash.
-func runCampaignWorker(ctx context.Context, addr, name string,
-	parallel, retries int, timeout time.Duration, journalPath string,
-	injector *chaos.Injector) error {
-	if name == "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "worker"
-		}
-		name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	cfg := dist.WorkerConfig{
-		Addr: addr,
-		Name: name,
-		MakeJobs: func(raw json.RawMessage) ([]harness.Job, error) {
-			exp, _ := core.ExperimentByName("campaign")
-			req, err := exp.DecodeRequest(raw)
-			if err != nil {
-				return nil, err
-			}
-			req.Spec.Obs = cli.Obs()
-			return core.CampaignJobs(req.Spec, *req.Params.(*core.CampaignParams))
-		},
-		Parallel:    parallel,
-		JournalPath: journalPath,
-		Harness: harness.Config{
-			Timeout: timeout,
-			Retries: retries,
-			Backoff: 100 * time.Millisecond,
-			Log: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
-			},
-		},
-		Obs: cli.Obs(),
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	if injector != nil {
-		cfg.Dial = injector.Dial
-	}
-	return dist.RunWorker(ctx, cfg)
-}
-
-// chaosInjector assembles and validates the chaos flag group,
-// returning nil when no fault injection was requested.
-func chaosInjector(seed uint64, drop, partial, partition float64,
-	latency time.Duration) (*chaos.Injector, error) {
-	cfg := chaos.Config{
-		Seed:               seed,
-		DropPerKOp:         drop,
-		PartialWritePerKOp: partial,
-		PartitionPerKOp:    partition,
-		LatencyMax:         latency,
-		Obs:                cli.Obs(),
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	if !cfg.Enabled() {
-		return nil, nil
-	}
-	in, err := chaos.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("chaos flags: %w", err)
-	}
-	return in, nil
 }
 
 // writeManifest writes m to path, or stdout when path is empty, and

@@ -2,10 +2,8 @@
 // serialization used wherever two processes — or two points in time —
 // must agree byte-for-byte on what a specification says. The stackd
 // simulation service hashes a canonical experiment request into its
-// result-cache key, and a distributed campaign's coordinator sends
-// workers the canonical "campaign" request and hashes the same bytes
-// to fence off mismatched ones; both go through this package so "equal
-// specs" always means "equal bytes" means "equal hashes".
+// result-cache key through this package, so "equal specs" always
+// means "equal bytes" means "equal hashes".
 //
 // Canonical form is compact JSON of a tagged Go struct. Determinism
 // rests on two properties the codec pins down:

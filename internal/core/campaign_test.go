@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -125,6 +126,32 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 	}
 }
 
+// TestCampaignScheduleIndependent runs the reduced-scale gauss sweep
+// of the campaign CLI golden on one worker and on four: the manifests
+// must be byte-identical, whatever order the jobs finished in.
+func TestCampaignScheduleIndependent(t *testing.T) {
+	spec := RunSpec{Seed: 1, Scale: 0.05, Grid: 16}
+	sweep := CampaignParams{Benchmarks: []string{"gauss"}}
+	manifest := func(workers int) []byte {
+		m, err := RunCampaign(context.Background(), spec, sweep, harness.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.OK != len(m.Jobs) {
+			t.Fatalf("workers %d: %d of %d jobs ok", workers, m.OK, len(m.Jobs))
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	serial, pooled := manifest(1), manifest(4)
+	if !bytes.Equal(serial, pooled) {
+		t.Fatalf("manifest depends on the schedule:\nworkers 1:\n%s\nworkers 4:\n%s", serial, pooled)
+	}
+}
+
 // TestThermalErrorSurfacedThroughCore checks the satellite contract:
 // a solver that cannot converge reaches the core caller as a typed,
 // matchable error instead of a silently accepted partial field.
@@ -143,10 +170,10 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 }
 
 // TestCampaignPayloadRoundTrip carries a non-default campaign request
-// through the fleet wire: the coordinator's payload decodes, as a
-// worker decodes it, to the same request, and equal requests encode to
-// equal bytes (the coordinator hashes them). Rejected payloads are
-// campaign rows of TestDecodeRequestRejects.
+// through its canonical bytes: the encoded request decodes, as stackd
+// decodes a body, to the same request, and equal requests encode to
+// equal bytes (stackd hashes them into its cache key). Rejected
+// payloads are campaign rows of TestDecodeRequestRejects.
 func TestCampaignPayloadRoundTrip(t *testing.T) {
 	e := mustExperiment("campaign")
 	req := ExperimentRequest{Spec: RunSpec{Seed: 7, Scale: 0.05, Grid: 16},

@@ -405,9 +405,9 @@ type ManagedThermalParams struct {
 }
 
 // CampaignParams says what the full paper sweep covers; every job
-// shares the request spec. A campaign request is also the distributed
-// campaign's wire payload: a coordinator sends its canonical bytes to
-// every worker and hashes them to fence the fleet onto one campaign.
+// shares the request spec. A campaign request's canonical bytes are
+// stackd's cache-key input for the sweep, so equal sweeps must encode
+// to equal bytes.
 //
 //canon:wire
 type CampaignParams struct {

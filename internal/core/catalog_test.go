@@ -200,7 +200,7 @@ func TestDecodeRequestRejects(t *testing.T) {
 	if _, err := e.DecodeRequest([]byte(`{"spec":{"grid":256,"scale":4}}`)); err != nil {
 		t.Errorf("spec at the wire bounds rejected: %v", err)
 	}
-	// A campaign request is also the distributed fleet's wire payload.
+	// A campaign request's canonical bytes are stackd's cache-key input.
 	// The harness knobs are not part of it (unbounded retries would
 	// let one client pin a solve slot), and neither is anything from
 	// the retired version-2 campaign wire form.
@@ -284,9 +284,8 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 }
 
 // TestCampaignWirePin pins the exact canonical bytes and hash of a
-// campaign request. The same bytes are stackd's cache-key input and
-// the distributed coordinator's spec payload, which workers hash to
-// fence campaigns, so any drift here is a cross-version interop break.
+// campaign request. The same bytes are stackd's cache-key input, so
+// the pin makes any change to the canonical form a deliberate one.
 func TestCampaignWirePin(t *testing.T) {
 	e, _ := ExperimentByName("campaign")
 	spec := RunSpec{Seed: 3, Scale: 0.5, Grid: 64}

@@ -42,12 +42,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzCampaignPayload feeds outside bytes — a fleet coordinator's spec
-// payload — down a worker's path: decode as a campaign request, then
-// expand to jobs. Decoding must never panic, and an accepted payload
-// must expand to the same job names as its canonical re-encoding (the
-// bytes whose hash fences the campaign), so one spec hash names one
-// job list. Seeds live in testdata/fuzz/FuzzCampaignPayload.
+// FuzzCampaignPayload feeds outside bytes — a campaign request body —
+// down the campaign's path: decode as a campaign request, then expand
+// to jobs. Decoding must never panic, and an accepted body must expand
+// to the same job names as its canonical re-encoding (the bytes that
+// are stackd's cache-key input), so one cache key names one job list.
+// Seeds live in testdata/fuzz/FuzzCampaignPayload.
 func FuzzCampaignPayload(f *testing.F) {
 	e := mustExperiment("campaign")
 	names := func(req ExperimentRequest) ([]string, error) {

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"diestack/internal/obs"
-	"diestack/internal/stats"
 )
 
 // Job is one unit of campaign work.
@@ -52,18 +51,6 @@ type Config struct {
 	// Backoff is the sleep before the first retry; it doubles on each
 	// subsequent one (0 = retry immediately).
 	Backoff time.Duration
-	// Jitter shortens each backoff sleep by a random fraction of up to
-	// this much (in [0, 1]): a sleep of d becomes d - d*Jitter*u with u
-	// uniform in [0, 1). Without jitter, jobs that failed together
-	// retry together and stampede whatever shared resource felled them.
-	// The randomness comes from a seeded deterministic generator
-	// (internal/stats), derived per job name, so identical campaigns
-	// sleep identically. 0 = exact doubling.
-	Jitter float64
-	// JitterSeed seeds the jitter source. Distinct jobs still jitter
-	// differently under the same seed; the seed exists so a rerun of
-	// the same campaign reproduces the same schedule.
-	JitterSeed uint64
 	// Sleep replaces the inter-attempt sleep; tests inject a recorder
 	// here. When nil, the harness sleeps on a timer but wakes early if
 	// the campaign context is canceled, so a job stuck in a long
@@ -147,17 +134,6 @@ type Manifest struct {
 	Canceled int `json:"canceled"`
 }
 
-// Failures returns the results that did not end in StatusOK.
-func (m *Manifest) Failures() []JobResult {
-	var out []JobResult
-	for _, r := range m.Jobs {
-		if r.Status != StatusOK {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Result returns the named job's result, or false if absent.
 func (m *Manifest) Result(name string) (JobResult, bool) {
 	for _, r := range m.Jobs {
@@ -194,9 +170,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Manifest, error) {
 		if j.Run == nil {
 			return nil, fmt.Errorf("harness: job %q has no Run function", j.Name)
 		}
-	}
-	if cfg.Jitter < 0 || cfg.Jitter > 1 || cfg.Jitter != cfg.Jitter {
-		return nil, fmt.Errorf("harness: Jitter must be in [0, 1], got %v", cfg.Jitter)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -248,15 +221,14 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Manifest, error) {
 	close(feed)
 	wg.Wait()
 
-	return BuildManifest(results), nil
+	return buildManifest(results), nil
 }
 
-// BuildManifest assembles job results into the deterministic manifest
+// buildManifest assembles job results into the deterministic manifest
 // form: entries sorted by name, outcome counts tallied. Identical
-// result sets — whatever order and process they were produced in —
-// build byte-identical manifests, which is what lets a distributed
-// campaign's merged manifest be compared against a single-process run.
-func BuildManifest(results []JobResult) *Manifest {
+// result sets, in whatever order the workers produced them, build
+// byte-identical manifests.
+func buildManifest(results []JobResult) *Manifest {
 	m := &Manifest{Jobs: append([]JobResult(nil), results...)}
 	sort.Slice(m.Jobs, func(i, j int) bool { return m.Jobs[i].Name < m.Jobs[j].Name })
 	for _, r := range m.Jobs {
@@ -274,29 +246,6 @@ func BuildManifest(results []JobResult) *Manifest {
 		}
 	}
 	return m
-}
-
-// RunOne executes a single job through the same attempt machinery the
-// campaign pool uses — panic isolation, per-attempt deadline, retry
-// with jittered doubling backoff — and returns its result without any
-// manifest bookkeeping. Distributed campaign workers run leased jobs
-// through it so a crash or hang in one job is isolated exactly as it
-// would be in a single-process campaign.
-func RunOne(ctx context.Context, cfg Config, job Job) JobResult {
-	if job.Run == nil {
-		return JobResult{Name: job.Name, Status: StatusFailed,
-			Error: "harness: job has no Run function"}
-	}
-	logf := cfg.Log
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	ho := bindObs(cfg.Obs)
-	ho.running.Add(1)
-	res := runJob(ctx, cfg, job, logf, ho)
-	ho.running.Add(-1)
-	ho.publish(res)
-	return res
 }
 
 // publish folds one finished job into the campaign counters.
@@ -331,13 +280,6 @@ func runJob(ctx context.Context, cfg Config, job Job, logf func(string, ...any),
 		timeout = job.Timeout
 	}
 	backoff := cfg.Backoff
-	var jitter *stats.RNG
-	if cfg.Jitter > 0 {
-		// Derived per job name: jobs that fail together spread their
-		// retries apart, yet the schedule is a pure function of
-		// (JitterSeed, job name, attempt) and replays exactly.
-		jitter = stats.NewRNG(jitterSeed(cfg.JitterSeed, job.Name))
-	}
 	for attempt := 0; ; attempt++ {
 		res.Attempts = attempt + 1
 		if err := ctx.Err(); err != nil {
@@ -376,11 +318,7 @@ func runJob(ctx context.Context, cfg Config, job Job, logf func(string, ...any),
 			return res
 		}
 		if backoff > 0 {
-			d := backoff
-			if jitter != nil {
-				d -= time.Duration(cfg.Jitter * jitter.Float64() * float64(d))
-			}
-			sleepBackoff(ctx, cfg.Sleep, d)
+			sleepBackoff(ctx, cfg.Sleep, backoff)
 			backoff *= 2
 		}
 	}
@@ -403,28 +341,6 @@ func sleepBackoff(ctx context.Context, sleep func(time.Duration), d time.Duratio
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-// NewJitterRNG returns the deterministic jitter stream the retry
-// backoff uses for one name: a generator seeded from (seed, name), so
-// distinct names spread their sleeps apart while a rerun with the same
-// seed reproduces the same schedule. Exported for the distributed
-// layer, whose dial and reconnect backoffs need exactly this shape of
-// randomness (per-worker, replayable) without inventing a second
-// seeding idiom.
-func NewJitterRNG(seed uint64, name string) *stats.RNG {
-	return stats.NewRNG(jitterSeed(seed, name))
-}
-
-// jitterSeed mixes the campaign seed with an FNV-1a hash of the job
-// name, giving every job its own deterministic jitter stream.
-func jitterSeed(seed uint64, name string) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return h ^ seed
 }
 
 // runAttempt runs one attempt under its deadline with panic isolation.

@@ -21,10 +21,10 @@ import (
 //
 // The blocking set is deliberately narrow and intra-procedural: file
 // IO, Close, and same-package wrapper methods are not in it, so
-// designs that intentionally serialize IO under a mutex (the dist
-// protocol's request/response exchange, the worker's single-flight
-// reconnect) stay legal while holding a lock across a solver run or a
-// channel operation is flagged.
+// designs that intentionally serialize IO under a mutex (a writer
+// that holds its lock across a file write and Close) stay legal while
+// holding a lock across a solver run or a channel operation is
+// flagged.
 //
 // Held locks are a may-set (union at joins: held on some path) so a
 // leak on any one path is caught. Each held lock carries its own

@@ -9,9 +9,8 @@ import (
 
 // wireDirective marks a struct as part of the canonical wire surface:
 // encoded or decoded by internal/canon (the catalog request and its
-// parameter schemas, whose bytes are the stackd cache key and the
-// distributed campaign's spec payload). It rides directly above the
-// type declaration:
+// parameter schemas, whose bytes are the stackd cache key). It rides
+// directly above the type declaration:
 //
 //	//canon:wire
 //	type requestWire struct { ... }

@@ -2,10 +2,12 @@
 // must decode as an obs.Snapshot, the last line must be the final
 // summary, and the required metric families must all be present. The
 // default families cover a supervised campaign (memhier, thermal, dtm,
-// fault, harness); distributed runs pass -families to require the
-// dist/chaos counters instead, and repeated -min name=value flags pin
-// floors on individual final counters (e.g. -min stackd_cache_hits=1).
-// verify.sh runs it against the campaign and stackd smoke outputs.
+// fault, harness); other runs pass -families to require their own
+// families instead (e.g. -families thermal,thermal_mg for a solve, or
+// -families stackd for the service), and repeated -min name=value
+// flags pin floors on individual final counters (e.g. -min
+// stackd_cache_hits=1). verify.sh runs it against the solver,
+// campaign and stackd smoke outputs.
 package main
 
 import (

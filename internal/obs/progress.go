@@ -21,53 +21,6 @@ const (
 	MetricJobRetries = "harness_job_retries"
 	// MetricPeakC is a gauge: the most recent peak die temperature.
 	MetricPeakC = "thermal_peak_c"
-
-	// The dist_* names are published by internal/dist: the campaign
-	// coordinator's lease lifecycle and result-merge counters. They
-	// share the registry with the harness_* names above, so one
-	// -metrics-out stream (or progress line) covers a distributed
-	// campaign end to end.
-
-	// MetricLeaseGrants is a counter: leases granted to workers,
-	// including stolen duplicates.
-	MetricLeaseGrants = "dist_lease_grants"
-	// MetricLeaseExpired is a counter: individual leases that lapsed
-	// (missed heartbeats, worker crash, partition).
-	MetricLeaseExpired = "dist_lease_expired"
-	// MetricLeaseReissues is a counter: jobs re-queued after all their
-	// leases expired.
-	MetricLeaseReissues = "dist_lease_reissues"
-	// MetricLeaseSteals is a counter: speculative duplicate leases
-	// granted to idle workers.
-	MetricLeaseSteals = "dist_lease_steals"
-	// MetricResultsAccepted is a counter: first valid results merged
-	// into the campaign manifest.
-	MetricResultsAccepted = "dist_results_accepted"
-	// MetricResultsDuplicate is a counter: identical duplicate
-	// completions dropped by first-wins dedup.
-	MetricResultsDuplicate = "dist_results_duplicate"
-	// MetricResultsDivergent is a counter: duplicate completions whose
-	// content differed from the accepted result — a campaign-level
-	// integrity error.
-	MetricResultsDivergent = "dist_results_divergent"
-	// MetricWorkersConnected is a gauge: workers currently connected to
-	// the coordinator.
-	MetricWorkersConnected = "dist_workers_connected"
-	// MetricWorkerReconnects is a counter: successful mid-campaign
-	// worker reconnections after a lost coordinator connection.
-	MetricWorkerReconnects = "dist_worker_reconnects"
-	// MetricWorkerReconnectFailures is a counter: reconnect attempts
-	// abandoned after the reconnect budget elapsed.
-	MetricWorkerReconnectFailures = "dist_worker_reconnect_failures"
-	// MetricCoordinatorDrains is a counter: graceful-drain shutdowns
-	// entered by the coordinator (SIGTERM / context cancellation).
-	MetricCoordinatorDrains = "dist_coordinator_drains"
-	// MetricProtoViolations is a counter: malformed or oversized
-	// protocol lines received by the coordinator.
-	MetricProtoViolations = "dist_proto_violations"
-	// MetricConnTimeouts is a counter: coordinator connections closed
-	// because a peer went silent past the per-connection IO deadline.
-	MetricConnTimeouts = "dist_conn_timeouts"
 )
 
 // Progress renders a live one-line campaign summary — jobs
@@ -146,15 +99,6 @@ func (p *Progress) Line() string {
 	}
 	if retried > 0 {
 		fmt.Fprintf(&b, " retries %d", retried)
-	}
-	if expired := p.reg.CounterValue(MetricLeaseExpired); expired > 0 {
-		fmt.Fprintf(&b, " leases-expired %d", expired)
-	}
-	if stolen := p.reg.CounterValue(MetricLeaseSteals); stolen > 0 {
-		fmt.Fprintf(&b, " stolen %d", stolen)
-	}
-	if reconnects := p.reg.CounterValue(MetricWorkerReconnects); reconnects > 0 {
-		fmt.Fprintf(&b, " reconnects %d", reconnects)
 	}
 	if peak != 0 {
 		fmt.Fprintf(&b, "  peak %.1fC", peak)

@@ -44,15 +44,12 @@ go test -race -cpu 1,2,4 -run 'Figure5|Table4|ForEach|Generate' ./internal/core/
 echo "== fuzz =="
 # Each decoder of outside bytes fuzzed briefly beyond its committed
 # seed corpus (testdata/fuzz of its package): request bodies against
-# every catalog experiment (a stackd POST, or a distributed campaign's
-# spec payload, which is a "campaign" request), a fleet payload down a
-# worker's decode-and-expand path, the coordinator's merge journal after
-# its header, binary trace files, and replay checkpoints
-# resumed from their gob payload. A crasher lands in testdata/fuzz; fix
-# it and keep it as a seed.
+# every catalog experiment (a stackd POST), a "campaign" request body
+# on through its decode-and-expand path, binary trace files, and replay
+# checkpoints resumed from their gob payload. A crasher lands in
+# testdata/fuzz; fix it and keep it as a seed.
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzCampaignPayload$' -fuzztime 10s ./internal/core/
-go test -run '^$' -fuzz '^FuzzJournal$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace/
 # A checkpoint that decodes is resumed, and every resume clears Run's
 # 16 MB dependency window (~10 ms); uncapped, minimizing the first new
@@ -101,49 +98,6 @@ grep -q '"status": "ok"' "$tmpdir/manifest.json"
 test -s "$tmpdir/metrics.jsonl"
 go run ./internal/obs/cmd/checksnap -min memhier_records=1 -min dram_mem_accesses=1 \
     "$tmpdir/metrics.jsonl"
-
-echo "== distributed campaign smoke =="
-# One coordinator, two loopback workers, one SIGKILLed mid-campaign,
-# and deterministic chaos (drops, torn writes, latency) on the
-# surviving worker's link: the dead worker's leases must expire and
-# re-issue, the survivor must reconnect through its injected faults,
-# and the merged manifest must come out byte-identical to the
-# single-process manifest the supervised smoke above wrote for the
-# same spec.
-go build -o "$tmpdir/stackmem" ./cmd/stackmem
-port=$((20000 + $$ % 20000))
-"$tmpdir/stackmem" -campaign -bench gauss -scale 0.05 -grid 16 \
-    -serve "127.0.0.1:$port" -lease-ttl 2s \
-    -manifest "$tmpdir/merged.json" \
-    -metrics-out "$tmpdir/dist-metrics.jsonl" 2>"$tmpdir/coord.log" &
-coord=$!
-"$tmpdir/stackmem" -campaign -worker "127.0.0.1:$port" -worker-name smoke-w1 \
-    -jobs 2 -retries 1 \
-    -chaos-seed 7 -chaos-drop 4 -chaos-partial 3 -chaos-latency 1ms \
-    -metrics-out "$tmpdir/w1-metrics.jsonl" 2>"$tmpdir/w1.log" &
-w1=$!
-"$tmpdir/stackmem" -campaign -worker "127.0.0.1:$port" -worker-name smoke-w2 \
-    -retries 1 2>"$tmpdir/w2.log" &
-w2=$!
-sleep 1
-kill -9 "$w2" 2>/dev/null || true
-wait "$coord"
-wait "$w1"
-cmp "$tmpdir/manifest.json" "$tmpdir/merged.json"
-grep -q dist_lease_grants "$tmpdir/dist-metrics.jsonl"
-# The coordinator carries the dist_* counters (grants, drains,
-# violations); the chaos-injected worker additionally carries the
-# chaos_* and reconnect counters.
-go run ./internal/obs/cmd/checksnap -families dist "$tmpdir/dist-metrics.jsonl"
-go run ./internal/obs/cmd/checksnap -families dist,chaos "$tmpdir/w1-metrics.jsonl"
-
-echo "== chaos soak =="
-# The ISSUE 7 acceptance run: three in-process workers under sustained
-# injected network faults, one coordinator drained mid-campaign and
-# restarted on the same journal; the merged manifest must be
-# byte-identical to the single-process run. Tagged so the regular test
-# sweep above stays fault-free; hard -timeout bounds a hung soak.
-go test -race -count=1 -tags soak -run TestChaosSoak -timeout 240s ./internal/dist/
 
 echo "== stackd service smoke =="
 # The experiment service end to end: POST the same spec twice (the
