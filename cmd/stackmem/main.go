@@ -302,8 +302,8 @@ func fatal(err error) {
 
 // experiment dispatches one catalog experiment and returns its raw
 // result value; the perf and thermal modes go through this single
-// entry point (the campaign modes dispatch via core.CampaignJobs,
-// which uses the same catalog).
+// entry point (the campaign dispatches via core.CampaignJobs, which
+// uses the same catalog).
 func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
 	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
 	if err != nil {
@@ -373,16 +373,15 @@ func printConfig() {
 }
 
 func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.FaultParams) error {
-	var benches []workload.Benchmark
+	params := &core.Fig5Params{Faults: faults}
 	if bench != "" {
-		b, ok := workload.ByName(bench)
-		if !ok {
-			return fmt.Errorf("unknown benchmark %q (have %v)", bench, workload.Names())
-		}
-		benches = []workload.Benchmark{b}
-	} else {
-		benches = workload.All()
+		params.Benchmarks = []string{bench}
 	}
+	v, err := experiment(ctx, rs, "fig5", params)
+	if err != nil {
+		return err
+	}
+	res := v.(*core.Figure5Result)
 
 	fmt.Printf("Figure 5 — CPMA and off-die bandwidth, scale %.2f:\n", rs.Scale)
 	fc := faults.Config()
@@ -397,23 +396,12 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.Fa
 		header += "\tECC fix\tpoisoned\tunrec\tremapped"
 	}
 	fmt.Fprintln(w, header)
-	opts := core.MemoryOptions()
-
-	type agg struct{ base, big core.MemoryPerf }
-	var rows []agg
 	var faultTotal fault.Stats
 	var remapTotal uint64
-	for _, b := range benches {
-		var a agg
-		for _, o := range opts {
-			v, err := experiment(ctx, rs, "memory-perf",
-				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faults})
-			if err != nil {
-				return err
-			}
-			p := v.(core.MemoryPerf)
+	for _, row := range res.Rows {
+		for _, p := range row {
 			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%.3f\t%.1f",
-				b.Name, o, p.CPMA, p.BandwidthGBs, p.BusPowerW, float64(p.OffDieBytes)/(1<<20))
+				p.Benchmark, p.Option, p.CPMA, p.BandwidthGBs, p.BusPowerW, float64(p.OffDieBytes)/(1<<20))
 			if fc.Enabled() {
 				fmt.Fprintf(w, "\t%d\t%d\t%d\t%d",
 					p.Faults.Corrected, p.Faults.LinesPoisoned, p.Faults.Unrecovered, p.DRAMRemapped)
@@ -421,14 +409,7 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.Fa
 				remapTotal += p.DRAMRemapped
 			}
 			fmt.Fprintln(w)
-			switch o {
-			case core.Planar4MB:
-				a.base = p
-			case core.Stacked32MB:
-				a.big = p
-			}
 		}
-		rows = append(rows, a)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -439,18 +420,10 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.Fa
 			faultTotal.Refetches, faultTotal.Unrecovered, remapTotal, faultTotal.RetryCyclesAdded)
 	}
 
-	if len(rows) > 1 {
-		var sumRed, maxRed float64
-		maxName := ""
-		for i, a := range rows {
-			red := (1 - a.big.CPMA/a.base.CPMA) * 100
-			sumRed += red
-			if red > maxRed {
-				maxRed, maxName = red, benches[i].Name
-			}
-		}
+	if len(res.Rows) > 1 {
+		h := res.Headline()
 		fmt.Printf("\n32MB vs baseline: average CPMA reduction %.1f%% (paper 13%%), peak %.1f%% on %s (paper ~55%%)\n",
-			sumRed/float64(len(rows)), maxRed, maxName)
+			h.AvgCPMAReductionPct, h.MaxCPMAReductionPct, h.MaxReductionBenchmark)
 	}
 	return nil
 }

@@ -3,41 +3,32 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"diestack/internal/harness"
-	"diestack/internal/workload"
 )
 
 // This file defines the paper's full evaluation as a supervised
-// campaign: every Figure 5 replay, every Figure 8 thermal solve, and
-// every Figure 11 logic solve become independent harness jobs, so one
-// hung replay or diverged solve cannot take down the sweep.
+// campaign: every benchmark's Figure 5 row, every Figure 8 thermal
+// solve, and every Figure 11 logic solve become independent harness
+// jobs, so one hung replay or diverged solve cannot take down the
+// sweep.
 
-// CampaignJobs expands a campaign request into the job list: one job
-// per (benchmark, option) replay named "fig5/<bench>/<cap>MB", one per
-// option thermal solve named "fig8/thermal/<cap>MB", and one per logic
-// option named "fig11/logic/<variant>". Every job shares spec. Job
-// names are stable so manifests from identical requests are
-// comparable.
+// CampaignJobs expands a campaign request into the job list: one fig5
+// job per benchmark named "fig5/<bench>", which generates and filters
+// the trace once and replays it on all four options, one per option
+// thermal solve named "fig8/thermal/<cap>MB", and one per logic option
+// named "fig11/logic/<variant>". Every job shares spec. Job names are
+// stable so manifests from identical requests are comparable.
 func CampaignJobs(spec RunSpec, p CampaignParams) ([]harness.Job, error) {
-	benches := workload.All()
-	if len(p.Benchmarks) > 0 {
-		benches = benches[:0]
-		for _, name := range p.Benchmarks {
-			b, ok := workload.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("core: unknown benchmark %q (have %s)",
-					name, strings.Join(workload.Names(), ", "))
-			}
-			benches = append(benches, b)
-		}
+	benches, err := benchmarksForNames(p.Benchmarks)
+	if err != nil {
+		return nil, err
 	}
 
 	// Every job dispatches through the experiment catalog — the same
 	// entry-point surface the CLIs and the stackd service use — and
-	// unwraps the result value so manifests stay byte-identical to the
-	// direct-call era.
+	// unwraps the result value, so a manifest entry holds the
+	// experiment's native result.
 	catalogJob := func(name, experiment string, params any) harness.Job {
 		exp := mustExperiment(experiment)
 		return harness.Job{
@@ -53,12 +44,8 @@ func CampaignJobs(spec RunSpec, p CampaignParams) ([]harness.Job, error) {
 	}
 	var jobs []harness.Job
 	for _, b := range benches {
-		for _, o := range MemoryOptions() {
-			jobs = append(jobs, catalogJob(
-				fmt.Sprintf("fig5/%s/%dMB", b.Name, o.CapacityMB()),
-				"memory-perf",
-				&MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name}))
-		}
+		jobs = append(jobs, catalogJob("fig5/"+b.Name, "fig5",
+			&Fig5Params{Benchmarks: []string{b.Name}}))
 	}
 	if !p.SkipThermal {
 		for _, o := range MemoryOptions() {

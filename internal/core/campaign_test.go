@@ -12,7 +12,6 @@ import (
 	"diestack/internal/floorplan"
 	"diestack/internal/harness"
 	"diestack/internal/thermal"
-	"diestack/internal/workload"
 )
 
 func TestCampaignJobsNames(t *testing.T) {
@@ -20,21 +19,24 @@ func TestCampaignJobsNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 replays + 4 memory thermal + 3 logic thermal.
-	if len(jobs) != 11 {
-		t.Fatalf("want 11 jobs, got %d", len(jobs))
+	// 1 Figure 5 row + 4 memory thermal + 3 logic thermal.
+	if len(jobs) != 8 {
+		t.Fatalf("want 8 jobs, got %d", len(jobs))
 	}
 	seen := map[string]bool{}
 	for _, j := range jobs {
 		seen[j.Name] = true
 	}
-	for _, want := range []string{"fig5/gauss/4MB", "fig5/gauss/32MB", "fig8/thermal/64MB", "fig11/logic/planar"} {
+	for _, want := range []string{"fig5/gauss", "fig8/thermal/64MB", "fig11/logic/planar"} {
 		if !seen[want] {
 			t.Errorf("missing job %s (have %v)", want, seen)
 		}
 	}
 	if _, err := CampaignJobs(RunSpec{}, CampaignParams{Benchmarks: []string{"nope"}}); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	if _, err := CampaignJobs(RunSpec{}, CampaignParams{Benchmarks: []string{"gauss", "gauss"}}); err == nil {
+		t.Fatal("repeated benchmark accepted")
 	}
 }
 
@@ -101,27 +103,28 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 		t.Fatalf("divergence not recorded with its typed cause: %+v", v)
 	}
 
-	// Every healthy job's value is identical to the unsupervised run.
-	bench, _ := workload.ByName("gauss")
-	for _, o := range MemoryOptions() {
-		want, err := RunMemoryPerf(context.Background(), RunSpec{Seed: seed, Scale: scale}, o, bench)
+	// The healthy fig5 job's four cells are identical to unsupervised
+	// memory-perf runs, which filter the trace through the L1s once per
+	// cell instead of once per row.
+	r, found := m.Result("fig5/gauss")
+	if !found || r.Status != harness.StatusOK {
+		t.Fatalf("fig5/gauss: %+v", r)
+	}
+	row, ok := r.Value.(*Figure5Result)
+	if !ok || len(row.Rows) != 1 || len(row.Rows[0]) != len(MemoryOptions()) {
+		t.Fatalf("fig5/gauss value: %T %+v", r.Value, r.Value)
+	}
+	for i, o := range MemoryOptions() {
+		want, err := RunExperiment(context.Background(), "memory-perf", ExperimentRequest{
+			Spec:   RunSpec{Seed: seed, Scale: scale},
+			Params: &MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: "gauss"},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := "fig5/gauss/" + map[MemoryOption]string{
-			Planar4MB: "4MB", Stacked12MB: "12MB", Stacked32MB: "32MB", Stacked64MB: "64MB",
-		}[o]
-		r, found := m.Result(name)
-		if !found || r.Status != harness.StatusOK {
-			t.Fatalf("%s: %+v", name, r)
-		}
-		got, ok := r.Value.(MemoryPerf)
-		if !ok {
-			t.Fatalf("%s value has type %T", name, r.Value)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := row.Rows[0][i]; !reflect.DeepEqual(got, want.Value) {
 			t.Errorf("%s: supervised result differs from unsupervised:\nsupervised:   %+v\nunsupervised: %+v",
-				name, got, want)
+				o, got, want.Value)
 		}
 	}
 }

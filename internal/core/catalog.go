@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 
@@ -163,7 +164,10 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 // match when present; unknown fields anywhere are rejected, and so is
 // a spec or params outside the bounds an outside request may ask for
 // (grid in [0, 256], scale in [0, 4], at most 1M instructions, 10k
-// steps and 64 conductivities). An experiment that takes parameters
+// steps and 64 conductivities) or naming what does not exist (a
+// benchmark, capacity, logic variant or Figure 3 layer, a repeated
+// benchmark, or fault params the fault model or the selected memory
+// hierarchies reject). An experiment that takes parameters
 // always gets a NewParams pointer back, all-default when the body
 // omits them.
 func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
@@ -205,13 +209,40 @@ const (
 )
 
 // checkWire rejects a decoded request whose spec or params lie outside
-// the bounds an outside request may ask for. The CLIs build requests
-// from flags and skip it.
+// the bounds an outside request may ask for, or name a benchmark,
+// capacity, variant, layer or fault the run would refuse: a client's
+// mistake fails at decode, before it takes a solve slot. The CLIs
+// build requests from flags and skip it.
 func (req ExperimentRequest) checkWire() error {
 	if err := req.Spec.checkWire(); err != nil {
 		return err
 	}
 	switch p := req.Params.(type) {
+	case *MemoryPerfParams:
+		o, err := MemoryOptionForCapacity(p.CapacityMB)
+		if err != nil {
+			return err
+		}
+		if _, err := benchmarkForName(p.Benchmark); err != nil {
+			return err
+		}
+		_, err = figure5Configs([]MemoryOption{o}, p.Faults.Config())
+		return err
+	case *Fig5Params:
+		if _, err := benchmarksForNames(p.Benchmarks); err != nil {
+			return err
+		}
+		_, err := figure5Configs(MemoryOptions(), p.Faults.Config())
+		return err
+	case *CampaignParams:
+		_, err := benchmarksForNames(p.Benchmarks)
+		return err
+	case *MemoryThermalParams:
+		_, err := MemoryOptionForCapacity(p.CapacityMB)
+		return err
+	case *LogicThermalParams:
+		_, err := LogicOptionForSlug(p.Variant)
+		return err
 	case *Table4Params:
 		if p.Instructions > maxWireInstructions {
 			return fmt.Errorf("core: %d instructions above %d", p.Instructions, maxWireInstructions)
@@ -220,7 +251,16 @@ func (req ExperimentRequest) checkWire() error {
 		if p.Steps > maxWireSteps {
 			return fmt.Errorf("core: %d steps above %d", p.Steps, maxWireSteps)
 		}
+		if _, err := LogicOptionForSlug(p.Variant); err != nil {
+			return err
+		}
+		if err := p.Faults.Config().Validate(); err != nil {
+			return fmt.Errorf("core: faults: %w", err)
+		}
 	case *Fig3Params:
+		if _, err := sweepLayerForSlug(p.Layer); err != nil {
+			return err
+		}
 		if len(p.Conductivities) > maxWireConductivities {
 			return fmt.Errorf("core: %d conductivities above %d", len(p.Conductivities), maxWireConductivities)
 		}
@@ -267,10 +307,33 @@ func benchmarkForName(name string) (workload.Benchmark, error) {
 	}
 	b, ok := workload.ByName(name)
 	if !ok {
-		return workload.Benchmark{}, fmt.Errorf("core: unknown benchmark %q (have %s)",
-			name, strings.Join(workload.Names(), ", "))
+		return workload.Benchmark{}, unknownBenchmark(name)
 	}
 	return b, nil
+}
+
+// benchmarksForNames resolves a benchmark list (empty selects all
+// twelve, in paper order). Every name must be known and appear once.
+func benchmarksForNames(names []string) ([]workload.Benchmark, error) {
+	if len(names) == 0 {
+		return workload.All(), nil
+	}
+	out := make([]workload.Benchmark, len(names))
+	for i, name := range names {
+		b, ok := workload.ByName(name)
+		if !ok {
+			return nil, unknownBenchmark(name)
+		}
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("core: benchmark %q listed twice", name)
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+func unknownBenchmark(name string) error {
+	return fmt.Errorf("core: unknown benchmark %q (have %s)", name, strings.Join(workload.Names(), ", "))
 }
 
 // sweepLayerForSlug resolves a Figure 3 layer ("" selects the Cu metal
@@ -319,6 +382,17 @@ func (p *FaultParams) Config() fault.Config {
 		SensorStuckAt:           p.SensorStuck,
 		SensorStuckAtC:          p.SensorStuckAtC,
 	}
+}
+
+// Fig5Params narrows the Figure 5 sweep and injects faults into it.
+//
+//canon:wire
+type Fig5Params struct {
+	// Benchmarks restricts the sweep to the named RMS kernels, in the
+	// order given; empty sweeps all twelve in paper order.
+	Benchmarks []string `json:"benchmarks,omitempty"`
+	// Faults, when set, injects stacked-DRAM faults into every replay.
+	Faults *FaultParams `json:"faults,omitempty"`
 }
 
 // MemoryPerfParams selects one cell of the Figure 5 sweep.
@@ -476,7 +550,7 @@ func initCatalog() {
 		{
 			Name:      "memory-perf",
 			Doc:       "replay one benchmark against one Figure 5 configuration, optionally with stacked-DRAM fault injection",
-			fn:        []string{"RunMemoryPerf", "RunMemoryPerfWithFaults"},
+			fn:        []string{"RunMemoryPerf"},
 			NewParams: func() any { return &MemoryPerfParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
 				p := params.(*MemoryPerfParams)
@@ -488,18 +562,21 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				if p.Faults == nil {
-					return RunMemoryPerf(ctx, spec, o, b)
-				}
-				return RunMemoryPerfWithFaults(ctx, spec, o, b, p.Faults.Config())
+				return memoryPerf(ctx, spec, o, b, p.Faults.Config())
 			},
 		},
 		{
-			Name: "fig5",
-			Doc:  "sweep every RMS benchmark over every memory configuration (Figure 5)",
-			fn:   []string{"RunFigure5"},
-			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunFigure5(ctx, spec)
+			Name:      "fig5",
+			Doc:       "sweep the RMS benchmarks over every memory configuration (Figure 5), optionally with stacked-DRAM fault injection",
+			fn:        []string{"RunFigure5"},
+			NewParams: func() any { return &Fig5Params{} },
+			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
+				p := params.(*Fig5Params)
+				benches, err := benchmarksForNames(p.Benchmarks)
+				if err != nil {
+					return nil, err
+				}
+				return figure5(ctx, spec, benches, MemoryOptions(), p.Faults.Config())
 			},
 		},
 		{
@@ -663,7 +740,7 @@ func initCatalog() {
 		},
 		{
 			Name:      "campaign",
-			Doc:       "the full paper sweep as a supervised campaign (one job per figure cell)",
+			Doc:       "the full paper sweep as a supervised campaign (one Figure 5 job per benchmark, one job per thermal solve)",
 			fn:        []string{"RunCampaign", "CampaignJobs"},
 			NewParams: func() any { return &CampaignParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {

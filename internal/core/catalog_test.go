@@ -100,7 +100,15 @@ func TestParamsSchema(t *testing.T) {
 		t.Errorf("memory-perf schema = %v, want %v", schema, want)
 	}
 	fig5, _ := ExperimentByName("fig5")
-	if fig5.ParamsSchema() != nil {
+	want = map[string]string{
+		"benchmarks": "array",
+		"faults":     "object",
+	}
+	if schema := fig5.ParamsSchema(); !reflect.DeepEqual(schema, want) {
+		t.Errorf("fig5 schema = %v, want %v", schema, want)
+	}
+	fig8, _ := ExperimentByName("fig8")
+	if fig8.ParamsSchema() != nil {
 		t.Error("parameterless experiment reported a schema")
 	}
 }
@@ -246,11 +254,44 @@ func TestDecodeRequestRejects(t *testing.T) {
 			t.Errorf("%s: params at the wire bounds rejected: %v", ok.exp, err)
 		}
 	}
-	fig5, _ := ExperimentByName("fig5")
-	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
+	// Names a run would refuse are refused at decode too, so a client's
+	// mistake never reaches a runner.
+	for _, bad := range []struct{ exp, body string }{
+		{"memory-perf", `{"params":{"benchmark":"nope"}}`},
+		{"memory-perf", `{"params":{"capacity_mb":7}}`},
+		{"memory-perf", `{"params":{"capacity_mb":32,"faults":{"tsv_fail_frac":1.5}}}`},
+		{"memory-perf", `{"params":{"capacity_mb":32,"faults":{"dead_banks":[20]}}}`},
+		{"fig5", `{"params":{"benchmarks":["nope"]}}`},
+		{"fig5", `{"params":{"benchmarks":["gauss","gauss"]}}`},
+		{"fig5", `{"params":{"benchmarks":[""]}}`},
+		{"fig5", `{"params":{"faults":{"uncorrectable_per_m":-1}}}`},
+		{"campaign", `{"params":{"benchmarks":["nope"]}}`},
+		{"campaign", `{"params":{"benchmarks":["gauss","gauss"]}}`},
+		{"memory-thermal", `{"params":{"capacity_mb":7}}`},
+		{"logic-thermal", `{"params":{"variant":"4d"}}`},
+		{"managed-logic-thermal", `{"params":{"variant":"4d"}}`},
+		{"managed-logic-thermal", `{"params":{"faults":{"sensor_noise_c":-2}}}`},
+		{"fig3", `{"params":{"layer":"tim"}}`},
+	} {
+		if _, err := mustExperiment(bad.exp).DecodeRequest([]byte(bad.body)); err == nil {
+			t.Errorf("%s: request the run would refuse accepted: %s", bad.exp, bad.body)
+		}
+	}
+	for _, ok := range []struct{ exp, body string }{
+		{"memory-perf", `{"params":{"capacity_mb":4,"faults":{"dead_banks":[20]}}}`},
+		{"fig5", `{"params":{"benchmarks":["svm","gauss"],"faults":{"seed":3,"dead_banks":[0,1]}}}`},
+		{"campaign", `{"params":{"benchmarks":["gauss","pcg"]}}`},
+		{"managed-logic-thermal", `{"params":{"variant":"3d-worstcase"}}`},
+	} {
+		if _, err := mustExperiment(ok.exp).DecodeRequest([]byte(ok.body)); err != nil {
+			t.Errorf("%s: valid request rejected: %v", ok.exp, err)
+		}
+	}
+	fig8, _ := ExperimentByName("fig8")
+	if _, err := fig8.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
 		t.Error("params accepted by a parameterless experiment")
 	}
-	if _, err := fig5.EncodeRequest(ExperimentRequest{Params: &MemoryPerfParams{}}); err == nil {
+	if _, err := fig8.EncodeRequest(ExperimentRequest{Params: &MemoryPerfParams{}}); err == nil {
 		t.Error("EncodeRequest accepted params for a parameterless experiment")
 	}
 	if _, err := e.Run(context.Background(), ExperimentRequest{Params: &MemoryThermalParams{}}); err == nil {
@@ -301,8 +342,8 @@ func TestCampaignWirePin(t *testing.T) {
 	if h := canon.HashBytes(raw); h != wantHash {
 		t.Fatalf("wire hash drifted: %s", h)
 	}
-	// A worker decodes the payload as stackd decodes a body; the
-	// re-encoded bytes are stackd's cache key, equal to the fleet hash.
+	// The pinned bytes decode as stackd decodes a body, and their
+	// re-encoding, stackd's cache key, hashes to the pinned hash.
 	req, err := e.DecodeRequest(raw)
 	if err != nil {
 		t.Fatal(err)

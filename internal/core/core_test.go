@@ -102,6 +102,23 @@ func TestFigure5SmallScale(t *testing.T) {
 	}
 }
 
+// TestHeadlineNoImprovement: when no benchmark gains from the 32 MB
+// stack, the peak is the least bad one, named, not a zero with no name.
+func TestHeadlineNoImprovement(t *testing.T) {
+	row := func(name string, base, big float64) []MemoryPerf {
+		return []MemoryPerf{{Benchmark: name, CPMA: base}, {Benchmark: name, CPMA: big}}
+	}
+	res := &Figure5Result{
+		Benchmarks: []string{"a", "b"},
+		Options:    []MemoryOption{Planar4MB, Stacked32MB},
+		Rows:       [][]MemoryPerf{row("a", 1, 1.5), row("b", 1, 1.25)},
+	}
+	h := res.Headline()
+	if h.MaxReductionBenchmark != "b" || h.MaxCPMAReductionPct != -25 {
+		t.Fatalf("peak %.1f%% on %q, want -25%% on b", h.MaxCPMAReductionPct, h.MaxReductionBenchmark)
+	}
+}
+
 func TestHeadlineClaims(t *testing.T) {
 	// The paper's abstract claims, at reference workload scale: a 32 MB
 	// stacked DRAM cache reduces average CPMA substantially with a

@@ -149,7 +149,7 @@ type MemoryPerf struct {
 	// Refs is the number of memory references replayed.
 	Refs uint64
 	// Faults holds the injected-fault and recovery counters (all-zero
-	// when injection is disabled; see RunMemoryPerfWithFaults).
+	// when injection is disabled; see Fig5Params.Faults).
 	Faults fault.Stats
 	// DRAMRemapped counts stacked-DRAM accesses redirected off dead
 	// banks; DRAMFaultCycles is latency added by degraded via lanes.
@@ -158,12 +158,22 @@ type MemoryPerf struct {
 }
 
 // RunMemoryPerf replays one benchmark's trace against one
-// configuration. spec.Seed and spec.Scale size the workload; spec.Obs
-// instruments the replay. The replay checks ctx periodically and
-// aborts with its error on cancellation. It is
-// RunMemoryPerfWithFaults with injection disabled.
+// configuration: the one-cell case of the Figure 5 sweep. spec.Seed
+// and spec.Scale size the workload; spec.Obs instruments the replay.
+// The replay checks ctx periodically and aborts with its error on
+// cancellation.
 func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark) (MemoryPerf, error) {
-	return RunMemoryPerfWithFaults(ctx, spec, o, bench, fault.Config{})
+	return memoryPerf(ctx, spec, o, bench, fault.Config{})
+}
+
+// memoryPerf is the sweep's one-cell case, with fc injected into the
+// option's hierarchy.
+func memoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
+	res, err := figure5(ctx, spec, []workload.Benchmark{bench}, []MemoryOption{o}, fc)
+	if err != nil {
+		return MemoryPerf{}, err
+	}
+	return res.Rows[0][0], nil
 }
 
 // Figure5Result holds the full sweep: rows[benchmark][option].
@@ -174,28 +184,31 @@ type Figure5Result struct {
 }
 
 // RunFigure5 sweeps every RMS benchmark over every configuration —
-// the paper's Figure 5. All four configurations share their L1s, so
-// each benchmark's trace is generated and run through the L1 front end
-// once (memhier.FilterL1), on a producer goroutine, in paper order.
-// The (benchmark, option) replays form one list in paper order that up
-// to min(GOMAXPROCS, 4) workers take from, each replay on its own
-// simulator reading the shared, read-only log; each equals a full
-// memhier Run of the trace, bit for bit. There is no join between
-// benchmarks: trace k+1 is built while trace k's options replay. Two
-// tokens keep at most two logs alive; a trace's token returns when its
-// last replay does. Results do not depend on the schedule. On failure
-// the error of the first failing (benchmark, option) in paper order is
-// returned; cancellation aborts mid-sweep with the context's error.
+// the paper's Figure 5 — with no fault injection.
 func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
-	benches := workload.All()
-	opts := MemoryOptions()
-	cfgs := make([]memhier.Config, len(opts))
-	for i, o := range opts {
-		cfg, err := o.HierarchyConfig()
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
+	return figure5(ctx, spec, workload.All(), MemoryOptions(), fault.Config{})
+}
+
+// figure5 sweeps benches over opts with fc injected into every
+// option's hierarchy. It is the one Figure 5 composition: RunFigure5,
+// RunMemoryPerf and the fig5 and memory-perf experiments all run it.
+// Every option's configuration is validated before the first trace is
+// generated. All options share their L1s, so each benchmark's trace is
+// generated and run through the L1 front end once (memhier.FilterL1),
+// on a producer goroutine, in order. The (benchmark, option) replays
+// form one list in order that up to min(GOMAXPROCS, 4) workers take
+// from, each replay on its own simulator reading the shared, read-only
+// log; each equals a full memhier Run of the trace, bit for bit. There
+// is no join between benchmarks: trace k+1 is built while trace k's
+// options replay. Two tokens keep at most two logs alive; a trace's
+// token returns when its last replay does. Results do not depend on
+// the schedule. On failure the error of the first failing (benchmark,
+// option) in order is returned; cancellation aborts mid-sweep with the
+// context's error.
+func figure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, opts []MemoryOption, fc fault.Config) (*Figure5Result, error) {
+	cfgs, err := figure5Configs(opts, fc)
+	if err != nil {
+		return nil, err
 	}
 	out := &Figure5Result{Options: opts, Rows: make([][]MemoryPerf, len(benches))}
 	traces := make([]figure5Trace, len(benches))
@@ -234,7 +247,7 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 		}
 	}()
 
-	err := fanout.ForEach(len(benches)*len(opts), len(opts), func(t int) error {
+	err = fanout.ForEach(len(benches)*len(opts), len(opts), func(t int) error {
 		k, i := t/len(opts), t%len(opts)
 		tr := &traces[k]
 		<-tr.ready
@@ -267,8 +280,42 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 	return out, nil
 }
 
+// figure5Configs returns each option's hierarchy with fc injected,
+// every one validated.
+func figure5Configs(opts []MemoryOption, fc fault.Config) ([]memhier.Config, error) {
+	cfgs := make([]memhier.Config, len(opts))
+	for i, o := range opts {
+		cfg, err := o.HierarchyConfig()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Faults = fc
+		if err := cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", o, err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
+// memoryPerfFrom maps a hierarchy result onto the Figure 5 row shape.
+func memoryPerfFrom(bench string, o MemoryOption, res memhier.Result) MemoryPerf {
+	return MemoryPerf{
+		Benchmark:       bench,
+		Option:          o,
+		CPMA:            res.CPMA,
+		BandwidthGBs:    res.BandwidthGBs,
+		BusPowerW:       res.BusPowerW,
+		OffDieBytes:     res.OffDieBytes,
+		Refs:            res.Refs,
+		Faults:          res.Faults,
+		DRAMRemapped:    res.DRAMCache.Remapped,
+		DRAMFaultCycles: res.DRAMCache.FaultCycles,
+	}
+}
+
 // figure5Trace is one benchmark's L1 log on its way through
-// RunFigure5: the producer sets lg or err, then closes ready; the
+// figure5: the producer sets lg or err, then closes ready; the
 // replay that brings left to zero drops lg and returns the trace's
 // token.
 type figure5Trace struct {
@@ -283,7 +330,8 @@ type Headline struct {
 	// AvgCPMAReductionPct is the mean CPMA reduction of the 32 MB
 	// stack vs the baseline (paper: 13%).
 	AvgCPMAReductionPct float64
-	// MaxCPMAReductionPct is the best single benchmark (paper: ~55%).
+	// MaxCPMAReductionPct is the best single benchmark (paper: ~55%),
+	// negative when no benchmark improves.
 	MaxCPMAReductionPct float64
 	// MaxReductionBenchmark names it.
 	MaxReductionBenchmark string
@@ -315,7 +363,7 @@ func (f *Figure5Result) Headline() Headline {
 		base, big := row[baseIdx], row[bigIdx]
 		red := (1 - big.CPMA/base.CPMA) * 100
 		sumRed += red
-		if red > h.MaxCPMAReductionPct {
+		if i == 0 || red > h.MaxCPMAReductionPct {
 			h.MaxCPMAReductionPct = red
 			h.MaxReductionBenchmark = f.Benchmarks[i]
 		}

@@ -6,16 +6,15 @@ import (
 
 	"diestack/internal/dtm"
 	"diestack/internal/fault"
-	"diestack/internal/memhier"
 	"diestack/internal/power"
 	"diestack/internal/thermal"
-	"diestack/internal/workload"
 )
 
-// This file ties the fault and dtm packages into the paper's two
-// studies: faulty stacked-DRAM hierarchies for the Memory+Logic
-// experiments, and closed-loop thermal management for the Logic+Logic
-// stacks, whose higher power density is the paper's main 3D concern.
+// This file ties the fault and dtm packages into the Logic+Logic
+// study: closed-loop thermal management for the folded stacks, whose
+// higher power density is the paper's main 3D concern. Faulty
+// stacked-DRAM hierarchies for the Memory+Logic study run through the
+// Figure 5 sweep (memory.go).
 
 // DesignFor returns the V/f design point the DTM actuator uses for a
 // logic option: the paper's 3D implementation (85% power, +15%
@@ -106,52 +105,4 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 		out.Faults = inj.Stats()
 	}
 	return out, runErr
-}
-
-// RunMemoryPerfWithFaults replays one benchmark's trace against one
-// Memory+Logic configuration with fault injection on the stacked DRAM
-// cache. A zero fc is RunMemoryPerf. The trace runs through the L1
-// front end once (memhier.FilterL1) and the back end replays the log,
-// which equals a full memhier Run bit for bit.
-func RunMemoryPerfWithFaults(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
-	cfg, err := o.HierarchyConfig()
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	cfg.Faults = fc
-	if cfg.L2Type == memhier.L2DRAM && len(fc.DeadBanks) > 0 {
-		// Surface an impossible bank-kill before building the machine.
-		if err := fc.ValidateBanks(cfg.DRAMArray.Banks); err != nil {
-			return MemoryPerf{}, fmt.Errorf("core: faults: %w", err)
-		}
-	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	lg, err := memhier.FilterL1(ctx, cfg, bench.Generate(spec.Seed, spec.Scale))
-	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
-	}
-	res, err := sim.Replay(ctx, lg, spec.Obs)
-	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
-	}
-	return memoryPerfFrom(bench.Name, o, res), nil
-}
-
-// memoryPerfFrom maps a hierarchy result onto the Figure 5 row shape.
-func memoryPerfFrom(bench string, o MemoryOption, res memhier.Result) MemoryPerf {
-	return MemoryPerf{
-		Benchmark:       bench,
-		Option:          o,
-		CPMA:            res.CPMA,
-		BandwidthGBs:    res.BandwidthGBs,
-		BusPowerW:       res.BusPowerW,
-		OffDieBytes:     res.OffDieBytes,
-		Refs:            res.Refs,
-		Faults:          res.Faults,
-		DRAMRemapped:    res.DRAMCache.Remapped,
-		DRAMFaultCycles: res.DRAMCache.FaultCycles,
-	}
 }

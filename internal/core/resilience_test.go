@@ -123,9 +123,22 @@ func TestStuckSensorBlindsDTM(t *testing.T) {
 	}
 }
 
+// faultyMemoryPerf runs the memory-perf experiment on gauss at 32 MB
+// with fp injected.
+func faultyMemoryPerf(scale float64, fp *FaultParams) (MemoryPerf, error) {
+	res, err := RunExperiment(context.Background(), "memory-perf", ExperimentRequest{
+		Spec:   RunSpec{Seed: 1, Scale: scale},
+		Params: &MemoryPerfParams{CapacityMB: 32, Benchmark: "gauss", Faults: fp},
+	})
+	if err != nil {
+		return MemoryPerf{}, err
+	}
+	return res.Value.(MemoryPerf), nil
+}
+
 func TestMemoryPerfWithFaultsDegradesCPMA(t *testing.T) {
 	b, _ := workload.ByName("gauss")
-	clean, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{})
+	clean, err := faultyMemoryPerf(0.1, &FaultParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +150,11 @@ func TestMemoryPerfWithFaultsDegradesCPMA(t *testing.T) {
 		t.Fatalf("zero fault config diverges from RunMemoryPerf:\n%+v\n%+v", clean, ref)
 	}
 
-	faulty, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{
-		Seed:                    5,
-		UncorrectablePerMAccess: 20000,
-		DeadBanks:               []int{0, 1, 2, 3},
-		TSVFailFrac:             0.5,
+	faulty, err := faultyMemoryPerf(0.1, &FaultParams{
+		Seed:              5,
+		UncorrectablePerM: 20000,
+		DeadBanks:         []int{0, 1, 2, 3},
+		TSVFailFrac:       0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +172,11 @@ func TestMemoryPerfWithFaultsDegradesCPMA(t *testing.T) {
 }
 
 func TestMemoryPerfWithFaultsRejectsBadBankKill(t *testing.T) {
-	b, _ := workload.ByName("gauss")
 	dead := make([]int, 16)
 	for i := range dead {
 		dead[i] = i
 	}
-	_, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.05}, Stacked32MB, b, fault.Config{DeadBanks: dead})
+	_, err := faultyMemoryPerf(0.05, &FaultParams{DeadBanks: dead})
 	if !errors.Is(err, fault.ErrAllBanksDead) {
 		t.Fatalf("want ErrAllBanksDead, got %v", err)
 	}

@@ -261,6 +261,23 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts.URL+"/v1/experiments/memory-perf", `{"spec":{"seed":1,"scale":1e12}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("huge scale: %d", resp.StatusCode)
 	}
+	// Names the run would refuse are the client's mistake: a 400 at
+	// decode, not a 500 after taking a solve slot.
+	for _, bad := range []struct{ exp, body string }{
+		{"memory-perf", `{"params":{"benchmark":"nope"}}`},
+		{"memory-perf", `{"params":{"capacity_mb":7}}`},
+		{"memory-perf", `{"params":{"capacity_mb":32,"faults":{"dead_banks":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]}}}`},
+		{"fig5", `{"params":{"benchmarks":["gauss","nope"]}}`},
+		{"fig5", `{"params":{"faults":{"tsv_fail_frac":1.5}}}`},
+		{"campaign", `{"params":{"benchmarks":["nope"]}}`},
+		{"campaign", `{"params":{"benchmarks":["gauss","gauss"]}}`},
+		{"logic-thermal", `{"params":{"variant":"4d"}}`},
+		{"fig3", `{"params":{"layer":"tim"}}`},
+	} {
+		if resp, body := post(t, ts.URL+"/v1/experiments/"+bad.exp, bad.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: %d %s", bad.exp, bad.body, resp.StatusCode, body)
+		}
+	}
 }
 
 // TestRunnerPanicRecovered: a panicking runner fails its request with

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // Kind classifies a memory reference.
@@ -121,12 +122,16 @@ func (s *SliceStream) Len() int { return len(s.recs) }
 // Collect drains a stream into a slice, up to max records (max <= 0
 // means unlimited), with cooperative cancellation checked every few
 // thousand records. The result slice is sized up front when the record
-// count is knowable — from max, or from the stream itself when it
-// exposes Len() — so collection does not re-grow.
+// count is knowable — from max, from the stream itself when it exposes
+// Len(), or from a Reader whose source reports its size — so
+// collection does not re-grow.
 func Collect(ctx context.Context, s Stream, max int) ([]Record, error) {
 	hint := 0
-	if l, ok := s.(interface{ Len() int }); ok {
-		hint = l.Len()
+	switch s := s.(type) {
+	case interface{ Len() int }:
+		hint = s.Len()
+	case *Reader:
+		hint = s.records
 	}
 	if max > 0 && (hint == 0 || max < hint) {
 		hint = max
@@ -204,6 +209,7 @@ func Validate(ctx context.Context, s Stream) error {
 const (
 	magic   = "D3DT"
 	version = 1
+	hdrSize = len(magic) + 1
 	recSize = 8 + 8 + 8 + 8 + 1 + 1 + 1 // id, dep, addr, pc, cpu, kind, reps
 )
 
@@ -279,6 +285,9 @@ func (tw *Writer) Flush() error {
 type Reader struct {
 	r      *bufio.Reader
 	header bool
+	// records is the record count the source's size implies, 0 when
+	// the source does not report its size; Collect presizes from it.
+	records int
 	// buf is the record decode scratch. Keeping it on the struct (rather
 	// than a local) stops it escaping to a fresh heap allocation per
 	// record: io.ReadFull's interface call pins a stack local otherwise.
@@ -287,13 +296,34 @@ type Reader struct {
 
 // NewReader returns a Reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReader(r), records: recordsIn(r)}
+}
+
+// recordsIn counts the records r holds when r reports its size: the
+// unread bytes of a source with Len (a bytes.Reader) or the size of a
+// regular file. It is 0 for any other source.
+func recordsIn(r io.Reader) int {
+	var n int64
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		n = int64(src.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		st, err := src.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return 0
+		}
+		n = st.Size()
+	}
+	if n <= int64(hdrSize) {
+		return 0
+	}
+	return int((n - int64(hdrSize)) / recSize)
 }
 
 // Next implements Stream.
 func (tr *Reader) Next() (Record, error) {
 	if !tr.header {
-		var hdr [5]byte
+		var hdr [hdrSize]byte
 		if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return Record{}, fmt.Errorf("trace: truncated header: %w", io.ErrUnexpectedEOF)

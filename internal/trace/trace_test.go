@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,6 +77,40 @@ func TestCollectMax(t *testing.T) {
 	recs, err = Collect(context.Background(), NewSliceStream(sample()), 0)
 	if err != nil || len(recs) != 5 {
 		t.Fatalf("Collect(0) = %d records, err=%v", len(recs), err)
+	}
+}
+
+// TestCollectPresizesFromReader: a Reader over a regular file or a
+// bytes.Reader tells Collect how many records its source holds, so the
+// collected slice is allocated once at its final size.
+func TestCollectPresizesFromReader(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, r := range benchRecords(1000) {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.d3dt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, src := range map[string]io.Reader{"file": f, "bytes.Reader": bytes.NewReader(buf.Bytes())} {
+		recs, err := Collect(context.Background(), NewReader(src), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(recs) != 1000 || cap(recs) != len(recs) {
+			t.Errorf("%s: len %d cap %d, want both 1000", name, len(recs), cap(recs))
+		}
 	}
 }
 
