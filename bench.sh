@@ -1,12 +1,12 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_008.json by default): benchmark
+# machine-readable baseline (BENCH_009.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the cold and
-# warm Solve64 times, the V-cycle and smoother-sweep kernel times on the
-# 3D logic stack (each twice: "serial", one core, and "crew", split
-# across the solver's helpers at the run's GOMAXPROCS), the
-# steady-state replay allocs/op, the time and
-# bytes allocated to generate the svm trace (the largest-footprint RMS
+# warm Solve64 times, the V-cycle, smoother-sweep and restriction
+# kernel times on the 3D logic stack (each twice: "serial", one core,
+# and "crew", split across the solver's helpers at the run's
+# GOMAXPROCS), the steady-state replay allocs/op, the time and bytes
+# allocated to generate the svm trace (the largest-footprint RMS
 # workload) at reference scale, and the whole Figure 5 sweep (fig5_s)
 # and Table 4 (table4_ms) at GOMAXPROCS 1 and 2, keyed by GOMAXPROCS:
 # both spread their work over the cores, so the pair shows what the
@@ -26,7 +26,7 @@
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_008.json}
+out=${1:-BENCH_009.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
 percpu=$(mktemp)
@@ -49,7 +49,7 @@ go test -run '^$' -benchmem -benchtime 3x \
     -bench 'BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$|BenchmarkTransientStep$' \
     ./internal/thermal/ | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 30x \
-    -bench 'BenchmarkVCycle64Stack3D$|BenchmarkSmoothSweep64$' \
+    -bench 'BenchmarkVCycle64Stack3D$|BenchmarkSmoothSweep64$|BenchmarkRestrict64$' \
     ./internal/thermal/ | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
@@ -112,6 +112,8 @@ END {
     printf "    \"vcycle64_stack3d_crew_ms\": %.2f,\n", ns["BenchmarkVCycle64Stack3D/crew"] / 1e6
     printf "    \"smooth_sweep64_serial_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64/serial"] / 1e6
     printf "    \"smooth_sweep64_crew_ms\": %.2f,\n", ns["BenchmarkSmoothSweep64/crew"] / 1e6
+    printf "    \"restrict64_serial_ms\": %.2f,\n", ns["BenchmarkRestrict64/serial"] / 1e6
+    printf "    \"restrict64_crew_ms\": %.2f,\n", ns["BenchmarkRestrict64/crew"] / 1e6
     printf "    \"replay_steady_state_allocs_per_op\": %s,\n", \
         al["BenchmarkReplaySteadyState"]
     printf "    \"generate_svm_ms\": %.1f,\n", ns["BenchmarkGenerateSVM"] / 1e6

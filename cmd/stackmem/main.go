@@ -313,38 +313,34 @@ func experiment(ctx context.Context, spec core.RunSpec, name string, params any)
 }
 
 // replayFile runs a tracegen-produced binary trace through all four
-// configurations.
+// configurations. The file is decoded once, and the Figure 5 sweep
+// runs its records through the L1 front end once.
 func replayFile(ctx context.Context, rs core.RunSpec, path string, fc fault.Config) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("replaying %s on the four configurations:\n", path)
+	recs, err := trace.Collect(ctx, trace.NewReader(bytes.NewReader(data)), 0)
+	if err != nil {
+		return err
+	}
+	rows, err := core.ReplayTrace(ctx, rs, path, recs, fc)
+	if err != nil {
+		return err
+	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	header := "capacity\tCPMA\tBW GB/s\ttraffic MB\trecords"
 	if fc.Enabled() {
 		header += "\tECC fix\tpoisoned\tremapped"
 	}
 	fmt.Fprintln(w, header)
-	for _, o := range core.MemoryOptions() {
-		cfg, err := o.HierarchyConfig()
-		if err != nil {
-			return err
-		}
-		cfg.Faults = fc
-		sim, err := memhier.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run(ctx, trace.NewReader(bytes.NewReader(data)), memhier.RunOptions{Obs: rs.Obs})
-		if err != nil {
-			return err
-		}
+	for _, r := range rows {
 		fmt.Fprintf(w, "%s\t%.3f\t%.2f\t%.1f\t%d",
-			o, res.CPMA, res.BandwidthGBs, float64(res.OffDieBytes)/(1<<20), res.Records)
+			r.Option, r.CPMA, r.BandwidthGBs, float64(r.OffDieBytes)/(1<<20), len(recs))
 		if fc.Enabled() {
 			fmt.Fprintf(w, "\t%d\t%d\t%d",
-				res.Faults.Corrected, res.Faults.LinesPoisoned, res.DRAMCache.Remapped)
+				r.Faults.Corrected, r.Faults.LinesPoisoned, r.DRAMRemapped)
 		}
 		fmt.Fprintln(w)
 	}

@@ -237,6 +237,42 @@ func TestFigure11Shape(t *testing.T) {
 	}
 }
 
+// TestGridConvergence pins the default grid's discretization error:
+// each Figure 8 and Figure 11 stack's peak at grid 64 (the default)
+// and at grid 96. E1's Figure 3 bond sweep moves the peak by 7.3 °C,
+// so both bounds sit well below the smallest signal a figure reads.
+// Figure 11's logic stacks resolve their small hot blocks more slowly
+// than Figure 8's memory stacks: the worst-case fold's peak still
+// moves by about 0.8 °C between the two grids (EXPERIMENTS.md).
+func TestGridConvergence(t *testing.T) {
+	ctx := context.Background()
+	check := func(name string, bound float64, peak func(grid int) (float64, error)) {
+		p64, err := peak(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p96, err := peak(96)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(p64 - p96); d > bound {
+			t.Errorf("%s: peak %.4f °C at grid 64, %.4f at grid 96: |diff| %.4f over %.2f", name, p64, p96, d, bound)
+		}
+	}
+	for _, o := range MemoryOptions() {
+		check("Figure 8 "+o.String(), 0.05, func(grid int) (float64, error) {
+			r, err := RunMemoryThermal(ctx, RunSpec{Grid: grid}, o)
+			return r.PeakC, err
+		})
+	}
+	for _, o := range LogicOptions() {
+		check("Figure 11 "+o.String(), 1.0, func(grid int) (float64, error) {
+			r, err := RunLogicThermal(ctx, RunSpec{Grid: grid}, o)
+			return r.PeakC, err
+		})
+	}
+}
+
 func TestTable4Totals(t *testing.T) {
 	t4, err := RunTable4(context.Background(), RunSpec{Seed: 1}, 30_000)
 	if err != nil {

@@ -19,6 +19,7 @@ import (
 	"diestack/internal/floorplan"
 	"diestack/internal/memhier"
 	"diestack/internal/thermal"
+	"diestack/internal/trace"
 	"diestack/internal/workload"
 )
 
@@ -176,6 +177,20 @@ func memoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workloa
 	return res.Rows[0][0], nil
 }
 
+// ReplayTrace runs recorded trace records, such as a trace file's,
+// over every configuration with fc injected: the Figure 5 sweep's
+// one-trace case for a trace that is not a catalog benchmark, so the
+// records go through the L1 front end once. name labels the rows and
+// errors; spec.Obs instruments the replays.
+func ReplayTrace(ctx context.Context, spec RunSpec, name string, recs []trace.Record, fc fault.Config) ([]MemoryPerf, error) {
+	b := workload.Benchmark{Name: name, Generate: func(uint64, float64) []trace.Record { return recs }}
+	res, err := figure5(ctx, spec, []workload.Benchmark{b}, MemoryOptions(), fc)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows[0], nil
+}
+
 // Figure5Result holds the full sweep: rows[benchmark][option].
 type Figure5Result struct {
 	Benchmarks []string
@@ -191,7 +206,8 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 
 // figure5 sweeps benches over opts with fc injected into every
 // option's hierarchy. It is the one Figure 5 composition: RunFigure5,
-// RunMemoryPerf and the fig5 and memory-perf experiments all run it.
+// RunMemoryPerf, ReplayTrace and the fig5 and memory-perf experiments
+// all run it.
 // Every option's configuration is validated before the first trace is
 // generated. All options share their L1s, so each benchmark's trace is
 // generated and run through the L1 front end once (memhier.FilterL1),

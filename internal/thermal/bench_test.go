@@ -112,3 +112,10 @@ func BenchmarkVCycle64Stack3D(b *testing.B) {
 func BenchmarkSmoothSweep64(b *testing.B) {
 	kernelModes(b, func(w *Workspace) { w.mg.levels[0].smoothSweep(1) })
 }
+
+// BenchmarkRestrict64 is one fused residual restriction from the fine
+// level of the 3D logic stack to the level below: the transfer kernel
+// alone.
+func BenchmarkRestrict64(b *testing.B) {
+	kernelModes(b, func(w *Workspace) { restrictResidual(w.mg.levels[0], w.mg.levels[1]) })
+}

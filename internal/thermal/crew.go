@@ -75,7 +75,7 @@ func (b *band) run() {
 	case opSmooth:
 		b.delta = b.lv.smoothRows(b.sc, b.color, b.omega, b.y0, b.y1)
 	case opRestrict:
-		restrictRows(b.lv, b.next, b.c0, b.c1)
+		restrictRows(b.lv, b.next, b.sc.rhs, b.c0, b.c1)
 	case opProlong:
 		prolongRows(b.next, b.lv, b.y0, b.y1)
 	}

@@ -26,20 +26,23 @@
 // and contracts the error by a grid-independent factor, so solves
 // converge in tens of cycles.
 //
-// Footprint: the fine level aliases the solver's five per-cell arrays
-// (three conductances, temperatures, right-hand side) and adds one, the
-// pre-cycle snapshot tPrev. Each coarse level holds five arrays (three
-// conductances, correction, right-hand side) at a quarter of the cells
-// of the level above, under two fine-level arrays across the whole
-// hierarchy. Neither the operator diagonal nor the residual is stored:
-// the diagonal is summed from the conductances the kernels load anyway,
-// plus a per-z-plane capacity term, and the residual is computed inside
-// the restriction. Every per-cell array on every level is stored
-// column-contiguous — cell (z, y, x) at (y*nx+x)*nz + z — so a z-line
-// solve reads each of its arrays at unit stride; the only other
-// per-level storage is the smoother's scratch, five arrays of
-// mgLanes·nz values (one set per band on levels a crew splits, see
-// crew.go).
+// Footprint: the operator is stored by column class (colClass): each
+// level keeps one copy of each distinct z-column's conductances — a
+// catalog stack has a few dozen among thousands of lateral cells — and
+// one int32 class index per lateral cell; no per-cell conductance
+// array exists. Per cell, the fine level aliases the solver's two
+// arrays (temperatures, right-hand side) and adds one, the pre-cycle
+// snapshot tPrev; each coarse level holds two (correction, right-hand
+// side) at a quarter of the cells of the level above. Neither the
+// operator diagonal nor the residual is stored per cell: each class
+// caches its diagonal, summed once per solve attempt with the
+// attempt's capacity term, and its Thomas factorization, and the
+// residual is computed inside the restriction. Every per-cell array on
+// every level is stored column-contiguous — cell (z, y, x) at
+// (y*nx+x)*nz + z — so a z-line solve reads each of its arrays at unit
+// stride; the only other per-level storage is the smoother's scratch,
+// two arrays of mgLanes·nz values (one set per band on levels a crew
+// splits, see crew.go).
 //
 // The hierarchy is allocated once per Workspace and reused by every
 // later solve, retry, transient step, and DTM sample; a V-cycle
@@ -48,6 +51,7 @@
 package thermal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -74,7 +78,7 @@ const (
 )
 
 // mgLevel is one grid of the multigrid hierarchy. Level 0 aliases the
-// fine solver's arrays (temperatures, right-hand side, conductances),
+// fine solver's arrays (temperatures, right-hand side, column classes),
 // so smoothing the fine level *is* iterating the real system; coarser
 // levels own their aggregated copies and solve the error equation
 // A·e = r, which has zero ambient (the boundary data lives in the
@@ -82,13 +86,7 @@ const (
 // the solver's: cell (z, y, x) lives at (y*nx+x)*nz + z.
 type mgLevel struct {
 	nx, ny, nz int
-	gv         []float64 // vertical conductance cell -> cell below (z+1)
-	gxr        []float64 // lateral conductance cell -> x+1
-	gyu        []float64 // lateral conductance cell -> y+1
-	gTop, gBot []float64 // boundary conductance per lateral cell
-	// fine counts the fine-level lateral cells aggregated into each
-	// lateral cell (1 on level 0), which scales the capacity term.
-	fine []float64
+	colTable
 	// codZ is the capacity term C/dt of one fine cell in each z-plane
 	// (all zero for steady solves), shared by every level.
 	codZ []float64
@@ -103,132 +101,276 @@ type mgLevel struct {
 	bands []band
 }
 
-func (lv *mgLevel) idx(z, y, x int) int { return (y*lv.nx+x)*lv.nz + z }
+// Neighbor-presence bits of a column class.
+const (
+	nbW = 1 << iota // x-1
+	nbE             // x+1
+	nbS             // y-1
+	nbN             // y+1
+)
+
+// colClass is one distinct z-column of a level's operator. A die stack
+// is built from a few rectangles of a few materials, so a level's
+// thousands of lateral cells share a few dozen distinct columns; each
+// is stored once, and so are the per-attempt quantities derived from
+// it.
+type colClass struct {
+	// gv[z] couples plane z to z+1 (0 in the last plane); gw, ge, gs
+	// and gn couple it to the column's x-1, x+1, y-1 and y+1 neighbor
+	// (0 where nb says that neighbor is absent).
+	gv, gw, ge, gs, gn []float64
+	gTop, gBot         float64 // boundary conductances
+	// fine counts the fine-level lateral cells aggregated into the
+	// column (1 on level 0), which scales the capacity term.
+	fine float64
+	nb   uint8
+	// Set by beginSolve for the attempt's capacity term: diag is the
+	// operator diagonal, summed in one fixed order (vertical, x, y,
+	// capacity); piv and cp are the pivots and eliminated
+	// superdiagonal of the column's tridiagonal Thomas factorization.
+	diag, piv, cp []float64
+}
+
+// newColClass returns a class whose vectors, all nz long, share one
+// allocation.
+func newColClass(nz int) colClass {
+	v := make([]float64, 8*nz)
+	return colClass{
+		gv: v[:nz:nz], gw: v[nz : 2*nz : 2*nz], ge: v[2*nz : 3*nz : 3*nz],
+		gs: v[3*nz : 4*nz : 4*nz], gn: v[4*nz : 5*nz : 5*nz],
+		diag: v[5*nz : 6*nz : 6*nz], piv: v[6*nz : 7*nz : 7*nz], cp: v[7*nz:],
+	}
+}
+
+// factor sets the class's diagonal for the capacity terms codZ and
+// factorizes its tridiagonal system. Row z's superdiagonal is -gv[z]
+// (0 in the last row) and its subdiagonal -gv[z-1].
+func (c *colClass) factor(codZ []float64) {
+	nz := len(c.gv)
+	for z := range c.diag {
+		d := 0.0
+		if z > 0 {
+			d += c.gv[z-1]
+		} else {
+			d += c.gTop
+		}
+		if z < nz-1 {
+			d += c.gv[z]
+		} else {
+			d += c.gBot
+		}
+		if c.nb&nbW != 0 {
+			d += c.gw[z]
+		}
+		if c.nb&nbE != 0 {
+			d += c.ge[z]
+		}
+		if c.nb&nbS != 0 {
+			d += c.gs[z]
+		}
+		if c.nb&nbN != 0 {
+			d += c.gn[z]
+		}
+		if cod := codZ[z]; cod != 0 {
+			d += cod * c.fine
+		}
+		c.diag[z] = d
+	}
+	sup := func(z int) float64 {
+		if z < nz-1 {
+			return -c.gv[z]
+		}
+		return 0
+	}
+	c.piv[0] = c.diag[0]
+	c.cp[0] = sup(0) / c.diag[0]
+	for z := 1; z < nz; z++ {
+		m := c.diag[z] - -c.gv[z-1]*c.cp[z-1] // diag - sub·cp
+		c.piv[z] = m
+		c.cp[z] = sup(z) / m
+	}
+}
+
+// colTable stores a level's operator by column class: cls holds each
+// distinct column once, and of names the class of each lateral cell
+// (indexed y*nx + x).
+type colTable struct {
+	cls []colClass
+	of  []int32
+}
+
+// col returns the class of lateral cell (y, x).
+func (lv *mgLevel) col(y, x int) *colClass { return &lv.cls[lv.of[y*lv.nx+x]] }
+
+// classBuilder files a level's columns into classes in scan order. The
+// caller fills the scratch column's gv, ge, gn, gTop, gBot and fine;
+// add derives the rest from the position and the columns already
+// filed. Two columns share a class only when every value of the class
+// matches bit for bit.
+type classBuilder struct {
+	nx, ny, nz int
+	colTable
+	col colClass
+	ids map[string]int32
+	key []byte
+}
+
+func newClassBuilder(nx, ny, nz int) *classBuilder {
+	return &classBuilder{
+		nx: nx, ny: ny, nz: nz,
+		colTable: colTable{of: make([]int32, nx*ny)},
+		col:      newColClass(nz),
+		ids:      make(map[string]int32),
+		key:      make([]byte, 0, 5*nz*8+3*8+1),
+	}
+}
+
+// add completes the scratch column at (y, x) and files it: its x-1
+// and y-1 couplings are the x+1 and y+1 couplings of the columns
+// already filed there, so both sides of a face hold the same bits.
+func (b *classBuilder) add(y, x int) {
+	c := &b.col
+	j := y*b.nx + x
+	c.nb = 0
+	clear(c.gw)
+	clear(c.gs)
+	if x > 0 {
+		c.nb |= nbW
+		copy(c.gw, b.cls[b.of[j-1]].ge)
+	}
+	if x < b.nx-1 {
+		c.nb |= nbE
+	} else {
+		clear(c.ge)
+	}
+	if y > 0 {
+		c.nb |= nbS
+		copy(c.gs, b.cls[b.of[j-b.nx]].gn)
+	}
+	if y < b.ny-1 {
+		c.nb |= nbN
+	} else {
+		clear(c.gn)
+	}
+	c.gv[b.nz-1] = 0
+	key := b.key[:0]
+	for _, vs := range [][]float64{c.gv, c.gw, c.ge, c.gs, c.gn, {c.gTop, c.gBot, c.fine}} {
+		for _, v := range vs {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+	}
+	key = append(key, c.nb)
+	b.key = key
+	if id, ok := b.ids[string(key)]; ok {
+		b.of[j] = id
+		return
+	}
+	id := int32(len(b.cls))
+	n := newColClass(b.nz)
+	copy(n.gv, c.gv)
+	copy(n.gw, c.gw)
+	copy(n.ge, c.ge)
+	copy(n.gs, c.gs)
+	copy(n.gn, c.gn)
+	n.gTop, n.gBot, n.fine, n.nb = c.gTop, c.gBot, c.fine, c.nb
+	b.cls = append(b.cls, n)
+	b.ids[string(key)] = id
+	b.of[j] = id
+}
 
 // lineScratch holds the tridiagonal systems of up to mgLanes z-columns
-// solved together, lane k in [k*nz, (k+1)*nz) of every array. No
-// subdiagonal is stored: row z's subdiagonal is sup[z-1], the same
-// vertical conductance seen from the other side.
+// solved together, lane k in [k*nz, (k+1)*nz) of rhs and dp: the class
+// of each lane's column, whose cached factorization the solve
+// substitutes against, and the column's temperatures, which it
+// relaxes.
 type lineScratch struct {
-	diag, sup, rhs, cp, dp []float64
+	rhs, dp []float64
+	lane    [mgLanes]*colClass
+	t       [mgLanes][]float64
 }
 
 func newLineScratch(nz int) *lineScratch {
 	n := mgLanes * nz
-	return &lineScratch{
-		diag: make([]float64, n), sup: make([]float64, n), rhs: make([]float64, n),
-		cp: make([]float64, n), dp: make([]float64, n),
-	}
+	return &lineScratch{rhs: make([]float64, n), dp: make([]float64, n)}
 }
 
-// thomas solves the first lanes systems of length n into dp. Row by
-// row it steps every lane once, so the lanes' independent divide
-// chains overlap; each lane performs exactly the operations of a
-// single-column Thomas solve.
-func (sc *lineScratch) thomas(n, lanes int) {
-	diag, sup, rhs, cp, dp := sc.diag, sc.sup, sc.rhs, sc.cp, sc.dp
-	end := lanes * n
-	for o := 0; o < end; o += n {
-		cp[o] = sup[o] / diag[o]
-		dp[o] = rhs[o] / diag[o]
+// solve solves the first lanes systems of length n by forward and back
+// substitution against each lane's factorization, relaxes each lane's
+// column toward its solution by omega, and returns the largest
+// temperature change. At omega 1 (the default) a column lands exactly
+// on its line-Gauss-Seidel value. Row by row it steps every lane once,
+// so the lanes' independent divide chains overlap; each lane performs
+// exactly the operations of a single-column Thomas solve.
+func (sc *lineScratch) solve(n, lanes int, omega float64) float64 {
+	rhs, dp := sc.rhs, sc.dp
+	for k, c := range sc.lane[:lanes] {
+		dp[k*n] = rhs[k*n] / c.piv[0]
 	}
 	for i := 1; i < n; i++ {
-		for o := i; o < end; o += n {
-			sub := sup[o-1]
-			m := diag[o] - sub*cp[o-1]
-			cp[o] = sup[o] / m
-			dp[o] = (rhs[o] - sub*dp[o-1]) / m
+		for k, c := range sc.lane[:lanes] {
+			o := k*n + i
+			dp[o] = (rhs[o] - -c.gv[i-1]*dp[o-1]) / c.piv[i]
 		}
+	}
+	md := 0.0
+	relax := func(t []float64, i int, v float64) {
+		old := t[i]
+		nv := old + omega*(v-old)
+		if d := math.Abs(nv - old); d > md {
+			md = d
+		}
+		t[i] = nv
+	}
+	for k, t := range sc.t[:lanes] {
+		relax(t, n-1, dp[k*n+n-1])
 	}
 	for i := n - 2; i >= 0; i-- {
-		for o := i; o < end; o += n {
-			dp[o] -= cp[o] * dp[o+1]
+		for k, c := range sc.lane[:lanes] {
+			o := k*n + i
+			dp[o] -= c.cp[i] * dp[o+1]
+			relax(sc.t[k], i, dp[o])
 		}
-	}
-}
-
-// assemble loads lane k of sc with the tridiagonal system of
-// the z-column at (y, x), lateral neighbors fixed. The lateral edge
-// tests are made once per column: each present neighbor is one pass
-// down the column. Every row sums its diagonal and right-hand side in
-// one fixed order — vertical, x, y, capacity — which restrictResidual
-// repeats.
-func (lv *mgLevel) assemble(sc *lineScratch, k, y, x int) {
-	nx, nz := lv.nx, lv.nz
-	j := y*nx + x
-	b := j * nz
-	o := k * nz
-	diag, sup, rhs := sc.diag[o:o+nz], sc.sup[o:o+nz], sc.rhs[o:o+nz]
-	gv, q := lv.gv[b:b+nz], lv.q[b:b+nz]
-	gTop, gBot, amb := lv.gTop[j], lv.gBot[j], lv.amb
-	for z := range diag {
-		d, r := 0.0, q[z]
-		if z > 0 {
-			d += gv[z-1]
-		} else {
-			d += gTop
-			r += gTop * amb
-		}
-		if z < nz-1 {
-			g := gv[z]
-			sup[z] = -g
-			d += g
-		} else {
-			sup[z] = 0
-			d += gBot
-			r += gBot * amb
-		}
-		diag[z], rhs[z] = d, r
-	}
-	nxz := nx * nz
-	if x > 0 {
-		addNeighbor(diag, rhs, lv.gxr[b-nz:b], lv.t[b-nz:b])
-	}
-	if x < nx-1 {
-		addNeighbor(diag, rhs, lv.gxr[b:b+nz], lv.t[b+nz:b+2*nz])
-	}
-	if y > 0 {
-		addNeighbor(diag, rhs, lv.gyu[b-nxz:b-nxz+nz], lv.t[b-nxz:b-nxz+nz])
-	}
-	if y < lv.ny-1 {
-		addNeighbor(diag, rhs, lv.gyu[b:b+nz], lv.t[b+nxz:b+nxz+nz])
-	}
-	n := lv.fine[j]
-	for z, c := range lv.codZ {
-		if c != 0 {
-			diag[z] += c * n
-		}
-	}
-}
-
-// addNeighbor adds one lateral neighbor column's coupling to a z-line
-// system: conductance g to the diagonal, g·t to the right-hand side.
-func addNeighbor(diag, rhs, g, t []float64) {
-	rhs, g, t = rhs[:len(diag)], g[:len(diag)], t[:len(diag)]
-	for z := range diag {
-		diag[z] += g[z]
-		rhs[z] += g[z] * t[z]
-	}
-}
-
-// update writes lane k's solution in sc into the z-column at (y, x),
-// relaxed by omega, and returns the column's largest temperature
-// change. At omega 1 (the default) the column lands exactly on its
-// line-Gauss-Seidel value.
-func (lv *mgLevel) update(sc *lineScratch, k, y, x int, omega float64) float64 {
-	nz := lv.nz
-	b := (y*lv.nx + x) * nz
-	t := lv.t[b : b+nz]
-	dp := sc.dp[k*nz : (k+1)*nz]
-	md := 0.0
-	for z, old := range t {
-		nv := old + omega*(dp[z]-old)
-		if dlt := math.Abs(nv - old); dlt > md {
-			md = dlt
-		}
-		t[z] = nv
 	}
 	return md
+}
+
+// loadLine loads lane k of sc with the z-column at (y, x), lateral
+// neighbors fixed: the column's class, and its right-hand side. The
+// lateral edge tests are made once per column: each present neighbor
+// is one pass down the column. Every row sums its right-hand side in
+// one fixed order — vertical, x, y.
+func (lv *mgLevel) loadLine(sc *lineScratch, k, y, x int) {
+	nx, nz := lv.nx, lv.nz
+	b := (y*nx + x) * nz
+	c := lv.col(y, x)
+	sc.lane[k] = c
+	sc.t[k] = lv.t[b : b+nz]
+	rhs := sc.rhs[k*nz : (k+1)*nz]
+	copy(rhs, lv.q[b:b+nz])
+	rhs[0] += c.gTop * lv.amb
+	rhs[nz-1] += c.gBot * lv.amb
+	nxz := nx * nz
+	if x > 0 {
+		addNeighbor(rhs, c.gw, lv.t[b-nz:b])
+	}
+	if x < nx-1 {
+		addNeighbor(rhs, c.ge, lv.t[b+nz:b+2*nz])
+	}
+	if y > 0 {
+		addNeighbor(rhs, c.gs, lv.t[b-nxz:b-nxz+nz])
+	}
+	if y < lv.ny-1 {
+		addNeighbor(rhs, c.gn, lv.t[b+nxz:b+nxz+nz])
+	}
+}
+
+// addNeighbor adds one lateral neighbor column's coupling g·t to a
+// z-line right-hand side or defect.
+func addNeighbor(rhs, g, t []float64) {
+	g, t = g[:len(rhs)], t[:len(rhs)]
+	for z := range rhs {
+		rhs[z] += g[z] * t[z]
+	}
 }
 
 // smoothColor relaxes every z-column of one checkerboard color
@@ -254,13 +396,10 @@ func (lv *mgLevel) smoothRows(sc *lineScratch, color int, omega float64, y0, y1 
 		for x := (y & 1) ^ color; x < nx; x += 2 * mgLanes {
 			lanes := min(mgLanes, (nx-x+1)/2)
 			for k := 0; k < lanes; k++ {
-				lv.assemble(sc, k, y, x+2*k)
+				lv.loadLine(sc, k, y, x+2*k)
 			}
-			sc.thomas(nz, lanes)
-			for k := 0; k < lanes; k++ {
-				if d := lv.update(sc, k, y, x+2*k, omega); d > maxDelta {
-					maxDelta = d
-				}
+			if d := sc.solve(nz, lanes, omega); d > maxDelta {
+				maxDelta = d
 			}
 		}
 	}
@@ -330,48 +469,37 @@ func coarsen(f *mgLevel) *mgLevel {
 	nxc, nyc := coarseDim(f.nx), coarseDim(f.ny)
 	nz := f.nz
 	cells := nz * nyc * nxc
-	c := &mgLevel{
-		nx: nxc, ny: nyc, nz: nz,
-		gv:   make([]float64, cells),
-		gxr:  make([]float64, cells),
-		gyu:  make([]float64, cells),
-		gTop: make([]float64, nyc*nxc),
-		gBot: make([]float64, nyc*nxc),
-		fine: make([]float64, nyc*nxc),
-		codZ: f.codZ,
-		t:    make([]float64, cells),
-		q:    make([]float64, cells),
-		amb:  0,
-		sc:   newLineScratch(nz),
-	}
+	tb := newClassBuilder(nxc, nyc, nz)
+	c := &tb.col
 	for Y := 0; Y < nyc; Y++ {
 		yLo, yHi := fineLo(Y), fineHi(Y, f.ny)
 		for X := 0; X < nxc; X++ {
 			xLo, xHi := fineLo(X), fineHi(X, f.nx)
-			// Boundary conductances and cell counts: sum over the
-			// aggregate's footprint.
-			var top, bot, n float64
+			// The aggregate's fine columns, in fine-y-then-x order.
+			var agg [4]*colClass
+			n := 0
 			for y := yLo; y <= yHi; y++ {
 				for x := xLo; x <= xHi; x++ {
-					top += f.gTop[y*f.nx+x]
-					bot += f.gBot[y*f.nx+x]
-					n += f.fine[y*f.nx+x]
+					agg[n] = f.col(y, x)
+					n++
 				}
 			}
-			c.gTop[Y*nxc+X] = top
-			c.gBot[Y*nxc+X] = bot
-			c.fine[Y*nxc+X] = n
+			// Boundary conductances and cell counts: sum over the
+			// aggregate's footprint.
+			c.gTop, c.gBot, c.fine = 0, 0, 0
+			for _, fc := range agg[:n] {
+				c.gTop += fc.gTop
+				c.gBot += fc.gBot
+				c.fine += fc.fine
+			}
 			for z := 0; z < nz; z++ {
-				i := c.idx(z, Y, X)
 				// Vertical: every fine column in the aggregate crosses the
 				// same z interface.
 				var gv float64
-				for y := yLo; y <= yHi; y++ {
-					for x := xLo; x <= xHi; x++ {
-						gv += f.gv[f.idx(z, y, x)]
-					}
+				for _, fc := range agg[:n] {
+					gv += fc.gv[z]
 				}
-				c.gv[i] = gv
+				c.gv[z] = gv
 				// Lateral x: the coarse interface X -> X+1 is the fine
 				// interface 2X+1 -> 2X+2, crossed once per covered fine
 				// row. The face area is the sum of the fine faces, but the
@@ -382,21 +510,30 @@ func coarsen(f *mgLevel) *mgLevel {
 				if X < nxc-1 {
 					var g float64
 					for y := yLo; y <= yHi; y++ {
-						g += f.gxr[f.idx(z, y, 2*X+1)]
+						g += f.col(y, 2*X+1).ge[z]
 					}
-					c.gxr[i] = g / 2
+					c.ge[z] = g / 2
 				}
 				if Y < nyc-1 {
 					var g float64
 					for x := xLo; x <= xHi; x++ {
-						g += f.gyu[f.idx(z, 2*Y+1, x)]
+						g += f.col(2*Y+1, x).gn[z]
 					}
-					c.gyu[i] = g / 2
+					c.gn[z] = g / 2
 				}
 			}
+			tb.add(Y, X)
 		}
 	}
-	return c
+	return &mgLevel{
+		nx: nxc, ny: nyc, nz: nz,
+		colTable: tb.colTable,
+		codZ:     f.codZ,
+		t:        make([]float64, cells),
+		q:        make([]float64, cells),
+		amb:      0,
+		sc:       newLineScratch(nz),
+	}
 }
 
 // restrictResidual computes the fine level's pointwise defect q - A·t
@@ -413,78 +550,60 @@ func restrictResidual(f, c *mgLevel) {
 		f.crew.transfer(f, opRestrict)
 		return
 	}
-	restrictRows(f, c, 0, c.ny)
+	restrictRows(f, c, f.sc.rhs, 0, c.ny)
 }
 
 // restrictRows restricts into coarse rows [c0, c1): it zeroes their
-// cells, then walks the fine rows they cover.
-func restrictRows(f, c *mgLevel, c0, c1 int) {
+// cells, then walks the fine rows they cover, forming each column's
+// defect in r (nz values) before adding it to its coarse column. Each
+// defect takes the diagonal its column's class cached and adds the
+// couplings in the diagonal's order: vertical, then one pass down the
+// column per present lateral neighbor.
+func restrictRows(f, c *mgLevel, r []float64, c0, c1 int) {
 	nx, ny, nz := f.nx, f.ny, f.nz
 	cq, ct := c.q[c0*c.nx*nz:c1*c.nx*nz], c.t[c0*c.nx*nz:c1*c.nx*nz]
 	for i := range cq {
 		cq[i] = 0
 		ct[i] = 0
 	}
+	r = r[:nz]
 	nxz := nx * nz
 	amb := f.amb
 	for y := 2 * c0; y < min(2*c1, ny); y++ {
 		for x := 0; x < nx; x++ {
-			j := y*nx + x
-			b := j * nz
+			cl := f.col(y, x)
+			b := (y*nx + x) * nz
+			q, t := f.q[b:b+nz], f.t[b:b+nz]
+			diag, gv := cl.diag[:nz], cl.gv[:nz]
+			for z := range r {
+				v := q[z] - diag[z]*t[z]
+				if z > 0 {
+					v += gv[z-1] * t[z-1]
+				} else {
+					v += cl.gTop * amb
+				}
+				if z < nz-1 {
+					v += gv[z] * t[z+1]
+				} else {
+					v += cl.gBot * amb
+				}
+				r[z] = v
+			}
+			if x > 0 {
+				addNeighbor(r, cl.gw, f.t[b-nz:b])
+			}
+			if x < nx-1 {
+				addNeighbor(r, cl.ge, f.t[b+nz:b+2*nz])
+			}
+			if y > 0 {
+				addNeighbor(r, cl.gs, f.t[b-nxz:b-nxz+nz])
+			}
+			if y < ny-1 {
+				addNeighbor(r, cl.gn, f.t[b+nxz:b+nxz+nz])
+			}
 			cb := ((y/2)*c.nx + x/2) * nz
-			for z := 0; z < nz; z++ {
-				i := b + z
-				// The diagonal, summed in assemble's order.
-				d := 0.0
-				if z > 0 {
-					d += f.gv[i-1]
-				} else {
-					d += f.gTop[j]
-				}
-				if z < nz-1 {
-					d += f.gv[i]
-				} else {
-					d += f.gBot[j]
-				}
-				if x > 0 {
-					d += f.gxr[i-nz]
-				}
-				if x < nx-1 {
-					d += f.gxr[i]
-				}
-				if y > 0 {
-					d += f.gyu[i-nxz]
-				}
-				if y < ny-1 {
-					d += f.gyu[i]
-				}
-				if cod := f.codZ[z]; cod != 0 {
-					d += cod * f.fine[j]
-				}
-				r := f.q[i] - d*f.t[i]
-				if z > 0 {
-					r += f.gv[i-1] * f.t[i-1]
-				} else {
-					r += f.gTop[j] * amb
-				}
-				if z < nz-1 {
-					r += f.gv[i] * f.t[i+1]
-				} else {
-					r += f.gBot[j] * amb
-				}
-				if x > 0 {
-					r += f.gxr[i-nz] * f.t[i-nz]
-				}
-				if x < nx-1 {
-					r += f.gxr[i] * f.t[i+nz]
-				}
-				if y > 0 {
-					r += f.gyu[i-nxz] * f.t[i-nxz]
-				}
-				if y < ny-1 {
-					r += f.gyu[i] * f.t[i+nxz]
-				}
-				c.q[cb+z] += r
+			for z, v := range c.q[cb : cb+nz] {
+				c.q[cb+z] = v + r[z]
 			}
 		}
 	}
@@ -559,17 +678,12 @@ func newMGHier(sv *solver) *mgHier {
 	codZ := make([]float64, sv.nz)
 	fine := &mgLevel{
 		nx: sv.nx, ny: sv.ny, nz: sv.nz,
-		gv: sv.gv, gxr: sv.gxr, gyu: sv.gyu,
-		gTop: sv.gTop, gBot: sv.gBot,
-		fine: make([]float64, sv.ny*sv.nx),
-		codZ: codZ,
-		t:    sv.t,
-		q:    sv.q,
-		amb:  sv.s.AmbientC,
-		sc:   newLineScratch(sv.nz),
-	}
-	for i := range fine.fine {
-		fine.fine[i] = 1
+		colTable: sv.cols,
+		codZ:     codZ,
+		t:        sv.t,
+		q:        sv.q,
+		amb:      sv.s.AmbientC,
+		sc:       newLineScratch(sv.nz),
 	}
 	levels := []*mgLevel{fine}
 	for {
@@ -595,12 +709,18 @@ func newMGHier(sv *solver) *mgHier {
 
 // beginSolve prepares the hierarchy for one solve attempt with time
 // step dt (0 for a steady solve): set the capacity term every level's
-// diagonal carries, and reset the attempt's tallies.
+// diagonal carries, factorize every column class for it, and reset
+// the attempt's tallies.
 func (h *mgHier) beginSolve(dt float64) {
 	for z, c := range h.capZ {
 		h.codZ[z] = 0
 		if dt > 0 {
 			h.codZ[z] = c / dt
+		}
+	}
+	for _, lv := range h.levels {
+		for i := range lv.cls {
+			lv.cls[i].factor(h.codZ)
 		}
 	}
 	for i := range h.sweeps {

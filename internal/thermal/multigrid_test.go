@@ -178,6 +178,10 @@ func TestMultigridVCycleAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := w.mg
+	// A later attempt refactorizes every column class in place.
+	if allocs := testing.AllocsPerRun(10, func() { h.beginSolve(0.25) }); allocs != 0 {
+		t.Fatalf("beginSolve allocates %v objects per run, want 0", allocs)
+	}
 	var delta float64
 	if allocs := testing.AllocsPerRun(10, func() {
 		h.cycle(1.0, false)

@@ -92,13 +92,12 @@ type Field struct {
 // Every per-cell array is stored column-contiguous: cell (z, y, x)
 // lives at (y*nx+x)*nz + z (see idx), so the smoother's z-line solves
 // walk memory at unit stride. Per-lateral-cell arrays are indexed
-// y*nx + x.
+// y*nx + x. The conductances are stored by column class (cols), the
+// multigrid fine level's operator.
 type solver struct {
 	s          *Stack
 	nx, ny, nz int
-	gv         []float64 // vertical conductance cell -> cell below (z+1)
-	gxr        []float64 // lateral conductance cell -> x+1
-	gyu        []float64 // lateral conductance cell -> y+1
+	cols       colTable
 	gTop, gBot []float64 // boundary conductance per lateral cell
 	// q is the right-hand side: the rasterized heat sources (W) of a
 	// steady solve, or the implicit-Euler right-hand side of a step.
@@ -220,75 +219,82 @@ func newSolver(s *Stack) (*solver, error) {
 	sv.zLayer = zLayer
 	sv.srcScale = srcScale
 
-	// kPlane fills dst with the conductivity of every cell of z-plane z,
-	// honoring bounded layer extents. Boundary cells that partially
-	// overlap the extent get an area-weighted conductivity, keeping the
-	// material mask consistent with area-weighted power rasterization
+	// kRow fills dst[li*nx+x] with the conductivity of layer li at
+	// lateral cell (y, x), for every layer and every x, honoring
+	// bounded layer extents. Boundary cells that partially overlap the
+	// extent get an area-weighted conductivity, keeping the material
+	// mask consistent with area-weighted power rasterization
 	// (otherwise block power can land in a cell classified as
-	// near-insulating filler). Only two planes are live at a time, so
-	// no per-cell conductivity array is ever allocated.
-	kPlane := func(z int, dst []float64) {
-		l := &s.Layers[zLayer[z]]
-		kin := l.Material.Conductivity
-		kout := kin
-		if l.bounded() {
-			kout = EpoxyFill.Conductivity
-		}
-		for y := 0; y < ny; y++ {
-			y0 := float64(y) * dy
-			for x := 0; x < nx; x++ {
-				kk := kin
-				if l.bounded() {
-					x0 := float64(x) * dx
-					ox := math.Min(l.Extent.X+l.Extent.W, x0+dx) - math.Max(l.Extent.X, x0)
-					oy := math.Min(l.Extent.Y+l.Extent.H, y0+dy) - math.Max(l.Extent.Y, y0)
-					frac := 0.0
-					if ox > 0 && oy > 0 {
-						frac = (ox * oy) / (dx * dy)
-					}
-					kk = frac*kin + (1-frac)*kout
+	// near-insulating filler). Only two rows are live at a time, so no
+	// per-cell conductivity array is ever allocated.
+	nl := len(s.Layers)
+	kRow := func(y int, dst []float64) {
+		y0 := float64(y) * dy
+		for li := range s.Layers {
+			l := &s.Layers[li]
+			kin := l.Material.Conductivity
+			row := dst[li*nx : (li+1)*nx]
+			if !l.bounded() {
+				for x := range row {
+					row[x] = kin
 				}
-				dst[y*nx+x] = kk
+				continue
+			}
+			kout := EpoxyFill.Conductivity
+			for x := range row {
+				x0 := float64(x) * dx
+				ox := math.Min(l.Extent.X+l.Extent.W, x0+dx) - math.Max(l.Extent.X, x0)
+				oy := math.Min(l.Extent.Y+l.Extent.H, y0+dy) - math.Max(l.Extent.Y, y0)
+				frac := 0.0
+				if ox > 0 && oy > 0 {
+					frac = (ox * oy) / (dx * dy)
+				}
+				row[x] = frac*kin + (1-frac)*kout
 			}
 		}
 	}
 
-	// Precomputed conductances, sweeping z with the conductivities of
-	// the current plane (k) and the one below it (kBelow).
-	sv.gv = make([]float64, cells)
-	sv.gxr = make([]float64, cells)
-	sv.gyu = make([]float64, cells)
+	// Each column's conductances are computed from the conductivities
+	// of its row (k) and of row y+1 (kN), then filed into the column
+	// classes; the builder takes the x-1 and y-1 couplings from the
+	// columns filed before.
 	sv.gTop = make([]float64, ny*nx)
 	sv.gBot = make([]float64, ny*nx)
-	k, kBelow := make([]float64, ny*nx), make([]float64, ny*nx)
-	kPlane(0, k)
-	for z := 0; z < nz; z++ {
-		if z < nz-1 {
-			kPlane(z+1, kBelow)
+	k, kN := make([]float64, nl*nx), make([]float64, nl*nx)
+	kRow(0, k)
+	tb := newClassBuilder(nx, ny, nz)
+	c := &tb.col
+	c.fine = 1
+	for y := 0; y < ny; y++ {
+		if y < ny-1 {
+			kRow(y+1, kN)
 		}
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				i := sv.idx(z, y, x)
-				j := y*nx + x
+		for x := 0; x < nx; x++ {
+			for z := 0; z < nz; z++ {
+				kz := k[zLayer[z]*nx+x]
 				if z < nz-1 {
-					sv.gv[i] = area / (dz[z]/(2*k[j]) + dz[z+1]/(2*kBelow[j]))
+					c.gv[z] = area / (dz[z]/(2*kz) + dz[z+1]/(2*k[zLayer[z+1]*nx+x]))
 				}
 				if x < nx-1 {
-					sv.gxr[i] = dz[z] * dy / (dx/(2*k[j]) + dx/(2*k[j+1]))
+					c.ge[z] = dz[z] * dy / (dx/(2*kz) + dx/(2*k[zLayer[z]*nx+x+1]))
 				}
 				if y < ny-1 {
-					sv.gyu[i] = dz[z] * dx / (dy/(2*k[j]) + dy/(2*k[j+nx]))
-				}
-				if z == 0 && s.TopH > 0 {
-					sv.gTop[j] = area / (dz[0]/(2*k[j]) + 1/s.TopH)
-				}
-				if z == nz-1 && s.BottomH > 0 {
-					sv.gBot[j] = area / (dz[nz-1]/(2*k[j]) + 1/s.BottomH)
+					c.gn[z] = dz[z] * dx / (dy/(2*kz) + dy/(2*kN[zLayer[z]*nx+x]))
 				}
 			}
+			j := y*nx + x
+			if s.TopH > 0 {
+				sv.gTop[j] = area / (dz[0]/(2*k[zLayer[0]*nx+x]) + 1/s.TopH)
+			}
+			if s.BottomH > 0 {
+				sv.gBot[j] = area / (dz[nz-1]/(2*k[zLayer[nz-1]*nx+x]) + 1/s.BottomH)
+			}
+			c.gTop, c.gBot = sv.gTop[j], sv.gBot[j]
+			tb.add(y, x)
 		}
-		k, kBelow = kBelow, k
+		k, kN = kN, k
 	}
+	sv.cols = tb.colTable
 
 	sv.capZ = make([]float64, nz)
 	for z := range sv.capZ {

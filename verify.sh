@@ -31,7 +31,9 @@ echo "== solver crew race =="
 # The thermal solver splits each large multigrid level across a crew of
 # helpers sized by GOMAXPROCS. -cpu 1,4 races the crew at four workers
 # even on a one-core runner, and checks the GOMAXPROCS 1 serial path.
-go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs' ./internal/thermal/
+# The column-class table tests run here too: every band reads the
+# classes that beginSolve factorizes.
+go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint' ./internal/thermal/
 
 echo "== perf-sim fan-out race =="
 # Figure 5 builds the next trace while the current one replays, and
