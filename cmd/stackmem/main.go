@@ -17,11 +17,9 @@
 //	stackmem -bench gauss -fault-dead-banks 0,1,2,3  bank kill
 //	stackmem -bench gauss -fault-tsv 0.25            via lane loss
 //
-// Supervised campaigns and checkpointed replays:
+// Supervised campaigns:
 //
 //	stackmem -campaign -jobs 4 -retries 1 -manifest out.json
-//	stackmem -bench gauss -capacity 32 -checkpoint run.ckpt -checkpoint-every 100000
-//	stackmem -bench gauss -capacity 32 -checkpoint run.ckpt -resume
 package main
 
 import (
@@ -41,10 +39,8 @@ import (
 	"diestack/internal/core"
 	"diestack/internal/fault"
 	"diestack/internal/harness"
-	"diestack/internal/memhier"
 	"diestack/internal/thermal"
 	"diestack/internal/trace"
-	"diestack/internal/workload"
 )
 
 // cli holds the shared flag group (profiling, -metrics-out,
@@ -63,15 +59,11 @@ func main() {
 		thermOnly  = flag.Bool("thermal", false, "print the Figure 8 temperatures and exit")
 		pngOut     = flag.String("png", "", "write the 32MB stack's thermal map (Figure 8b) to this PNG file")
 
-		timeout    = flag.Duration("timeout", 0, "deadline for the whole run (campaign mode: per job attempt; 0 = none)")
-		jobs       = flag.Int("jobs", 0, "campaign worker-pool size (0 = number of CPUs)")
-		retries    = flag.Int("retries", 0, "campaign retries per failed or timed-out job")
-		campaign   = flag.Bool("campaign", false, "run the paper sweep as a supervised parallel campaign")
-		manifest   = flag.String("manifest", "", "write the campaign manifest JSON to this file (default stdout)")
-		ckptPath   = flag.String("checkpoint", "", "checkpoint file for a single-configuration supervised replay")
-		ckptEvery  = flag.Int("checkpoint-every", 1<<20, "records between checkpoint snapshots")
-		resumeFlag = flag.Bool("resume", false, "resume the -checkpoint replay from its last snapshot")
-		capacity   = flag.Int("capacity", 32, "L2 capacity in MB for the checkpointed replay (4, 12, 32 or 64)")
+		timeout  = flag.Duration("timeout", 0, "deadline for the whole run (campaign mode: per job attempt; 0 = none)")
+		jobs     = flag.Int("jobs", 0, "campaign worker-pool size (0 = number of CPUs)")
+		retries  = flag.Int("retries", 0, "campaign retries per failed or timed-out job")
+		campaign = flag.Bool("campaign", false, "run the paper sweep as a supervised parallel campaign")
+		manifest = flag.String("manifest", "", "write the campaign manifest JSON to this file (default stdout)")
 
 		faultSeed   = flag.Uint64("fault-seed", 0, "fault schedule seed (same seed = same faults)")
 		faultCorr   = flag.Float64("fault-corr", 0, "correctable ECC errors per million stacked-DRAM reads")
@@ -94,9 +86,6 @@ func main() {
 	if *retries < 0 {
 		fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
 	}
-	if *ckptEvery <= 0 {
-		fatal(fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
-	}
 	faults, err := faultFlags(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
 		fatal(err)
@@ -107,8 +96,7 @@ func main() {
 	defer cli.Stop()
 
 	// Interrupts and SIGTERM cancel the run cooperatively: replays and
-	// solves observe the context and stop at the next check, leaving
-	// any checkpoint file intact for -resume.
+	// solves observe the context and stop at the next check.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 && !*campaign {
@@ -126,11 +114,6 @@ func main() {
 	switch {
 	case *campaign:
 		if err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest); err != nil {
-			fatal(err)
-		}
-	case *ckptPath != "":
-		if err := runCheckpointed(ctx, spec, *bench, *traceFile, *capacity, faults,
-			*ckptPath, *ckptEvery, *resumeFlag); err != nil {
 			fatal(err)
 		}
 	case *traceFile != "":
@@ -208,58 +191,6 @@ func writeManifest(m *harness.Manifest, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "campaign: %d ok, %d failed, %d panicked, %d timeout, %d canceled\n",
 		m.OK, m.Failed, m.Panicked, m.Timeout, m.Canceled)
-	return nil
-}
-
-// runCheckpointed replays one benchmark (or trace file) against one
-// capacity with periodic checkpoints, optionally resuming from the
-// last snapshot. An interrupted run resumed this way produces exactly
-// the result of an uninterrupted one.
-func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile string, capacityMB int,
-	faults *core.FaultParams, path string, every int, resume bool) error {
-	cfg, ok := memhier.ConfigByCapacity(capacityMB)
-	if !ok {
-		return fmt.Errorf("-capacity must be 4, 12, 32 or 64, got %d", capacityMB)
-	}
-	cfg.Faults = faults.Config()
-
-	var stream trace.Stream
-	switch {
-	case traceFile != "":
-		data, err := os.ReadFile(traceFile)
-		if err != nil {
-			return err
-		}
-		stream = trace.NewReader(bytes.NewReader(data))
-	case bench != "":
-		b, ok := workload.ByName(bench)
-		if !ok {
-			return fmt.Errorf("unknown benchmark %q (have %v)", bench, workload.Names())
-		}
-		stream = trace.NewSliceStream(b.Generate(rs.Seed, rs.Scale))
-	default:
-		return fmt.Errorf("-checkpoint needs -bench or -trace")
-	}
-
-	opt := memhier.RunOptions{CheckpointEvery: every, CheckpointPath: path, Obs: rs.Obs}
-	if resume {
-		cp, err := memhier.LoadCheckpoint(path)
-		if err != nil {
-			return err
-		}
-		opt.Resume = cp
-		fmt.Fprintf(os.Stderr, "resuming from %s at record %d\n", path, cp.Records)
-	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(ctx, stream, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%dMB: CPMA %.3f  BW %.2f GB/s  traffic %.1f MB  records %d  refs %d\n",
-		capacityMB, res.CPMA, res.BandwidthGBs, float64(res.OffDieBytes)/(1<<20), res.Records, res.Refs)
 	return nil
 }
 

@@ -62,23 +62,36 @@ func stencilTrace(n, sweeps int) []trace.Record {
 func main() {
 	// A 1280 x 1280 grid: ~12.5 MB input + ~12.5 MB output. Too big for
 	// 4 MB, comfortable in 32 MB.
+	ctx := context.Background()
 	recs := stencilTrace(1280, 2)
-	if err := trace.Validate(context.Background(), trace.NewSliceStream(recs)); err != nil {
+	if err := trace.Validate(ctx, trace.NewSliceStream(recs)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("custom stencil trace: %d records\n\n", len(recs))
 	fmt.Printf("%-10s %8s %10s %12s\n", "capacity", "CPMA", "BW GB/s", "traffic MB")
 
-	for _, mb := range []int{4, 8, 16, 32, 64} {
+	capacities := []int{4, 8, 16, 32, 64}
+	cfgs := make([]memhier.Config, len(capacities))
+	for i, mb := range capacities {
 		cfg, ok := memhier.ConfigByCapacity(mb)
 		if !ok {
 			log.Fatalf("no configuration for %d MB", mb)
 		}
+		cfgs[i] = cfg
+	}
+	// Every capacity shares the same L1s, so the trace runs through
+	// them once and each machine replays only its L2 and memory.
+	lg, err := memhier.FilterL1(ctx, cfgs[0], recs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		mb := capacities[i]
 		sim, err := memhier.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(context.Background(), trace.NewSliceStream(recs), memhier.RunOptions{})
+		res, err := sim.Replay(ctx, lg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -328,63 +328,6 @@ func (c *Cache) Invalidate(addr uint64) (ev Eviction, ok bool) {
 	return Eviction{}, false
 }
 
-// WayState is the serializable state of one cache way.
-type WayState struct {
-	Tag     uint64
-	Valid   bool
-	Present uint64
-	Dirty   uint64
-	LRU     uint64
-}
-
-// State is a complete serializable snapshot of a cache: configuration,
-// statistics, the LRU clock, and every way of every set (flattened
-// set-major). Restoring a State onto a cache built from the same
-// Config reproduces its behaviour bit-identically.
-type State struct {
-	Cfg   Config
-	Seq   uint64
-	Stats Stats
-	Ways  []WayState
-}
-
-// State captures the cache's full state for checkpointing.
-func (c *Cache) State() State {
-	st := State{Cfg: c.cfg, Seq: c.seq, Stats: c.stats}
-	st.Ways = make([]WayState, 0, len(c.sets)*c.cfg.Ways)
-	for _, set := range c.sets {
-		for i := range set {
-			w := &set[i]
-			st.Ways = append(st.Ways, WayState{
-				Tag: w.tag, Valid: w.valid, Present: w.present, Dirty: w.dirty, LRU: w.lru,
-			})
-		}
-	}
-	return st
-}
-
-// Restore overwrites the cache's state from a snapshot taken on an
-// identically configured cache, erroring on any mismatch.
-func (c *Cache) Restore(st State) error {
-	if st.Cfg != c.cfg {
-		return fmt.Errorf("cache: restore config mismatch: have %+v, snapshot %+v", c.cfg, st.Cfg)
-	}
-	if want := len(c.sets) * c.cfg.Ways; len(st.Ways) != want {
-		return fmt.Errorf("cache: restore way count mismatch: have %d, snapshot %d", want, len(st.Ways))
-	}
-	k := 0
-	for _, set := range c.sets {
-		for i := range set {
-			ws := st.Ways[k]
-			set[i] = way{tag: ws.Tag, valid: ws.Valid, present: ws.Present, dirty: ws.Dirty, lru: ws.LRU}
-			k++
-		}
-	}
-	c.seq = st.Seq
-	c.stats = st.Stats
-	return nil
-}
-
 // Stats returns a copy of accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -322,53 +322,6 @@ func (d *Device) Access(now int64, addr uint64, isWrite bool) (done int64, res R
 	return start + lat + d.cfg.Overhead, res
 }
 
-// BankState is the serializable state of one bank: its open rows in
-// recency order and the cycle until which it is busy.
-type BankState struct {
-	Rows      []uint64
-	BusyUntil int64
-}
-
-// State is a complete serializable snapshot of a device. The attached
-// fault model is configuration, not state — reattach it after Restore.
-type State struct {
-	Cfg   Config
-	Stats Stats
-	Banks []BankState
-}
-
-// State captures the device's full state for checkpointing.
-func (d *Device) State() State {
-	st := State{Cfg: d.cfg, Stats: d.stats, Banks: make([]BankState, len(d.banks))}
-	for i := range d.banks {
-		st.Banks[i] = BankState{
-			Rows:      append([]uint64(nil), d.banks[i].rows...),
-			BusyUntil: d.banks[i].busyUntil,
-		}
-	}
-	return st
-}
-
-// Restore overwrites the device's state from a snapshot taken on an
-// identically configured device, erroring on any mismatch.
-func (d *Device) Restore(st State) error {
-	if st.Cfg != d.cfg {
-		return fmt.Errorf("dram: restore config mismatch: have %+v, snapshot %+v", d.cfg, st.Cfg)
-	}
-	if len(st.Banks) != len(d.banks) {
-		return fmt.Errorf("dram: restore bank count mismatch: have %d, snapshot %d", len(d.banks), len(st.Banks))
-	}
-	for i := range d.banks {
-		if n := len(st.Banks[i].Rows); n > d.cfg.rowBuffers() {
-			return fmt.Errorf("dram: restore bank %d has %d open rows, device holds %d", i, n, d.cfg.rowBuffers())
-		}
-		d.banks[i].rows = append(d.banks[i].rows[:0], st.Banks[i].Rows...)
-		d.banks[i].busyUntil = st.Banks[i].BusyUntil
-	}
-	d.stats = st.Stats
-	return nil
-}
-
 // Stats returns a copy of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
 

@@ -246,34 +246,6 @@ func New(cfg Config) (*Injector, error) {
 // Stats returns a copy of the accumulated fault statistics.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// State is a complete serializable snapshot of an injector: the draw
-// counters that schedule future faults and the accumulated statistics.
-// The fault schedule itself is a pure function of (Seed, counter), so
-// restoring the counters resumes the schedule bit-identically.
-type State struct {
-	Seed    uint64
-	ECCN    uint64
-	SensorN uint64
-	Stats   Stats
-}
-
-// State captures the injector's full state for checkpointing.
-func (in *Injector) State() State {
-	return State{Seed: in.cfg.Seed, ECCN: in.eccN, SensorN: in.sensorN, Stats: in.stats}
-}
-
-// Restore overwrites the injector's counters and statistics from a
-// snapshot taken on an injector with the same seed.
-func (in *Injector) Restore(st State) error {
-	if st.Seed != in.cfg.Seed {
-		return fmt.Errorf("fault: restore seed mismatch: have %d, snapshot %d", in.cfg.Seed, st.Seed)
-	}
-	in.eccN = st.ECCN
-	in.sensorN = st.SensorN
-	in.stats = st.Stats
-	return nil
-}
-
 // draw returns the n-th uniform [0,1) variate of the given domain.
 func (in *Injector) draw(domain, n uint64) float64 {
 	v := mix(in.cfg.Seed ^ domain*0x9e3779b97f4a7c15 ^ n*0xd1342543de82ef95)

@@ -62,12 +62,12 @@ func BenchmarkReplaySteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	src := &benchStream{}
-	if _, err := sim.Run(context.Background(), src, RunOptions{Limit: 10_000}); err != nil { // warm the caches
+	if _, err := sim.Run(context.Background(), &firstN{src, 10_000}, RunOptions{}); err != nil { // warm the caches
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := sim.Run(context.Background(), src, RunOptions{Limit: b.N}); err != nil {
+	if _, err := sim.Run(context.Background(), &firstN{src, b.N}, RunOptions{}); err != nil {
 		b.Fatal(err)
 	}
 }

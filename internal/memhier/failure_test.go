@@ -36,14 +36,13 @@ func TestRunPropagatesStreamErrors(t *testing.T) {
 	}
 }
 
-func TestRunStopsAtLimitBeforeFault(t *testing.T) {
-	s := mustSim(t, BaselineConfig())
-	res, err := s.Run(context.Background(), &faultyStream{good: 100}, RunOptions{Limit: 50})
-	if err != nil {
-		t.Fatalf("limit should stop before the fault: %v", err)
-	}
-	if res.Records != 50 {
-		t.Fatalf("Records = %d, want 50", res.Records)
+func TestRunContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	recs := wrappingTrace(20000)
+	_, err := mustSim(t, BaselineConfig()).Run(ctx, trace.NewSliceStream(recs), RunOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 

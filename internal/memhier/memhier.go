@@ -13,7 +13,6 @@
 package memhier
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -217,12 +216,6 @@ type Simulator struct {
 	offDieBytes uint64
 	repHits     uint64
 	latencies   *stats.Histogram
-
-	// Periodic-checkpoint scratch, reused across snapshots of one run so
-	// a checkpointed replay does not regrow the snapshot slices and
-	// encode buffer every interval.
-	cpScratch Checkpoint
-	cpBuf     bytes.Buffer
 }
 
 // books is a snapshot of the statistics a run keeps for its Result. A
@@ -245,7 +238,10 @@ func (s *Simulator) books(st *runState, l1Hits uint64) books {
 		busBytes: s.offDieBytes,
 		l2:       s.l2.Stats(),
 		mem:      s.mem.Stats(),
-		latency:  s.latencies.State().Counts,
+		latency:  make([]int64, s.latencies.Buckets()),
+	}
+	for i := range b.latency {
+		b.latency[i] = s.latencies.Count(i)
 	}
 	if s.darr != nil {
 		b.darr = s.darr.Stats()
@@ -330,8 +326,8 @@ func New(cfg Config) (*Simulator, error) {
 // saw instead.
 const depWindow = 1 << 20
 
-// runState is the back end's mutable loop state, extracted so a run can
-// be checkpointed mid-stream and resumed bit-identically.
+// runState is the back end's per-run loop state; Run and Replay each
+// start from a fresh one.
 type runState struct {
 	slot []int64 // per-core program-order issue slot
 	// doneAt holds completion times at the slots the front end
@@ -352,10 +348,6 @@ type runState struct {
 
 	records, refs uint64
 	wall, sumLat  int64
-	// hash is a rolling FNV-style digest of every record consumed, used
-	// to refuse resuming a checkpoint against a different trace. Run
-	// folds records into it only when it writes checkpoints.
-	hash uint64
 }
 
 // newRunState returns a fresh loop state whose completion table has
@@ -364,7 +356,6 @@ func newRunState(cfg Config, slots int) *runState {
 	st := &runState{
 		slot:   make([]int64, cfg.Cores),
 		doneAt: make([]int64, slots),
-		hash:   1469598103934665603, // FNV-1a offset basis
 	}
 	st.mshr = make([][]int64, cfg.Cores)
 	st.mshrPos = make([]int, cfg.Cores)
@@ -380,79 +371,35 @@ func newRunState(cfg Config, slots int) *runState {
 	return st
 }
 
-// hashRecord folds one record into a rolling FNV-1a-style digest.
-func hashRecord(h uint64, rec trace.Record) uint64 {
-	const prime = 1099511628211
-	for _, v := range [...]uint64{rec.ID, rec.Dep, rec.Addr, rec.PC,
-		uint64(rec.CPU), uint64(rec.Kind), uint64(rec.Reps)} {
-		h = (h ^ v) * prime
-	}
-	return h
-}
-
-// absorb folds one consumed record into the stream digest.
-func (st *runState) absorb(rec trace.Record) { st.hash = hashRecord(st.hash, rec) }
-
-// RunOptions supervises a Run replay. The zero value replays the whole
-// stream unsupervised.
+// RunOptions configures a Run replay. The zero value replays the whole
+// stream unobserved.
 type RunOptions struct {
-	// Limit stops the replay after this many records (0 = no limit).
-	// On a resumed run the count includes records replayed before the
-	// checkpoint was taken.
-	Limit int
-	// CheckpointEvery, when positive, snapshots the full simulator
-	// state to CheckpointPath every that many records.
-	CheckpointEvery int
-	// CheckpointPath is the checkpoint file, written atomically
-	// (temp file + rename) so a kill mid-write never corrupts the
-	// previous snapshot.
-	CheckpointPath string
-	// Resume, when non-nil, restores the simulator from the checkpoint
-	// before replaying. The stream must be the same trace from its
-	// first record; the run skips to the checkpoint position, verifying
-	// the stream digest along the way.
-	Resume *Checkpoint
 	// Obs, when non-nil, receives a "memhier/replay" span and, when the
 	// run returns, the change in the simulator's statistics over the
 	// run: memhier_records, memhier_refs, L1/L2 hit and miss counters,
 	// memhier_writebacks, memhier_bus_bytes, a memhier_latency_cycles
 	// histogram, the DRAM devices' row-buffer counters (dram_cache_*,
-	// dram_mem_*) and the fault injector's counters (fault_*). A
-	// resumed run publishes what it replays, not what the checkpoint
-	// carries. The replay loop itself never touches the registry.
+	// dram_mem_*) and the fault injector's counters (fault_*). The
+	// replay loop itself never touches the registry.
 	Obs *obs.Registry
 }
 
-// Run replays the stream under supervision: cooperative cancellation
-// via ctx (checked every 4096 records), periodic checkpointing, and
-// resumption from a prior checkpoint. A resumed run produces a Result
-// bit-identical to an uninterrupted one. The zero RunOptions replays
-// the whole stream unsupervised.
+// Run streams every record through the front end and the back end
+// until the stream ends, observing cancellation via ctx (checked every
+// 4096 records). The zero RunOptions replays the whole stream
+// unobserved.
 func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions) (Result, error) {
 	sp := opt.Obs.StartSpan("memhier/replay")
 	defer sp.End()
 	st := newRunState(s.cfg, depWindow)
 	s.fe.resetWindow(depWindow)
-	var err error
-	if opt.Resume != nil {
-		err = s.restore(st, opt.Resume, stream)
-	}
 	if reg := opt.Obs; reg != nil {
 		was := s.books(st, s.fe.l1Hits())
 		defer func() { s.publish(reg, was, s.books(st, s.fe.l1Hits())) }()
 	}
-	if err != nil {
-		return Result{}, err
-	}
-	if opt.CheckpointEvery > 0 && opt.CheckpointPath == "" {
-		return Result{}, errors.New("memhier: CheckpointEvery set without CheckpointPath")
-	}
 
 	sinceCancel := 0
 	for {
-		if opt.Limit > 0 && st.records >= uint64(opt.Limit) {
-			break
-		}
 		if sinceCancel++; sinceCancel >= 4096 {
 			sinceCancel = 0
 			if err := ctx.Err(); err != nil {
@@ -469,17 +416,8 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		if err := s.fe.check(rec); err != nil {
 			return Result{}, err
 		}
-		if opt.CheckpointEvery > 0 {
-			st.absorb(rec)
-		}
 		ev, addrs, dep := s.fe.step(rec, s.addrs[:0])
 		s.step(st, ev, addrs, dep, int(rec.ID%depWindow))
-
-		if opt.CheckpointEvery > 0 && st.records%uint64(opt.CheckpointEvery) == 0 {
-			if err := saveCheckpoint(opt.CheckpointPath, s.checkpoint(st), &s.cpBuf); err != nil {
-				return Result{}, fmt.Errorf("memhier: writing checkpoint at record %d: %w", st.records, err)
-			}
-		}
 	}
 
 	l1i, l1d := s.fe.stats()

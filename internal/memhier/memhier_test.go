@@ -233,18 +233,6 @@ func TestIfetchUsesL1I(t *testing.T) {
 	}
 }
 
-func TestLimitRecords(t *testing.T) {
-	s := mustSim(t, BaselineConfig())
-	recs := seqTrace(1000, 2, func(i int) uint64 { return uint64(i) * 64 })
-	res, err := s.Run(context.Background(), trace.NewSliceStream(recs), RunOptions{Limit: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Refs != 100 {
-		t.Fatalf("Refs = %d, want 100", res.Refs)
-	}
-}
-
 func TestDRAMCacheSectorBehaviour(t *testing.T) {
 	cfg := StackedDRAMConfig(32)
 	s := mustSim(t, cfg)

@@ -65,10 +65,9 @@ func checkMetricsPin(t *testing.T, name string, reg *obs.Registry) {
 // appear whenever a registry is bound, dram_cache_* only with a DRAM
 // L2, and fault_* only with injection on. A replay of a filtered log
 // leaves the registry a Run leaves; a canceled replay counts the
-// records it replayed before the cancellation; a resumed Run counts
-// only the records it replays itself.
+// records it replayed before the cancellation.
 func TestReplayMetricsPin(t *testing.T) {
-	const n, interruptAt = 20_000, 8_000
+	const n = 20_000
 	ctx := context.Background()
 	src := &mixedStream{}
 	recs := make([]trace.Record, n)
@@ -82,13 +81,13 @@ func TestReplayMetricsPin(t *testing.T) {
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
 
-	run := func(t *testing.T, ctx context.Context, cfg Config, opt RunOptions) *obs.Registry {
+	run := func(t *testing.T, ctx context.Context, cfg Config) *obs.Registry {
 		t.Helper()
-		opt.Obs = obs.NewRegistry()
-		if _, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), opt); err != nil && ctx.Err() == nil {
+		reg := obs.NewRegistry()
+		if _, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{Obs: reg}); err != nil && ctx.Err() == nil {
 			t.Fatal(err)
 		}
-		return opt.Obs
+		return reg
 	}
 	replay := func(t *testing.T, ctx context.Context, cfg Config) *obs.Registry {
 		t.Helper()
@@ -103,37 +102,11 @@ func TestReplayMetricsPin(t *testing.T) {
 		return reg
 	}
 
-	checkMetricsPin(t, "baseline-run", run(t, ctx, BaselineConfig(), RunOptions{}))
-	checkMetricsPin(t, "baseline-ecc-run", run(t, ctx, eccOnly, RunOptions{}))
-	checkMetricsPin(t, "dram32-run", run(t, ctx, StackedDRAMConfig(32), RunOptions{}))
-	checkMetricsPin(t, "dram32-faults-run", run(t, ctx, faulty, RunOptions{}))
+	checkMetricsPin(t, "baseline-run", run(t, ctx, BaselineConfig()))
+	checkMetricsPin(t, "baseline-ecc-run", run(t, ctx, eccOnly))
+	checkMetricsPin(t, "dram32-run", run(t, ctx, StackedDRAMConfig(32)))
+	checkMetricsPin(t, "dram32-faults-run", run(t, ctx, faulty))
 	checkMetricsPin(t, "dram32-faults-run", replay(t, ctx, faulty))
-	checkMetricsPin(t, "dram32-faults-canceled", run(t, canceled, faulty, RunOptions{}))
+	checkMetricsPin(t, "dram32-faults-canceled", run(t, canceled, faulty))
 	checkMetricsPin(t, "dram32-faults-canceled", replay(t, canceled, faulty))
-
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	first := run(t, ctx, faulty, RunOptions{Limit: interruptAt, CheckpointEvery: interruptAt, CheckpointPath: path})
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := run(t, ctx, faulty, RunOptions{Resume: cp})
-	checkMetricsPin(t, "dram32-faults-resumed", resumed)
-
-	// The interrupted and the resumed process together count what one
-	// uninterrupted run counts.
-	whole := run(t, ctx, faulty, RunOptions{}).Snapshot(false)
-	a, b := first.Snapshot(false), resumed.Snapshot(false)
-	for name, v := range whole.Counters {
-		if got := a.Counters[name] + b.Counters[name]; got != v {
-			t.Errorf("%s: interrupted + resumed count %d, uninterrupted %d", name, got, v)
-		}
-	}
-	for name, h := range whole.Histograms {
-		for i, v := range h.Counts {
-			if got := a.Histograms[name].Counts[i] + b.Histograms[name].Counts[i]; got != v {
-				t.Errorf("%s bucket %d: interrupted + resumed count %d, uninterrupted %d", name, i, got, v)
-			}
-		}
-	}
 }

@@ -118,6 +118,31 @@ func farDepTrace() []trace.Record {
 	return recs
 }
 
+// wrappingTrace builds a two-core trace of n records: 4 KB-strided
+// loads and stores whose footprint wraps every 1250 records, so later
+// passes hit the L2 (and, on the stacked machines, read the DRAM data
+// array), with short dependencies and same-line repeats.
+func wrappingTrace(n int) []trace.Record {
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		kind := trace.Load
+		if i%3 == 0 {
+			kind = trace.Store
+		}
+		recs[i] = trace.Record{
+			ID: uint64(i), Dep: trace.NoDep,
+			Addr: uint64(i%1250) * 4096,
+			PC:   0x400000 + uint64(i%7)*4,
+			CPU:  uint8(i % 2), Kind: kind,
+			Reps: uint8(i % 4),
+		}
+		if i > 2 && i%5 == 0 {
+			recs[i].Dep = uint64(i - 2)
+		}
+	}
+	return recs
+}
+
 // TestFilterReplayMatchesRun checks that filtering a trace once and
 // replaying the log gives every Figure 5 machine the Result a full Run
 // gives it, with and without faults.
@@ -130,7 +155,7 @@ func TestFilterReplayMatchesRun(t *testing.T) {
 	}{
 		{"adversarial", 4, adversarialTrace(30_000)},
 		{"far-deps", 2, farDepTrace()},
-		{"checkpoint-trace", 2, ckptTrace(5000)},
+		{"wrapping", 2, wrappingTrace(5000)},
 	} {
 		for _, fc := range []fault.Config{{}, replayFaults} {
 			name := tc.name
@@ -175,7 +200,7 @@ func TestFilterReplayMatchesRun(t *testing.T) {
 // dense-ids trace has ids below 2^15, so its window shrinks, and
 // dependencies reaching back more than half of it.
 func TestFilterResolvesLikeRun(t *testing.T) {
-	dense := ckptTrace(20_000)
+	dense := wrappingTrace(20_000)
 	for i := 17_000; i < len(dense); i += 3 {
 		dense[i].Dep = uint64(i - 17_000)
 	}
@@ -309,7 +334,7 @@ func TestReplayPublishConcurrent(t *testing.T) {
 // with the core count and L1s it was filtered for.
 func TestReplayRefusesOtherL1s(t *testing.T) {
 	ctx := context.Background()
-	lg, err := FilterL1(ctx, BaselineConfig(), ckptTrace(100))
+	lg, err := FilterL1(ctx, BaselineConfig(), wrappingTrace(100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package stats
 
-import "fmt"
-
 // Histogram bins observations into fixed-width buckets over [lo, hi).
 // Observations outside the range clamp into the first/last bucket so
 // no sample is silently dropped.
@@ -30,34 +28,6 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.counts[i]++
 	h.total++
-}
-
-// HistogramState is a complete serializable snapshot of a Histogram.
-type HistogramState struct {
-	Lo, Width float64
-	Counts    []int64
-	Total     int64
-}
-
-// State captures the histogram's full state for checkpointing.
-func (h *Histogram) State() HistogramState {
-	return HistogramState{
-		Lo: h.lo, Width: h.width,
-		Counts: append([]int64(nil), h.counts...),
-		Total:  h.total,
-	}
-}
-
-// Restore overwrites the histogram from a snapshot taken on an
-// identically shaped histogram, erroring on any mismatch.
-func (h *Histogram) Restore(st HistogramState) error {
-	if st.Lo != h.lo || st.Width != h.width || len(st.Counts) != len(h.counts) {
-		return fmt.Errorf("stats: histogram restore shape mismatch: have lo=%g width=%g n=%d, snapshot lo=%g width=%g n=%d",
-			h.lo, h.width, len(h.counts), st.Lo, st.Width, len(st.Counts))
-	}
-	copy(h.counts, st.Counts)
-	h.total = st.Total
-	return nil
 }
 
 // Count returns the count in bucket i.

@@ -44,19 +44,15 @@ echo "== perf-sim fan-out race =="
 go test -race -cpu 1,2,4 -run 'Figure5|Table4|ForEach|Generate' ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/
 
 echo "== fuzz =="
-# Each decoder of outside bytes fuzzed briefly beyond its committed
-# seed corpus (testdata/fuzz of its package): request bodies against
-# every catalog experiment (a stackd POST), a "campaign" request body
-# on through its decode-and-expand path, binary trace files, and replay
-# checkpoints resumed from their gob payload. A crasher lands in
-# testdata/fuzz; fix it and keep it as a seed.
+# Each of the three decoders of outside bytes fuzzed briefly beyond its
+# committed seed corpus (testdata/fuzz of its package): request bodies
+# against every catalog experiment (a stackd POST), a "campaign"
+# request body on through its decode-and-expand path, and binary trace
+# files. A crasher lands in testdata/fuzz; fix it and keep it as a
+# seed.
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzCampaignPayload$' -fuzztime 10s ./internal/core/
 go test -run '^$' -fuzz '^FuzzTraceReader$' -fuzztime 10s ./internal/trace/
-# A checkpoint that decodes is resumed, and every resume clears Run's
-# 16 MB dependency window (~10 ms); uncapped, minimizing the first new
-# input would take the whole 10 s.
-go test -run '^$' -fuzz '^FuzzResumeCheckpoint$' -fuzztime 10s -fuzzminimizetime 200x ./internal/memhier/
 
 echo "== benchmark module tests =="
 # bench/ is a nested module, so the root go test ./... above does not
@@ -147,12 +143,5 @@ wait "$stackd"
 go run ./internal/obs/cmd/checksnap -families stackd \
     -min stackd_cache_hits=1 -min stackd_inflight_merged=1 \
     "$tmpdir/stackd-metrics.jsonl"
-
-echo "== checkpoint/resume smoke =="
-go run ./cmd/stackmem -checkpoint "$tmpdir/run.ckpt" -checkpoint-every 20000 \
-    -bench gauss -scale 0.1 -capacity 32 >"$tmpdir/full.out"
-go run ./cmd/stackmem -checkpoint "$tmpdir/run.ckpt" -resume \
-    -bench gauss -scale 0.1 -capacity 32 >"$tmpdir/resumed.out" 2>/dev/null
-cmp "$tmpdir/full.out" "$tmpdir/resumed.out"
 
 echo "verify: OK"
