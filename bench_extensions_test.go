@@ -8,6 +8,7 @@ package diestack_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"diestack/internal/core"
@@ -75,12 +76,6 @@ func BenchmarkExtensionAutoFold(b *testing.B) {
 		}
 		b.ReportMetric(cmp.Auto.PeakC, "autoPeakC")
 		b.ReportMetric(cmp.Auto.DensityRatio, "autoDensityX")
-		printOnce(b, i, func() {
-			fmt.Printf("\nExtension: automatic place-observe-repair fold\n")
-			fmt.Printf("  critical wire: planar %.2f mm -> hand %.2f mm, auto %.2f mm\n",
-				cmp.PlanarWire*1e3, cmp.HandWire*1e3, cmp.AutoWire*1e3)
-			fmt.Printf("  hand fold: %6.2f degC at density %.2fx\n", cmp.Hand.PeakC, cmp.Hand.DensityRatio)
-			fmt.Printf("  auto fold: %6.2f degC at density %.2fx\n", cmp.Auto.PeakC, cmp.Auto.DensityRatio)
-		})
+		renderOnce(b, i, func(w io.Writer) error { return core.RenderAutoFold(w, cmp) })
 	}
 }

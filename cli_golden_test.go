@@ -8,16 +8,20 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestCLIGolden builds the three paper CLIs and checks that each
 // invocation in testdata/cli/cases prints byte-for-byte the recorded
 // standard output, exits with the recorded code and, for a campaign,
 // writes the recorded manifest. Refactors behind the CLIs must leave
-// every byte in place.
+// every byte in place. The thermal3d_sigterm subtest checks how a run
+// stops on SIGTERM.
 func TestCLIGolden(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -31,6 +35,7 @@ func TestCLIGolden(t *testing.T) {
 			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
 		}
 	}
+	t.Run("thermal3d_sigterm", func(t *testing.T) { checkSigterm(t, bin) })
 
 	f, err := os.Open(filepath.Join("testdata", "cli", "cases"))
 	if err != nil {
@@ -101,6 +106,46 @@ func TestCLIGolden(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("no cases in testdata/cli/cases")
+	}
+}
+
+// checkSigterm sends SIGTERM to a thermal3d DTM run from bin once its
+// first periodic metrics snapshot is written. The run must stop through
+// its error path: exit code 1, with the final snapshot as the file's
+// last line.
+func checkSigterm(t *testing.T, bin string) {
+	if runtime.GOOS != "linux" {
+		t.Skip("SIGTERM handling is checked on Linux only")
+	}
+	metrics := filepath.Join(t.TempDir(), "metrics.jsonl")
+	cmd := exec.Command(filepath.Join(bin, "thermal3d"), "-dtm", "-grid", "32", "-tmax", "95",
+		"-dtm-steps", "2000", "-metrics-out", metrics)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if b, _ := os.ReadFile(metrics); bytes.IndexByte(b, '\n') >= 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no metrics snapshot within 30 s")
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var ee *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("after SIGTERM: %v, want exit status 1", err)
+	}
+	b, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(b), []byte("\n"))
+	if last := lines[len(lines)-1]; !bytes.Contains(last, []byte(`"final":true`)) {
+		t.Errorf("last metrics line is not the final snapshot:\n%s", last)
 	}
 }
 

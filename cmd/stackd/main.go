@@ -20,16 +20,12 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"diestack/internal/core"
 	"diestack/internal/serve"
 	"diestack/internal/thermal"
 )
-
-var cli *core.CLIFlags
 
 func main() {
 	var (
@@ -40,10 +36,10 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline for in-flight requests")
 		workspaces   = flag.Int("workspaces", thermal.DefaultWorkspaceCacheSize, "pooled thermal workspaces shared across requests")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine)
+	cli := core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
 
@@ -60,18 +56,18 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	hs := &http.Server{Handler: srv}
 	log.Printf("stackd: serving %d experiments on http://%s", len(core.Experiments()), ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cli.Context(context.Background(), 0)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
 	case err := <-errc:
-		fatal(err)
+		cli.Fatal(err)
 	case <-ctx.Done():
 	}
 	stop()
@@ -84,12 +80,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stackd: drain:", err)
 	}
 	log.Printf("stackd: drained")
-}
-
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "stackd:", err)
-	os.Exit(1)
 }

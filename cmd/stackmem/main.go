@@ -29,10 +29,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
@@ -42,10 +40,6 @@ import (
 	"diestack/internal/thermal"
 	"diestack/internal/trace"
 )
-
-// cli holds the shared flag group (profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
-var cli *core.CLIFlags
 
 func main() {
 	var (
@@ -71,86 +65,76 @@ func main() {
 		faultBanks  = flag.String("fault-dead-banks", "", "comma-separated dead stacked-DRAM bank indices")
 		faultTSV    = flag.Float64("fault-tsv", 0, "fraction of die-to-die via lanes failed, in [0,0.9]")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine)
+	cli := core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("-scale must be positive and finite, got %v", *scale))
+		cli.Fatal(fmt.Errorf("-scale must be positive and finite, got %v", *scale))
 	}
 	if *grid < 0 {
-		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
+		cli.Fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
 	}
 	if *jobs < 0 {
-		fatal(fmt.Errorf("-jobs must be non-negative, got %d", *jobs))
+		cli.Fatal(fmt.Errorf("-jobs must be non-negative, got %d", *jobs))
 	}
 	if *retries < 0 {
-		fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
+		cli.Fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
 	}
 	faults, err := faultFlags(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
 
-	// Interrupts and SIGTERM cancel the run cooperatively: replays and
-	// solves observe the context and stop at the next check.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 && !*campaign {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	// In campaign mode -timeout bounds each job attempt, not the run.
+	runTimeout := *timeout
+	if *campaign {
+		runTimeout = 0
 	}
+	ctx, cancel := cli.Context(context.Background(), runTimeout)
+	defer cancel()
 
 	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid, Obs: cli.Obs()}
-	var sweep core.CampaignParams
-	if *bench != "" {
-		sweep.Benchmarks = []string{*bench}
-	}
-
 	switch {
 	case *campaign:
-		if err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest); err != nil {
-			fatal(err)
+		var sweep core.CampaignParams
+		if *bench != "" {
+			sweep.Benchmarks = []string{*bench}
+		}
+		m, err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		if m.OK != len(m.Jobs) {
+			cli.Exit(1)
 		}
 	case *traceFile != "":
-		if err := replayFile(ctx, spec, *traceFile, faults.Config()); err != nil {
-			fatal(err)
-		}
+		err = replayFile(ctx, spec, *traceFile, faults.Config())
 	case *showConfig:
-		printConfig()
+		err = core.RenderTable3(os.Stdout)
 	case *powerOnly:
-		printPower()
+		err = core.RenderFigure7(os.Stdout)
 	case *thermOnly:
-		if err := printThermal(ctx, spec); err != nil {
-			fatal(err)
-		}
-		if *pngOut != "" {
-			if err := writeThermalMap(ctx, spec, *pngOut); err != nil {
-				fatal(err)
-			}
+		err = printThermal(ctx, spec)
+		if err == nil && *pngOut != "" {
+			err = writeThermalMap(ctx, spec, *pngOut)
 		}
 	default:
-		if err := runPerf(ctx, spec, *bench, faults); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		printPower()
-		fmt.Println()
-		if err := printThermal(ctx, spec); err != nil {
-			fatal(err)
-		}
+		err = runAll(ctx, spec, *bench, faults)
+	}
+	if err != nil {
+		cli.Fatal(err)
 	}
 }
 
-// runCampaign executes the paper sweep as a supervised campaign and
-// writes the manifest. Failed jobs do not abort the sweep; they are
-// recorded with their cause and the process exits non-zero.
+// runCampaign executes the paper sweep as a supervised campaign,
+// writes the manifest and returns it. Failed jobs do not abort the
+// sweep; they are recorded with their cause.
 func runCampaign(ctx context.Context, spec core.RunSpec, sweep core.CampaignParams,
-	jobs, retries int, timeout time.Duration, manifestPath string) error {
+	jobs, retries int, timeout time.Duration, manifestPath string) (*harness.Manifest, error) {
 	cfg := harness.Config{
 		Workers: jobs,
 		Timeout: timeout,
@@ -162,16 +146,9 @@ func runCampaign(ctx context.Context, spec core.RunSpec, sweep core.CampaignPara
 	}
 	m, err := core.RunCampaign(ctx, spec, sweep, cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := writeManifest(m, manifestPath); err != nil {
-		return err
-	}
-	if m.OK != len(m.Jobs) {
-		cli.Stop()
-		os.Exit(1)
-	}
-	return nil
+	return m, writeManifest(m, manifestPath)
 }
 
 // writeManifest writes m to path, or stdout when path is empty, and
@@ -223,26 +200,6 @@ func faultFlags(seed uint64, corr, uncorr float64, deadBanks string, tsv float64
 	return fp, nil
 }
 
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "stackmem:", err)
-	os.Exit(1)
-}
-
-// experiment dispatches one catalog experiment and returns its raw
-// result value; the perf and thermal modes go through this single
-// entry point (the campaign dispatches via core.CampaignJobs, which
-// uses the same catalog).
-func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
-	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
 // replayFile runs a tracegen-produced binary trace through all four
 // configurations. The file is decoded once, and the Figure 5 sweep
 // runs its records through the L1 front end once.
@@ -278,107 +235,43 @@ func replayFile(ctx context.Context, rs core.RunSpec, path string, fc fault.Conf
 	return w.Flush()
 }
 
-func printConfig() {
-	fmt.Println("Machine parameters (Table 3):")
-	for _, o := range core.MemoryOptions() {
-		cfg, err := o.HierarchyConfig()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  %-8s L2 %2d MB (%s), line %dB, %d-way, tag latency %d cyc\n",
-			o, o.CapacityMB(), cfg.L2Type, cfg.L2.LineBytes, cfg.L2.Ways, cfg.L2.Latency)
-	}
-	base, _ := core.Planar4MB.HierarchyConfig()
-	fmt.Printf("  L1I/L1D: %d KB, %dB line, %d-way, %d cyc\n",
-		base.L1D.SizeBytes>>10, base.L1D.LineBytes, base.L1D.Ways, base.L1D.Latency)
-	fmt.Printf("  Main memory: %d banks, %d KB page, page open %d / precharge %d / read %d cyc, +%d interface\n",
-		base.Memory.Banks, base.Memory.PageBytes>>10,
-		base.Memory.Timing.PageOpen, base.Memory.Timing.Precharge, base.Memory.Timing.Read,
-		base.Memory.Overhead)
-	fmt.Printf("  Off-die bus: %.0f GB/s at %.1f GHz (%.0f mW/Gb/s)\n",
-		base.BusBytesPerCycle*base.CoreGHz, base.CoreGHz, base.BusPicoJoulePerBit)
-}
-
-func runPerf(ctx context.Context, rs core.RunSpec, bench string, faults *core.FaultParams) error {
+// runAll prints the whole Memory+Logic study: Figure 5, then Figure 7
+// and Figure 8.
+func runAll(ctx context.Context, rs core.RunSpec, bench string, faults *core.FaultParams) error {
 	params := &core.Fig5Params{Faults: faults}
 	if bench != "" {
 		params.Benchmarks = []string{bench}
 	}
-	v, err := experiment(ctx, rs, "fig5", params)
+	res, err := core.ExperimentValue[*core.Figure5Result](ctx, "fig5", rs, params)
 	if err != nil {
 		return err
 	}
-	res := v.(*core.Figure5Result)
-
-	fmt.Printf("Figure 5 — CPMA and off-die bandwidth, scale %.2f:\n", rs.Scale)
-	fc := faults.Config()
-	if fc.Enabled() {
-		fmt.Printf("fault injection on the stacked DRAM cache: seed %d, %g corr + %g uncorr per M reads, %d dead bank(s), %.0f%% via lanes lost\n",
-			fc.Seed, fc.CorrectablePerMAccess, fc.UncorrectablePerMAccess,
-			len(fc.DeadBanks), fc.TSVFailFrac*100)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	header := "benchmark\tcapacity\tCPMA\tBW GB/s\tbus W\ttraffic MB"
-	if fc.Enabled() {
-		header += "\tECC fix\tpoisoned\tunrec\tremapped"
-	}
-	fmt.Fprintln(w, header)
-	var faultTotal fault.Stats
-	var remapTotal uint64
-	for _, row := range res.Rows {
-		for _, p := range row {
-			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%.3f\t%.1f",
-				p.Benchmark, p.Option, p.CPMA, p.BandwidthGBs, p.BusPowerW, float64(p.OffDieBytes)/(1<<20))
-			if fc.Enabled() {
-				fmt.Fprintf(w, "\t%d\t%d\t%d\t%d",
-					p.Faults.Corrected, p.Faults.LinesPoisoned, p.Faults.Unrecovered, p.DRAMRemapped)
-				faultTotal.Merge(p.Faults)
-				remapTotal += p.DRAMRemapped
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := core.RenderFigure5(os.Stdout, res, rs.Scale, faults); err != nil {
 		return err
 	}
-	if fc.Enabled() {
-		fmt.Printf("\nfault totals: %d ECC checks, %d corrected, %d uncorrectable (%d refetches, %d unrecovered), %d bank remaps, %d retry cycles added\n",
-			faultTotal.ECCChecks, faultTotal.Corrected, faultTotal.Uncorrectable,
-			faultTotal.Refetches, faultTotal.Unrecovered, remapTotal, faultTotal.RetryCyclesAdded)
+	fmt.Println()
+	if err := core.RenderFigure7(os.Stdout); err != nil {
+		return err
 	}
-
-	if len(res.Rows) > 1 {
-		h := res.Headline()
-		fmt.Printf("\n32MB vs baseline: average CPMA reduction %.1f%% (paper 13%%), peak %.1f%% on %s (paper ~55%%)\n",
-			h.AvgCPMAReductionPct, h.MaxCPMAReductionPct, h.MaxReductionBenchmark)
-	}
-	return nil
+	fmt.Println()
+	return printThermal(ctx, rs)
 }
 
-func printPower() {
-	fmt.Println("Power budgets (Figure 7):")
-	for _, o := range core.MemoryOptions() {
-		fp, err := o.Floorplan()
-		if err != nil {
-			fatal(err)
-		}
-		if fp.Dies == 1 {
-			fmt.Printf("  %-8s %6.1f W (planar die)\n", o, fp.TotalPower())
-		} else {
-			fmt.Printf("  %-8s %6.1f W (CPU die %.1f W + stacked die %.1f W)\n",
-				o, fp.TotalPower(), fp.DiePower(0), fp.DiePower(1))
-		}
+func printThermal(ctx context.Context, rs core.RunSpec) error {
+	rows, err := core.ExperimentValue[[]core.MemoryThermal](ctx, "fig8", rs, nil)
+	if err != nil {
+		return err
 	}
+	return core.RenderFigure8(os.Stdout, rows)
 }
 
 // writeThermalMap renders Figure 8(b): the 32MB stack's thermal map.
 func writeThermalMap(ctx context.Context, rs core.RunSpec, path string) error {
-	v, err := experiment(ctx, rs, "memory-thermal-map",
+	m, err := core.ExperimentValue[[][]float64](ctx, "memory-thermal-map", rs,
 		&core.MemoryThermalParams{CapacityMB: core.Stacked32MB.CapacityMB()})
 	if err != nil {
 		return err
 	}
-	m := v.([][]float64)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -388,23 +281,5 @@ func writeThermalMap(ctx context.Context, rs core.RunSpec, path string) error {
 		return err
 	}
 	fmt.Printf("32MB stack thermal map written to %s\n", path)
-	return nil
-}
-
-func printThermal(ctx context.Context, rs core.RunSpec) error {
-	fmt.Println("Peak temperatures (Figure 8a):")
-	v, err := experiment(ctx, rs, "fig8", nil)
-	if err != nil {
-		return err
-	}
-	rows := v.([]core.MemoryThermal)
-	paper := map[core.MemoryOption]float64{
-		core.Planar4MB: 88.35, core.Stacked12MB: 92.85,
-		core.Stacked32MB: 88.43, core.Stacked64MB: 90.27,
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-8s %6.2f degC  (paper %.2f)  total %6.1f W\n",
-			r.Option, r.PeakC, paper[r.Option], r.TotalPowerW)
-	}
 	return nil
 }

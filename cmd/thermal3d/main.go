@@ -24,16 +24,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 
 	"diestack/internal/core"
 	"diestack/internal/dtm"
 	"diestack/internal/thermal"
 )
-
-// cli holds the shared flag group (profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
-var cli *core.CLIFlags
 
 func main() {
 	var (
@@ -56,62 +51,65 @@ func main() {
 		sensorStuck  = flag.Float64("sensor-stuck", math.NaN(), "sensor fault: stuck-at reading in degC")
 		faultSeed    = flag.Uint64("fault-seed", 0, "sensor fault schedule seed")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine)
+	cli := core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *grid < 0 {
-		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
+		cli.Fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
 	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := cli.Context(context.Background(), *timeout)
+	defer cancel()
 	spec := core.RunSpec{Grid: *grid, Obs: cli.Obs()}
 	if *dtmOn {
-		if err := runDTM(ctx, spec, *tmax, *dtmHyst, *dtmDt, *dtmSteps, *dtmMinFreq,
-			*sensorNoise, *sensorOffset, *sensorStuck, *faultSeed); err != nil {
-			fatal(err)
+		held, err := runDTM(ctx, spec, *tmax, *dtmHyst, *dtmDt, *dtmSteps, *dtmMinFreq,
+			*sensorNoise, *sensorOffset, *sensorStuck, *faultSeed)
+		if err != nil {
+			cli.Fatal(err)
+		}
+		if !held {
+			cli.Exit(1)
 		}
 		return
 	}
 
 	all := !*matOnly && !*baseOnly && !*sweepOnly
 	if *matOnly || all {
-		printMaterials()
+		if err := core.RenderTable2(os.Stdout); err != nil {
+			cli.Fatal(err)
+		}
 	}
 	if *baseOnly || all {
 		fmt.Println()
 		if err := printBaseline(ctx, spec, *pngOut); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	if *sweepOnly || all {
 		fmt.Println()
 		if err := printSweep(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 }
 
 // runDTM integrates the 3D logic stack with the DTM controller in the
-// loop and reports the managed operating point and its cost.
-func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, steps int, minFreq, noise, offset, stuck float64, seed uint64) error {
+// loop and reports the managed operating point and its cost. It
+// reports whether Tmax held; a run that ran away has printed its
+// verdict and returns false with no error.
+func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, steps int, minFreq, noise, offset, stuck float64, seed uint64) (bool, error) {
 	cfg := dtm.Config{TmaxC: tmax, HysteresisC: hyst, MinFreq: minFreq}
 	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("dtm flags: %w", err)
+		return false, fmt.Errorf("dtm flags: %w", err)
 	}
 	if dt <= 0 || math.IsNaN(dt) {
-		return fmt.Errorf("-dtm-dt must be positive, got %v", dt)
+		return false, fmt.Errorf("-dtm-dt must be positive, got %v", dt)
 	}
 	if steps <= 0 {
-		return fmt.Errorf("-dtm-steps must be positive, got %d", steps)
+		return false, fmt.Errorf("-dtm-steps must be positive, got %d", steps)
 	}
 	faults := &core.FaultParams{Seed: seed, SensorNoiseC: noise, SensorOffsetC: offset}
 	if !math.IsNaN(stuck) {
@@ -120,7 +118,7 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 	}
 	fc := faults.Config()
 	if err := fc.Validate(); err != nil {
-		return fmt.Errorf("sensor flags: %w", err)
+		return false, fmt.Errorf("sensor flags: %w", err)
 	}
 	if !fc.Enabled() {
 		faults = nil
@@ -130,13 +128,11 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 		Variant: core.Logic3D.Slug(), TmaxC: tmax, HysteresisC: hyst,
 		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: faults,
 	}
-	out, err := core.RunExperiment(ctx, "managed-logic-thermal",
-		core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil && !errors.Is(err, dtm.ErrThermalRunaway) {
-		return err
-	}
 	// On runaway the catalog still carries the partial trajectory.
-	res := out.Value.(core.ManagedLogicThermal)
+	res, err := core.ExperimentValue[core.ManagedLogicThermal](ctx, "managed-logic-thermal", spec, params)
+	if err != nil && !errors.Is(err, dtm.ErrThermalRunaway) {
+		return false, err
+	}
 
 	fmt.Printf("DTM on the 3D logic stack (Tmax %.1f degC, %d samples at %.2fs):\n", tmax, steps, dt)
 	fmt.Printf("  unmanaged steady peak  %7.2f degC\n", res.UnmanagedPeakC)
@@ -156,133 +152,48 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 	switch {
 	case err != nil:
 		fmt.Printf("  VERDICT: %v\n", err)
-		cli.Stop()
-		os.Exit(1)
+		return false, nil
 	case res.DTM.ManagedPeakC > tmax:
 		// No runaway, but sampling let the peak slip past the ceiling
 		// between interventions.
 		fmt.Printf("  VERDICT: Tmax exceeded transiently by %.2f degC — widen -dtm-hyst or shrink -dtm-dt\n",
 			res.DTM.ManagedPeakC-tmax)
-		cli.Stop()
-		os.Exit(1)
+		return false, nil
 	default:
 		fmt.Println("  VERDICT: Tmax held")
-	}
-	return nil
-}
-
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "thermal3d:", err)
-	os.Exit(1)
-}
-
-// experiment dispatches one catalog experiment and returns its raw
-// result value; every thermal3d mode goes through this single entry
-// point.
-func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
-	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-func printMaterials() {
-	fmt.Println("Thermal constants (Table 2):")
-	rows := []struct {
-		name  string
-		value string
-	}{
-		{"Si #1 thickness", fmt.Sprintf("%.0f um", thermal.Si1Thickness*1e6)},
-		{"Si #2 thickness", fmt.Sprintf("%.0f um", thermal.Si2Thickness*1e6)},
-		{"Si ther cond", fmt.Sprintf("%.0f W/mK", thermal.Silicon.Conductivity)},
-		{"Cu metal thickness", fmt.Sprintf("%.0f um", thermal.CuMetalThickness*1e6)},
-		{"Cu metal ther cond", fmt.Sprintf("%.0f W/mK", thermal.CuMetal.Conductivity)},
-		{"Al metal thickness", fmt.Sprintf("%.0f um", thermal.AlMetalThickness*1e6)},
-		{"Al metal ther cond", fmt.Sprintf("%.0f W/mK", thermal.AlMetal.Conductivity)},
-		{"Bond thickness", fmt.Sprintf("%.0f um", thermal.BondThickness*1e6)},
-		{"Bond ther cond", fmt.Sprintf("%.0f W/mK", thermal.BondLayer.Conductivity)},
-		{"Ambient temperature", fmt.Sprintf("%.0f C", thermal.AmbientC)},
-	}
-	for _, r := range rows {
-		fmt.Printf("  %-22s %s\n", r.name, r.value)
+		return true, nil
 	}
 }
 
 // printBaseline solves the planar reference and renders the Figure 6
 // temperature map as ASCII shading.
 func printBaseline(ctx context.Context, spec core.RunSpec, pngOut string) error {
-	v, err := experiment(ctx, spec, "fig6", nil)
+	maps, err := core.ExperimentValue[core.Figure6Result](ctx, "fig6", spec, nil)
 	if err != nil {
 		return err
 	}
-	maps := v.(core.Figure6Result)
-	pd, tm := maps.PowerDensity, maps.Temperature
 	if pngOut != "" {
 		f, err := os.Create(pngOut)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := thermal.WritePNG(f, tm, 8); err != nil {
+		if err := thermal.WritePNG(f, maps.Temperature, 8); err != nil {
 			return err
 		}
 		fmt.Printf("thermal map written to %s\n", pngOut)
 	}
-	peak, low := -1e9, 1e9
-	for _, row := range tm {
-		for _, v := range row {
-			if v > peak {
-				peak = v
-			}
-			if v < low {
-				low = v
-			}
-		}
-	}
-	fmt.Printf("Figure 6 — baseline planar thermal map: peak %.2f degC (paper 88.35), coolest %.2f (paper 59)\n", peak, low)
-	shades := []byte(" .:-=+*#%@")
-	for y := len(tm) - 1; y >= 0; y -= 2 { // subsample rows for aspect ratio
-		line := make([]byte, len(tm[y]))
-		for x := range tm[y] {
-			f := (tm[y][x] - low) / (peak - low + 1e-9)
-			idx := int(f * float64(len(shades)-1))
-			line[x] = shades[idx]
-		}
-		fmt.Printf("  %s\n", line)
-	}
-	// Peak power density for the power-map panel.
-	var maxPD float64
-	for _, row := range pd {
-		for _, v := range row {
-			if v > maxPD {
-				maxPD = v
-			}
-		}
-	}
-	fmt.Printf("  peak power density %.2f W/mm2\n", maxPD/1e6)
-	return nil
+	return core.RenderFigure6(os.Stdout, maps)
 }
 
 func printSweep(ctx context.Context, spec core.RunSpec) error {
-	fmt.Println("Figure 3 — peak temperature vs layer conductivity (stacked microprocessor):")
-	for _, layer := range []core.SweepLayer{core.SweepCuMetal, core.SweepBond} {
-		slug := "cu-metal"
-		if layer == core.SweepBond {
-			slug = "bond"
-		}
-		v, err := experiment(ctx, spec, "fig3", &core.Fig3Params{Layer: slug})
+	var sweeps [2][]core.SensitivityPoint
+	for i, layer := range []string{"cu-metal", "bond"} {
+		pts, err := core.ExperimentValue[[]core.SensitivityPoint](ctx, "fig3", spec, &core.Fig3Params{Layer: layer})
 		if err != nil {
 			return err
 		}
-		pts := v.([]core.SensitivityPoint)
-		fmt.Printf("  %s:\n", layer)
-		for _, p := range pts {
-			fmt.Printf("    k=%5.1f W/mK  peak %.2f degC\n", p.ConductivityWmK, p.PeakC)
-		}
+		sweeps[i] = pts
 	}
-	return nil
+	return core.RenderFigure3(os.Stdout, sweeps[0], sweeps[1])
 }

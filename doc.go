@@ -11,5 +11,7 @@
 // (internal/floorplan), and the study drivers (internal/core).
 // Executables are under cmd/, runnable examples under examples/, and
 // the benchmark harness that regenerates every table and figure of the
-// paper is bench_test.go in this directory.
+// paper is bench_test.go in this directory. The evaluation's text
+// comes from core's renderers, which the CLIs and the benchmarks
+// share, and the paper's values from core's one anchor table.
 package diestack

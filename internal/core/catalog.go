@@ -535,6 +535,19 @@ func RunExperiment(ctx context.Context, name string, req ExperimentRequest) (Exp
 	return e.Run(ctx, req)
 }
 
+// ExperimentValue runs the named experiment through RunExperiment and
+// returns its value as T: the CLIs' one way into the catalog. With an
+// error it returns whatever value the experiment returned alongside
+// (a DTM run that ran away still carries its trajectory).
+func ExperimentValue[T any](ctx context.Context, name string, spec RunSpec, params any) (T, error) {
+	res, err := RunExperiment(ctx, name, ExperimentRequest{Spec: spec, Params: params})
+	if err != nil {
+		v, _ := res.Value.(T)
+		return v, err
+	}
+	return res.Value.(T), nil
+}
+
 // mustExperiment resolves a catalog entry that registration guarantees
 // exists; a miss is a programming error.
 func mustExperiment(name string) Experiment {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"diestack/internal/obs"
@@ -18,8 +22,10 @@ import (
 //
 //	cli := core.RegisterCLIFlags(flag.CommandLine)
 //	flag.Parse()
-//	if err := cli.Start(); err != nil { fatal(err) }
+//	if err := cli.Start(); err != nil { cli.Fatal(err) }
 //	defer cli.Stop()
+//	ctx, cancel := cli.Context(context.Background(), *timeout)
+//	defer cancel()
 //	... pass cli.Obs() into RunSpec / harness.Config ...
 type CLIFlags struct {
 	// CPUProfile / MemProfile are pprof output paths ("" = off).
@@ -100,6 +106,32 @@ func (f *CLIFlags) Stop() {
 		}
 	})
 	prof.Stop()
+}
+
+// Context derives the run's context from parent. An interrupt or
+// SIGTERM cancels it, so a run stops at its next cancellation check and
+// exits through Fatal, which flushes the final metrics snapshot; a
+// positive timeout bounds it too. Call cancel when the run ends.
+func (f *CLIFlags) Context(parent context.Context, timeout time.Duration) (ctx context.Context, cancel context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+	if timeout <= 0 {
+		return ctx, stop
+	}
+	ctx, cancelTimeout := context.WithTimeout(ctx, timeout)
+	return ctx, func() { cancelTimeout(); stop() }
+}
+
+// Exit stops f and exits the process with code.
+func (f *CLIFlags) Exit(code int) {
+	f.Stop()
+	os.Exit(code)
+}
+
+// Fatal prints err on stderr after the command's name and exits 1
+// through Exit.
+func (f *CLIFlags) Fatal(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", filepath.Base(os.Args[0]), err)
+	f.Exit(1)
 }
 
 // preRegister creates one representative instrument per substrate so

@@ -63,10 +63,13 @@ echo "== benchmark module tests =="
 
 echo "== benchmark smoke =="
 # One iteration of every internal benchmark: catches benchmarks that
-# no longer compile or crash without paying for stable timings. The
-# root-package figure benchmarks replay paper-scale workloads and are
-# exercised by tests already, so the smoke stays inside internal/.
+# no longer compile or crash without paying for stable timings. Then
+# one iteration of each root-package figure benchmark that prints
+# through a core renderer, leaving out Figure 5 and Table 4, which
+# replay paper-scale workloads and run in bench.sh.
 go test -run '^$' -bench . -benchtime 1x ./internal/... >/dev/null
+go test -run '^$' -bench 'Table2|Table3|Figure3|Figure6|Figure7|Figure8|Figure11|Table5' \
+    -benchtime 1x . >/dev/null
 
 echo "== multigrid solver smoke =="
 # One short default solve through the CLI: the metrics snapshot must
