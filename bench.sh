@@ -91,6 +91,22 @@ pending != "" && /ns\/op/ { $0 = pending " " $0; pending = "" }
     order[++n] = name
 }
 END {
+    # A headline benchmark that failed, was filtered out or whose line
+    # did not parse has no ns/op: fail rather than record zeros.
+    k = split("BenchmarkSolve64Multigrid BenchmarkWorkspaceResolve64Multigrid " \
+        "BenchmarkVCycle64Stack3D/serial BenchmarkVCycle64Stack3D/crew " \
+        "BenchmarkSmoothSweep64/serial BenchmarkSmoothSweep64/crew " \
+        "BenchmarkRestrict64/serial BenchmarkRestrict64/crew " \
+        "BenchmarkReplaySteadyState BenchmarkGenerateSVM " \
+        "BenchmarkFigure5MemoryStacking-1 BenchmarkFigure5MemoryStacking-2 " \
+        "BenchmarkTable4PipelineGains-1 BenchmarkTable4PipelineGains-2", headline, " ")
+    missing = ""
+    for (i = 1; i <= k; i++)
+        if (!(headline[i] in ns)) missing = missing " " headline[i]
+    if (missing != "") {
+        printf "bench.sh: no ns/op parsed for%s\n", missing > "/dev/stderr"
+        exit 1
+    }
     printf "{\n"
     printf "  \"baseline\": \"%s\",\n", baseline
     printf "  \"cpu\": \"%s\",\n", cpu
@@ -124,6 +140,7 @@ END {
         ns["BenchmarkTable4PipelineGains-1"] / 1e6, ns["BenchmarkTable4PipelineGains-2"] / 1e6
     printf "  }\n"
     printf "}\n"
-}' "$tmp" "$percpu" >"$out"
+}' "$tmp" "$percpu" >"$tmpdir/out.json"
+mv "$tmpdir/out.json" "$out"
 
 echo "wrote $out"

@@ -19,7 +19,7 @@
 //
 // Supervised campaigns:
 //
-//	stackmem -campaign -jobs 4 -retries 1 -manifest out.json
+//	stackmem -campaign -jobs 4 -manifest out.json
 package main
 
 import (
@@ -53,9 +53,8 @@ func main() {
 		thermOnly  = flag.Bool("thermal", false, "print the Figure 8 temperatures and exit")
 		pngOut     = flag.String("png", "", "write the 32MB stack's thermal map (Figure 8b) to this PNG file")
 
-		timeout  = flag.Duration("timeout", 0, "deadline for the whole run (campaign mode: per job attempt; 0 = none)")
-		jobs     = flag.Int("jobs", 0, "campaign worker-pool size (0 = number of CPUs)")
-		retries  = flag.Int("retries", 0, "campaign retries per failed or timed-out job")
+		timeout  = flag.Duration("timeout", 0, "deadline for the whole run (campaign mode: per job; 0 = none)")
+		jobs     = flag.Int("jobs", 0, "campaign worker-pool size, at most GOMAXPROCS (0 = GOMAXPROCS)")
 		campaign = flag.Bool("campaign", false, "run the paper sweep as a supervised parallel campaign")
 		manifest = flag.String("manifest", "", "write the campaign manifest JSON to this file (default stdout)")
 
@@ -77,9 +76,6 @@ func main() {
 	if *jobs < 0 {
 		cli.Fatal(fmt.Errorf("-jobs must be non-negative, got %d", *jobs))
 	}
-	if *retries < 0 {
-		cli.Fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
-	}
 	faults, err := faultFlags(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
 		cli.Fatal(err)
@@ -89,7 +85,7 @@ func main() {
 	}
 	defer cli.Stop()
 
-	// In campaign mode -timeout bounds each job attempt, not the run.
+	// In campaign mode -timeout bounds each job, not the run.
 	runTimeout := *timeout
 	if *campaign {
 		runTimeout = 0
@@ -104,7 +100,7 @@ func main() {
 		if *bench != "" {
 			sweep.Benchmarks = []string{*bench}
 		}
-		m, err := runCampaign(ctx, spec, sweep, *jobs, *retries, *timeout, *manifest)
+		m, err := runCampaign(ctx, spec, sweep, *jobs, *timeout, *manifest)
 		if err != nil {
 			cli.Fatal(err)
 		}
@@ -134,12 +130,10 @@ func main() {
 // writes the manifest and returns it. Failed jobs do not abort the
 // sweep; they are recorded with their cause.
 func runCampaign(ctx context.Context, spec core.RunSpec, sweep core.CampaignParams,
-	jobs, retries int, timeout time.Duration, manifestPath string) (*harness.Manifest, error) {
+	jobs int, timeout time.Duration, manifestPath string) (*harness.Manifest, error) {
 	cfg := harness.Config{
 		Workers: jobs,
 		Timeout: timeout,
-		Retries: retries,
-		Backoff: 100 * time.Millisecond,
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 		},

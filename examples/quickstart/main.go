@@ -11,24 +11,20 @@ import (
 	"log"
 
 	"diestack/internal/core"
-	"diestack/internal/workload"
 )
 
 func main() {
-	// Pick the Gauss-Jordan solver: a 16 MB working set that thrashes
-	// the planar 4 MB cache and fits the stacked 32 MB DRAM.
-	bench, ok := workload.ByName("gauss")
-	if !ok {
-		log.Fatal("benchmark registry is missing gauss")
-	}
-
 	ctx := context.Background()
 	spec := core.RunSpec{Seed: 1, Scale: 1.0, Grid: 48}
-	baseline, err := core.RunMemoryPerf(ctx, spec, core.Planar4MB, bench)
+	// Pick the Gauss-Jordan solver: a 16 MB working set that thrashes
+	// the planar 4 MB cache and fits the stacked 32 MB DRAM.
+	baseline, err := core.ExperimentValue[core.MemoryPerf](ctx, "memory-perf", spec,
+		&core.MemoryPerfParams{CapacityMB: 4, Benchmark: "gauss"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stacked, err := core.RunMemoryPerf(ctx, spec, core.Stacked32MB, bench)
+	stacked, err := core.ExperimentValue[core.MemoryPerf](ctx, "memory-perf", spec,
+		&core.MemoryPerfParams{CapacityMB: 32, Benchmark: "gauss"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"diestack/internal/floorplan"
 	"diestack/internal/harness"
+	"diestack/internal/obs"
 	"diestack/internal/thermal"
 )
 
@@ -79,9 +80,7 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 		}},
 	)
 
-	m, err := harness.Run(context.Background(), harness.Config{
-		Workers: 4, Sleep: func(time.Duration) {},
-	}, jobs)
+	m, err := harness.Run(context.Background(), harness.Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +130,15 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 
 // TestCampaignScheduleIndependent runs the reduced-scale gauss sweep
 // of the campaign CLI golden on one worker and on four: the manifests
-// must be byte-identical, whatever order the jobs finished in.
+// must be byte-identical, whatever order the jobs finished in, and so
+// must the metrics each run leaves in its registry — counters,
+// histograms and the number of spans of each name. Gauges (the
+// last-writer thermal_peak_c among them) and time fields are left out.
 func TestCampaignScheduleIndependent(t *testing.T) {
-	spec := RunSpec{Seed: 1, Scale: 0.05, Grid: 16}
 	sweep := CampaignParams{Benchmarks: []string{"gauss"}}
-	manifest := func(workers int) []byte {
+	run := func(workers int) ([]byte, obs.Snapshot) {
+		reg := obs.NewRegistry()
+		spec := RunSpec{Seed: 1, Scale: 0.05, Grid: 16, Obs: reg}
 		m, err := RunCampaign(context.Background(), spec, sweep, harness.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -147,11 +150,33 @@ func TestCampaignScheduleIndependent(t *testing.T) {
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return buf.Bytes(), reg.Snapshot(true)
 	}
-	serial, pooled := manifest(1), manifest(4)
+	serial, serialSnap := run(1)
+	pooled, pooledSnap := run(4)
 	if !bytes.Equal(serial, pooled) {
 		t.Fatalf("manifest depends on the schedule:\nworkers 1:\n%s\nworkers 4:\n%s", serial, pooled)
+	}
+	if len(serialSnap.Counters) == 0 || len(serialSnap.SpanTotals) == 0 {
+		t.Fatalf("campaign left no counters or spans: %+v", serialSnap)
+	}
+	if !reflect.DeepEqual(serialSnap.Counters, pooledSnap.Counters) {
+		t.Errorf("counters depend on the schedule:\nworkers 1: %v\nworkers 4: %v",
+			serialSnap.Counters, pooledSnap.Counters)
+	}
+	if !reflect.DeepEqual(serialSnap.Histograms, pooledSnap.Histograms) {
+		t.Errorf("histograms depend on the schedule:\nworkers 1: %v\nworkers 4: %v",
+			serialSnap.Histograms, pooledSnap.Histograms)
+	}
+	spanCounts := func(s obs.Snapshot) map[string]uint64 {
+		n := make(map[string]uint64, len(s.SpanTotals))
+		for name, tot := range s.SpanTotals {
+			n[name] = tot.Count
+		}
+		return n
+	}
+	if a, b := spanCounts(serialSnap), spanCounts(pooledSnap); !reflect.DeepEqual(a, b) {
+		t.Errorf("span counts depend on the schedule:\nworkers 1: %v\nworkers 4: %v", a, b)
 	}
 }
 

@@ -563,7 +563,6 @@ func initCatalog() {
 		{
 			Name:      "memory-perf",
 			Doc:       "replay one benchmark against one Figure 5 configuration, optionally with stacked-DRAM fault injection",
-			fn:        []string{"RunMemoryPerf"},
 			NewParams: func() any { return &MemoryPerfParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
 				p := params.(*MemoryPerfParams)
@@ -575,7 +574,11 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				return memoryPerf(ctx, spec, o, b, p.Faults.Config())
+				res, err := figure5(ctx, spec, []workload.Benchmark{b}, []MemoryOption{o}, p.Faults.Config())
+				if err != nil {
+					return nil, err
+				}
+				return res.Rows[0][0], nil
 			},
 		},
 		{

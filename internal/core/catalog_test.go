@@ -209,9 +209,9 @@ func TestDecodeRequestRejects(t *testing.T) {
 		t.Errorf("spec at the wire bounds rejected: %v", err)
 	}
 	// A campaign request's canonical bytes are stackd's cache-key input.
-	// The harness knobs are not part of it (unbounded retries would
-	// let one client pin a solve slot), and neither is anything from
-	// the retired version-2 campaign wire form.
+	// No harness knob is part of it (a client's worker count would
+	// split the cache over a field that cannot change the result), and
+	// neither is anything from the retired version-2 campaign wire form.
 	campaign, _ := ExperimentByName("campaign")
 	for _, bad := range []string{
 		`{"params":{"retries":200000}}`,

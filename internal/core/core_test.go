@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"diestack/internal/obs"
-	"diestack/internal/workload"
 )
 
 // Thermal tests run on a coarse grid; the bench harness (bench_test.go
@@ -53,12 +52,14 @@ func TestMemoryOptionBasics(t *testing.T) {
 func TestRunMemoryPerf(t *testing.T) {
 	// Reference scale: capacity response requires the real footprint
 	// (a scaled-down gauss fits the 4 MB baseline and shows nothing).
-	b, _ := workload.ByName("gauss")
-	base, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Planar4MB, b)
+	spec := RunSpec{Seed: 1, Scale: 1.0}
+	base, err := ExperimentValue[MemoryPerf](context.Background(), "memory-perf", spec,
+		&MemoryPerfParams{CapacityMB: 4, Benchmark: "gauss"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Stacked32MB, b)
+	big, err := ExperimentValue[MemoryPerf](context.Background(), "memory-perf", spec,
+		&MemoryPerfParams{CapacityMB: 32, Benchmark: "gauss"})
 	if err != nil {
 		t.Fatal(err)
 	}

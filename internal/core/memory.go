@@ -158,25 +158,6 @@ type MemoryPerf struct {
 	DRAMFaultCycles int64
 }
 
-// RunMemoryPerf replays one benchmark's trace against one
-// configuration: the one-cell case of the Figure 5 sweep. spec.Seed
-// and spec.Scale size the workload; spec.Obs instruments the replay.
-// The replay checks ctx periodically and aborts with its error on
-// cancellation.
-func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark) (MemoryPerf, error) {
-	return memoryPerf(ctx, spec, o, bench, fault.Config{})
-}
-
-// memoryPerf is the sweep's one-cell case, with fc injected into the
-// option's hierarchy.
-func memoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
-	res, err := figure5(ctx, spec, []workload.Benchmark{bench}, []MemoryOption{o}, fc)
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	return res.Rows[0][0], nil
-}
-
 // ReplayTrace runs recorded trace records, such as a trace file's,
 // over every configuration with fc injected: the Figure 5 sweep's
 // one-trace case for a trace that is not a catalog benchmark, so the
@@ -206,8 +187,7 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 
 // figure5 sweeps benches over opts with fc injected into every
 // option's hierarchy. It is the one Figure 5 composition: RunFigure5,
-// RunMemoryPerf, ReplayTrace and the fig5 and memory-perf experiments
-// all run it.
+// ReplayTrace and the fig5 and memory-perf experiments all run it.
 // Every option's configuration is validated before the first trace is
 // generated. All options share their L1s, so each benchmark's trace is
 // generated and run through the L1 front end once (memhier.FilterL1),

@@ -1,12 +1,14 @@
 // Package harness runs supervised simulation campaigns: a set of named
-// jobs executed on a bounded worker pool, each under its own deadline,
-// with panic isolation, retry with exponential backoff, and partial
+// jobs executed once each on a bounded worker pool (internal/fanout),
+// each under its own deadline, with panic isolation, and partial
 // results aggregated into a deterministic manifest.
 //
 // The harness exists so that a sweep of paper experiments — dozens of
 // trace replays and thermal solves — survives any single job crashing,
 // diverging, or hanging: the failure is recorded with its cause and
-// the rest of the campaign completes normally.
+// the rest of the campaign completes normally. Jobs are deterministic
+// simulations, so a failed job is not retried: it would fail the same
+// way again.
 package harness
 
 import (
@@ -18,9 +20,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
+	"diestack/internal/fanout"
 	"diestack/internal/obs"
 )
 
@@ -29,8 +31,8 @@ type Job struct {
 	// Name identifies the job in the manifest; names must be unique
 	// within a campaign.
 	Name string
-	// Timeout overrides the campaign-wide per-attempt deadline for this
-	// job (0 = use Config.Timeout).
+	// Timeout overrides the campaign-wide per-job deadline for this job
+	// (0 = use Config.Timeout).
 	Timeout time.Duration
 	// Run does the work. It must honor ctx: the harness cancels it on
 	// timeout and on campaign cancellation. The returned value is
@@ -38,30 +40,20 @@ type Job struct {
 	Run func(ctx context.Context) (any, error)
 }
 
-// Config supervises a campaign. The zero value runs jobs one at a
-// time with no deadline and no retries.
+// Config supervises a campaign. The zero value runs jobs on
+// GOMAXPROCS workers with no deadline.
 type Config struct {
-	// Workers bounds concurrent jobs (0 = GOMAXPROCS).
+	// Workers bounds concurrent jobs (0 = GOMAXPROCS). The pool never
+	// exceeds GOMAXPROCS, whatever Workers asks for.
 	Workers int
-	// Timeout is the per-attempt deadline (0 = none).
+	// Timeout is the per-job deadline (0 = none).
 	Timeout time.Duration
-	// Retries is how many times a failed or timed-out attempt is
-	// retried before the job is recorded as failed.
-	Retries int
-	// Backoff is the sleep before the first retry; it doubles on each
-	// subsequent one (0 = retry immediately).
-	Backoff time.Duration
-	// Sleep replaces the inter-attempt sleep; tests inject a recorder
-	// here. When nil, the harness sleeps on a timer but wakes early if
-	// the campaign context is canceled, so a job stuck in a long
-	// backoff cannot outlive its campaign.
-	Sleep func(time.Duration)
-	// Log, when non-nil, receives one line per attempt outcome.
+	// Log, when non-nil, receives one line per job outcome.
 	Log func(format string, args ...any)
 	// Obs, when non-nil, receives campaign metrics — queue depth and
-	// running-job gauges, done/failed/retry/timeout/canceled/panic
-	// counters (the obs.MetricJobs* names the progress reporter reads) —
-	// and a "harness/job" span per job. A nil registry costs nothing.
+	// running-job gauges, done/failed/timeout/canceled/panic counters
+	// (the obs.MetricJobs* names the progress reporter reads) — and a
+	// "harness/job" span per started job. A nil registry costs nothing.
 	Obs *obs.Registry
 }
 
@@ -69,7 +61,7 @@ type Config struct {
 // Config.Obs installed real ones.
 type harnessObs struct {
 	reg                        *obs.Registry
-	done, failed, retries      *obs.Counter
+	done, failed               *obs.Counter
 	timeouts, canceled, panics *obs.Counter
 	total, queued, running     *obs.Gauge
 }
@@ -82,7 +74,6 @@ func bindObs(reg *obs.Registry) harnessObs {
 		reg:      reg,
 		done:     reg.Counter(obs.MetricJobsDone),
 		failed:   reg.Counter(obs.MetricJobsFailed),
-		retries:  reg.Counter(obs.MetricJobRetries),
 		timeouts: reg.Counter("harness_job_timeouts"),
 		canceled: reg.Counter("harness_jobs_canceled"),
 		panics:   reg.Counter("harness_job_panics"),
@@ -98,23 +89,25 @@ type Status string
 const (
 	// StatusOK: the job returned a value.
 	StatusOK Status = "ok"
-	// StatusFailed: every attempt returned an error.
+	// StatusFailed: the job returned an error.
 	StatusFailed Status = "failed"
-	// StatusPanicked: the final attempt panicked (stack recorded).
+	// StatusPanicked: the job panicked (stack recorded).
 	StatusPanicked Status = "panicked"
-	// StatusTimeout: the final attempt exceeded its deadline.
+	// StatusTimeout: the job exceeded its deadline.
 	StatusTimeout Status = "timeout"
 	// StatusCanceled: the campaign context was canceled before the job
-	// could finish; canceled jobs are not retried.
+	// could finish.
 	StatusCanceled Status = "canceled"
 )
 
 // JobResult is one job's entry in the manifest.
 type JobResult struct {
-	Name     string `json:"name"`
-	Status   Status `json:"status"`
-	Attempts int    `json:"attempts"`
-	// Error is the final attempt's error text (empty on success).
+	Name   string `json:"name"`
+	Status Status `json:"status"`
+	// Attempts is 1 for a job that ran and 0 for one the campaign
+	// canceled before it started.
+	Attempts int `json:"attempts"`
+	// Error is the job's error text (empty on success).
 	Error string `json:"error,omitempty"`
 	// Stack is the recovered panic stack (StatusPanicked only).
 	Stack string `json:"stack,omitempty"`
@@ -175,9 +168,6 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Manifest, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	logf := cfg.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -187,40 +177,15 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Manifest, error) {
 	ho.total.Set(float64(len(jobs)))
 	ho.queued.Set(float64(len(jobs)))
 
-	// Workers pull job indexes and write into distinct slots of a
-	// preallocated result slice, so no result-side synchronization is
-	// needed beyond the WaitGroup.
+	// Each job writes its own slot of a preallocated result slice, so
+	// no result-side synchronization is needed beyond ForEach's return.
 	results := make([]JobResult, len(jobs))
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
-				ho.queued.Add(-1)
-				ho.running.Add(1)
-				results[i] = runJob(ctx, cfg, jobs[i], logf, ho)
-				ho.running.Add(-1)
-				ho.publish(results[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		select {
-		case feed <- i:
-		case <-ctx.Done():
-			// Unstarted jobs are recorded as canceled without being
-			// invoked.
-			results[i] = JobResult{Name: jobs[i].Name, Status: StatusCanceled,
-				Error: ctx.Err().Error()}
-			ho.queued.Add(-1)
-			ho.publish(results[i])
-		}
-	}
-	close(feed)
-	wg.Wait()
-
+	fanout.ForEach(len(jobs), workers, func(i int) error {
+		ho.queued.Add(-1)
+		results[i] = runJob(ctx, cfg, jobs[i], logf, ho)
+		ho.publish(results[i])
+		return nil
+	})
 	return buildManifest(results), nil
 }
 
@@ -265,85 +230,52 @@ func (ho harnessObs) publish(res JobResult) {
 	default:
 		ho.failed.Inc()
 	}
-	if res.Attempts > 1 {
-		ho.retries.Add(uint64(res.Attempts - 1))
-	}
 }
 
-// runJob runs one job through its attempt loop.
+// runJob runs one job once and classifies the outcome. A job whose
+// turn comes after the campaign was canceled is recorded canceled with
+// no attempt and no span.
 func runJob(ctx context.Context, cfg Config, job Job, logf func(string, ...any), ho harnessObs) JobResult {
+	res := JobResult{Name: job.Name}
+	if err := ctx.Err(); err != nil {
+		res.Status = StatusCanceled
+		res.Error = err.Error()
+		return res
+	}
 	sp := ho.reg.StartSpan("harness/job")
 	defer sp.End()
-	res := JobResult{Name: job.Name}
+	ho.running.Add(1)
+	defer ho.running.Add(-1)
 	timeout := cfg.Timeout
 	if job.Timeout > 0 {
 		timeout = job.Timeout
 	}
-	backoff := cfg.Backoff
-	for attempt := 0; ; attempt++ {
-		res.Attempts = attempt + 1
-		if err := ctx.Err(); err != nil {
-			res.Status = StatusCanceled
-			res.Error = err.Error()
-			logf("job %s: canceled before attempt %d", job.Name, attempt+1)
-			return res
-		}
-		value, stack, err := runAttempt(ctx, job, timeout)
-		if err == nil {
-			res.Status = StatusOK
-			res.Value = value
-			res.Error = ""
-			res.Stack = ""
-			logf("job %s: ok (attempt %d)", job.Name, attempt+1)
-			return res
-		}
-		res.Error = err.Error()
-		res.Stack = stack
-		switch {
-		case ctx.Err() != nil:
-			// The campaign itself was canceled; don't retry and don't
-			// blame the job.
-			res.Status = StatusCanceled
-			logf("job %s: canceled during attempt %d", job.Name, attempt+1)
-			return res
-		case stack != "":
-			res.Status = StatusPanicked
-		case errors.Is(err, context.DeadlineExceeded):
-			res.Status = StatusTimeout
-		default:
-			res.Status = StatusFailed
-		}
-		logf("job %s: attempt %d/%d %s: %v", job.Name, attempt+1, cfg.Retries+1, res.Status, err)
-		if attempt >= cfg.Retries {
-			return res
-		}
-		if backoff > 0 {
-			sleepBackoff(ctx, cfg.Sleep, backoff)
-			backoff *= 2
-		}
+	res.Attempts = 1
+	value, stack, err := runAttempt(ctx, job, timeout)
+	if err == nil {
+		res.Status = StatusOK
+		res.Value = value
+		logf("job %s: ok", job.Name)
+		return res
 	}
+	res.Error = err.Error()
+	res.Stack = stack
+	switch {
+	case ctx.Err() != nil:
+		// The campaign itself was canceled; don't blame the job.
+		res.Status = StatusCanceled
+	case stack != "":
+		res.Status = StatusPanicked
+	case errors.Is(err, context.DeadlineExceeded):
+		res.Status = StatusTimeout
+	default:
+		res.Status = StatusFailed
+	}
+	logf("job %s: %s: %v", job.Name, res.Status, err)
+	return res
 }
 
-// sleepBackoff waits out one inter-attempt backoff. An injected Sleep
-// (tests) is called as-is; the default timer sleep wakes early when the
-// campaign context is canceled, so cancellation and campaign deadlines
-// reach jobs parked in a long backoff instead of waiting it out. The
-// attempt loop's top-of-loop ctx check turns the early wake into a
-// canceled result.
-func sleepBackoff(ctx context.Context, sleep func(time.Duration), d time.Duration) {
-	if sleep != nil {
-		sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// runAttempt runs one attempt under its deadline with panic isolation.
+// runAttempt runs the job under its deadline with panic isolation.
 // A panic is converted into an error plus the captured stack.
 func runAttempt(ctx context.Context, job Job, timeout time.Duration) (value any, stack string, err error) {
 	actx := ctx
@@ -363,7 +295,7 @@ func runAttempt(ctx context.Context, job Job, timeout time.Duration) (value any,
 	if err != nil {
 		// A job that returns its context's deadline error should be
 		// classified as a timeout even if it wrapped it poorly; prefer
-		// the attempt context's verdict when both agree on failure.
+		// the job context's verdict when both agree on failure.
 		if actx.Err() != nil && ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded) {
 			err = fmt.Errorf("%w (job error: %v)", context.DeadlineExceeded, err)
 		}

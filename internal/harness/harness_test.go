@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -88,56 +87,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-func TestRetryWithBackoff(t *testing.T) {
-	var sleeps []time.Duration
-	attempts := 0
-	jobs := []Job{{Name: "flaky", Run: func(context.Context) (any, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, errors.New("transient")
-		}
-		return "ok", nil
-	}}}
-	m, err := Run(context.Background(), Config{
-		Retries: 3,
-		Backoff: 10 * time.Millisecond,
-		Sleep:   func(d time.Duration) { sleeps = append(sleeps, d) },
-	}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := m.Result("flaky")
-	if r.Status != StatusOK || r.Attempts != 3 {
-		t.Fatalf("want ok after 3 attempts, got %+v", r)
-	}
-	if r.Error != "" || r.Stack != "" {
-		t.Fatalf("earlier failures should be cleared on success: %+v", r)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(sleeps) != 2 || sleeps[0] != want[0] || sleeps[1] != want[1] {
-		t.Fatalf("backoff should double: got %v, want %v", sleeps, want)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	attempts := 0
-	jobs := []Job{{Name: "doomed", Run: func(context.Context) (any, error) {
-		attempts++
-		return nil, fmt.Errorf("failure %d", attempts)
-	}}}
-	m, err := Run(context.Background(), Config{Retries: 2, Sleep: func(time.Duration) {}}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := m.Result("doomed")
-	if r.Status != StatusFailed || r.Attempts != 3 {
-		t.Fatalf("want failed after 3 attempts, got %+v", r)
-	}
-	if r.Error != "failure 3" {
-		t.Fatalf("manifest should carry the final attempt's error, got %q", r.Error)
-	}
-}
-
 func TestTimeoutClassification(t *testing.T) {
 	jobs := []Job{{Name: "slow", Timeout: 10 * time.Millisecond,
 		Run: func(ctx context.Context) (any, error) {
@@ -169,8 +118,8 @@ func TestCampaignCancellation(t *testing.T) {
 		<-started
 		cancel()
 	}()
-	// One worker: "queued" is still in the feed when the campaign dies.
-	m, err := Run(ctx, Config{Workers: 1, Retries: 5}, jobs)
+	// One worker: "queued" has not started when the campaign dies.
+	m, err := Run(ctx, Config{Workers: 1}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +129,7 @@ func TestCampaignCancellation(t *testing.T) {
 			t.Errorf("%s: want canceled, got %+v", name, r)
 		}
 		if r.Attempts > 1 {
-			t.Errorf("%s: canceled jobs must not be retried, got %d attempts", name, r.Attempts)
+			t.Errorf("%s: canceled jobs run at most once, got %d attempts", name, r.Attempts)
 		}
 	}
 }
@@ -220,51 +169,6 @@ func TestFailures(t *testing.T) {
 	}
 }
 
-func TestPanicOnFinalRetryAttempt(t *testing.T) {
-	attempts := 0
-	jobs := []Job{{Name: "lastgasp", Run: func(context.Context) (any, error) {
-		attempts++
-		if attempts <= 2 {
-			return nil, errors.New("transient")
-		}
-		panic("died on the last attempt")
-	}}}
-	m, err := Run(context.Background(), Config{Retries: 2, Sleep: func(time.Duration) {}}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, _ := m.Result("lastgasp")
-	if r.Status != StatusPanicked || r.Attempts != 3 {
-		t.Fatalf("want panicked on attempt 3, got %+v", r)
-	}
-	if !strings.Contains(r.Error, "died on the last attempt") || r.Stack == "" {
-		t.Fatalf("final-attempt panic not captured: %+v", r)
-	}
-}
-
-func TestDeadlineExpiringMidBackoff(t *testing.T) {
-	// The campaign deadline fires while the only job is parked in a
-	// long retry backoff; the default sleep must wake early instead of
-	// serving out the full 30s.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	jobs := []Job{{Name: "parked", Run: func(context.Context) (any, error) {
-		return nil, errors.New("always fails")
-	}}}
-	start := time.Now()
-	m, err := Run(ctx, Config{Retries: 1, Backoff: 30 * time.Second}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("backoff ignored the campaign deadline (took %v)", elapsed)
-	}
-	r, _ := m.Result("parked")
-	if r.Status != StatusCanceled {
-		t.Fatalf("want canceled out of backoff, got %+v", r)
-	}
-}
-
 func TestCancellationRacingCompletion(t *testing.T) {
 	// The job cancels the campaign itself and then returns
 	// successfully: a completed attempt must stay ok, not be
@@ -275,7 +179,7 @@ func TestCancellationRacingCompletion(t *testing.T) {
 		cancel()
 		return "made it", nil
 	}}}
-	m, err := Run(ctx, Config{Retries: 3}, jobs)
+	m, err := Run(ctx, Config{}, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

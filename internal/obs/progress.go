@@ -17,14 +17,12 @@ const (
 	MetricJobsDone = "harness_jobs_done"
 	// MetricJobsFailed is a counter: jobs whose final status was not ok.
 	MetricJobsFailed = "harness_jobs_failed"
-	// MetricJobRetries is a counter: extra attempts beyond the first.
-	MetricJobRetries = "harness_job_retries"
 	// MetricPeakC is a gauge: the most recent peak die temperature.
 	MetricPeakC = "thermal_peak_c"
 )
 
 // Progress renders a live one-line campaign summary — jobs
-// done/failed/retried, ETA from the completion rate, and the current
+// done/failed, ETA from the completion rate, and the current
 // peak temperature — redrawn in place with a carriage return. Close
 // prints the final state on its own line.
 type Progress struct {
@@ -83,7 +81,6 @@ func (p *Progress) Close() {
 func (p *Progress) Line() string {
 	done := p.reg.CounterValue(MetricJobsDone)
 	failed := p.reg.CounterValue(MetricJobsFailed)
-	retried := p.reg.CounterValue(MetricJobRetries)
 	total := uint64(p.reg.GaugeValue(MetricJobsTotal))
 	peak := p.reg.GaugeValue(MetricPeakC)
 	elapsed := time.Since(p.start).Round(time.Second)
@@ -96,9 +93,6 @@ func (p *Progress) Line() string {
 	}
 	if failed > 0 {
 		fmt.Fprintf(&b, " (%d failed)", failed)
-	}
-	if retried > 0 {
-		fmt.Fprintf(&b, " retries %d", retried)
 	}
 	if peak != 0 {
 		fmt.Fprintf(&b, "  peak %.1fC", peak)

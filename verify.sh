@@ -35,13 +35,15 @@ echo "== solver crew race =="
 # classes that beginSolve factorizes.
 go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint' ./internal/thermal/
 
-echo "== perf-sim fan-out race =="
-# Figure 5 builds the next trace while the current one replays, and
-# Table 4 runs its twelve configurations side by side, both through
-# internal/fanout. -cpu 1,2,4 races the trace pipeline and the fan-out
-# at two and four workers even on a one-core runner, and checks the
-# GOMAXPROCS 1 serial path.
-go test -race -cpu 1,2,4 -run 'Figure5|Table4|ForEach|Generate' ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/
+echo "== fan-out race =="
+# Figure 5 builds the next trace while the current one replays, Table 4
+# runs its twelve configurations side by side, and the campaign harness
+# runs its jobs, all through internal/fanout. -cpu 1,2,4 races the
+# trace pipeline and the fan-out at two and four workers even on a
+# one-core runner, and checks the GOMAXPROCS 1 serial path.
+go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate' \
+    ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/ \
+    ./internal/harness/
 
 echo "== fuzz =="
 # Each of the three decoders of outside bytes fuzzed briefly beyond its
@@ -93,7 +95,7 @@ echo "== supervised campaign smoke =="
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/stackmem -campaign -bench gauss -scale 0.05 -grid 16 \
-    -jobs 4 -retries 1 -manifest "$tmpdir/manifest.json" \
+    -jobs 4 -manifest "$tmpdir/manifest.json" \
     -metrics-out "$tmpdir/metrics.jsonl"
 grep -q '"status": "ok"' "$tmpdir/manifest.json"
 test -s "$tmpdir/metrics.jsonl"
