@@ -1,16 +1,17 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_009.json by default): benchmark
-# name -> ns/op and allocs/op, plus the headline metrics — the cold and
+# machine-readable baseline (BENCH_010.json by default): benchmark
+# name -> ns/op, allocs/op and bytes/op, plus the headline metrics — the cold and
 # warm Solve64 times, the V-cycle, smoother-sweep and restriction
 # kernel times on the 3D logic stack (each twice: "serial", one core,
 # and "crew", split across the solver's helpers at the run's
 # GOMAXPROCS), the steady-state replay allocs/op, the time and bytes
 # allocated to generate the svm trace (the largest-footprint RMS
-# workload) at reference scale, and the whole Figure 5 sweep (fig5_s)
-# and Table 4 (table4_ms) at GOMAXPROCS 1 and 2, keyed by GOMAXPROCS:
-# both spread their work over the cores, so the pair shows what the
-# second core buys. Committed
+# workload) at reference scale, and the time and megabytes allocated by
+# the whole Figure 5 sweep (fig5_s, fig5_mb) and Table 4 (table4_ms,
+# table4_mb) at GOMAXPROCS 1 and 2, keyed by GOMAXPROCS: both spread
+# their work over the cores, so the pair shows what the second core
+# buys. Committed
 # baselines from this script are how perf PRs prove their before/after
 # claims. The baseline name recorded inside the JSON is derived from
 # the output filename, so each capture is self-identifying.
@@ -26,7 +27,7 @@
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_009.json}
+out=${1:-BENCH_010.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
 percpu=$(mktemp)
@@ -117,8 +118,8 @@ END {
     printf "  \"results\": {\n"
     for (i = 1; i <= n; i++) {
         name = order[i]
-        printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-            name, ns[name], al[name], (i < n ? "," : "")
+        printf "    \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s, \"bytes_per_op\": %s}%s\n", \
+            name, ns[name], al[name], by[name], (i < n ? "," : "")
     }
     printf "  },\n"
     printf "  \"headline\": {\n"
@@ -136,8 +137,12 @@ END {
     printf "    \"generate_svm_bytes_per_op\": %s,\n", by["BenchmarkGenerateSVM"]
     printf "    \"fig5_s\": {\"1\": %.2f, \"2\": %.2f},\n", \
         ns["BenchmarkFigure5MemoryStacking-1"] / 1e9, ns["BenchmarkFigure5MemoryStacking-2"] / 1e9
-    printf "    \"table4_ms\": {\"1\": %.0f, \"2\": %.0f}\n", \
+    printf "    \"fig5_mb\": {\"1\": %.1f, \"2\": %.1f},\n", \
+        by["BenchmarkFigure5MemoryStacking-1"] / 1048576, by["BenchmarkFigure5MemoryStacking-2"] / 1048576
+    printf "    \"table4_ms\": {\"1\": %.0f, \"2\": %.0f},\n", \
         ns["BenchmarkTable4PipelineGains-1"] / 1e6, ns["BenchmarkTable4PipelineGains-2"] / 1e6
+    printf "    \"table4_mb\": {\"1\": %.1f, \"2\": %.1f}\n", \
+        by["BenchmarkTable4PipelineGains-1"] / 1048576, by["BenchmarkTable4PipelineGains-2"] / 1048576
     printf "  }\n"
     printf "}\n"
 }' "$tmp" "$percpu" >"$tmpdir/out.json"

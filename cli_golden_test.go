@@ -16,7 +16,8 @@ import (
 	"time"
 )
 
-// TestCLIGolden builds the three paper CLIs and checks that each
+// TestCLIGolden builds the three paper CLIs and the two examples that
+// drive memhier.FilterL1 and uarch.Run, and checks that each
 // invocation in testdata/cli/cases prints byte-for-byte the recorded
 // standard output, exits with the recorded code and, for a campaign,
 // writes the recorded manifest. Refactors behind the CLIs must leave
@@ -29,10 +30,10 @@ func TestCLIGolden(t *testing.T) {
 	}
 	statModuleSources(t)
 	bin := t.TempDir()
-	for _, name := range []string{"stackmem", "thermal3d", "stacklogic"} {
-		out, err := exec.Command(gobin, "build", "-o", filepath.Join(bin, name), "./cmd/"+name).CombinedOutput()
+	for _, pkg := range []string{"cmd/stackmem", "cmd/thermal3d", "cmd/stacklogic", "examples/dramcache", "examples/folded_cpu"} {
+		out, err := exec.Command(gobin, "build", "-o", filepath.Join(bin, filepath.Base(pkg)), "./"+pkg).CombinedOutput()
 		if err != nil {
-			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+			t.Fatalf("go build ./%s: %v\n%s", pkg, err, out)
 		}
 	}
 	t.Run("thermal3d_sigterm", func(t *testing.T) { checkSigterm(t, bin) })

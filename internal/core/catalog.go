@@ -574,7 +574,7 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				res, err := figure5(ctx, spec, []workload.Benchmark{b}, []MemoryOption{o}, p.Faults.Config())
+				res, err := figure5(ctx, spec, benchSources(spec, []workload.Benchmark{b}), []MemoryOption{o}, p.Faults.Config())
 				if err != nil {
 					return nil, err
 				}
@@ -592,7 +592,7 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				return figure5(ctx, spec, benches, MemoryOptions(), p.Faults.Config())
+				return figure5(ctx, spec, benchSources(spec, benches), MemoryOptions(), p.Faults.Config())
 			},
 		},
 		{

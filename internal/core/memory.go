@@ -164,8 +164,8 @@ type MemoryPerf struct {
 // records go through the L1 front end once. name labels the rows and
 // errors; spec.Obs instruments the replays.
 func ReplayTrace(ctx context.Context, spec RunSpec, name string, recs []trace.Record, fc fault.Config) ([]MemoryPerf, error) {
-	b := workload.Benchmark{Name: name, Generate: func(uint64, float64) []trace.Record { return recs }}
-	res, err := figure5(ctx, spec, []workload.Benchmark{b}, MemoryOptions(), fc)
+	src := traceSource{name, func() memhier.SizedStream { return trace.NewSliceStream(recs) }}
+	res, err := figure5(ctx, spec, []traceSource{src}, MemoryOptions(), fc)
 	if err != nil {
 		return nil, err
 	}
@@ -182,34 +182,53 @@ type Figure5Result struct {
 // RunFigure5 sweeps every RMS benchmark over every configuration —
 // the paper's Figure 5 — with no fault injection.
 func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
-	return figure5(ctx, spec, workload.All(), MemoryOptions(), fault.Config{})
+	return figure5(ctx, spec, benchSources(spec, workload.All()), MemoryOptions(), fault.Config{})
 }
 
-// figure5 sweeps benches over opts with fc injected into every
-// option's hierarchy. It is the one Figure 5 composition: RunFigure5,
-// ReplayTrace and the fig5 and memory-perf experiments all run it.
-// Every option's configuration is validated before the first trace is
-// generated. All options share their L1s, so each benchmark's trace is
-// generated and run through the L1 front end once (memhier.FilterL1),
-// on a producer goroutine, in order. The (benchmark, option) replays
-// form one list in order that up to min(GOMAXPROCS, 4) workers take
-// from, each replay on its own simulator reading the shared, read-only
-// log; each equals a full memhier Run of the trace, bit for bit. There
-// is no join between benchmarks: trace k+1 is built while trace k's
-// options replay. Two tokens keep at most two logs alive; a trace's
-// token returns when its last replay does. Results do not depend on
-// the schedule. On failure the error of the first failing (benchmark,
-// option) in order is returned; cancellation aborts mid-sweep with the
-// context's error.
-func figure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, opts []MemoryOption, fc fault.Config) (*Figure5Result, error) {
+// traceSource is one row of the Figure 5 sweep: its name and how to
+// open its trace.
+type traceSource struct {
+	name string
+	open func() memhier.SizedStream
+}
+
+// benchSources returns one row per benchmark, each streaming the
+// benchmark's trace at spec's seed and scale.
+func benchSources(spec RunSpec, benches []workload.Benchmark) []traceSource {
+	rows := make([]traceSource, len(benches))
+	for k, b := range benches {
+		rows[k] = traceSource{b.Name, func() memhier.SizedStream { return b.Stream(spec.Seed, spec.Scale) }}
+	}
+	return rows
+}
+
+// figure5 sweeps the rows' traces over opts with fc injected into
+// every option's hierarchy. It is the one Figure 5 composition:
+// RunFigure5, ReplayTrace and the fig5 and memory-perf experiments all
+// run it. Every option's configuration is validated before the first
+// trace is opened. All options share their L1s, so each row's trace is
+// opened and streamed through the L1 front end once
+// (memhier.FilterL1), on a producer goroutine, in order. A
+// benchmark's records are never collected: its stream drops each
+// emitter block once read, so the blocks shrink as the log grows. The
+// (row, option) replays form one list in order that up to
+// min(GOMAXPROCS, 4) workers take from, each replay on its own
+// simulator reading the shared, read-only log; each equals a full
+// memhier Run of the trace, bit for bit. There is no join between
+// rows: trace k+1 is filtered while trace k's options replay. Two
+// tokens keep at most two logs alive; a trace's token returns when its
+// last replay does. Results do not depend on the schedule. On failure
+// the error of the first failing (row, option) in order is returned;
+// cancellation aborts mid-sweep with the context's error.
+func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []MemoryOption, fc fault.Config) (*Figure5Result, error) {
 	cfgs, err := figure5Configs(opts, fc)
 	if err != nil {
 		return nil, err
 	}
-	out := &Figure5Result{Options: opts, Rows: make([][]MemoryPerf, len(benches))}
-	traces := make([]figure5Trace, len(benches))
-	for k, b := range benches {
-		out.Benchmarks = append(out.Benchmarks, b.Name)
+	out := &Figure5Result{Options: opts, Rows: make([][]MemoryPerf, len(rows))}
+	traces := make([]figure5Trace, len(rows))
+	for k, src := range rows {
+		out.Benchmarks = append(out.Benchmarks, src.name)
 		out.Rows[k] = make([]MemoryPerf, len(opts))
 		traces[k].ready = make(chan struct{})
 		traces[k].left.Store(int32(len(opts)))
@@ -223,16 +242,16 @@ func figure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, op
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for k, b := range benches {
+		for k, src := range rows {
 			var err error
 			select {
 			case tokens <- struct{}{}:
-				traces[k].lg, err = memhier.FilterL1(genCtx, cfgs[0], b.Generate(spec.Seed, spec.Scale))
+				traces[k].lg, err = memhier.FilterL1(genCtx, cfgs[0], src.open())
 			case <-genCtx.Done():
 				err = genCtx.Err()
 			}
 			if err != nil {
-				err = fmt.Errorf("core: %s on %s: %w", b.Name, opts[0], err)
+				err = fmt.Errorf("core: %s on %s: %w", src.name, opts[0], err)
 				for j := k; j < len(traces); j++ {
 					traces[j].err = err
 					close(traces[j].ready)
@@ -243,7 +262,7 @@ func figure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, op
 		}
 	}()
 
-	err = fanout.ForEach(len(benches)*len(opts), len(opts), func(t int) error {
+	err = fanout.ForEach(len(rows)*len(opts), len(opts), func(t int) error {
 		k, i := t/len(opts), t%len(opts)
 		tr := &traces[k]
 		<-tr.ready
@@ -263,9 +282,9 @@ func figure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, op
 		}
 		res, err := sim.Replay(ctx, lg, spec.Obs)
 		if err != nil {
-			return fmt.Errorf("core: %s on %s: %w", benches[k].Name, opts[i], err)
+			return fmt.Errorf("core: %s on %s: %w", rows[k].name, opts[i], err)
 		}
-		out.Rows[k][i] = memoryPerfFrom(benches[k].Name, opts[i], res)
+		out.Rows[k][i] = memoryPerfFrom(rows[k].name, opts[i], res)
 		return nil
 	})
 	cancelGen()

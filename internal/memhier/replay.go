@@ -2,7 +2,9 @@ package memhier
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 
@@ -189,27 +191,32 @@ type L1Log struct {
 	invals             uint64
 }
 
-// FilterL1 runs the front end of cfg once over recs and records each
-// record's L1 event. Dependencies resolve against the same record-ID
-// window Run uses, so replaying the log gives the Result Run gives on
-// the same records, bit for bit. The window shrinks to the smallest
-// power of two above the largest record id when that is smaller:
-// every id then keeps its own slot, so no lookup changes.
-func FilterL1(ctx context.Context, cfg Config, recs []trace.Record) (*L1Log, error) {
+// SizedStream is a trace that reports its record count before it is
+// read, such as a trace.SliceStream or a workload.Stream.
+type SizedStream interface {
+	trace.Stream
+	Len() int
+}
+
+// FilterL1 runs the front end of cfg once over the records of src and
+// records each record's L1 event; src.Len() sizes the log. Records are
+// read one at a time, so the caller need not hold the whole trace.
+// Dependencies resolve against the same record-ID window Run uses, so
+// replaying the log gives the Result Run gives on the same records,
+// bit for bit. The window starts at the smallest power of two above
+// src.Len()-1, the largest id of a trace numbered from 0, and doubles,
+// up to depWindow, whenever a record's id does not fit. While it is
+// smaller than depWindow every id seen sits at slot id, so growing it
+// with empty slots changes no lookup.
+func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if uint64(len(recs)) > math.MaxUint32 {
-		return nil, fmt.Errorf("memhier: %d records is more than an L1 log holds", len(recs))
+	n := src.Len()
+	if uint64(n) > math.MaxUint32 {
+		return nil, fmt.Errorf("memhier: %d records is more than an L1 log holds", n)
 	}
-	var maxID uint64
-	for _, rec := range recs {
-		maxID = max(maxID, rec.ID)
-	}
-	window := depWindow
-	if maxID < depWindow {
-		window = 1 << bits.Len64(maxID)
-	}
+	window := min(depWindow, 1<<bits.Len(uint(max(n-1, 0))))
 	fe := newFrontEnd(cfg)
 	fe.resetWindow(window)
 	// pos holds the position of the record in each window slot.
@@ -218,18 +225,33 @@ func FilterL1(ctx context.Context, cfg Config, recs []trace.Record) (*L1Log, err
 
 	lg := &L1Log{
 		cores: cfg.Cores, l1i: cfg.L1I, l1d: cfg.L1D,
-		events: make([]event, len(recs)),
+		events: make([]event, n),
 	}
 	chunk := make([]uint64, 0, max(addrChunk, maxEventAddrs(cfg.Cores)))
 	longest := 0
-	for i, rec := range recs {
+	i := 0
+	for ; ; i++ {
 		if i%4096 == 4095 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("memhier: L1 filter canceled after %d records: %w", i, err)
 			}
 		}
+		rec, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("memhier: reading trace: %w", err)
+		}
+		if i == n {
+			return nil, fmt.Errorf("memhier: trace holds more than the %d records it reported", n)
+		}
 		if err := fe.check(rec); err != nil {
 			return nil, err
+		}
+		if rec.ID > mask && len(pos) < depWindow {
+			pos = fe.growWindow(pos, rec.ID)
+			mask = uint64(len(pos) - 1)
 		}
 		if len(chunk)+maxEventAddrs(cfg.Cores) > cap(chunk) {
 			lg.addrs = append(lg.addrs, chunk)
@@ -245,11 +267,28 @@ func FilterL1(ctx context.Context, cfg Config, recs []trace.Record) (*L1Log, err
 		pos[rec.ID&mask] = uint32(i)
 		lg.events[i] = ev
 	}
+	lg.events = lg.events[:i]
 	lg.addrs = append(lg.addrs, chunk)
 	lg.ring = 1 << bits.Len(uint(longest))
 	lg.l1iStats, lg.l1dStats = fe.stats()
 	lg.invals = fe.invals
 	return lg, nil
+}
+
+// growWindow doubles the dependency window, and pos beside it, until
+// it holds id or reaches depWindow. Every id seen so far is below the
+// old size and keeps its slot; the new slots are empty.
+func (f *frontEnd) growWindow(pos []uint32, id uint64) []uint32 {
+	size := len(pos)
+	for uint64(size) <= id && size < depWindow {
+		size *= 2
+	}
+	old := f.doneID
+	f.resetWindow(size)
+	copy(f.doneID, old)
+	grown := make([]uint32, size)
+	copy(grown, pos)
+	return grown
 }
 
 // l1Hits counts the L1 hits among the log's first n events.

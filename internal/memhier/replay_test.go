@@ -164,7 +164,7 @@ func TestFilterReplayMatchesRun(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfgs := figure5Configs(t, tc.cores, fc)
-				lg, err := FilterL1(ctx, cfgs[0], tc.recs)
+				lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(tc.recs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,7 +209,7 @@ func TestFilterResolvesLikeRun(t *testing.T) {
 		"far-deps":    farDepTrace(),
 		"dense-ids":   dense,
 	} {
-		lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], recs)
+		lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestFilterResolvesLikeRun(t *testing.T) {
 // dependencies must both resolve and miss.
 func TestAdversarialTraceReachesEdges(t *testing.T) {
 	recs := adversarialTrace(30_000)
-	lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], recs)
+	lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestReplaySharedRegistry(t *testing.T) {
 	ctx := context.Background()
 	recs := adversarialTrace(10_000)
 	cfgs := figure5Configs(t, 4, replayFaults)
-	lg, err := FilterL1(ctx, cfgs[0], recs)
+	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestReplayPublishConcurrent(t *testing.T) {
 	ctx := context.Background()
 	recs := adversarialTrace(10_000)
 	cfgs := figure5Configs(t, 4, replayFaults)
-	lg, err := FilterL1(ctx, cfgs[0], recs)
+	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestReplayPublishConcurrent(t *testing.T) {
 // with the core count and L1s it was filtered for.
 func TestReplayRefusesOtherL1s(t *testing.T) {
 	ctx := context.Background()
-	lg, err := FilterL1(ctx, BaselineConfig(), wrappingTrace(100))
+	lg, err := FilterL1(ctx, BaselineConfig(), trace.NewSliceStream(wrappingTrace(100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestReplayRefusesOtherL1s(t *testing.T) {
 func TestFilterRejectsBadCPU(t *testing.T) {
 	recs := []trace.Record{{ID: 0, Dep: trace.NoDep, CPU: 7, Kind: trace.Load}}
 	_, runErr := mustSim(t, BaselineConfig()).Run(context.Background(), trace.NewSliceStream(recs), RunOptions{})
-	_, err := FilterL1(context.Background(), BaselineConfig(), recs)
+	_, err := FilterL1(context.Background(), BaselineConfig(), trace.NewSliceStream(recs))
 	if err == nil || runErr == nil || err.Error() != runErr.Error() {
 		t.Fatalf("filter error %v, Run error %v: want the same error", err, runErr)
 	}

@@ -17,6 +17,7 @@ package uarch
 import (
 	"context"
 	"fmt"
+	"math/bits"
 )
 
 // OpType classifies instructions for the timing model.
@@ -301,6 +302,21 @@ type Result struct {
 // Run executes the program on the configured pipeline and returns its
 // timing, with cooperative cancellation checked every few thousand
 // instructions. The model is deterministic.
+//
+// Run keeps each instruction's completion and retirement times only
+// while a later instruction can still read them, in rings of the
+// smallest power of two above max(ROBSize, RetireWidth) indexed by
+// i & mask, so its memory does not grow with the program. Retirement
+// reads back RetireWidth instructions and rename ROBSize (an entry's
+// deallocation is its retirement plus RetireDeallocStages). A data
+// dependence reaching back d >= ROBSize instructions, to j <= i-ROBSize,
+// is skipped, exactly: complete[j] <= retire[j] (an instruction retires
+// no earlier than it completes), retire never decreases, and
+// RetireDeallocStages >= 0 (Validate enforces it), so
+//
+//	complete[j] <= retire[j] <= retire[i-ROBSize] <= dealloc[i-ROBSize] <= rename <= issue,
+//
+// and the dependence could never have delayed issue.
 func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -310,9 +326,11 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		return Result{}, nil
 	}
 
-	complete := make([]int64, n)
-	retire := make([]int64, n)
-	dealloc := make([]int64, n)
+	ringSize := 1 << bits.Len(uint(max(cfg.ROBSize, cfg.RetireWidth)))
+	mask := ringSize - 1
+	complete := make([]int64, ringSize)
+	retire := make([]int64, ringSize)
+	deallocStages := int64(cfg.RetireDeallocStages)
 
 	// Store-queue entry release times, ring-indexed by store ordinal.
 	storeFree := make([]int64, cfg.StoreQueue)
@@ -352,8 +370,8 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		// Rename completes after the front end; the ROB entry for this
 		// instruction needs the entry of (i - ROBSize) deallocated.
 		rename := fetch + feDepth
-		if j := i - cfg.ROBSize; j >= 0 && dealloc[j] > rename {
-			rename = dealloc[j]
+		if j := i - cfg.ROBSize; j >= 0 && retire[j&mask]+deallocStages > rename {
+			rename = retire[j&mask] + deallocStages
 		}
 		// Stores additionally need a store-queue entry; entries recycle
 		// StoreLifetime cycles after the previous owner retired.
@@ -365,14 +383,14 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 
 		// Issue: data dependences and scheduler occupancy.
 		issue := rename
-		if in.Dep1 > 0 {
-			if j := i - int(in.Dep1); j >= 0 && complete[j] > issue {
-				issue = complete[j]
+		if d := int(in.Dep1); d > 0 && d < cfg.ROBSize {
+			if j := i - d; j >= 0 && complete[j&mask] > issue {
+				issue = complete[j&mask]
 			}
 		}
-		if in.Dep2 > 0 {
-			if j := i - int(in.Dep2); j >= 0 && complete[j] > issue {
-				issue = complete[j]
+		if d := int(in.Dep2); d > 0 && d < cfg.ROBSize {
+			if j := i - d; j >= 0 && complete[j&mask] > issue {
+				issue = complete[j&mask]
 			}
 		}
 		// Scheduler: at most Scheduler instructions between rename and
@@ -420,7 +438,7 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 			return Result{}, fmt.Errorf("uarch: unknown op %v at %d", in.Op, i)
 		}
 		done := issue + lat
-		complete[i] = done
+		complete[i&mask] = done
 		schedFree[slot] = issue + 1
 
 		// Mispredicted branches redirect fetch after the resolution loop.
@@ -441,14 +459,13 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 
 		// Retire: in order, width-limited.
 		ret := done
-		if i > 0 && retire[i-1] > ret {
-			ret = retire[i-1]
+		if i > 0 && retire[(i-1)&mask] > ret {
+			ret = retire[(i-1)&mask]
 		}
-		if j := i - cfg.RetireWidth; j >= 0 && retire[j]+1 > ret {
-			ret = retire[j] + 1
+		if j := i - cfg.RetireWidth; j >= 0 && retire[j&mask]+1 > ret {
+			ret = retire[j&mask] + 1
 		}
-		retire[i] = ret
-		dealloc[i] = ret + int64(cfg.RetireDeallocStages)
+		retire[i&mask] = ret
 		if in.Op == OpStore {
 			storeFree[storeCount%cfg.StoreQueue] = ret + int64(cfg.StoreLifetime)
 			storeCount++
@@ -456,7 +473,7 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 	}
 
 	res.Insts = uint64(n)
-	res.Cycles = retire[n-1]
+	res.Cycles = retire[(n-1)&mask]
 	if res.Cycles > 0 {
 		res.IPC = float64(n) / float64(res.Cycles)
 	}

@@ -25,7 +25,7 @@ const blockRecs = 1 << 12
 // rec is one record as an emitter block holds it: 24 bytes, where a
 // trace.Record takes 40. Its id is its position in the thread, its CPU
 // is the thread, and its PC is kept as an offset from the thread's
-// codeBase; interleave expands it into the full form.
+// codeBase; a Stream expands it into the full form.
 type rec struct {
 	addr uint64
 	dep  uint64 // local id, or none
@@ -35,7 +35,7 @@ type rec struct {
 }
 
 // emitter builds one thread's record list with thread-local ids 0..n-1.
-// interleave merges two threads into a global trace.
+// A Stream interleaves two threads into a global trace.
 type emitter struct {
 	// blocks hold the records in id order, blockRecs to a block; only
 	// the last block may be partly filled.

@@ -1,7 +1,5 @@
 package workload
 
-import "diestack/internal/trace"
-
 // The twelve RMS benchmark generators. Each models the line-granular
 // memory behaviour of its algorithm with the work split row-wise (or
 // element-wise) across two threads, the way the paper's two-threaded
@@ -13,14 +11,15 @@ import "diestack/internal/trace"
 // ranges from ~12 MB (sUS) to ~37 MB (svm) so that the 32 MB and
 // 64 MB stacked caches capture progressively more of the working set.
 
-// twoThreads runs kernel for thread 0 and 1 and interleaves.
-func twoThreads(seed uint64, kernel func(e *emitter, thread int)) []trace.Record {
+// twoThreads runs kernel for thread 0 and 1 and returns both threads'
+// emitters, for a Stream to interleave.
+func twoThreads(seed uint64, kernel func(e *emitter, thread int)) [2]*emitter {
 	var ths [2]*emitter
 	for t := range ths {
 		ths[t] = newEmitter(seed, t)
 		kernel(ths[t], t)
 	}
-	return interleave(ths)
+	return ths
 }
 
 // chainEvery returns a helper that threads a dependency through every
@@ -43,7 +42,7 @@ func chainEvery(n int) func(e *emitter, addr uint64, count *int, last *uint64) {
 // genConj: conjugate-gradient solve on a dense system. Matrix A
 // (~2.5 MB) is swept once per iteration; vectors x, r, p, q are hot.
 // Dot products form dependence chains. Fits in the 4 MB baseline.
-func genConj(seed uint64, scale float64) []trace.Record {
+func genConj(seed uint64, scale float64) [2]*emitter {
 	n := dims(560, sqrtScale(scale), 64) // A is n x n doubles ~ 2.5 MB
 	iters := 6
 	aBase, xBase, pBase, qBase, rBase := region(0), region(1), region(2), region(3), region(4)
@@ -90,7 +89,7 @@ func genConj(seed uint64, scale float64) []trace.Record {
 
 // genDSym: blocked dense matrix multiply C = A x B with three ~0.8 MB
 // matrices (total ~2.5 MB). Heavy block reuse; fits in the baseline.
-func genDSym(seed uint64, scale float64) []trace.Record {
+func genDSym(seed uint64, scale float64) [2]*emitter {
 	n := dims(320, sqrtScale(scale), 64)
 	const blk = 64
 	nb := n / blk
@@ -141,7 +140,7 @@ func dsymPass(e *emitter, loB, hiB, nb int, aBase, bBase, cBase, blockBytes, blo
 // pass rewrites the whole matrix; two representative passes are
 // emitted (the algorithm's n passes all look alike to the hierarchy).
 // Strong capacity response: the matrix never fits 4 MB but fits 32 MB.
-func genGauss(seed uint64, scale float64) []trace.Record {
+func genGauss(seed uint64, scale float64) [2]*emitter {
 	n := dims(1440, sqrtScale(scale), 128) // n x n doubles ~ 16 MB
 	passes := 3
 	aBase := region(0)
@@ -220,7 +219,7 @@ func (s sparseDims) matvecSweep(e *emitter, lo, hi int, scatter bool) {
 // genPCG: preconditioned CG with an incomplete-Cholesky factor and
 // red-black ordering. Matrix ~19 MB plus factor ~10 MB: responds to
 // capacity through 64 MB.
-func genPCG(seed uint64, scale float64) []trace.Record {
+func genPCG(seed uint64, scale float64) [2]*emitter {
 	s := newSparse(dims(100_000, scale, 4096), 12)
 	lBase, lColsBase := region(4), region(5)
 	lRowBytes := uint64(6) * 8
@@ -264,7 +263,7 @@ func genPCG(seed uint64, scale float64) []trace.Record {
 
 // genSMVM: plain CSR sparse matrix-vector multiply, ~15 MB footprint,
 // swept three times (three solver iterations).
-func genSMVM(seed uint64, scale float64) []trace.Record {
+func genSMVM(seed uint64, scale float64) [2]*emitter {
 	s := newSparse(dims(130_000, scale, 4096), 12)
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
@@ -277,7 +276,7 @@ func genSMVM(seed uint64, scale float64) []trace.Record {
 // genSSym: symmetric sparse multiply storing only the upper triangle,
 // ~2.5 MB. Extra scattered accumulations into y[col] but the whole
 // problem fits the baseline cache.
-func genSSym(seed uint64, scale float64) []trace.Record {
+func genSSym(seed uint64, scale float64) [2]*emitter {
 	s := newSparse(dims(1_200, scale, 256), 8)
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
@@ -300,7 +299,7 @@ func genSSym(seed uint64, scale float64) []trace.Record {
 // genSTrans: transposed sparse multiply — the scatter version of
 // sMVM. Scattered stores generate dirty-eviction writeback traffic on
 // top of the ~15 MB streaming footprint.
-func genSTrans(seed uint64, scale float64) []trace.Record {
+func genSTrans(seed uint64, scale float64) [2]*emitter {
 	s := newSparse(dims(130_000, scale, 4096), 12)
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
@@ -355,7 +354,7 @@ func (f femDims) assemble(e *emitter, lo, hi, sweeps, spread int) {
 
 // genSAVDF: structural rigidity, AVDF kernel — compact ~3 MB mesh with
 // mostly local gathers. Fits the baseline.
-func genSAVDF(seed uint64, scale float64) []trace.Record {
+func genSAVDF(seed uint64, scale float64) [2]*emitter {
 	f := newFEM(dims(25_000, scale, 2048), dims(30_000, scale, 2048))
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
@@ -365,7 +364,7 @@ func genSAVDF(seed uint64, scale float64) []trace.Record {
 
 // genSAVIF: structural rigidity, AVIF kernel — same compact mesh with
 // irregular (indexed) gathers. Fits the baseline.
-func genSAVIF(seed uint64, scale float64) []trace.Record {
+func genSAVIF(seed uint64, scale float64) [2]*emitter {
 	f := newFEM(dims(25_000, scale, 2048), dims(30_000, scale, 2048))
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
@@ -375,7 +374,7 @@ func genSAVIF(seed uint64, scale float64) []trace.Record {
 
 // genSUS: structural rigidity, US kernel — a ~12 MB mesh with wide
 // irregular gathers. Misses the baseline, fits the stacked caches.
-func genSUS(seed uint64, scale float64) []trace.Record {
+func genSUS(seed uint64, scale float64) [2]*emitter {
 	f := newFEM(dims(120_000, scale, 8192), dims(260_000, scale, 8192))
 	return twoThreads(seed, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
@@ -386,7 +385,7 @@ func genSUS(seed uint64, scale float64) []trace.Record {
 // genSVD: one-sided Jacobi SVD on a small dense matrix (~0.6 MB).
 // Column-pair rotations revisit the same columns constantly; fits the
 // baseline with room to spare.
-func genSVD(seed uint64, scale float64) []trace.Record {
+func genSVD(seed uint64, scale float64) [2]*emitter {
 	n := dims(272, sqrtScale(scale), 64)
 	aBase := region(0)
 	colBytes := uint64(n) * 8
@@ -420,7 +419,7 @@ func genSVD(seed uint64, scale float64) []trace.Record {
 // subset of a ~37 MB support-vector matrix computing kernel dot
 // products; across queries the whole matrix is revisited. The largest
 // footprint in the suite — keeps improving through 64 MB.
-func genSVM(seed uint64, scale float64) []trace.Record {
+func genSVM(seed uint64, scale float64) [2]*emitter {
 	svs := dims(9000, scale, 512)
 	const dim = 512 // doubles per support vector: 4 KB, 64 lines
 	svBase, qBase := region(0), region(1)

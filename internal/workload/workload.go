@@ -22,6 +22,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"diestack/internal/trace"
@@ -36,11 +37,22 @@ type Benchmark struct {
 	// FitsIn4MB records the paper's observed behaviour: true if the
 	// working set fits the baseline cache (no capacity response).
 	FitsIn4MB bool
-	// Generate produces the two-threaded trace. scale >= 0.1 grows or
-	// shrinks the problem (and the footprint) roughly linearly;
-	// scale=1 is the reference size. The trace is deterministic in
-	// seed.
-	Generate func(seed uint64, scale float64) []trace.Record
+	// gen runs the benchmark's two threads into their emitters.
+	gen func(seed uint64, scale float64) [2]*emitter
+}
+
+// Stream returns the benchmark's two-threaded trace as a Stream over
+// the generated threads. scale >= 0.1 grows or shrinks the problem
+// (and the footprint) roughly linearly; scale=1 is the reference size.
+// The trace is deterministic in seed.
+func (b Benchmark) Stream(seed uint64, scale float64) *Stream {
+	return newStream(b.gen(seed, scale))
+}
+
+// Generate returns the records of b.Stream(seed, scale), collected
+// into one slice of exactly their count.
+func (b Benchmark) Generate(seed uint64, scale float64) []trace.Record {
+	return interleave(b.gen(seed, scale))
 }
 
 var registry = []Benchmark{
@@ -99,42 +111,83 @@ func FootprintBytes(recs []trace.Record) uint64 {
 	return uint64(Footprint(recs)) * 64
 }
 
-// interleave merges two threads' records (thread-local ids and
-// dependencies) into one global-order trace, alternating between the
-// threads record by record, the way the SMP trace generator sees both
-// processors advance together: t0[0], t1[0], t0[1], t1[1], …, then the
-// longer thread's tail. Ids and dependencies are renumbered by
-// globalID, so no remap table is needed; the CPU field is the thread
-// index and the PC is the thread's codeBase plus the record's offset.
-// The output is allocated once, at its exact size.
-func interleave(threads [2]*emitter) []trace.Record {
-	m := uint64(min(threads[0].n, threads[1].n))
-	out := make([]trace.Record, threads[0].n+threads[1].n)
-	for t, e := range threads {
-		local := uint64(0)
-		for _, blk := range e.blocks {
-			for _, r := range blk {
-				dep := r.dep
-				if dep != none {
-					if dep >= local {
-						panic(fmt.Sprintf("workload: thread %d record %d depends on non-earlier local id %d",
-							t, local, dep))
-					}
-					dep = globalID(dep, t, m)
-				}
-				id := globalID(local, t, m)
-				out[id] = trace.Record{
-					ID:   id,
-					Dep:  dep,
-					Addr: r.addr,
-					PC:   e.codeBase + uint64(r.pc),
-					CPU:  uint8(t),
-					Kind: r.kind,
-					Reps: r.reps,
-				}
-				local++
-			}
+// Stream is a benchmark's trace as a trace.Stream: the records of its
+// two threads, interleaved as they are read, the way the SMP trace
+// generator sees both processors advance together: t0[0], t1[0],
+// t0[1], t1[1], …, then the longer thread's tail. Position p is local
+// id p>>1 of thread p&1 while both threads have records (p < 2m, where
+// the shorter thread holds m), and local id p-m of the longer thread
+// after. Ids and dependencies are renumbered by globalID, so no remap
+// table is needed; the CPU field is the thread index and the PC is the
+// thread's codeBase plus the record's offset. A Stream reads its
+// threads once: each emitter block is dropped as soon as its last
+// record is read, so the blocks still live shrink as the stream is
+// consumed. A dependency on a non-earlier local id panics, naming the
+// thread and record.
+type Stream struct {
+	threads [2]*emitter
+	// m is the shorter thread's length, n the total, and tail the
+	// longer thread.
+	m, n uint64
+	tail int
+	pos  uint64
+}
+
+func newStream(threads [2]*emitter) *Stream {
+	s := &Stream{threads: threads, m: uint64(min(threads[0].n, threads[1].n))}
+	s.n = uint64(threads[0].n + threads[1].n)
+	if threads[1].n > threads[0].n {
+		s.tail = 1
+	}
+	return s
+}
+
+// Len returns the number of records in the whole trace.
+func (s *Stream) Len() int { return int(s.n) }
+
+// Next implements trace.Stream.
+func (s *Stream) Next() (trace.Record, error) {
+	p := s.pos
+	if p >= s.n {
+		return trace.Record{}, io.EOF
+	}
+	s.pos++
+	t, local := int(p&1), p>>1
+	if p >= 2*s.m {
+		t, local = s.tail, p-s.m
+	}
+	e := s.threads[t]
+	b, off := local/blockRecs, local%blockRecs
+	r := e.blocks[b][off]
+	if off == blockRecs-1 {
+		e.blocks[b] = nil
+	}
+	dep := r.dep
+	if dep != none {
+		if dep >= local {
+			panic(fmt.Sprintf("workload: thread %d record %d depends on non-earlier local id %d",
+				t, local, dep))
 		}
+		dep = globalID(dep, t, s.m)
+	}
+	return trace.Record{
+		ID:   p,
+		Dep:  dep,
+		Addr: r.addr,
+		PC:   e.codeBase + uint64(r.pc),
+		CPU:  uint8(t),
+		Kind: r.kind,
+		Reps: r.reps,
+	}, nil
+}
+
+// interleave collects a Stream over the two threads into one
+// global-order trace, allocated once at its exact size.
+func interleave(threads [2]*emitter) []trace.Record {
+	s := newStream(threads)
+	out := make([]trace.Record, s.n)
+	for i := range out {
+		out[i], _ = s.Next()
 	}
 	return out
 }

@@ -195,6 +195,30 @@ func TestInterleavePanicsOnForwardDep(t *testing.T) {
 	interleave([2]*emitter{thread(rec{dep: 5}), thread()})
 }
 
+// TestStreamDropsReadBlocks checks that a Stream lets go of each
+// emitter block once its last record is read, and of no block before.
+func TestStreamDropsReadBlocks(t *testing.T) {
+	b, _ := ByName("gauss")
+	ths := b.gen(1, 0.1)
+	s := newStream(ths)
+	// Read both threads' first two blocks and one record of the third.
+	for range 4*blockRecs + 1 {
+		if _, err := s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for th, e := range ths {
+		if len(e.blocks) < 4 {
+			t.Fatalf("thread %d has %d blocks; the test needs 4", th, len(e.blocks))
+		}
+		for k, blk := range e.blocks[:4] {
+			if read := k < 2; (blk == nil) != read {
+				t.Errorf("thread %d block %d: dropped = %v, want %v", th, k, blk == nil, read)
+			}
+		}
+	}
+}
+
 func TestRegionsDisjoint(t *testing.T) {
 	// svm touches its support vectors, query region, and code region.
 	b, _ := ByName("svm")

@@ -36,14 +36,15 @@ echo "== solver crew race =="
 go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint' ./internal/thermal/
 
 echo "== fan-out race =="
-# Figure 5 builds the next trace while the current one replays, Table 4
-# runs its twelve configurations side by side, and the campaign harness
-# runs its jobs, all through internal/fanout. -cpu 1,2,4 races the
-# trace pipeline and the fan-out at two and four workers even on a
-# one-core runner, and checks the GOMAXPROCS 1 serial path.
-go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate' \
+# Figure 5 streams the next trace through the L1 filter while the
+# current one replays, Table 4 runs its twelve configurations side by
+# side, and the campaign harness runs its jobs, all through
+# internal/fanout. -cpu 1,2,4 races the trace pipeline, the streamed
+# filter and the fan-out at two and four workers even on a one-core
+# runner, and checks the GOMAXPROCS 1 serial path.
+go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream' \
     ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/ \
-    ./internal/harness/
+    ./internal/harness/ ./internal/memhier/
 
 echo "== fuzz =="
 # Each of the three decoders of outside bytes fuzzed briefly beyond its
