@@ -16,11 +16,10 @@ import (
 	"time"
 )
 
-// TestCLIGolden builds the three paper CLIs and the two examples that
-// drive memhier.FilterL1 and uarch.Run, and checks that each
-// invocation in testdata/cli/cases prints byte-for-byte the recorded
-// standard output, exits with the recorded code and, for a campaign,
-// writes the recorded manifest. Refactors behind the CLIs must leave
+// TestCLIGolden builds the three paper CLIs and the five examples, and
+// checks that each invocation in testdata/cli/cases prints
+// byte-for-byte the recorded standard output, exits with the recorded
+// code and, for a campaign, writes the recorded manifest. Refactors behind the CLIs must leave
 // every byte in place. The thermal3d_sigterm subtest checks how a run
 // stops on SIGTERM.
 func TestCLIGolden(t *testing.T) {
@@ -30,7 +29,8 @@ func TestCLIGolden(t *testing.T) {
 	}
 	statModuleSources(t)
 	bin := t.TempDir()
-	for _, pkg := range []string{"cmd/stackmem", "cmd/thermal3d", "cmd/stacklogic", "examples/dramcache", "examples/folded_cpu"} {
+	for _, pkg := range []string{"cmd/stackmem", "cmd/thermal3d", "cmd/stacklogic",
+		"examples/dramcache", "examples/folded_cpu", "examples/quickstart", "examples/thermal_explore", "examples/tall_stack"} {
 		out, err := exec.Command(gobin, "build", "-o", filepath.Join(bin, filepath.Base(pkg)), "./"+pkg).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build ./%s: %v\n%s", pkg, err, out)
@@ -150,13 +150,14 @@ func checkSigterm(t *testing.T, bin string) {
 	}
 }
 
-// statModuleSources stats every Go source the CLIs are built from. The
-// binaries are compiled by a child go build, which go test's result
-// cache cannot see; the stats tie the cached verdict to those files,
-// so editing a CLI or a package only a CLI imports reruns this test.
+// statModuleSources stats every Go source the CLIs and examples are
+// built from. The binaries are compiled by a child go build, which go
+// test's result cache cannot see; the stats tie the cached verdict to
+// those files, so editing a CLI, an example or a package only they
+// import reruns this test.
 func statModuleSources(t *testing.T) {
 	t.Helper()
-	for _, root := range []string{"cmd", "internal"} {
+	for _, root := range []string{"cmd", "examples", "internal"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err

@@ -95,9 +95,11 @@ func (c Config) TagStoreBytes(addrBits int) uint64 {
 	return (uint64(perLine)*lines + 7) / 8
 }
 
+// way is one line of tag state. A way is valid iff present != 0: an
+// allocation sets the accessed sector's bit, hits only add bits, and
+// Invalidate zeroes them all.
 type way struct {
 	tag     uint64
-	valid   bool
 	present uint64 // per-sector valid bitmask
 	dirty   uint64 // per-sector dirty bitmask
 	lru     uint64 // last-touch sequence number
@@ -223,7 +225,7 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 
 	for i := range set {
 		w := &set[i]
-		if !w.valid || w.tag != tag {
+		if w.present == 0 || w.tag != tag {
 			continue
 		}
 		w.lru = c.seq
@@ -248,11 +250,11 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	victim := &set[0]
 	for i := 1; i < len(set); i++ {
 		w := &set[i]
-		if !w.valid {
+		if w.present == 0 {
 			victim = w
 			break
 		}
-		if !victim.valid {
+		if victim.present == 0 {
 			break
 		}
 		if w.lru < victim.lru {
@@ -261,7 +263,7 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	}
 
 	out := Outcome{Hit: false, LineHit: false}
-	if victim.valid {
+	if victim.present != 0 {
 		c.stats.Evictions++
 		evAddr := c.reconstruct(victim.tag, c.index(addr))
 		out.Evicted = true
@@ -274,7 +276,6 @@ func (c *Cache) Access(addr uint64, write bool) Outcome {
 	}
 
 	victim.tag = tag
-	victim.valid = true
 	victim.present = sb
 	victim.dirty = 0
 	if write {
@@ -296,7 +297,7 @@ func (c *Cache) Probe(addr uint64) bool {
 	tag := c.tag(addr)
 	sb := c.sectorBit(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag && set[i].present&sb != 0 {
+		if set[i].tag == tag && set[i].present&sb != 0 {
 			return true
 		}
 	}
@@ -311,7 +312,7 @@ func (c *Cache) Invalidate(addr uint64) (ev Eviction, ok bool) {
 	tag := c.tag(addr)
 	for i := range set {
 		w := &set[i]
-		if !w.valid || w.tag != tag {
+		if w.present == 0 || w.tag != tag {
 			continue
 		}
 		c.stats.Invalidates++
@@ -320,7 +321,6 @@ func (c *Cache) Invalidate(addr uint64) (ev Eviction, ok bool) {
 			ev.Dirty = true
 			ev.DirtySectors = w.dirty
 		}
-		w.valid = false
 		w.present = 0
 		w.dirty = 0
 		return ev, true
@@ -331,6 +331,17 @@ func (c *Cache) Invalidate(addr uint64) (ev Eviction, ok bool) {
 // Stats returns a copy of accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// Reset returns the cache to the state New left it in: every way
+// invalid, the LRU sequence at zero and the statistics cleared. It
+// keeps the tag arrays and allocates nothing.
+func (c *Cache) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	c.seq = 0
+	c.stats = Stats{}
+}
+
 // Occupancy returns the fraction of lines currently valid.
 func (c *Cache) Occupancy() float64 {
 	valid := 0
@@ -338,7 +349,7 @@ func (c *Cache) Occupancy() float64 {
 	for _, set := range c.sets {
 		for i := range set {
 			total++
-			if set[i].valid {
+			if set[i].present != 0 {
 				valid++
 			}
 		}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,87 @@ func TestFullyAssociativeSweep(t *testing.T) {
 	out := c.Access(16*64, false)
 	if !out.Evicted || out.Eviction.Addr != 0 {
 		t.Fatalf("expected eviction of line 0, got %+v", out)
+	}
+}
+
+// findWay returns the way holding addr's tag in its set, or nil.
+func findWay(c *Cache, addr uint64) *way {
+	set := c.sets[c.index(addr)]
+	for i := range set {
+		if set[i].tag == c.tag(addr) {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+// TestInvalidateEmptiesWay checks the validity invariant a way relies
+// on: a way is valid iff any sector is present. After an Invalidate —
+// a coherence drop on an L1, or a poisoned-line drop on the sectored
+// stacked-DRAM L2 — the way holds no sector, Probe misses every one,
+// Occupancy counts the way as empty, and the next allocation into the
+// set takes it without evicting anything.
+func TestInvalidateEmptiesWay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"line", l1Cfg()}, {"sectored", dramCfg()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(tc.cfg)
+			line := uint64(0x40000)
+			for off := uint64(0); off < tc.cfg.LineBytes; off += 64 {
+				c.Access(line+off, off%128 == 0)
+			}
+			before := c.Occupancy()
+			if _, ok := c.Invalidate(line); !ok {
+				t.Fatal("line absent before Invalidate")
+			}
+			w := findWay(c, line)
+			if w == nil {
+				t.Fatal("way lost its tag")
+			}
+			if w.present != 0 || w.dirty != 0 {
+				t.Fatalf("invalidated way present=%#x dirty=%#x, want 0", w.present, w.dirty)
+			}
+			for off := uint64(0); off < tc.cfg.LineBytes; off += 64 {
+				if c.Probe(line + off) {
+					t.Fatalf("Probe(%#x) true after Invalidate", line+off)
+				}
+			}
+			lines := float64(tc.cfg.SizeBytes / tc.cfg.LineBytes)
+			if got, want := c.Occupancy(), before-1/lines; got != want {
+				t.Fatalf("Occupancy %v after Invalidate, want %v", got, want)
+			}
+			// Fill every other way of the set; the invalidated one is
+			// still free, so one more line fits without an eviction.
+			stride := tc.cfg.Sets() * tc.cfg.LineBytes
+			for k := uint64(1); k < uint64(tc.cfg.Ways); k++ {
+				if out := c.Access(line+k*stride, false); out.Evicted {
+					t.Fatalf("way %d evicted %+v", k, out.Eviction)
+				}
+			}
+			if out := c.Access(line+uint64(tc.cfg.Ways)*stride, false); out.Evicted {
+				t.Fatalf("allocation evicted %+v with an invalid way in the set", out.Eviction)
+			}
+		})
+	}
+}
+
+// TestResetMatchesNew checks that Reset returns a used cache to the
+// state New leaves, without allocating.
+func TestResetMatchesNew(t *testing.T) {
+	for _, cfg := range []Config{l1Cfg(), dramCfg()} {
+		c := New(cfg)
+		for a := uint64(0); a < 1<<16; a++ {
+			c.Access(a*4160, a%3 == 0)
+		}
+		c.Invalidate(0)
+		c.Reset()
+		if !reflect.DeepEqual(c, New(cfg)) {
+			t.Errorf("%+v: Reset cache differs from a new one", cfg)
+		}
+		if n := testing.AllocsPerRun(10, c.Reset); n != 0 {
+			t.Errorf("%+v: Reset allocates %v times", cfg, n)
+		}
 	}
 }

@@ -212,10 +212,12 @@ func benchSources(spec RunSpec, benches []workload.Benchmark) []traceSource {
 // benchmark's records are never collected: its stream drops each
 // emitter block once read, so the blocks shrink as the log grows. The
 // (row, option) replays form one list in order that up to
-// min(GOMAXPROCS, 4) workers take from, each replay on its own
-// simulator reading the shared, read-only log; each equals a full
-// memhier Run of the trace, bit for bit. There is no join between
-// rows: trace k+1 is filtered while trace k's options replay. Two
+// min(GOMAXPROCS, 4) workers take from, each replay on a simulator no
+// other replay holds meanwhile, reading the shared, read-only log; each
+// equals a full memhier Run of the trace, bit for bit. Each option
+// keeps one idle simulator for the length of the call (idleSims), so
+// later rows reuse it after a Reset. There is no join between rows:
+// trace k+1 is filtered while trace k's options replay. Two
 // tokens keep at most two logs alive; a trace's token returns when its
 // last replay does. Results do not depend on the schedule. On failure
 // the error of the first failing (row, option) in order is returned;
@@ -238,6 +240,7 @@ func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []Memor
 	// still building a trace that no replay will read stops early.
 	genCtx, cancelGen := context.WithCancel(ctx)
 	tokens := make(chan struct{}, 2)
+	idle := idleSims{cfgs: cfgs, sims: make([]*memhier.Simulator, len(cfgs))}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -276,11 +279,12 @@ func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []Memor
 				<-tokens
 			}
 		}()
-		sim, err := memhier.New(cfgs[i])
+		sim, err := idle.take(i)
 		if err != nil {
 			return err
 		}
 		res, err := sim.Replay(ctx, lg, spec.Obs)
+		idle.put(i, sim)
 		if err != nil {
 			return fmt.Errorf("core: %s on %s: %w", rows[k].name, opts[i], err)
 		}
@@ -293,6 +297,41 @@ func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []Memor
 		return nil, err
 	}
 	return out, nil
+}
+
+// idleSims holds at most one idle simulator per option of a figure5
+// call. A replay takes its option's simulator, or builds one when
+// the slot is empty, and puts it back afterwards unless another replay
+// of the option refilled the slot first. One slot, not a free list,
+// keeps the tag arrays of concurrent replays from staying live once
+// they finish.
+type idleSims struct {
+	cfgs []memhier.Config
+	mu   sync.Mutex
+	sims []*memhier.Simulator
+}
+
+// take returns an option's idle simulator, Reset, or a new one.
+func (p *idleSims) take(i int) (*memhier.Simulator, error) {
+	p.mu.Lock()
+	sim := p.sims[i]
+	p.sims[i] = nil
+	p.mu.Unlock()
+	if sim == nil {
+		return memhier.New(p.cfgs[i])
+	}
+	sim.Reset()
+	return sim, nil
+}
+
+// put returns a simulator to its option's slot when the slot is
+// empty, and drops it otherwise.
+func (p *idleSims) put(i int, sim *memhier.Simulator) {
+	p.mu.Lock()
+	if p.sims[i] == nil {
+		p.sims[i] = sim
+	}
+	p.mu.Unlock()
 }
 
 // figure5Configs returns each option's hierarchy with fc injected,

@@ -325,6 +325,19 @@ func (d *Device) Access(now int64, addr uint64, isWrite bool) (done int64, res R
 // Stats returns a copy of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
 
+// Reset returns the device to the state New left it in: every bank
+// closed and idle, and the statistics cleared. An attached fault model
+// stays attached. Reset keeps the banks' open-row buffers and
+// allocates nothing.
+func (d *Device) Reset() {
+	for i := range d.banks {
+		b := &d.banks[i]
+		b.rows = b.rows[:0]
+		b.busyUntil = 0
+	}
+	d.stats = Stats{}
+}
+
 // UncontendedLatency returns the access latency for each row outcome
 // with no bank queueing, including interface overhead. Useful for
 // configuration reporting and analytical checks.

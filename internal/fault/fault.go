@@ -246,6 +246,14 @@ func New(cfg Config) (*Injector, error) {
 // Stats returns a copy of the accumulated fault statistics.
 func (in *Injector) Stats() Stats { return in.stats }
 
+// Reset returns the injector to the state New left it in: its ECC and
+// sensor draw counters restart the seed's schedule from the first draw,
+// and the statistics are cleared.
+func (in *Injector) Reset() {
+	in.eccN, in.sensorN = 0, 0
+	in.stats = Stats{}
+}
+
 // draw returns the n-th uniform [0,1) variate of the given domain.
 func (in *Injector) draw(domain, n uint64) float64 {
 	v := mix(in.cfg.Seed ^ domain*0x9e3779b97f4a7c15 ^ n*0xd1342543de82ef95)

@@ -314,6 +314,29 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
+// Reset returns the simulator to the state New left it in, so one
+// simulator can replay several traces in turn: the L1s and their
+// coherence count, the L2 tags, both DRAM devices, the fault
+// injector's draw counters, the bus, the traffic and repeat-hit totals
+// and the latency histogram all start over. The attached fault model
+// stays attached, and Run refills its own dependency window. Reset
+// keeps every array and allocates nothing.
+func (s *Simulator) Reset() {
+	s.fe.reset()
+	s.l2.Reset()
+	if s.darr != nil {
+		s.darr.Reset()
+	}
+	s.mem.Reset()
+	if s.inj != nil {
+		s.inj.Reset()
+	}
+	s.busFree = 0
+	s.offDieBytes = 0
+	s.repHits = 0
+	s.latencies.Reset()
+}
+
 // depWindow is the size, in records, of Run's dependency window: the
 // front end's record-ID table and the back end's completion table,
 // both indexed by id mod depWindow. Dependencies in real traces reach
@@ -416,7 +439,8 @@ func (s *Simulator) Run(ctx context.Context, stream trace.Stream, opt RunOptions
 		if err := s.fe.check(rec); err != nil {
 			return Result{}, err
 		}
-		ev, addrs, dep := s.fe.step(rec, s.addrs[:0])
+		dep := s.fe.resolve(rec)
+		ev, addrs := s.fe.step(rec, s.addrs[:0])
 		s.step(st, ev, addrs, dep, int(rec.ID%depWindow))
 	}
 

@@ -41,6 +41,16 @@ func newFrontEnd(cfg Config) frontEnd {
 	return f
 }
 
+// reset empties the L1s and zeroes the invalidation count, keeping the
+// dependency window.
+func (f *frontEnd) reset() {
+	for i := range f.l1d {
+		f.l1i[i].Reset()
+		f.l1d[i].Reset()
+	}
+	f.invals = 0
+}
+
 // resetWindow installs an empty dependency window of the given
 // power-of-two size.
 func (f *frontEnd) resetWindow(size int) {
@@ -99,11 +109,11 @@ func (e event) addrCount() int {
 // writeback and a fill.
 func maxEventAddrs(cores int) int { return cores + 1 }
 
-// step runs one checked record through the L1s, appending its event's
-// L2 addresses to addrs. dep is the window slot holding the record's
-// dependency, or -1 when it has none or the dependency's id is no
-// longer in the window.
-func (f *frontEnd) step(rec trace.Record, addrs []uint64) (ev event, _ []uint64, dep int) {
+// resolve looks the record's dependency up in the window and then
+// stores the record's own id there. It returns the window slot holding
+// the dependency, or -1 when the record has none or the dependency's
+// id is no longer in the window.
+func (f *frontEnd) resolve(rec trace.Record) (dep int) {
 	mask := uint64(len(f.doneID) - 1)
 	dep = -1
 	if rec.HasDep() {
@@ -112,7 +122,12 @@ func (f *frontEnd) step(rec trace.Record, addrs []uint64) (ev event, _ []uint64,
 		}
 	}
 	f.doneID[rec.ID&mask] = rec.ID
+	return dep
+}
 
+// step runs one checked record through the L1s, appending its event's
+// L2 addresses to addrs.
+func (f *frontEnd) step(rec trace.Record, addrs []uint64) (ev event, _ []uint64) {
 	cpu := int(rec.CPU)
 	ev = event{cpu: rec.CPU, reps: rec.Reps}
 	l1 := f.l1d[cpu]
@@ -140,13 +155,13 @@ func (f *frontEnd) step(rec trace.Record, addrs []uint64) (ev event, _ []uint64,
 	out := l1.Access(rec.Addr, write)
 	if out.Hit {
 		ev.flags |= evHit
-		return ev, addrs, dep
+		return ev, addrs
 	}
 	if out.Evicted && out.Eviction.Dirty {
 		addrs = append(addrs, out.Eviction.Addr)
 		ev.flags |= evWriteback
 	}
-	return ev, append(addrs, rec.Addr), dep
+	return ev, append(addrs, rec.Addr)
 }
 
 // stats totals the L1 statistics over all cores.
@@ -208,6 +223,14 @@ type SizedStream interface {
 // up to depWindow, whenever a record's id does not fit. While it is
 // smaller than depWindow every id seen sits at slot id, so growing it
 // with empty slots changes no lookup.
+//
+// The window is implicit while every record's id is its position, as
+// in every generated trace and tracegen file: slot s then holds the
+// largest position below the current one that is congruent to s, so
+// a dependency resolves iff it is older than the record by at most
+// the window's size, and its distance is the difference of the ids.
+// The first record out of place materializes the window (slotWindow)
+// and the lookup table takes over from there.
 func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -218,9 +241,9 @@ func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) 
 	}
 	window := min(depWindow, 1<<bits.Len(uint(max(n-1, 0))))
 	fe := newFrontEnd(cfg)
-	fe.resetWindow(window)
-	// pos holds the position of the record in each window slot.
-	pos := make([]uint32, window)
+	// pos holds the position of the record in each window slot; both
+	// it and fe.doneID stay nil while the window is implicit.
+	var pos []uint32
 	mask := uint64(window - 1)
 
 	lg := &L1Log{
@@ -249,22 +272,32 @@ func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) 
 		if err := fe.check(rec); err != nil {
 			return nil, err
 		}
-		if rec.ID > mask && len(pos) < depWindow {
+		if pos == nil && rec.ID != uint64(i) {
+			pos = fe.slotWindow(window, i)
+		}
+		if pos != nil && rec.ID > mask && len(pos) < depWindow {
 			pos = fe.growWindow(pos, rec.ID)
 			mask = uint64(len(pos) - 1)
+		}
+		d := 0
+		if pos == nil {
+			if rec.HasDep() && rec.Dep < rec.ID && rec.ID-rec.Dep <= uint64(window) {
+				d = int(rec.ID - rec.Dep)
+			}
+		} else {
+			if dep := fe.resolve(rec); dep >= 0 {
+				d = i - int(pos[dep])
+			}
+			pos[rec.ID&mask] = uint32(i)
 		}
 		if len(chunk)+maxEventAddrs(cfg.Cores) > cap(chunk) {
 			lg.addrs = append(lg.addrs, chunk)
 			chunk = make([]uint64, 0, cap(chunk))
 		}
-		ev, addrs, dep := fe.step(rec, chunk)
+		ev, addrs := fe.step(rec, chunk)
 		chunk = addrs
-		if dep >= 0 {
-			d := i - int(pos[dep])
-			ev.dep = uint32(d)
-			longest = max(longest, d)
-		}
-		pos[rec.ID&mask] = uint32(i)
+		ev.dep = uint32(d)
+		longest = max(longest, d)
 		lg.events[i] = ev
 	}
 	lg.events = lg.events[:i]
@@ -273,6 +306,21 @@ func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) 
 	lg.l1iStats, lg.l1dStats = fe.stats()
 	lg.invals = fe.invals
 	return lg, nil
+}
+
+// slotWindow materializes the implicit window of the given size as it
+// stands before position i, every earlier record's id being its
+// position: each slot holds the largest position below i congruent to
+// it, or stays empty. It returns the records' positions by slot.
+func (f *frontEnd) slotWindow(size, i int) []uint32 {
+	f.resetWindow(size)
+	pos := make([]uint32, size)
+	mask := size - 1
+	for j := max(i-size, 0); j < i; j++ {
+		f.doneID[j&mask] = uint64(j)
+		pos[j&mask] = uint32(j)
+	}
+	return pos
 }
 
 // growWindow doubles the dependency window, and pos beside it, until

@@ -2,10 +2,13 @@ package memhier
 
 import (
 	"context"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"diestack/internal/fault"
 	"diestack/internal/obs"
@@ -362,5 +365,114 @@ func TestFilterRejectsBadCPU(t *testing.T) {
 	_, err := FilterL1(context.Background(), BaselineConfig(), trace.NewSliceStream(recs))
 	if err == nil || runErr == nil || err.Error() != runErr.Error() {
 		t.Fatalf("filter error %v, Run error %v: want the same error", err, runErr)
+	}
+}
+
+// switchingTrace builds a two-core trace of n records whose ids equal
+// their positions for the first k; from record k on they count up
+// from next instead. Every third record depends on the record 1 to 60
+// positions back, by that record's id, and every seventh on the id
+// its position minus 40 would have had, so dependencies cross the
+// switch in both forms.
+func switchingTrace(n, k int, next uint64) []trace.Record {
+	recs := wrappingTrace(n)
+	for i := k; i < n; i++ {
+		recs[i].ID = next + uint64(i-k)
+	}
+	for i := range recs {
+		recs[i].Dep = trace.NoDep
+		switch {
+		case i >= 60 && i%3 == 0:
+			recs[i].Dep = recs[i-1-i%60].ID
+		case i >= 40 && i%7 == 0:
+			recs[i].Dep = uint64(i - 40)
+		}
+	}
+	return recs
+}
+
+// TestFilterWindowSwitch checks the implicit dependency window against
+// Run on traces whose ids stop equalling their positions partway: one
+// jumps forward past depWindow, so the materialized window must also
+// grow, and one jumps back onto ids already seen. Dependencies reach
+// across the switch in both.
+func TestFilterWindowSwitch(t *testing.T) {
+	ctx := context.Background()
+	const n, k = 6000, 3000
+	for name, recs := range map[string][]trace.Record{
+		"forward":  switchingTrace(n, k, depWindow+k/2),
+		"backward": switchingTrace(n, k, k/2),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfgs := figure5Configs(t, 2, fault.Config{})
+			lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			crossing := 0
+			for i := k; i < n; i++ {
+				if d := int(lg.events[i].dep); d != 0 && i-d < k {
+					crossing++
+				}
+			}
+			if crossing == 0 {
+				t.Fatal("no dependency resolves across the switch")
+			}
+			for _, cfg := range cfgs {
+				want, err := mustSim(t, cfg).Run(ctx, trace.NewSliceStream(recs), RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mustSim(t, cfg).Replay(ctx, lg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d MB: replay differs from Run:\nreplay: %+v\nrun:    %+v", cfg.L2.SizeBytes>>20, got, want)
+				}
+			}
+		})
+	}
+}
+
+// inOrderStream is a sized stream of n records whose ids are their
+// positions, each depending on its predecessor and hitting one line of
+// its core's L1D, so filtering it allocates little beside the log's
+// events.
+type inOrderStream struct{ i, n int }
+
+func (s *inOrderStream) Len() int { return s.n }
+
+func (s *inOrderStream) Next() (trace.Record, error) {
+	if s.i == s.n {
+		return trace.Record{}, io.EOF
+	}
+	r := trace.Record{ID: uint64(s.i), Dep: uint64(s.i) - 1, Addr: 0x1000, CPU: uint8(s.i % 2), Kind: trace.Load}
+	if s.i == 0 {
+		r.Dep = trace.NoDep
+	}
+	s.i++
+	return r, nil
+}
+
+// TestFilterInOrderAllocatesNoWindow checks that filtering an in-order
+// trace of depWindow records allocates its log and little more: no
+// dependency window of depWindow slots (12 bytes each) beside it.
+func TestFilterInOrderAllocatesNoWindow(t *testing.T) {
+	src := &inOrderStream{n: depWindow}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	lg, err := FilterL1(context.Background(), BaselineConfig(), src)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg.events[depWindow-1].dep != 1 {
+		t.Fatalf("last record's dependency resolves %d records back, want 1", lg.events[depWindow-1].dep)
+	}
+	events := uint64(depWindow) * uint64(unsafe.Sizeof(event{}))
+	if got, limit := after.TotalAlloc-before.TotalAlloc, events+2<<20; got > limit {
+		t.Errorf("FilterL1 allocates %.1f MB for %d in-order records, want at most %.1f MB (%.1f MB of events)",
+			float64(got)/(1<<20), depWindow, float64(limit)/(1<<20), float64(events)/(1<<20))
 	}
 }

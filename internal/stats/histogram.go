@@ -30,6 +30,12 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
+// Reset empties the histogram, keeping its buckets.
+func (h *Histogram) Reset() {
+	clear(h.counts)
+	h.total = 0
+}
+
 // Count returns the count in bucket i.
 func (h *Histogram) Count(i int) int64 { return h.counts[i] }
 

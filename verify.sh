@@ -39,10 +39,12 @@ echo "== fan-out race =="
 # Figure 5 streams the next trace through the L1 filter while the
 # current one replays, Table 4 runs its twelve configurations side by
 # side, and the campaign harness runs its jobs, all through
-# internal/fanout. -cpu 1,2,4 races the trace pipeline, the streamed
-# filter and the fan-out at two and four workers even on a one-core
-# runner, and checks the GOMAXPROCS 1 serial path.
-go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream' \
+# internal/fanout; each Figure 5 option's replays share one simulator
+# slot, Reset between uses. -cpu 1,2,4 races the trace pipeline, the
+# streamed filter, the simulator reuse and the fan-out at two and four
+# workers even on a one-core runner, and checks the GOMAXPROCS 1
+# serial path.
+go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream|Reset' \
     ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/ \
     ./internal/harness/ ./internal/memhier/
 
