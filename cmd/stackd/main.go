@@ -27,6 +27,28 @@ import (
 	"diestack/internal/thermal"
 )
 
+// stackd drops a client that stalls: a request's header must arrive
+// within readHeaderTimeout and the whole request, body included, within
+// readTimeout, and a keep-alive connection closes after idleTimeout
+// without a request. There is no write timeout, because a cold solve
+// can run for seconds; net/http clears the read deadline once the
+// handler has read the body, so readTimeout never cuts a solve short.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the http.Server stackd listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -58,7 +80,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	log.Printf("stackd: serving %d experiments on http://%s", len(core.Experiments()), ln.Addr())
 
 	ctx, stop := cli.Context(context.Background(), 0)

@@ -1,8 +1,7 @@
 // Command stacklint runs the repository's static-analysis suite: the
 // typed invariants in internal/lint (context-first APIs, simulation
-// determinism) plus the CFG/dataflow concurrency checks (lock-safety,
-// goroutine joinability, atomic/plain access mixing, canon
-// wire-surface stability) checked over the module source.
+// determinism, canon wire-surface stability) checked over the module
+// source.
 //
 // Usage:
 //

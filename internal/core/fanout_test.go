@@ -7,20 +7,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
-)
 
-// settleGoroutines waits for the goroutine count to fall back to base
-// and fails the test if it does not within a few seconds.
-func settleGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d, want %d after the sweep returned", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
+	"diestack/internal/leakcheck"
+)
 
 // TestFigure5Cancellation cancels the sweep before it starts and while
 // its replays run: both must surface context.Canceled, and no replay
@@ -34,7 +23,7 @@ func TestFigure5Cancellation(t *testing.T) {
 	if _, err := RunFigure5(ctx, RunSpec{Seed: 1, Scale: 0.1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled sweep: err = %v, want context.Canceled", err)
 	}
-	settleGoroutines(t, base)
+	leakcheck.Settle(t, base)
 
 	ctx, cancel = context.WithCancel(context.Background())
 	timer := time.AfterFunc(50*time.Millisecond, cancel)
@@ -42,7 +31,7 @@ func TestFigure5Cancellation(t *testing.T) {
 	if _, err := RunFigure5(ctx, RunSpec{Seed: 1, Scale: 0.1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sweep canceled mid-run: err = %v, want context.Canceled", err)
 	}
-	settleGoroutines(t, base)
+	leakcheck.Settle(t, base)
 }
 
 // TestFigure5ScheduleIndependent runs the sweep with one worker (the
@@ -98,7 +87,7 @@ func TestTable4Cancellation(t *testing.T) {
 	if _, err := RunTable4(ctx, RunSpec{Seed: 1}, 20_000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Table 4: err = %v, want context.Canceled", err)
 	}
-	settleGoroutines(t, base)
+	leakcheck.Settle(t, base)
 }
 
 // TestThermalScheduleIndependent: the thermal solver splits each

@@ -313,10 +313,7 @@ type idleSims struct {
 
 // take returns an option's idle simulator, Reset, or a new one.
 func (p *idleSims) take(i int) (*memhier.Simulator, error) {
-	p.mu.Lock()
-	sim := p.sims[i]
-	p.sims[i] = nil
-	p.mu.Unlock()
+	sim := p.claim(i)
 	if sim == nil {
 		return memhier.New(p.cfgs[i])
 	}
@@ -324,14 +321,23 @@ func (p *idleSims) take(i int) (*memhier.Simulator, error) {
 	return sim, nil
 }
 
+// claim empties an option's slot and returns what it held.
+func (p *idleSims) claim(i int) *memhier.Simulator {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sim := p.sims[i]
+	p.sims[i] = nil
+	return sim
+}
+
 // put returns a simulator to its option's slot when the slot is
 // empty, and drops it otherwise.
 func (p *idleSims) put(i int, sim *memhier.Simulator) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.sims[i] == nil {
 		p.sims[i] = sim
 	}
-	p.mu.Unlock()
 }
 
 // figure5Configs returns each option's hierarchy with fc injected,

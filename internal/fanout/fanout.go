@@ -21,9 +21,12 @@ func ForEach(n, limit int, fn func(i int) error) error {
 		next   int
 		failed bool
 	)
-	take := func() (int, bool) {
+	// take records whether the worker's last task failed and claims
+	// the next index.
+	take := func(lastFailed bool) (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
+		failed = failed || lastFailed
 		if failed || next == n {
 			return 0, false
 		}
@@ -31,12 +34,8 @@ func ForEach(n, limit int, fn func(i int) error) error {
 		return next - 1, true
 	}
 	work := func() {
-		for i, ok := take(); ok; i, ok = take() {
-			if errs[i] = fn(i); errs[i] != nil {
-				mu.Lock()
-				failed = true
-				mu.Unlock()
-			}
+		for i, ok := take(false); ok; i, ok = take(errs[i] != nil) {
+			errs[i] = fn(i)
 		}
 	}
 	var wg sync.WaitGroup

@@ -5,14 +5,20 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"diestack/internal/leakcheck"
 )
 
 // TestForEachErrors pins the failure semantics of the fan-out: the lowest
-// failing index wins, and no index is started after a failure.
+// failing index wins, no index is started after a failure, and a
+// failure still waits for the tasks running beside it, leaving no
+// worker behind.
 func TestForEachErrors(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := runtime.NumGoroutine()
 
 	var ran []int
 	err := ForEach(4, 4, func(i int) error {
@@ -53,6 +59,34 @@ func TestForEachErrors(t *testing.T) {
 	if err == nil || err.Error() != "option 1" {
 		t.Fatalf("concurrent err = %v, want option 1", err)
 	}
+
+	// Index 0, which the calling goroutine normally takes first, fails
+	// at once while index 1 still runs on a worker: ForEach must not
+	// return before index 1 does.
+	var returned atomic.Bool
+	outlived := make(chan int, 1)
+	var pair sync.WaitGroup
+	pair.Add(2)
+	err = ForEach(2, 2, func(i int) error {
+		pair.Done()
+		pair.Wait()
+		if i == 0 {
+			return fmt.Errorf("option %d", i)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if returned.Load() {
+			outlived <- i
+		}
+		return nil
+	})
+	returned.Store(true)
+	if err == nil || err.Error() != "option 0" {
+		t.Fatalf("pair err = %v, want option 0", err)
+	}
+	leakcheck.Settle(t, base)
+	if len(outlived) > 0 {
+		t.Fatalf("task %d was still running when ForEach returned", <-outlived)
+	}
 }
 
 // TestForEachLimit: no more than limit tasks run at once, whatever
@@ -60,6 +94,7 @@ func TestForEachErrors(t *testing.T) {
 // simulators.
 func TestForEachLimit(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
 	var (
 		mu            sync.Mutex
 		running, peak int
@@ -81,4 +116,10 @@ func TestForEachLimit(t *testing.T) {
 	if peak > 2 {
 		t.Fatalf("%d tasks ran at once, want <= 2", peak)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	if running != 0 {
+		t.Fatalf("%d tasks still running when ForEach returned", running)
+	}
+	leakcheck.Settle(t, base)
 }

@@ -1,17 +1,12 @@
 // Package lint is the repo's static-analysis suite: a small,
 // standard-library-only analyzer framework (go/ast + go/parser +
 // go/types) plus the repo-specific analyzers that turn the simulator's
-// conventions — determinism and context-first APIs — into
-// machine-checked invariants. Allocation-free hot paths are pinned by
-// AllocsPerRun tests in their own packages, not here.
-//
-// A statement-level control-flow-graph builder (cfg.go) and a generic
-// forward-dataflow solver (dataflow.go) underpin the concurrency
-// analyzers: locksafe (every Lock reaches an Unlock on all paths and
-// nothing blocking runs while a lock is held), goleak (library
-// goroutines must be joinable), atomicmix (no mixing atomic and plain
-// access to one field), and wirestable (canon-encoded structs are
-// registered //canon:wire and stay wire-stable).
+// conventions into machine-checked invariants: context-first APIs
+// (ctxfirst), deterministic simulation packages (determinism), and a
+// stable canon wire surface (wirestable). Each catches a defect that
+// no test, go vet or -race catches. Allocation-free hot paths, lock
+// discipline and goroutine lifetimes are pinned by runtime tests in
+// their own packages, not here.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis without depending on it: an Analyzer
@@ -27,9 +22,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
+
+	"diestack/internal/fanout"
 )
 
 // Diagnostic is one finding, positioned in the source tree.
@@ -96,45 +91,24 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		AtomicMix,
-		CtxFirst,
-		Determinism,
-		GoLeak,
-		LockSafe,
-		WireStable,
-	}
+	return []*Analyzer{CtxFirst, Determinism, WireStable}
 }
 
 // Analyze applies every analyzer to every package and returns the
 // findings sorted by position, analyzer, then message, so output is
 // stable across runs, machines, and GOMAXPROCS. Analyzers are pure per
-// package, so packages fan out over GOMAXPROCS workers; each package
+// package, so packages fan out over fanout.ForEach; each package
 // appends into its own slot, and the slots concatenate in package
 // order before the final total-order sort — the parallel schedule
 // cannot leak into the output bytes.
 func Analyze(prog *Program, analyzers []*Analyzer) []Diagnostic {
-	workers := min(runtime.GOMAXPROCS(0), len(prog.Packages))
 	perPkg := make([][]Diagnostic, len(prog.Packages))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pkg := prog.Packages[i]
-				for _, a := range analyzers {
-					a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &perPkg[i]})
-				}
-			}
-		}()
-	}
-	for i := range prog.Packages {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	fanout.ForEach(len(prog.Packages), len(prog.Packages), func(i int) error {
+		for _, a := range analyzers {
+			a.Run(&Pass{Analyzer: a, Prog: prog, Pkg: prog.Packages[i], diags: &perPkg[i]})
+		}
+		return nil
+	})
 
 	var diags []Diagnostic
 	for _, d := range perPkg {

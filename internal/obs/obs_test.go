@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"diestack/internal/leakcheck"
 )
 
 // TestCounterConcurrent hammers one counter from 8 goroutines and
@@ -273,4 +276,18 @@ func TestProgressLine(t *testing.T) {
 	if !strings.HasSuffix(buf.String(), "\n") {
 		t.Fatalf("Close did not terminate the line: %q", buf.String())
 	}
+}
+
+// TestCloseStopsLoops: Exporter.Close and Progress.Close stop their
+// periodic loops, so no goroutine outlives them.
+func TestCloseStopsLoops(t *testing.T) {
+	base := runtime.NumGoroutine()
+	reg := NewRegistry()
+	e := NewExporter(reg, io.Discard, time.Millisecond)
+	p := NewProgress(reg, io.Discard, time.Millisecond)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	leakcheck.Settle(t, base)
 }

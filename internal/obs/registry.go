@@ -230,9 +230,8 @@ func (r *Registry) CounterValue(name string) uint64 {
 		return 0
 	}
 	r.mu.Lock()
-	c := r.counters[name]
-	r.mu.Unlock()
-	return c.Value()
+	defer r.mu.Unlock()
+	return r.counters[name].Value()
 }
 
 // GaugeValue reads the named gauge (0 if absent or nil registry).
@@ -241,7 +240,6 @@ func (r *Registry) GaugeValue(name string) float64 {
 		return 0
 	}
 	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	return g.Value()
+	defer r.mu.Unlock()
+	return r.gauges[name].Value()
 }

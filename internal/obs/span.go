@@ -83,19 +83,23 @@ func (s *Span) End() {
 }
 
 // drainSpans returns and clears the buffered span records, oldest
-// first.
-func (r *Registry) drainSpans() []SpanRecord {
+// first, and returns the all-time per-name totals.
+func (r *Registry) drainSpans() ([]SpanRecord, map[string]SpanTotal) {
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
+	totals := make(map[string]SpanTotal, len(r.totals))
+	for name, t := range r.totals {
+		totals[name] = SpanTotal{Count: t.count, TotalUs: t.totalUs}
+	}
 	if len(r.ring) == 0 {
-		return nil
+		return nil, totals
 	}
 	out := make([]SpanRecord, 0, len(r.ring))
 	out = append(out, r.ring[r.ringAt:]...)
 	out = append(out, r.ring[:r.ringAt]...)
 	r.ring = r.ring[:0]
 	r.ringAt = 0
-	return out
+	return out, totals
 }
 
 // Snapshot is one exported metrics frame. Counters/gauges/histograms
@@ -127,7 +131,15 @@ func (r *Registry) Snapshot(final bool) Snapshot {
 	if r == nil {
 		return snap
 	}
+	r.instruments(&snap)
+	snap.Spans, snap.SpanTotals = r.drainSpans()
+	return snap
+}
+
+// instruments copies every counter, gauge and histogram into snap.
+func (r *Registry) instruments(snap *Snapshot) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	snap.Counters = make(map[string]uint64, len(r.counters))
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Value()
@@ -144,14 +156,4 @@ func (r *Registry) Snapshot(final bool) Snapshot {
 		}
 		snap.Histograms[name] = d
 	}
-	r.mu.Unlock()
-
-	snap.Spans = r.drainSpans()
-	r.spanMu.Lock()
-	snap.SpanTotals = make(map[string]SpanTotal, len(r.totals))
-	for name, t := range r.totals {
-		snap.SpanTotals[name] = SpanTotal{Count: t.count, TotalUs: t.totalUs}
-	}
-	r.spanMu.Unlock()
-	return snap
 }

@@ -240,10 +240,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Singleflight: one runner per canonical request, everyone else
 	// waits for its verdict.
-	s.mu.Lock()
-	if f := s.flights[key]; f != nil {
-		f.waiters++
-		s.mu.Unlock()
+	f, leader := s.join(key)
+	if !leader {
 		select {
 		case <-f.done:
 		case <-r.Context().Done():
@@ -253,9 +251,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeFlight(w, f, true)
 		return
 	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.mu.Unlock()
 
 	// Admission: never queue solver work behind the bound — shed.
 	select {
@@ -314,13 +309,27 @@ func runRecovered(ctx context.Context, exp core.Experiment, req core.ExperimentR
 	return exp.Run(ctx, req)
 }
 
+// join returns key's open flight with the caller counted as one more
+// follower, or opens a new flight with the caller as its leader.
+func (s *Server) join(key string) (f *flight, leader bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f = s.flights[key]; f != nil {
+		f.waiters++
+		return f, false
+	}
+	f = &flight{done: make(chan struct{})}
+	s.flights[key] = f
+	return f, true
+}
+
 // closeFlight publishes the flight's verdict and retires it; errors
 // and sheds are deliberately not cached, so the next identical request
 // runs fresh.
 func (s *Server) closeFlight(key string, f *flight) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.flights, key)
-	s.mu.Unlock()
 	close(f.done)
 }
 

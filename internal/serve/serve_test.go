@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"diestack/internal/core"
+	"diestack/internal/leakcheck"
 	"diestack/internal/obs"
 )
 
@@ -36,6 +38,24 @@ func countingExperiment(name string, runs *atomic.Int64, gate chan struct{}) cor
 	}
 }
 
+// startServer serves a Server built from cfg on a test HTTP server.
+// When the test ends it closes both and the client's idle
+// connections, then fails the test if a goroutine the requests started
+// is still running.
+func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	s := New(cfg)
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+		http.DefaultClient.CloseIdleConnections()
+		leakcheck.Settle(t, base)
+	})
+	return s, ts
+}
+
 func post(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -53,13 +73,10 @@ func post(t *testing.T, url, body string) (*http.Response, string) {
 func TestCacheHitMiss(t *testing.T) {
 	var runs atomic.Int64
 	reg := obs.NewRegistry()
-	s := New(Config{
+	_, ts := startServer(t, Config{
 		Experiments: []core.Experiment{countingExperiment("count", &runs, nil)},
 		Obs:         reg,
 	})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
 	url := ts.URL + "/v1/experiments/count"
 
 	resp, body1 := post(t, url, `{"spec":{"seed":7}}`)
@@ -108,14 +125,11 @@ func TestSingleflightMerge(t *testing.T) {
 	var runs atomic.Int64
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
-	s := New(Config{
+	s, ts := startServer(t, Config{
 		Experiments: []core.Experiment{countingExperiment("count", &runs, gate)},
 		Obs:         reg,
 		MaxSolves:   2,
 	})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
 
 	var wg sync.WaitGroup
 	bodies := make([]string, n)
@@ -168,15 +182,12 @@ func TestShedUnderLoad(t *testing.T) {
 	var runs atomic.Int64
 	gate := make(chan struct{})
 	reg := obs.NewRegistry()
-	s := New(Config{
+	_, ts := startServer(t, Config{
 		Experiments: []core.Experiment{countingExperiment("count", &runs, gate)},
 		Obs:         reg,
 		MaxSolves:   1,
 		RetryAfter:  3 * time.Second,
 	})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
 	url := ts.URL + "/v1/experiments/count"
 
 	done := make(chan struct{})
@@ -221,10 +232,7 @@ func TestErrorsNotCached(t *testing.T) {
 			return "ok", nil
 		},
 	}
-	s := New(Config{Experiments: []core.Experiment{exp}})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	_, ts := startServer(t, Config{Experiments: []core.Experiment{exp}})
 	url := ts.URL + "/v1/experiments/flaky"
 
 	if resp, body := post(t, url, ``); resp.StatusCode != http.StatusInternalServerError ||
@@ -238,10 +246,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	_, ts := startServer(t, Config{})
 
 	if resp, _ := post(t, ts.URL+"/v1/experiments/fig99", ``); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown experiment: %d", resp.StatusCode)
@@ -293,13 +298,10 @@ func TestRunnerPanicRecovered(t *testing.T) {
 			panic("injected runner panic")
 		},
 	}
-	s := New(Config{
+	_, ts := startServer(t, Config{
 		Experiments: []core.Experiment{boom, countingExperiment("count", &runs, nil)},
 		MaxSolves:   1,
 	})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
 	ts.Client().Timeout = 3 * time.Second
 
 	for i := 0; i < 2; i++ {
@@ -330,10 +332,7 @@ func TestRunnerPanicRecovered(t *testing.T) {
 // were absent.
 func TestLegacySolverKeysRejected(t *testing.T) {
 	var runs atomic.Int64
-	s := New(Config{Experiments: []core.Experiment{countingExperiment("count", &runs, nil)}})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	_, ts := startServer(t, Config{Experiments: []core.Experiment{countingExperiment("count", &runs, nil)}})
 	url := ts.URL + "/v1/experiments/count"
 
 	for _, body := range []string{
@@ -359,10 +358,7 @@ func TestLegacySolverKeysRejected(t *testing.T) {
 }
 
 func TestListAndMetricsAndHealth(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	_, ts := startServer(t, Config{})
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -402,10 +398,7 @@ func TestListAndMetricsAndHealth(t *testing.T) {
 func TestGracefulShutdownDrain(t *testing.T) {
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	s := New(Config{Experiments: []core.Experiment{countingExperiment("count", &runs, gate)}})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
+	_, ts := startServer(t, Config{Experiments: []core.Experiment{countingExperiment("count", &runs, gate)}})
 
 	type result struct {
 		status int
@@ -439,13 +432,10 @@ func TestGracefulShutdownDrain(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	var runs atomic.Int64
-	s := New(Config{
+	_, ts := startServer(t, Config{
 		Experiments:  []core.Experiment{countingExperiment("count", &runs, nil)},
 		CacheEntries: 1,
 	})
-	defer s.Close()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
 	url := ts.URL + "/v1/experiments/count"
 
 	post(t, url, `{"spec":{"seed":1}}`)

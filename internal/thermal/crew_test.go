@@ -7,7 +7,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
+
+	"diestack/internal/leakcheck"
 )
 
 // atProcs runs fn at GOMAXPROCS n and restores the previous setting.
@@ -164,19 +165,6 @@ func TestSolveScheduleIndependent(t *testing.T) {
 	})
 }
 
-// settleGoroutines waits (bounded) for the goroutine count to fall back
-// to base.
-func settleGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d, want %d after the solve returned", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // cancelAfter is a context whose Err turns to context.Canceled on its
 // n-th call: the solver checks it once per cycle, so the solve is
 // cancelled after exactly n-1 cycles, mid-solve, with its crew running.
@@ -205,7 +193,7 @@ func TestCrewLifetime(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settle := func() {
 		t.Helper()
-		settleGoroutines(t, base)
+		leakcheck.Settle(t, base)
 		base = runtime.NumGoroutine()
 	}
 	ctx := context.Background()

@@ -31,10 +31,11 @@ type WorkspaceCache struct {
 
 // wsEntry serializes solves on its shared workspace with a
 // capacity-one token channel rather than a mutex: a solve holds the
-// token across the whole Workspace.Solve, and a mutex held across a
-// blocking solver run is exactly what the locksafe analyzer bans. The
-// channel form also lets a waiter give up when its context is
-// canceled instead of queueing on a mutex it can no longer use.
+// token across the whole Workspace.Solve, and a waiter gives up when
+// its context is canceled instead of queueing on a mutex it can no
+// longer use. The cache's own mu guards only the map and the LRU list
+// and is never held across a solve, so a long solve delays only the
+// solves of its own key (TestWorkspaceCacheParkedSolve).
 type wsEntry struct {
 	sem  chan struct{} // capacity 1; the token serializes solves
 	ws   *Workspace    // built under the token on first solve

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"diestack/internal/obs"
 )
@@ -89,6 +90,62 @@ func TestWorkspaceCacheConcurrentSolves(t *testing.T) {
 func TestNilWorkspaceCacheSolves(t *testing.T) {
 	var c *WorkspaceCache
 	if _, err := c.Solve(context.Background(), "k", wscacheStack(16), SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parkedCtx is a context whose first Err call parks until release is
+// closed. Workspace.Solve checks Err once per cycle, so a solve under
+// it stops mid-run while holding its entry's token.
+type parkedCtx struct {
+	context.Context
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (c *parkedCtx) Err() error {
+	c.once.Do(func() {
+		close(c.parked)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// TestWorkspaceCacheParkedSolve parks one solve mid-run: Len and a
+// solve under another key must still return, because a solve holds
+// only its own entry's token and never the cache's lock.
+func TestWorkspaceCacheParkedSolve(t *testing.T) {
+	c := NewWorkspaceCache(4)
+	defer c.Close()
+	ctx := &parkedCtx{Context: context.Background(), parked: make(chan struct{}), release: make(chan struct{})}
+	parkedDone := make(chan error, 1)
+	go func() {
+		_, err := c.Solve(ctx, "parked", wscacheStack(16), SolveOptions{})
+		parkedDone <- err
+	}()
+	<-ctx.parked
+
+	otherDone := make(chan error, 1)
+	var n int
+	go func() {
+		n = c.Len()
+		_, err := c.Solve(context.Background(), "other", wscacheStack(16), SolveOptions{})
+		otherDone <- err
+	}()
+	select {
+	case err := <-otherDone:
+		if err != nil {
+			t.Error(err)
+		}
+		if n != 1 {
+			t.Errorf("Len = %d while one solve was parked, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Len or a solve under another key blocked behind a parked solve")
+		defer func() { <-otherDone }()
+	}
+	close(ctx.release)
+	if err := <-parkedDone; err != nil {
 		t.Fatal(err)
 	}
 }

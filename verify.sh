@@ -12,13 +12,18 @@ test -z "$(gofmt -l .)" || {
 }
 
 echo "== go vet =="
+# Besides the standard checks, vet's copylocks is what catches a copied
+# sync/atomic value (an obs instrument or a crew counter read by value).
 go vet ./...
 
 echo "== stacklint =="
-# The repo's own analyzer suite: context-first entry points and
-# deterministic simulation packages, plus the CFG/dataflow concurrency
-# checks (locksafe, goleak, atomicmix, wirestable). TestAnalyzerFixtures
-# fails if an analyzer drops out of the suite.
+# The repo's own analyzer suite: context-first entry points (ctxfirst),
+# deterministic simulation packages (determinism) and a stable canon
+# wire surface (wirestable), each catching a defect no test, vet or
+# -race run catches. Lock discipline and goroutine lifetimes are
+# checked at run time instead: every lock is released by defer, and the
+# race steps below run the goroutine-count and parked-solve tests.
+# TestAnalyzerFixtures fails if an analyzer drops out of the suite.
 go run ./cmd/stacklint ./...
 
 echo "== go build =="
@@ -32,8 +37,9 @@ echo "== solver crew race =="
 # helpers sized by GOMAXPROCS. -cpu 1,4 races the crew at four workers
 # even on a one-core runner, and checks the GOMAXPROCS 1 serial path.
 # The column-class table tests run here too: every band reads the
-# classes that beginSolve factorizes.
-go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint' ./internal/thermal/
+# classes that beginSolve factorizes. So do the WorkspaceCache tests:
+# a solve parked mid-run must not block Len or a solve on another key.
+go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
 
 echo "== fan-out race =="
 # Figure 5 streams the next trace through the L1 filter while the
@@ -43,10 +49,14 @@ echo "== fan-out race =="
 # slot, Reset between uses. -cpu 1,2,4 races the trace pipeline, the
 # streamed filter, the simulator reuse and the fan-out at two and four
 # workers even on a one-core runner, and checks the GOMAXPROCS 1
-# serial path.
-go test -race -cpu 1,2,4 -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream|Reset' \
+# serial path. The goroutine-count checks run here too: ForEach's
+# workers, the obs exporter and progress loops, the stackd handler
+# (singleflight, shedding, drain) and stackd's stalled-client timeouts
+# must leave no goroutine behind.
+go test -race -cpu 1,2,4 \
+    -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream|Reset|CloseStops|Singleflight|Shed|Drain|StalledClients' \
     ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/ \
-    ./internal/harness/ ./internal/memhier/
+    ./internal/harness/ ./internal/memhier/ ./internal/obs/ ./internal/serve/ ./cmd/stackd/
 
 echo "== fuzz =="
 # Each of the three decoders of outside bytes fuzzed briefly beyond its
