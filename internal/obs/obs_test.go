@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,8 +40,9 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramConcurrent checks bucket placement and the total count
-// under 8 concurrent observers.
+// TestHistogramConcurrent checks bucket placement under 8 concurrent
+// observers, then that out-of-range samples, infinities and NaN
+// included, clamp into the edge buckets without a panic.
 func TestHistogramConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("lat", 0, 100, 10)
@@ -55,20 +58,23 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	for range 10 {
+		reg.Snapshot(false) // reads the buckets while they are observed
+	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
-		t.Fatalf("count = %d, want %d", got, goroutines*perG)
-	}
+	want := make([]uint64, 10)
 	for i := 0; i < goroutines; i++ {
-		if got := h.buckets[i].Load(); got != perG {
-			t.Fatalf("bucket %d = %d, want %d", i, got, perG)
-		}
+		want[i] = perG
 	}
-	// Clamping: out-of-range samples land in the edge buckets.
-	h.Observe(-5)
-	h.Observe(1e9)
-	if got := h.Count(); got != goroutines*perG+2 {
-		t.Fatalf("count after clamp = %d, want %d", got, goroutines*perG+2)
+	if got := reg.Snapshot(false).Histograms["lat"].Counts; !slices.Equal(got, want) {
+		t.Fatalf("counts = %v, want %v", got, want)
+	}
+	for _, v := range []float64{-5, math.Inf(-1), math.NaN(), 1e9, 1e300, math.Inf(1)} {
+		h.Observe(v)
+	}
+	want[0], want[9] = perG+3, 3
+	if got := reg.Snapshot(false).Histograms["lat"].Counts; !slices.Equal(got, want) {
+		t.Fatalf("counts after clamp = %v, want %v", got, want)
 	}
 }
 
@@ -84,10 +90,9 @@ func TestHistogramObserveN(t *testing.T) {
 		bulk.ObserveN(v, 3)
 	}
 	bulk.ObserveN(42, 0)
-	for i := range one.buckets {
-		if a, b := one.buckets[i].Load(), bulk.buckets[i].Load(); a != b {
-			t.Errorf("bucket %d: ObserveN counts %d, Observe %d", i, b, a)
-		}
+	snap := reg.Snapshot(false)
+	if a, b := snap.Histograms["one"].Counts, snap.Histograms["bulk"].Counts; !slices.Equal(a, b) {
+		t.Errorf("ObserveN counts %v, Observe %v", b, a)
 	}
 }
 
@@ -112,20 +117,6 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("q", 0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	if q := h.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("p50 = %v, want ~50", q)
-	}
-	if q := h.Quantile(1.0); q != 100 {
-		t.Fatalf("p100 = %v, want 100", q)
-	}
-}
-
 // TestSnapshotJSONLRoundTrip exports a populated registry as JSONL and
 // decodes every line back, checking the final summary carries the data.
 func TestSnapshotJSONLRoundTrip(t *testing.T) {
@@ -134,8 +125,7 @@ func TestSnapshotJSONLRoundTrip(t *testing.T) {
 	reg.Gauge("thermal_peak_c").Set(91.5)
 	reg.Histogram("lat", 0, 10, 5).Observe(3)
 	root := reg.StartSpan("core/run")
-	child := root.Child("memhier/replay")
-	child.End()
+	reg.StartSpan("memhier/replay").End()
 	root.End()
 
 	var buf bytes.Buffer
@@ -182,15 +172,6 @@ func TestSnapshotJSONLRoundTrip(t *testing.T) {
 	if len(first.Spans) != 2 {
 		t.Fatalf("first snapshot has %d spans, want 2", len(first.Spans))
 	}
-	var sawChild bool
-	for _, sp := range first.Spans {
-		if sp.Name == "memhier/replay" && sp.Parent == "core/run" {
-			sawChild = true
-		}
-	}
-	if !sawChild {
-		t.Fatalf("child span with parent missing: %+v", first.Spans)
-	}
 	if len(last.Spans) != 0 {
 		t.Fatalf("spans were not drained: %+v", last.Spans)
 	}
@@ -213,9 +194,7 @@ func TestNoopAllocs(t *testing.T) {
 		g.Add(1)
 		h.Observe(0.5)
 		h.ObserveN(0.5, 2)
-		sp := reg.StartSpan("phase")
-		sp.Child("sub").End()
-		sp.End()
+		reg.StartSpan("phase").End()
 		_ = c.Value()
 		_ = reg.CounterValue("x")
 		_ = reg.Snapshot(false).Final

@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability layer: a dependency-free
-// metrics registry (atomic counters, gauges, fixed-bucket histograms),
-// lightweight wall-time spans with parent/child nesting, a periodic
-// JSONL snapshot exporter, and a live one-line campaign progress
-// reporter.
+// metrics registry (atomic counters and gauges, fixed-bucket
+// histograms over stats.Histogram), lightweight wall-time spans, a
+// periodic JSONL snapshot exporter, and a live one-line campaign
+// progress reporter.
 //
 // Everything is built around a single invariant: a nil *Registry — and
 // every instrument handed out by one — is a complete no-op that
@@ -11,15 +11,18 @@
 // *Counter) and pay nothing when observability is disabled, which is
 // the common case for the replay hot loop.
 //
-// Instruments are lock-free: counters, gauges and histogram buckets
-// are single atomics. Spans and registration take a mutex; they run
-// once per phase, not per record.
+// Counters and gauges are single atomics. A histogram takes its own
+// mutex per Observe; it is observed once per stackd request or per
+// published latency bucket, never per record. Spans and registration
+// take a mutex too; they run once per phase, not per record.
 package obs
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"diestack/internal/stats"
 )
 
 // Counter is a monotonically increasing metric. The zero value is
@@ -83,12 +86,13 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram counts observations into fixed-width linear buckets over
-// [lo, hi); out-of-range observations clamp into the first/last bucket,
-// so the total count is exact. A nil Histogram is a no-op.
+// Histogram is the registry's handle on one stats.Histogram, which
+// owns the bucket layout and the clamping, behind a mutex (see the
+// package doc for why a lock is cheap here). A nil Histogram is a
+// no-op.
 type Histogram struct {
-	lo, hi, width float64
-	buckets       []atomic.Uint64
+	mu sync.Mutex
+	h  *stats.Histogram
 }
 
 // Observe records one sample.
@@ -101,47 +105,21 @@ func (h *Histogram) ObserveN(v float64, n uint64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	if v > h.lo {
-		i = int((v - h.lo) / h.width)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-	}
-	h.buckets[i].Add(n)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.h.AddN(v, int64(n))
 }
 
-// Count sums all buckets.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
+// data copies the histogram's shape and counts.
+func (h *Histogram) data() HistogramData {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	d := HistogramData{Counts: make([]uint64, h.h.Buckets())}
+	d.Lo, d.Hi = h.h.Range()
+	for i := range d.Counts {
+		d.Counts[i] = uint64(h.h.Count(i))
 	}
-	var total uint64
-	for i := range h.buckets {
-		total += h.buckets[i].Load()
-	}
-	return total
-}
-
-// Quantile returns an upper bound for the q-quantile (q in [0,1]) from
-// the bucket boundaries, or NaN for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if h == nil || total == 0 {
-		return math.NaN()
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var seen uint64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			return h.lo + float64(i+1)*h.width
-		}
-	}
-	return h.hi
+	return d
 }
 
 // Registry names and owns instruments. All methods are safe for
@@ -201,24 +179,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the named histogram, creating it on first use with
-// n fixed-width buckets over [lo, hi). Later calls with the same name
-// return the existing histogram and ignore the shape arguments.
+// n fixed-width buckets over [lo, hi); it panics on an invalid shape.
+// Later calls with the same name return the existing histogram and
+// ignore the shape arguments.
 func (r *Registry) Histogram(name string, lo, hi float64, n int) *Histogram {
 	if r == nil {
 		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if !(hi > lo) {
-		hi = lo + 1
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n),
-			buckets: make([]atomic.Uint64, n)}
+		h = &Histogram{h: stats.NewHistogram(lo, hi, n)}
 		r.hists[name] = h
 	}
 	return h

@@ -7,20 +7,17 @@ import "time"
 // nothing is lost from the totals — only individual old records.
 const spanRingCap = 512
 
-// Span measures the wall time of one simulation phase. Spans nest:
-// Child starts a span whose record names this one as its parent. A nil
-// Span (from a nil Registry) is a no-op.
+// Span measures the wall time of one simulation phase. A nil Span
+// (from a nil Registry) is a no-op.
 type Span struct {
-	reg    *Registry
-	name   string
-	parent string
-	start  time.Time
+	reg   *Registry
+	name  string
+	start time.Time
 }
 
 // SpanRecord is one completed span as it appears in snapshots.
 type SpanRecord struct {
 	Name    string `json:"name"`
-	Parent  string `json:"parent,omitempty"`
 	StartMs int64  `json:"start_ms"`
 	DurUs   int64  `json:"dur_us"`
 }
@@ -37,20 +34,12 @@ type spanTotal struct {
 	totalUs int64
 }
 
-// StartSpan begins a root span. End must be called to record it.
+// StartSpan begins a span. End must be called to record it.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
 	return &Span{reg: r, name: name, start: time.Now()}
-}
-
-// Child begins a nested span naming s as its parent.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{reg: s.reg, name: name, parent: s.name, start: time.Now()}
 }
 
 // End records the span into the registry's ring and aggregates.
@@ -60,7 +49,6 @@ func (s *Span) End() {
 	}
 	rec := SpanRecord{
 		Name:    s.name,
-		Parent:  s.parent,
 		StartMs: s.start.UnixMilli(),
 		DurUs:   time.Since(s.start).Microseconds(),
 	}
@@ -150,10 +138,6 @@ func (r *Registry) instruments(snap *Snapshot) {
 	}
 	snap.Histograms = make(map[string]HistogramData, len(r.hists))
 	for name, h := range r.hists {
-		d := HistogramData{Lo: h.lo, Hi: h.hi, Counts: make([]uint64, len(h.buckets))}
-		for i := range h.buckets {
-			d.Counts[i] = h.buckets[i].Load()
-		}
-		snap.Histograms[name] = d
+		snap.Histograms[name] = h.data()
 	}
 }

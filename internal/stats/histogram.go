@@ -2,32 +2,40 @@ package stats
 
 // Histogram bins observations into fixed-width buckets over [lo, hi).
 // Observations outside the range clamp into the first/last bucket so
-// no sample is silently dropped.
+// no sample is silently dropped: values at or above hi (+Inf included)
+// land in the last bucket, values at or below lo, -Inf and NaN in the
+// first. It is not safe for concurrent use; obs.Histogram wraps one in
+// a mutex.
 type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
+	lo, hi, width float64
+	counts        []int64
+	total         int64
 }
 
 // NewHistogram creates a histogram with n buckets spanning [lo, hi).
+// It panics on an invalid shape.
 func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
+	if n <= 0 || !(hi > lo) {
 		panic("stats: invalid histogram bounds")
 	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), counts: make([]int64, n)}
+	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), counts: make([]int64, n)}
 }
 
 // Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
+func (h *Histogram) Add(x float64) { h.AddN(x, 1) }
+
+// AddN records n observations of x. The range checks compare floats
+// before the index is converted, so an infinite or huge x cannot
+// overflow the conversion.
+func (h *Histogram) AddN(x float64, n int64) {
+	i := 0
+	if x >= h.hi {
 		i = len(h.counts) - 1
+	} else if x > h.lo {
+		i = min(int((x-h.lo)/h.width), len(h.counts)-1)
 	}
-	h.counts[i]++
-	h.total++
+	h.counts[i] += n
+	h.total += n
 }
 
 // Reset empties the histogram, keeping its buckets.
@@ -35,6 +43,9 @@ func (h *Histogram) Reset() {
 	clear(h.counts)
 	h.total = 0
 }
+
+// Range returns the lo and hi the histogram was built with.
+func (h *Histogram) Range() (lo, hi float64) { return h.lo, h.hi }
 
 // Count returns the count in bucket i.
 func (h *Histogram) Count(i int) int64 { return h.counts[i] }

@@ -13,7 +13,8 @@ test -z "$(gofmt -l .)" || {
 
 echo "== go vet =="
 # Besides the standard checks, vet's copylocks is what catches a copied
-# sync/atomic value (an obs instrument or a crew counter read by value).
+# sync/atomic or sync.Mutex value (an obs counter, gauge or histogram,
+# or a crew counter, read by value).
 go vet ./...
 
 echo "== stacklint =="
@@ -30,7 +31,10 @@ echo "== go build =="
 go build ./...
 
 echo "== go test -race =="
-go test -race ./...
+# Every go test below but the fuzz runs sets -timeout 5m: a lock defect
+# then fails its package in 5 minutes, not the default 10. The slowest
+# package, internal/core, takes about 72 s in the fan-out race step.
+go test -race -timeout 5m ./...
 
 echo "== solver crew race =="
 # The thermal solver splits each large multigrid level across a crew of
@@ -39,7 +43,7 @@ echo "== solver crew race =="
 # The column-class table tests run here too: every band reads the
 # classes that beginSolve factorizes. So do the WorkspaceCache tests:
 # a solve parked mid-run must not block Len or a solve on another key.
-go test -race -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
+go test -race -timeout 5m -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
 
 echo "== fan-out race =="
 # Figure 5 streams the next trace through the L1 filter while the
@@ -53,7 +57,7 @@ echo "== fan-out race =="
 # workers, the obs exporter and progress loops, the stackd handler
 # (singleflight, shedding, drain) and stackd's stalled-client timeouts
 # must leave no goroutine behind.
-go test -race -cpu 1,2,4 \
+go test -race -timeout 5m -cpu 1,2,4 \
     -run 'Figure5|Table4|Campaign|ForEach|Generate|FilterStream|Reset|CloseStops|Singleflight|Shed|Drain|StalledClients' \
     ./internal/core/ ./internal/uarch/synth/ ./internal/workload/ ./internal/fanout/ \
     ./internal/harness/ ./internal/memhier/ ./internal/obs/ ./internal/serve/ ./cmd/stackd/
@@ -74,7 +78,7 @@ echo "== benchmark module tests =="
 # reach it. Its tests include the traced-vs-catalog drift check: a
 # thermal change that breaks the traced layer-by-layer composition
 # fails here.
-(cd bench && go test ./...)
+(cd bench && go test -timeout 5m ./...)
 
 echo "== benchmark smoke =="
 # One iteration of every internal benchmark: catches benchmarks that
@@ -82,8 +86,8 @@ echo "== benchmark smoke =="
 # one iteration of each root-package figure benchmark that prints
 # through a core renderer, leaving out Figure 5 and Table 4, which
 # replay paper-scale workloads and run in bench.sh.
-go test -run '^$' -bench . -benchtime 1x ./internal/... >/dev/null
-go test -run '^$' -bench 'Table2|Table3|Figure3|Figure6|Figure7|Figure8|Figure11|Table5' \
+go test -timeout 5m -run '^$' -bench . -benchtime 1x ./internal/... >/dev/null
+go test -timeout 5m -run '^$' -bench 'Table2|Table3|Figure3|Figure6|Figure7|Figure8|Figure11|Table5' \
     -benchtime 1x . >/dev/null
 
 echo "== multigrid solver smoke =="
