@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench.sh — run the headline benchmarks with -benchmem and write the
-# machine-readable baseline (BENCH_011.json by default): benchmark
+# machine-readable baseline (BENCH_012.json by default): benchmark
 # name -> ns/op, allocs/op and bytes/op, plus the headline metrics — the cold and
 # warm Solve64 times, the V-cycle, smoother-sweep and restriction
 # kernel times on the 3D logic stack (each twice: "serial", one core,
@@ -27,7 +27,7 @@
 # Usage: ./bench.sh [output.json]
 set -eu
 cd "$(dirname "$0")"
-out=${1:-BENCH_011.json}
+out=${1:-BENCH_012.json}
 baseline=$(basename "$out" .json)
 tmp=$(mktemp)
 percpu=$(mktemp)

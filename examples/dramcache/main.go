@@ -81,7 +81,7 @@ func main() {
 	}
 	// Every capacity shares the same L1s, so the trace runs through
 	// them once and each machine replays only its L2 and memory.
-	lg, err := memhier.FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
+	lg, err := memhier.FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

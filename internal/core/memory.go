@@ -164,7 +164,7 @@ type MemoryPerf struct {
 // records go through the L1 front end once. name labels the rows and
 // errors; spec.Obs instruments the replays.
 func ReplayTrace(ctx context.Context, spec RunSpec, name string, recs []trace.Record, fc fault.Config) ([]MemoryPerf, error) {
-	src := traceSource{name, func() memhier.SizedStream { return trace.NewSliceStream(recs) }}
+	src := traceSource{name, func(*workload.Blocks) memhier.SizedStream { return trace.NewSliceStream(recs) }}
 	res, err := figure5(ctx, spec, []traceSource{src}, MemoryOptions(), fc)
 	if err != nil {
 		return nil, err
@@ -186,10 +186,11 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 }
 
 // traceSource is one row of the Figure 5 sweep: its name and how to
-// open its trace.
+// open its trace, given the free list of emitter blocks to generate it
+// from and return them to (nil: none).
 type traceSource struct {
 	name string
-	open func() memhier.SizedStream
+	open func(free *workload.Blocks) memhier.SizedStream
 }
 
 // benchSources returns one row per benchmark, each streaming the
@@ -197,7 +198,9 @@ type traceSource struct {
 func benchSources(spec RunSpec, benches []workload.Benchmark) []traceSource {
 	rows := make([]traceSource, len(benches))
 	for k, b := range benches {
-		rows[k] = traceSource{b.Name, func() memhier.SizedStream { return b.Stream(spec.Seed, spec.Scale) }}
+		rows[k] = traceSource{b.Name, func(free *workload.Blocks) memhier.SizedStream {
+			return b.Stream(spec.Seed, spec.Scale, free)
+		}}
 	}
 	return rows
 }
@@ -209,17 +212,21 @@ func benchSources(spec RunSpec, benches []workload.Benchmark) []traceSource {
 // trace is opened. All options share their L1s, so each row's trace is
 // opened and streamed through the L1 front end once
 // (memhier.FilterL1), on a producer goroutine, in order. A
-// benchmark's records are never collected: its stream drops each
-// emitter block once read, so the blocks shrink as the log grows. The
-// (row, option) replays form one list in order that up to
+// benchmark's records are never collected. Each trace but the last
+// hands its emitter blocks, once read, to the next: the producer
+// generates trace k+1 from them as soon as trace k is filtered, then
+// drops the blocks it did not use. The last trace's stream drops each
+// block once read, so a one-row sweep's blocks shrink as its log
+// grows. The (row, option) replays form one list in order that up to
 // min(GOMAXPROCS, 4) workers take from, each replay on a simulator no
 // other replay holds meanwhile, reading the shared, read-only log; each
 // equals a full memhier Run of the trace, bit for bit. Each option
 // keeps one idle simulator for the length of the call (idleSims), so
 // later rows reuse it after a Reset. There is no join between rows:
 // trace k+1 is filtered while trace k's options replay. Two
-// tokens keep at most two logs alive; a trace's token returns when its
-// last replay does. Results do not depend on the schedule. On failure
+// tokens, each a log or nil, keep at most two logs alive: a trace's
+// last replay returns its log as the token, and the producer filters a
+// later trace into it. Results do not depend on the schedule. On failure
 // the error of the first failing (row, option) in order is returned;
 // cancellation aborts mid-sweep with the context's error.
 func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []MemoryOption, fc fault.Config) (*Figure5Result, error) {
@@ -239,22 +246,33 @@ func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []Memor
 	// genCtx is canceled once the replays have returned, so a producer
 	// still building a trace that no replay will read stops early.
 	genCtx, cancelGen := context.WithCancel(ctx)
-	tokens := make(chan struct{}, 2)
+	tokens := make(chan *memhier.L1Log, 2)
+	tokens <- nil
+	tokens <- nil
 	idle := idleSims{cfgs: cfgs, sims: make([]*memhier.Simulator, len(cfgs))}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for k, src := range rows {
-			var err error
-			select {
-			case tokens <- struct{}{}:
-				traces[k].lg, err = memhier.FilterL1(genCtx, cfgs[0], src.open())
-			case <-genCtx.Done():
-				err = genCtx.Err()
+		var free workload.Blocks
+		for k, row := range rows {
+			err := genCtx.Err()
+			if err == nil {
+				blocks := &free
+				if k == len(rows)-1 {
+					blocks = nil
+				}
+				src := row.open(blocks)
+				free.Drop()
+				select {
+				case lg := <-tokens:
+					traces[k].lg, err = memhier.FilterL1(genCtx, cfgs[0], src, lg)
+				case <-genCtx.Done():
+					err = genCtx.Err()
+				}
 			}
 			if err != nil {
-				err = fmt.Errorf("core: %s on %s: %w", src.name, opts[0], err)
+				err = fmt.Errorf("core: %s on %s: %w", row.name, opts[0], err)
 				for j := k; j < len(traces); j++ {
 					traces[j].err = err
 					close(traces[j].ready)
@@ -276,7 +294,7 @@ func figure5(ctx context.Context, spec RunSpec, rows []traceSource, opts []Memor
 		defer func() {
 			if tr.left.Add(-1) == 0 {
 				tr.lg = nil
-				<-tokens
+				tokens <- lg
 			}
 		}()
 		sim, err := idle.take(i)
@@ -376,8 +394,8 @@ func memoryPerfFrom(bench string, o MemoryOption, res memhier.Result) MemoryPerf
 
 // figure5Trace is one benchmark's L1 log on its way through
 // figure5: the producer sets lg or err, then closes ready; the
-// replay that brings left to zero drops lg and returns the trace's
-// token.
+// replay that brings left to zero drops lg and returns it as the
+// trace's token.
 type figure5Trace struct {
 	ready chan struct{}
 	lg    *memhier.L1Log

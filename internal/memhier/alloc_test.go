@@ -133,7 +133,7 @@ func TestRunAllocsFlatInRecords(t *testing.T) {
 				for i := range recs {
 					recs[i], _ = src.Next()
 				}
-				lg, err := FilterL1(context.Background(), tc.cfg, trace.NewSliceStream(recs))
+				lg, err := FilterL1(context.Background(), tc.cfg, trace.NewSliceStream(recs), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -91,7 +91,7 @@ func TestReplayMetricsPin(t *testing.T) {
 	}
 	replay := func(t *testing.T, ctx context.Context, cfg Config) *obs.Registry {
 		t.Helper()
-		lg, err := FilterL1(context.Background(), cfg, trace.NewSliceStream(recs))
+		lg, err := FilterL1(context.Background(), cfg, trace.NewSliceStream(recs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

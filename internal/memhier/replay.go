@@ -180,7 +180,8 @@ func (f *frontEnd) l1Hits() uint64 {
 	return l1i.Hits + l1d.Hits
 }
 
-// addrChunk is the capacity, in addresses, of one L1Log address chunk.
+// addrChunk is the capacity, in addresses, of one L1Log address chunk,
+// and the most events one event chunk holds.
 const addrChunk = 1 << 16
 
 // L1Log is the front end's record of one in-memory trace: an L1 event
@@ -188,12 +189,15 @@ const addrChunk = 1 << 16
 // with the same core count and L1 geometry sees exactly these events,
 // so a log filtered once can be replayed against any number of L2
 // back ends. It is read-only once built and safe to Replay from
-// several goroutines at once.
+// several goroutines at once, until it is passed to FilterL1 for reuse.
 type L1Log struct {
 	cores    int
 	l1i, l1d cache.Config
 
-	events []event
+	// events holds one event per record in order, in chunks of at most
+	// addrChunk events, so the log never copies itself to grow and a
+	// reuse can keep the chunks of the trace before.
+	events [][]event
 	// addrs holds the events' L2 addresses in order, in chunks of
 	// addrChunk capacity that no event's addresses straddle, so the
 	// log never copies itself to grow.
@@ -214,8 +218,12 @@ type SizedStream interface {
 }
 
 // FilterL1 runs the front end of cfg once over the records of src and
-// records each record's L1 event; src.Len() sizes the log. Records are
-// read one at a time, so the caller need not hold the whole trace.
+// records each record's L1 event; src.Len() sizes the log's event
+// chunks. Records are read one at a time, so the caller need not hold
+// the whole trace. A non-nil reuse is a log no replay reads any more:
+// FilterL1 fills its chunks, emptied, before it allocates more, drops
+// those it does not need and returns reuse, holding the new log; on
+// error its contents are undefined. With nil, it builds a new log.
 // Dependencies resolve against the same record-ID window Run uses, so
 // replaying the log gives the Result Run gives on the same records,
 // bit for bit. The window starts at the smallest power of two above
@@ -231,7 +239,7 @@ type SizedStream interface {
 // the window's size, and its distance is the difference of the ids.
 // The first record out of place materializes the window (slotWindow)
 // and the lookup table takes over from there.
-func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) {
+func FilterL1(ctx context.Context, cfg Config, src SizedStream, reuse *L1Log) (*L1Log, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,11 +254,18 @@ func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) 
 	var pos []uint32
 	mask := uint64(window - 1)
 
-	lg := &L1Log{
-		cores: cfg.Cores, l1i: cfg.L1I, l1d: cfg.L1D,
-		events: make([]event, n),
+	lg := reuse
+	if lg == nil {
+		lg = new(L1Log)
 	}
-	chunk := make([]uint64, 0, max(addrChunk, maxEventAddrs(cfg.Cores)))
+	// Chunk j of the new log is spare chunk j emptied, while there is
+	// one: it is taken before the new log's outer slice, which shares
+	// the spare one's array, overwrites it.
+	spareEvents, spareAddrs := lg.events, lg.addrs
+	*lg = L1Log{cores: cfg.Cores, l1i: cfg.L1I, l1d: cfg.L1D,
+		events: spareEvents[:0], addrs: spareAddrs[:0]}
+	var evs []event
+	chunk := nextChunk(spareAddrs, 0, max(addrChunk, maxEventAddrs(cfg.Cores)))
 	longest := 0
 	i := 0
 	for ; ; i++ {
@@ -292,20 +307,45 @@ func FilterL1(ctx context.Context, cfg Config, src SizedStream) (*L1Log, error) 
 		}
 		if len(chunk)+maxEventAddrs(cfg.Cores) > cap(chunk) {
 			lg.addrs = append(lg.addrs, chunk)
-			chunk = make([]uint64, 0, cap(chunk))
+			chunk = nextChunk(spareAddrs, len(lg.addrs), cap(chunk))
+		}
+		if len(evs) == cap(evs) {
+			if evs != nil {
+				lg.events = append(lg.events, evs)
+			}
+			evs = nextChunk(spareEvents, len(lg.events), min(addrChunk, n-i))
 		}
 		ev, addrs := fe.step(rec, chunk)
 		chunk = addrs
 		ev.dep = uint32(d)
 		longest = max(longest, d)
-		lg.events[i] = ev
+		evs = append(evs, ev)
 	}
-	lg.events = lg.events[:i]
+	if evs != nil {
+		lg.events = append(lg.events, evs)
+	}
 	lg.addrs = append(lg.addrs, chunk)
+	// The spare chunks past the new log's are not needed: clear them
+	// from the array the new log may share, so they can be collected.
+	if k := len(lg.events); k < len(spareEvents) {
+		clear(spareEvents[k:])
+	}
+	if k := len(lg.addrs); k < len(spareAddrs) {
+		clear(spareAddrs[k:])
+	}
 	lg.ring = 1 << bits.Len(uint(longest))
 	lg.l1iStats, lg.l1dStats = fe.stats()
 	lg.invals = fe.invals
 	return lg, nil
+}
+
+// nextChunk returns spare chunk j emptied or, past the spare chunks, a
+// new chunk of capacity c.
+func nextChunk[T any](spare [][]T, j, c int) []T {
+	if j < len(spare) {
+		return spare[j][:0]
+	}
+	return make([]T, 0, c)
 }
 
 // slotWindow materializes the implicit window of the given size as it
@@ -342,10 +382,14 @@ func (f *frontEnd) growWindow(pos []uint32, id uint64) []uint32 {
 // l1Hits counts the L1 hits among the log's first n events.
 func (lg *L1Log) l1Hits(n uint64) uint64 {
 	var hits uint64
-	for _, ev := range lg.events[:n] {
-		if ev.flags&evHit != 0 {
-			hits++
+	for _, evs := range lg.events {
+		evs = evs[:min(n, uint64(len(evs)))]
+		for _, ev := range evs {
+			if ev.flags&evHit != 0 {
+				hits++
+			}
 		}
+		n -= uint64(len(evs))
 	}
 	return hits
 }
@@ -372,23 +416,27 @@ func (s *Simulator) Replay(ctx context.Context, lg *L1Log, reg *obs.Registry) (R
 	}
 	mask := lg.ring - 1
 	chunks, chunk, next := lg.addrs[1:], lg.addrs[0], 0
-	for i, ev := range lg.events {
-		if i%4096 == 4095 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("memhier: replay canceled after %d records: %w", i, err)
+	i := 0
+	for _, evs := range lg.events {
+		for _, ev := range evs {
+			if i%4096 == 4095 {
+				if err := ctx.Err(); err != nil {
+					return Result{}, fmt.Errorf("memhier: replay canceled after %d records: %w", i, err)
+				}
 			}
+			dep := -1
+			if ev.dep != 0 {
+				dep = (i - int(ev.dep)) & mask
+			}
+			n := ev.addrCount()
+			if next+n > len(chunk) {
+				// The filter started a new chunk before this event.
+				chunk, chunks, next = chunks[0], chunks[1:], 0
+			}
+			s.step(st, ev, chunk[next:next+n], dep, i&mask)
+			next += n
+			i++
 		}
-		dep := -1
-		if ev.dep != 0 {
-			dep = (i - int(ev.dep)) & mask
-		}
-		n := ev.addrCount()
-		if next+n > len(chunk) {
-			// The filter started a new chunk before this event.
-			chunk, chunks, next = chunks[0], chunks[1:], 0
-		}
-		s.step(st, ev, chunk[next:next+n], dep, i&mask)
-		next += n
 	}
 	return s.result(st, lg.l1iStats, lg.l1dStats, lg.invals), nil
 }

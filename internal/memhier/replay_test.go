@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -167,7 +168,7 @@ func TestFilterReplayMatchesRun(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfgs := figure5Configs(t, tc.cores, fc)
-				lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(tc.recs))
+				lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(tc.recs), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,7 +213,7 @@ func TestFilterResolvesLikeRun(t *testing.T) {
 		"far-deps":    farDepTrace(),
 		"dense-ids":   dense,
 	} {
-		lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs))
+		lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,13 +223,14 @@ func TestFilterResolvesLikeRun(t *testing.T) {
 		}
 		window := map[uint64]entry{}
 		longest := 0
+		events := slices.Concat(lg.events...)
 		for i, r := range recs {
 			want := 0
 			if e, ok := window[r.Dep%depWindow]; r.HasDep() && ok && e.id == r.Dep {
 				want = i - e.pos
 			}
 			window[r.ID%depWindow] = entry{r.ID, i}
-			if got := int(lg.events[i].dep); got != want {
+			if got := int(events[i].dep); got != want {
 				t.Fatalf("%s: record %d resolves its dependency %d records back, want %d", name, i, got, want)
 			}
 			longest = max(longest, want)
@@ -244,12 +246,12 @@ func TestFilterResolvesLikeRun(t *testing.T) {
 // dependencies must both resolve and miss.
 func TestAdversarialTraceReachesEdges(t *testing.T) {
 	recs := adversarialTrace(30_000)
-	lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs))
+	lg, err := FilterL1(context.Background(), figure5Configs(t, 4, fault.Config{})[0], trace.NewSliceStream(recs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var flushes, deps int
-	for _, ev := range lg.events {
+	for _, ev := range slices.Concat(lg.events...) {
 		flushes += int(ev.flushes)
 		if ev.dep != 0 {
 			deps++
@@ -275,7 +277,7 @@ func TestReplaySharedRegistry(t *testing.T) {
 	ctx := context.Background()
 	recs := adversarialTrace(10_000)
 	cfgs := figure5Configs(t, 4, replayFaults)
-	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
+	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestReplayPublishConcurrent(t *testing.T) {
 	ctx := context.Background()
 	recs := adversarialTrace(10_000)
 	cfgs := figure5Configs(t, 4, replayFaults)
-	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
+	lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +339,7 @@ func TestReplayPublishConcurrent(t *testing.T) {
 // with the core count and L1s it was filtered for.
 func TestReplayRefusesOtherL1s(t *testing.T) {
 	ctx := context.Background()
-	lg, err := FilterL1(ctx, BaselineConfig(), trace.NewSliceStream(wrappingTrace(100)))
+	lg, err := FilterL1(ctx, BaselineConfig(), trace.NewSliceStream(wrappingTrace(100)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +364,7 @@ func TestReplayRefusesOtherL1s(t *testing.T) {
 func TestFilterRejectsBadCPU(t *testing.T) {
 	recs := []trace.Record{{ID: 0, Dep: trace.NoDep, CPU: 7, Kind: trace.Load}}
 	_, runErr := mustSim(t, BaselineConfig()).Run(context.Background(), trace.NewSliceStream(recs), RunOptions{})
-	_, err := FilterL1(context.Background(), BaselineConfig(), trace.NewSliceStream(recs))
+	_, err := FilterL1(context.Background(), BaselineConfig(), trace.NewSliceStream(recs), nil)
 	if err == nil || runErr == nil || err.Error() != runErr.Error() {
 		t.Fatalf("filter error %v, Run error %v: want the same error", err, runErr)
 	}
@@ -405,13 +407,14 @@ func TestFilterWindowSwitch(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfgs := figure5Configs(t, 2, fault.Config{})
-			lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs))
+			lg, err := FilterL1(ctx, cfgs[0], trace.NewSliceStream(recs), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			crossing := 0
+			events := slices.Concat(lg.events...)
 			for i := k; i < n; i++ {
-				if d := int(lg.events[i].dep); d != 0 && i-d < k {
+				if d := int(events[i].dep); d != 0 && i-d < k {
 					crossing++
 				}
 			}
@@ -462,13 +465,13 @@ func TestFilterInOrderAllocatesNoWindow(t *testing.T) {
 	src := &inOrderStream{n: depWindow}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	lg, err := FilterL1(context.Background(), BaselineConfig(), src)
+	lg, err := FilterL1(context.Background(), BaselineConfig(), src, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lg.events[depWindow-1].dep != 1 {
-		t.Fatalf("last record's dependency resolves %d records back, want 1", lg.events[depWindow-1].dep)
+	if last := slices.Concat(lg.events...)[depWindow-1]; last.dep != 1 {
+		t.Fatalf("last record's dependency resolves %d records back, want 1", last.dep)
 	}
 	events := uint64(depWindow) * uint64(unsafe.Sizeof(event{}))
 	if got, limit := after.TotalAlloc-before.TotalAlloc, events+2<<20; got > limit {

@@ -36,11 +36,11 @@ func TestResetMatchesNew(t *testing.T) {
 			name += "/faults"
 		}
 		t.Run(name, func(t *testing.T) {
-			lgA, err := FilterL1(ctx, cfg, trace.NewSliceStream(recsA))
+			lgA, err := FilterL1(ctx, cfg, trace.NewSliceStream(recsA), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lgB, err := FilterL1(ctx, cfg, trace.NewSliceStream(recsB))
+			lgB, err := FilterL1(ctx, cfg, trace.NewSliceStream(recsB), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -334,9 +334,11 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 
 	// Store-queue entry release times, ring-indexed by store ordinal.
 	storeFree := make([]int64, cfg.StoreQueue)
-	storeCount := 0
 	// Scheduler occupancy: issue times ring-indexed by instruction.
 	schedFree := make([]int64, cfg.Scheduler)
+	// Each ring's position: the instruction's (or, for the store queue,
+	// the store's) ordinal modulo the ring's size, advanced by ringNext.
+	fetchPos, schedPos, storePos := 0, 0, 0
 
 	feDepth := int64(cfg.FrontEndDepth())
 	var redirect int64 // earliest fetch time after a mispredict
@@ -362,11 +364,12 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		in := prog[i]
 
 		// Fetch: width-limited, in order, after any pending redirect.
-		fetch := fetchRing[i%cfg.FetchWidth] + 1
+		fetch := fetchRing[fetchPos] + 1
 		if redirect > fetch {
 			fetch = redirect
 		}
-		fetchRing[i%cfg.FetchWidth] = fetch
+		fetchRing[fetchPos] = fetch
+		fetchPos = ringNext(fetchPos, cfg.FetchWidth)
 		// Rename completes after the front end; the ROB entry for this
 		// instruction needs the entry of (i - ROBSize) deallocated.
 		rename := fetch + feDepth
@@ -376,7 +379,7 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		// Stores additionally need a store-queue entry; entries recycle
 		// StoreLifetime cycles after the previous owner retired.
 		if in.Op == OpStore {
-			if free := storeFree[storeCount%cfg.StoreQueue]; free > rename {
+			if free := storeFree[storePos]; free > rename {
 				rename = free
 			}
 		}
@@ -395,9 +398,8 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		}
 		// Scheduler: at most Scheduler instructions between rename and
 		// issue; reuse the slot of instruction i-Scheduler.
-		slot := i % cfg.Scheduler
-		if schedFree[slot] > issue {
-			issue = schedFree[slot]
+		if schedFree[schedPos] > issue {
+			issue = schedFree[schedPos]
 		}
 		// Issue width: approximate by one extra cycle every IssueWidth
 		// instructions that issue in the same cycle — handled by the
@@ -439,7 +441,8 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		}
 		done := issue + lat
 		complete[i&mask] = done
-		schedFree[slot] = issue + 1
+		schedFree[schedPos] = issue + 1
+		schedPos = ringNext(schedPos, cfg.Scheduler)
 
 		// Mispredicted branches redirect fetch after the resolution loop.
 		if in.Op == OpBranch {
@@ -467,8 +470,8 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		}
 		retire[i&mask] = ret
 		if in.Op == OpStore {
-			storeFree[storeCount%cfg.StoreQueue] = ret + int64(cfg.StoreLifetime)
-			storeCount++
+			storeFree[storePos] = ret + int64(cfg.StoreLifetime)
+			storePos = ringNext(storePos, cfg.StoreQueue)
 		}
 	}
 
@@ -478,4 +481,13 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 		res.IPC = float64(n) / float64(res.Cycles)
 	}
 	return res, nil
+}
+
+// ringNext advances a position in a ring of n slots. It is (p+1) % n
+// for 0 <= p < n, without the division.
+func ringNext(p, n int) int {
+	if p++; p == n {
+		return 0
+	}
+	return p
 }

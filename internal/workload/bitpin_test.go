@@ -3,6 +3,8 @@ package workload
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"io"
 	"testing"
 
 	"diestack/internal/trace"
@@ -11,7 +13,10 @@ import (
 // TestGenerateBitPins pins every benchmark's trace at scale 0.1 by the
 // SHA-256 of its trace.Writer encoding: every id, dependency, address,
 // PC, cpu, kind and repeat count. A change to how records are stored
-// or merged must leave these alone.
+// or merged must leave these alone. The traces are pinned twice: as
+// Generate collects them, and streamed in paper order through one
+// shared Blocks, so each trace after the first is generated into the
+// blocks of the one before it.
 func TestGenerateBitPins(t *testing.T) {
 	want := map[string]string{
 		"conj":   "667610bf76684f4ed2d42a3f9e45d21e1b7486dca5ef4079c9cb4f9da419512f",
@@ -27,20 +32,38 @@ func TestGenerateBitPins(t *testing.T) {
 		"svd":    "a71124518c6078973e73fa75a1db120469860010a9acba8e9ed70ff16ac0840c",
 		"svm":    "70887c97ae13f049b9531eca869ab09940b9b2fce74fc9d367ab04f863609556",
 	}
-	for _, b := range All() {
-		h := sha256.New()
-		w := trace.NewWriter(h)
-		recs := b.Generate(1, 0.1)
-		for _, r := range recs {
-			if err := w.Write(r); err != nil {
+	var free Blocks
+	inputs := []struct {
+		name string
+		open func(b Benchmark) trace.Stream
+	}{
+		{"Generate", func(b Benchmark) trace.Stream { return trace.NewSliceStream(b.Generate(1, 0.1)) }},
+		{"Stream with shared Blocks", func(b Benchmark) trace.Stream { return b.Stream(1, 0.1, &free) }},
+	}
+	for _, in := range inputs {
+		for _, b := range All() {
+			h := sha256.New()
+			w := trace.NewWriter(h)
+			src := in.open(b)
+			n := 0
+			for ; ; n++ {
+				r, err := src.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Write(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want[b.Name] {
-			t.Errorf("%s: trace digest %s, want %s (%d records)", b.Name, got, want[b.Name], len(recs))
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[b.Name] {
+				t.Errorf("%s, %s: trace digest %s, want %s (%d records)", in.name, b.Name, got, want[b.Name], n)
+			}
 		}
 	}
 }

@@ -34,14 +34,53 @@ type rec struct {
 	reps uint8
 }
 
+// Blocks is a free list of emitter blocks, which lets one trace be
+// generated into the blocks of the trace read before it: a Stream
+// given a list puts each block on it once the block's last record is
+// read, and a generator given one takes its blocks from it before it
+// allocates. The zero value is an empty list. A Blocks is not safe for
+// concurrent use.
+type Blocks struct {
+	free [][]rec
+}
+
+// get returns an empty block, taken from the list when it holds one.
+func (f *Blocks) get() []rec {
+	if f == nil || len(f.free) == 0 {
+		return make([]rec, 0, blockRecs)
+	}
+	last := len(f.free) - 1
+	b := f.free[last]
+	f.free[last] = nil
+	f.free = f.free[:last]
+	return b[:0]
+}
+
+// put adds a block whose records have all been read. A nil list drops
+// it.
+func (f *Blocks) put(b []rec) {
+	if f != nil {
+		f.free = append(f.free, b)
+	}
+}
+
+// Drop empties the list, so the blocks it held can be collected.
+func (f *Blocks) Drop() {
+	clear(f.free)
+	f.free = f.free[:0]
+}
+
 // emitter builds one thread's record list with thread-local ids 0..n-1.
 // A Stream interleaves two threads into a global trace.
 type emitter struct {
 	// blocks hold the records in id order, blockRecs to a block; only
 	// the last block may be partly filled.
 	blocks [][]rec
-	n      int
-	rng    *stats.RNG
+	// free supplies new blocks before any is allocated, and a Stream
+	// returns each block to it once read (nil: none).
+	free *Blocks
+	n    int
+	rng  *stats.RNG
 	// codeBase/codeLines model the thread's hot loop body for the
 	// occasional instruction fetch record.
 	codeBase  uint64
@@ -53,10 +92,12 @@ type emitter struct {
 	ifetchEvery int
 }
 
-// newEmitter creates an emitter for one thread. Threads of the same
-// benchmark share the seed but diverge by thread index.
-func newEmitter(seed uint64, threadIdx int) *emitter {
+// newEmitter creates an emitter for one thread that takes its blocks
+// from free before it allocates. Threads of the same benchmark share the
+// seed but diverge by thread index.
+func newEmitter(seed uint64, threadIdx int, free *Blocks) *emitter {
 	return &emitter{
+		free:        free,
 		rng:         stats.NewRNG(seed*0x9e3779b9 + uint64(threadIdx)*0x85ebca6b + 1),
 		codeBase:    region(30) + uint64(threadIdx)<<20,
 		codeLines:   64, // a 4 KB hot loop: always L1I-resident
@@ -70,7 +111,7 @@ const none = trace.NoDep
 // push appends r under the next local id and returns that id.
 func (e *emitter) push(r rec) uint64 {
 	if e.n%blockRecs == 0 {
-		e.blocks = append(e.blocks, make([]rec, 0, blockRecs))
+		e.blocks = append(e.blocks, e.free.get())
 	}
 	last := len(e.blocks) - 1
 	e.blocks[last] = append(e.blocks[last], r)

@@ -11,12 +11,13 @@ package workload
 // ranges from ~12 MB (sUS) to ~37 MB (svm) so that the 32 MB and
 // 64 MB stacked caches capture progressively more of the working set.
 
-// twoThreads runs kernel for thread 0 and 1 and returns both threads'
-// emitters, for a Stream to interleave.
-func twoThreads(seed uint64, kernel func(e *emitter, thread int)) [2]*emitter {
+// twoThreads runs kernel for thread 0 and 1, on blocks taken from free
+// before any is allocated, and returns both threads' emitters, for a
+// Stream to interleave.
+func twoThreads(seed uint64, free *Blocks, kernel func(e *emitter, thread int)) [2]*emitter {
 	var ths [2]*emitter
 	for t := range ths {
-		ths[t] = newEmitter(seed, t)
+		ths[t] = newEmitter(seed, t, free)
 		kernel(ths[t], t)
 	}
 	return ths
@@ -42,13 +43,13 @@ func chainEvery(n int) func(e *emitter, addr uint64, count *int, last *uint64) {
 // genConj: conjugate-gradient solve on a dense system. Matrix A
 // (~2.5 MB) is swept once per iteration; vectors x, r, p, q are hot.
 // Dot products form dependence chains. Fits in the 4 MB baseline.
-func genConj(seed uint64, scale float64) [2]*emitter {
+func genConj(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	n := dims(560, sqrtScale(scale), 64) // A is n x n doubles ~ 2.5 MB
 	iters := 6
 	aBase, xBase, pBase, qBase, rBase := region(0), region(1), region(2), region(3), region(4)
 	rowBytes := uint64(n) * 8
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(n, t)
 		barrier := none
 		for it := 0; it < iters; it++ {
@@ -89,7 +90,7 @@ func genConj(seed uint64, scale float64) [2]*emitter {
 
 // genDSym: blocked dense matrix multiply C = A x B with three ~0.8 MB
 // matrices (total ~2.5 MB). Heavy block reuse; fits in the baseline.
-func genDSym(seed uint64, scale float64) [2]*emitter {
+func genDSym(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	n := dims(320, sqrtScale(scale), 64)
 	const blk = 64
 	nb := n / blk
@@ -100,7 +101,7 @@ func genDSym(seed uint64, scale float64) [2]*emitter {
 	blockBytes := uint64(blk * blk * 8)
 	blockLines := blockBytes / lineBytes
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		loB, hiB := split(nb, t)
 		// Three outer repetitions model the solver loop the kernel sits
 		// in; after the first, the matrices are L2-resident.
@@ -140,13 +141,13 @@ func dsymPass(e *emitter, loB, hiB, nb int, aBase, bBase, cBase, blockBytes, blo
 // pass rewrites the whole matrix; two representative passes are
 // emitted (the algorithm's n passes all look alike to the hierarchy).
 // Strong capacity response: the matrix never fits 4 MB but fits 32 MB.
-func genGauss(seed uint64, scale float64) [2]*emitter {
+func genGauss(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	n := dims(1440, sqrtScale(scale), 128) // n x n doubles ~ 16 MB
 	passes := 3
 	aBase := region(0)
 	rowBytes := uint64(n) * 8
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(n, t)
 		for p := 0; p < passes; p++ {
 			pivotRow := aBase + uint64(p*(n-1)/maxInt(passes-1, 1))*rowBytes
@@ -219,13 +220,13 @@ func (s sparseDims) matvecSweep(e *emitter, lo, hi int, scatter bool) {
 // genPCG: preconditioned CG with an incomplete-Cholesky factor and
 // red-black ordering. Matrix ~19 MB plus factor ~10 MB: responds to
 // capacity through 64 MB.
-func genPCG(seed uint64, scale float64) [2]*emitter {
+func genPCG(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	s := newSparse(dims(100_000, scale, 4096), 12)
 	lBase, lColsBase := region(4), region(5)
 	lRowBytes := uint64(6) * 8
 	iters := 2
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
 		barrier := none
 		for it := 0; it < iters; it++ {
@@ -263,9 +264,9 @@ func genPCG(seed uint64, scale float64) [2]*emitter {
 
 // genSMVM: plain CSR sparse matrix-vector multiply, ~15 MB footprint,
 // swept three times (three solver iterations).
-func genSMVM(seed uint64, scale float64) [2]*emitter {
+func genSMVM(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	s := newSparse(dims(130_000, scale, 4096), 12)
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
 		for it := 0; it < 3; it++ {
 			s.matvecSweep(e, lo, hi, false)
@@ -276,9 +277,9 @@ func genSMVM(seed uint64, scale float64) [2]*emitter {
 // genSSym: symmetric sparse multiply storing only the upper triangle,
 // ~2.5 MB. Extra scattered accumulations into y[col] but the whole
 // problem fits the baseline cache.
-func genSSym(seed uint64, scale float64) [2]*emitter {
+func genSSym(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	s := newSparse(dims(1_200, scale, 256), 8)
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
 		for it := 0; it < 34; it++ {
 			span := hi - lo
@@ -299,9 +300,9 @@ func genSSym(seed uint64, scale float64) [2]*emitter {
 // genSTrans: transposed sparse multiply — the scatter version of
 // sMVM. Scattered stores generate dirty-eviction writeback traffic on
 // top of the ~15 MB streaming footprint.
-func genSTrans(seed uint64, scale float64) [2]*emitter {
+func genSTrans(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	s := newSparse(dims(130_000, scale, 4096), 12)
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(s.rows, t)
 		for it := 0; it < 3; it++ {
 			s.matvecSweep(e, lo, hi, true)
@@ -354,9 +355,9 @@ func (f femDims) assemble(e *emitter, lo, hi, sweeps, spread int) {
 
 // genSAVDF: structural rigidity, AVDF kernel — compact ~3 MB mesh with
 // mostly local gathers. Fits the baseline.
-func genSAVDF(seed uint64, scale float64) [2]*emitter {
+func genSAVDF(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	f := newFEM(dims(25_000, scale, 2048), dims(30_000, scale, 2048))
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
 		f.assemble(e, lo, hi, 3, 0)
 	})
@@ -364,9 +365,9 @@ func genSAVDF(seed uint64, scale float64) [2]*emitter {
 
 // genSAVIF: structural rigidity, AVIF kernel — same compact mesh with
 // irregular (indexed) gathers. Fits the baseline.
-func genSAVIF(seed uint64, scale float64) [2]*emitter {
+func genSAVIF(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	f := newFEM(dims(25_000, scale, 2048), dims(30_000, scale, 2048))
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
 		f.assemble(e, lo, hi, 3, 128)
 	})
@@ -374,9 +375,9 @@ func genSAVIF(seed uint64, scale float64) [2]*emitter {
 
 // genSUS: structural rigidity, US kernel — a ~12 MB mesh with wide
 // irregular gathers. Misses the baseline, fits the stacked caches.
-func genSUS(seed uint64, scale float64) [2]*emitter {
+func genSUS(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	f := newFEM(dims(120_000, scale, 8192), dims(260_000, scale, 8192))
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(f.elems, t)
 		f.assemble(e, lo, hi, 2, 4096)
 	})
@@ -385,12 +386,12 @@ func genSUS(seed uint64, scale float64) [2]*emitter {
 // genSVD: one-sided Jacobi SVD on a small dense matrix (~0.6 MB).
 // Column-pair rotations revisit the same columns constantly; fits the
 // baseline with room to spare.
-func genSVD(seed uint64, scale float64) [2]*emitter {
+func genSVD(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	n := dims(272, sqrtScale(scale), 64)
 	aBase := region(0)
 	colBytes := uint64(n) * 8
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		lo, hi := split(n, t)
 		for i := lo; i < hi; i++ {
 			for j := i + 1; j < minInt(i+5, n); j++ {
@@ -419,7 +420,7 @@ func genSVD(seed uint64, scale float64) [2]*emitter {
 // subset of a ~37 MB support-vector matrix computing kernel dot
 // products; across queries the whole matrix is revisited. The largest
 // footprint in the suite — keeps improving through 64 MB.
-func genSVM(seed uint64, scale float64) [2]*emitter {
+func genSVM(seed uint64, scale float64, free *Blocks) [2]*emitter {
 	svs := dims(9000, scale, 512)
 	const dim = 512 // doubles per support vector: 4 KB, 64 lines
 	svBase, qBase := region(0), region(1)
@@ -427,7 +428,7 @@ func genSVM(seed uint64, scale float64) [2]*emitter {
 	queries := 12
 	perQuery := svs / queries * 2 // 2x oversample: matrix covered twice
 
-	return twoThreads(seed, func(e *emitter, t int) {
+	return twoThreads(seed, free, func(e *emitter, t int) {
 		loQ, hiQ := split(queries, t)
 		for q := loQ; q < hiQ; q++ {
 			qAddr := qBase + uint64(q)*svBytes

@@ -37,22 +37,27 @@ type Benchmark struct {
 	// FitsIn4MB records the paper's observed behaviour: true if the
 	// working set fits the baseline cache (no capacity response).
 	FitsIn4MB bool
-	// gen runs the benchmark's two threads into their emitters.
-	gen func(seed uint64, scale float64) [2]*emitter
+	// gen runs the benchmark's two threads into their emitters, whose
+	// blocks come from free before any is allocated.
+	gen func(seed uint64, scale float64, free *Blocks) [2]*emitter
 }
 
 // Stream returns the benchmark's two-threaded trace as a Stream over
 // the generated threads. scale >= 0.1 grows or shrinks the problem
 // (and the footprint) roughly linearly; scale=1 is the reference size.
-// The trace is deterministic in seed.
-func (b Benchmark) Stream(seed uint64, scale float64) *Stream {
-	return newStream(b.gen(seed, scale))
+// The trace is deterministic in seed. With a non-nil free, the threads
+// are generated into blocks taken from free before any is allocated,
+// and the Stream puts each block back on free once it has read it, for
+// the next trace to reuse; with nil, each block is dropped once read.
+// free never changes the records.
+func (b Benchmark) Stream(seed uint64, scale float64, free *Blocks) *Stream {
+	return newStream(b.gen(seed, scale, free))
 }
 
-// Generate returns the records of b.Stream(seed, scale), collected
+// Generate returns the records of b.Stream(seed, scale, nil), collected
 // into one slice of exactly their count.
 func (b Benchmark) Generate(seed uint64, scale float64) []trace.Record {
-	return interleave(b.gen(seed, scale))
+	return interleave(b.gen(seed, scale, nil))
 }
 
 var registry = []Benchmark{
@@ -120,10 +125,11 @@ func FootprintBytes(recs []trace.Record) uint64 {
 // after. Ids and dependencies are renumbered by globalID, so no remap
 // table is needed; the CPU field is the thread index and the PC is the
 // thread's codeBase plus the record's offset. A Stream reads its
-// threads once: each emitter block is dropped as soon as its last
-// record is read, so the blocks still live shrink as the stream is
-// consumed. A dependency on a non-earlier local id panics, naming the
-// thread and record.
+// threads once: each emitter block, a thread's partly filled last block
+// included, goes as soon as its last record is read: back on the free
+// list its emitter took it from, or, with none, dropped, so the blocks
+// still live shrink as the stream is consumed. A dependency on a
+// non-earlier local id panics, naming the thread and record.
 type Stream struct {
 	threads [2]*emitter
 	// m is the shorter thread's length, n the total, and tail the
@@ -159,7 +165,8 @@ func (s *Stream) Next() (trace.Record, error) {
 	e := s.threads[t]
 	b, off := local/blockRecs, local%blockRecs
 	r := e.blocks[b][off]
-	if off == blockRecs-1 {
+	if off == blockRecs-1 || local == uint64(e.n-1) {
+		e.free.put(e.blocks[b])
 		e.blocks[b] = nil
 	}
 	dep := r.dep

@@ -199,7 +199,7 @@ func TestInterleavePanicsOnForwardDep(t *testing.T) {
 // emitter block once its last record is read, and of no block before.
 func TestStreamDropsReadBlocks(t *testing.T) {
 	b, _ := ByName("gauss")
-	ths := b.gen(1, 0.1)
+	ths := b.gen(1, 0.1, nil)
 	s := newStream(ths)
 	// Read both threads' first two blocks and one record of the third.
 	for range 4*blockRecs + 1 {

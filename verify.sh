@@ -47,13 +47,16 @@ go test -race -timeout 5m -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasse
 
 echo "== fan-out race =="
 # Figure 5 streams the next trace through the L1 filter while the
-# current one replays, Table 4 runs its twelve configurations side by
-# side, and the campaign harness runs its jobs, all through
-# internal/fanout; each Figure 5 option's replays share one simulator
-# slot, Reset between uses. -cpu 1,2,4 races the trace pipeline, the
-# streamed filter, the simulator reuse and the fan-out at two and four
-# workers even on a one-core runner, and checks the GOMAXPROCS 1
-# serial path. The goroutine-count checks run here too: ForEach's
+# current one replays, generating it into the emitter blocks of the
+# trace before and filtering it into the log of the trace two before,
+# which that trace's last replay hands back; Table 4 runs its twelve
+# configurations side by side, and the campaign harness runs its jobs,
+# all through internal/fanout; each Figure 5 option's replays share one
+# simulator slot, Reset between uses. -cpu 1,2,4 races the trace
+# pipeline, the streamed filter and its log reuse (FilterStreamReuse),
+# the simulator reuse and the fan-out at two and four workers even on
+# a one-core runner, and checks the GOMAXPROCS 1 serial path. The
+# goroutine-count checks run here too: ForEach's
 # workers, the obs exporter and progress loops, the stackd handler
 # (singleflight, shedding, drain) and stackd's stalled-client timeouts
 # must leave no goroutine behind.
