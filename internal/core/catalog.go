@@ -163,13 +163,14 @@ func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
 // "experiment" field may be omitted (the route names it) but must
 // match when present; unknown fields anywhere are rejected, and so is
 // a spec or params outside the bounds an outside request may ask for
-// (grid in [0, 256], scale in [0, 4], at most 1M instructions, 10k
-// steps and 64 conductivities) or naming what does not exist (a
-// benchmark, capacity, logic variant or Figure 3 layer, a repeated
-// benchmark, or fault params the fault model or the selected memory
-// hierarchies reject). An experiment that takes parameters
-// always gets a NewParams pointer back, all-default when the body
-// omits them.
+// (grid in [0, 256], scale in [0, 4], at most 1M instructions, 0 to
+// 10k steps, a non-negative DTM interval and 64 conductivities) or
+// naming what does not exist (a benchmark, capacity, logic variant or
+// Figure 3 layer, a repeated benchmark, or fault params the fault
+// model or the selected memory hierarchies reject), and DTM params the
+// controller rejects once defaulted. An experiment that takes
+// parameters always gets a NewParams pointer back, all-default when
+// the body omits them.
 func (e Experiment) DecodeRequest(data []byte) (ExperimentRequest, error) {
 	var w requestWire
 	if err := canon.Unmarshal(data, &w); err != nil {
@@ -250,6 +251,13 @@ func (req ExperimentRequest) checkWire() error {
 	case *ManagedThermalParams:
 		if p.Steps > maxWireSteps {
 			return fmt.Errorf("core: %d steps above %d", p.Steps, maxWireSteps)
+		}
+		if p.DtSeconds < 0 || p.Steps < 0 {
+			return fmt.Errorf("core: negative dt_s %v or steps %d", p.DtSeconds, p.Steps)
+		}
+		cfg, _ := p.resolve()
+		if err := cfg.Validate(); err != nil {
+			return err
 		}
 		if _, err := LogicOptionForSlug(p.Variant); err != nil {
 			return err
@@ -476,6 +484,24 @@ type ManagedThermalParams struct {
 	Steps int `json:"steps,omitempty"`
 	// Faults, when set, runs the controller through a faulty sensor.
 	Faults *FaultParams `json:"faults,omitempty"`
+}
+
+// resolve fills p's zero fields with the run's defaults, giving the
+// controller config and transient options the run hands to
+// RunManagedLogicThermal.
+func (p *ManagedThermalParams) resolve() (dtm.Config, thermal.TransientOptions) {
+	cfg := dtm.Config{TmaxC: p.TmaxC, HysteresisC: p.HysteresisC, MinFreq: p.MinFreq}
+	if cfg.TmaxC == 0 {
+		cfg.TmaxC = DefaultManagedTmaxC
+	}
+	opt := thermal.TransientOptions{Dt: p.DtSeconds, Steps: p.Steps}
+	if opt.Dt == 0 {
+		opt.Dt = DefaultManagedDt
+	}
+	if opt.Steps == 0 {
+		opt.Steps = DefaultManagedSteps
+	}
+	return cfg, opt
 }
 
 // CampaignParams says what the full paper sweep covers; every job
@@ -737,20 +763,7 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				tmax := p.TmaxC
-				if tmax == 0 {
-					tmax = DefaultManagedTmaxC
-				}
-				dt := p.DtSeconds
-				if dt == 0 {
-					dt = DefaultManagedDt
-				}
-				steps := p.Steps
-				if steps == 0 {
-					steps = DefaultManagedSteps
-				}
-				cfg := dtm.Config{TmaxC: tmax, HysteresisC: p.HysteresisC, MinFreq: p.MinFreq}
-				opt := thermal.TransientOptions{Dt: dt, Steps: steps}
+				cfg, opt := p.resolve()
 				return RunManagedLogicThermal(ctx, spec, o, cfg, p.Faults.Config(), opt)
 			},
 		},

@@ -271,6 +271,14 @@ func TestDecodeRequestRejects(t *testing.T) {
 		{"logic-thermal", `{"params":{"variant":"4d"}}`},
 		{"managed-logic-thermal", `{"params":{"variant":"4d"}}`},
 		{"managed-logic-thermal", `{"params":{"faults":{"sensor_noise_c":-2}}}`},
+		// DTM params the controller or the transient would refuse once
+		// defaulted: decoded, each would fail as a 500 after a steady solve.
+		{"managed-logic-thermal", `{"params":{"tmax_c":-5}}`},
+		{"managed-logic-thermal", `{"params":{"hysteresis_c":-1}}`},
+		{"managed-logic-thermal", `{"params":{"hysteresis_c":95}}`},
+		{"managed-logic-thermal", `{"params":{"min_freq":2}}`},
+		{"managed-logic-thermal", `{"params":{"dt_s":-0.25}}`},
+		{"managed-logic-thermal", `{"params":{"steps":-1}}`},
 		{"fig3", `{"params":{"layer":"tim"}}`},
 	} {
 		if _, err := mustExperiment(bad.exp).DecodeRequest([]byte(bad.body)); err == nil {

@@ -117,8 +117,7 @@ type AutoFoldComparison struct {
 func RunAutoFold(ctx context.Context, spec RunSpec) (AutoFoldComparison, error) {
 	planar := floorplan.Pentium4Planar()
 	auto, err := floorplan.AutoFold(planar, floorplan.FoldOptions{
-		DensityTarget: 1.35,
-		PowerFactor:   floorplan.Pentium4ThreeDPowerFactor,
+		PowerFactor: floorplan.Pentium4ThreeDPowerFactor,
 		CriticalNets: []floorplan.Net{
 			{A: "D$", B: "F", Weight: 3},
 			{A: "RF", B: "FP", Weight: 2},

@@ -10,8 +10,9 @@ import (
 // every catalog experiment's decoder. Decoding must never panic; an
 // accepted body must re-encode to a canonical fixed point (decoding the
 // canonical bytes and encoding again yields the same bytes, so one
-// request has one cache key); and an accepted spec and its params must
-// lie within the wire bounds. Seeds live in testdata/fuzz/FuzzDecodeRequest.
+// request has one cache key); an accepted spec and its params must
+// lie within the wire bounds; and accepted DTM params must, once
+// defaulted, be ones the run accepts. Seeds live in testdata/fuzz/FuzzDecodeRequest.
 func FuzzDecodeRequest(f *testing.F) {
 	exps := Experiments()
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -22,6 +23,12 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			if err := req.checkWire(); err != nil {
 				t.Fatalf("%s: accepted an out-of-bounds request: %v", e.Name, err)
+			}
+			if p, ok := req.Params.(*ManagedThermalParams); ok {
+				cfg, opt := p.resolve()
+				if err := cfg.Validate(); err != nil || opt.Dt <= 0 || opt.Steps <= 0 {
+					t.Fatalf("%s: accepted params the run refuses: %+v, %v", e.Name, p, err)
+				}
 			}
 			canonical, err := e.EncodeRequest(req)
 			if err != nil {

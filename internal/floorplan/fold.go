@@ -8,6 +8,14 @@ import (
 	"diestack/internal/thermal"
 )
 
+const (
+	// foldGrid is the density raster resolution.
+	foldGrid = 64
+	// foldAreaSlack is extra footprint area beyond half the planar die:
+	// 10% whitespace for routability.
+	foldAreaSlack = 0.10
+)
+
 // FoldOptions tunes AutoFold.
 type FoldOptions struct {
 	// DensityTarget caps the folded design's through-stack peak power
@@ -21,11 +29,6 @@ type FoldOptions struct {
 	// opposite dies, vertically overlapped — the wire the fold exists
 	// to remove. Defaults to nothing.
 	CriticalNets []Net
-	// Grid is the density raster resolution (default 64).
-	Grid int
-	// AreaSlack is extra footprint area beyond half the planar die
-	// (default 0.10: 10% whitespace for routability).
-	AreaSlack float64
 	// MaxRepairIters bounds the place-observe-repair loop (default 64).
 	MaxRepairIters int
 }
@@ -36,12 +39,6 @@ func (o FoldOptions) withDefaults() FoldOptions {
 	}
 	if o.PowerFactor == 0 {
 		o.PowerFactor = 1
-	}
-	if o.Grid == 0 {
-		o.Grid = 64
-	}
-	if o.AreaSlack == 0 {
-		o.AreaSlack = 0.10
 	}
 	if o.MaxRepairIters == 0 {
 		o.MaxRepairIters = 64
@@ -68,7 +65,7 @@ func AutoFold(planar *Floorplan, opt FoldOptions) (*Floorplan, error) {
 	opt = opt.withDefaults()
 
 	// Footprint: half the area plus slack, preserving the aspect ratio.
-	shrink := math.Sqrt((1 + opt.AreaSlack) / 2)
+	shrink := math.Sqrt((1 + foldAreaSlack) / 2)
 	dieW := planar.DieW * shrink
 	dieH := planar.DieH * shrink
 	capArea := dieW * dieH
@@ -250,18 +247,18 @@ func AutoFold(planar *Floorplan, opt FoldOptions) (*Floorplan, error) {
 	// Observe-and-repair loop: while the through-stack peak density
 	// exceeds the target, move the worst non-anchored contributor to
 	// the coolest spot of its die.
-	planarPeak := planar.PeakDensity(0, opt.Grid, opt.Grid)
+	planarPeak := planar.PeakDensity(0, foldGrid, foldGrid)
 	target := opt.DensityTarget * planarPeak
 	for iter := 0; iter < opt.MaxRepairIters; iter++ {
-		peak, cellX, cellY := stackedPeakCell(folded, opt.Grid)
+		peak, cellX, cellY := stackedPeakCell(folded, foldGrid)
 		if peak <= target {
 			break
 		}
-		victim := hottestContributor(folded, cellX, cellY, opt.Grid, mate, mateOf)
+		victim := hottestContributor(folded, cellX, cellY, foldGrid, mate, mateOf)
 		if victim < 0 {
 			break // everything at the hot spot is pinned
 		}
-		moved, ok := moveToCoolest(folded, victim, opt.Grid)
+		moved, ok := moveToCoolest(folded, victim, foldGrid)
 		if !ok {
 			break
 		}

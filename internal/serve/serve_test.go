@@ -266,8 +266,8 @@ func TestBadRequests(t *testing.T) {
 	if resp, _ := post(t, ts.URL+"/v1/experiments/memory-perf", `{"spec":{"seed":1,"scale":1e12}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("huge scale: %d", resp.StatusCode)
 	}
-	// Names the run would refuse are the client's mistake: a 400 at
-	// decode, not a 500 after taking a solve slot.
+	// Names and params the run would refuse are the client's mistake: a
+	// 400 at decode, not a 500 after taking a solve slot.
 	for _, bad := range []struct{ exp, body string }{
 		{"memory-perf", `{"params":{"benchmark":"nope"}}`},
 		{"memory-perf", `{"params":{"capacity_mb":7}}`},
@@ -278,6 +278,7 @@ func TestBadRequests(t *testing.T) {
 		{"campaign", `{"params":{"benchmarks":["gauss","gauss"]}}`},
 		{"logic-thermal", `{"params":{"variant":"4d"}}`},
 		{"fig3", `{"params":{"layer":"tim"}}`},
+		{"managed-logic-thermal", `{"params":{"hysteresis_c":95}}`},
 	} {
 		if resp, body := post(t, ts.URL+"/v1/experiments/"+bad.exp, bad.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s %s: %d %s", bad.exp, bad.body, resp.StatusCode, body)

@@ -18,17 +18,17 @@
 // lives for one attempt: it starts before the first cycle and stops on
 // every return path, so a Workspace between solves holds no goroutines.
 //
-// Bands are claimed, not assigned: each worker runs its own share
-// first and then steals what is left of the others', so a helper that
-// is parked or descheduled when a kernel starts delays nobody — the
-// caller runs its share — and the caller waits only for bands already
-// running.
+// Each worker runs a fixed share: of a dispatch's n bands, worker k
+// of w always runs [⌈kn/w⌉, ⌈(k+1)n/w⌉), the bands that start in its
+// share of the rows, so the rows a core smooths are the rows it then
+// restricts and prolongs. The caller sends the bands to each helper on
+// that helper's own channel, runs its own share, and receives one
+// "done" per helper; a helper that is descheduled delays its caller.
 package thermal
 
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 const (
@@ -36,12 +36,11 @@ const (
 	// ny/crewMinRows bands, and one with fewer than two stays serial.
 	crewMinRows = 8
 	// crewSpins is how many times a waiting side yields before it
-	// parks. Longer spins bridge more hand-offs without a wake-up, but
-	// a spinning helper burns a core through every serial stretch
-	// (coarse levels, convergence tests, time-step bookkeeping). On the
-	// 2-vCPU benchmark host the closed-loop DTM run took the same wall
-	// time at 0, 10, 50 and 200 spins, and CPU rose with the budget;
-	// work stealing covers a late wake-up.
+	// blocks on its channel. The yields bridge most hand-offs without
+	// a wake-up: on the 2-vCPU benchmark host a grid-64 V-cycle ran
+	// about 12% slower without them. A spinning helper burns a core
+	// through every serial stretch (coarse levels, convergence tests,
+	// time-step bookkeeping), so CPU rises with the budget.
 	crewSpins = 10
 )
 
@@ -81,79 +80,14 @@ func (b *band) run() {
 	}
 }
 
-// gate parks one waiter until a condition holds. The waiter yields
-// crewSpins times first, then sets parked and blocks on wake; whoever
-// makes the condition true calls open, which sends only if it is the
-// one to clear parked, so no wake-up is lost or left over.
-type gate struct {
-	parked atomic.Bool
-	wake   chan struct{}
-}
-
-func (g *gate) wait(ready func() bool) {
-	for i := 0; !ready(); i++ {
-		if i < crewSpins {
-			runtime.Gosched()
-			continue
-		}
-		g.parked.Store(true)
-		if ready() {
-			if !g.parked.CompareAndSwap(true, false) {
-				<-g.wake // open cleared the flag first and is sending
-			}
-			return
-		}
-		<-g.wake
-	}
-}
-
-func (g *gate) open() {
-	if g.parked.Load() && g.parked.CompareAndSwap(true, false) {
-		g.wake <- struct{}{}
-	}
-}
-
-// worker is one member of a crew: the caller (worker 0) or a helper.
-// Of each dispatch's bands it owns a contiguous range, aligned across
-// levels and kernels so the rows a worker smooths are the rows it then
-// restricts and prolongs, and stay warm in its core's cache. state
-// packs generation<<32 | back<<16 | front, the owned bands [front,
-// back) no one has claimed yet. A worker claims from the front of its
-// own range, then steals from the back of the others'.
-type worker struct {
-	state atomic.Uint64
-	gate
-}
-
-// take claims a band of generation gen from w's range, at the back
-// when stealing; ok is false once the range is empty or a later
-// generation has begun.
-func (w *worker) take(gen uint32, back bool) (i int, ok bool) {
-	for {
-		s := w.state.Load()
-		f, b := int(s&0xffff), int(s>>16&0xffff)
-		if uint32(s>>32) != gen || f >= b {
-			return 0, false
-		}
-		if back {
-			if w.state.CompareAndSwap(s, s-1<<16) {
-				return b - 1, true
-			}
-		} else if w.state.CompareAndSwap(s, s+1) {
-			return f, true
-		}
-	}
-}
-
-// crew is the caller and len(workers)-1 helper goroutines. A dispatch
-// puts its bands in cur and hands every worker its range under a new
-// generation; done counts the dispatch's finished bands.
+// crew is the caller (worker 0) and one helper goroutine per channel
+// in helpers. Each channel holds one dispatch's bands and done one
+// value per helper, so no send ever blocks: a helper has received its
+// bands before it reports done, and the caller receives every done
+// before its next dispatch.
 type crew struct {
-	workers []worker
-	gen     uint32 // the caller's count of generations (it wraps)
-	done    atomic.Uint32
-	cur     []band
-	quit    atomic.Bool
+	helpers []chan []band
+	done    chan struct{}
 	wg      sync.WaitGroup
 }
 
@@ -168,10 +102,7 @@ func (h *mgHier) attachCrew() {
 	if last == 0 || n < 2 {
 		return
 	}
-	cr := &crew{workers: make([]worker, n)}
-	for i := range cr.workers {
-		cr.workers[i].wake = make(chan struct{}, 1)
-	}
+	cr := &crew{helpers: make([]chan []band, n-1), done: make(chan struct{}, n-1)}
 	for l, lv := range h.levels[:last] {
 		if lv.ny/crewMinRows < 2 {
 			break
@@ -180,21 +111,23 @@ func (h *mgHier) attachCrew() {
 		lv.crew = cr
 	}
 	cr.wg.Add(n - 1)
-	for k := 1; k < n; k++ {
-		go cr.serve(k)
+	for k := range cr.helpers {
+		cr.helpers[k] = make(chan []band, 1)
+		go cr.serve(k+1, cr.helpers[k])
 	}
 }
 
 // detachCrew stops the attempt's crew, if any, and waits for its
-// helpers to exit. It claims nothing, so it also returns when a panic
-// unwound the caller out of a dispatch.
+// helpers to exit. It sends nothing that can block, so it also returns
+// when a panic unwound the caller out of a dispatch.
 func (h *mgHier) detachCrew() {
 	cr := h.levels[0].crew // a crew always splits the fine level
 	if cr == nil {
 		return
 	}
-	cr.quit.Store(true)
-	cr.publish(0)
+	for _, ch := range cr.helpers {
+		close(ch)
+	}
 	cr.wg.Wait()
 	for _, lv := range h.levels {
 		lv.crew = nil
@@ -222,65 +155,52 @@ func (lv *mgLevel) split(next *mgLevel) {
 	}
 }
 
-// publish starts the next generation with n bands (none when
-// quitting): worker k of w owns bands [⌈kn/w⌉, ⌈(k+1)n/w⌉), the
-// bands that start in its share of the rows. It then wakes parked
-// helpers.
-func (cr *crew) publish(n int) {
-	cr.gen++
-	w := len(cr.workers)
-	for k := range cr.workers {
-		lo, hi := (k*n+w-1)/w, ((k+1)*n+w-1)/w
-		cr.workers[k].state.Store(uint64(cr.gen)<<32 | uint64(hi)<<16 | uint64(lo))
-	}
-	for k := 1; k < w; k++ {
-		cr.workers[k].open()
+// share runs worker k's bands of a dispatch.
+func (cr *crew) share(bands []band, k int) {
+	n, w := len(bands), len(cr.helpers)+1
+	for i := (k*n + w - 1) / w; i < ((k+1)*n+w-1)/w; i++ {
+		bands[i].run()
 	}
 }
 
-// work runs bands of generation gen for worker k until none is left
-// to claim: its own from the front, then the others' from the back.
-// The band that finishes the generation opens the caller's gate.
-func (cr *crew) work(k int, gen uint32) {
-	w := len(cr.workers)
-	for j := 0; j < w; j++ {
-		for {
-			i, ok := cr.workers[(k+j)%w].take(gen, j > 0)
-			if !ok {
-				break
-			}
-			n := uint32(len(cr.cur))
-			cr.cur[i].run()
-			if cr.done.Add(1) == n {
-				cr.workers[0].open()
-			}
-		}
-	}
-}
-
-// serve is helper k's loop: wait for a new generation, work it.
-func (cr *crew) serve(k int) {
+// serve is helper k's loop: run its share of each dispatch until its
+// channel closes.
+func (cr *crew) serve(k int, in <-chan []band) {
 	defer cr.wg.Done()
-	w := &cr.workers[k]
-	var seen uint32
 	for {
-		w.wait(func() bool { return uint32(w.state.Load()>>32) != seen })
-		seen = uint32(w.state.Load() >> 32)
-		if cr.quit.Load() {
+		bands, ok := recv(in)
+		if !ok {
 			return
 		}
-		cr.work(k, seen)
+		cr.share(bands, k)
+		cr.done <- struct{}{}
 	}
 }
 
 // dispatch runs every band's kernel and returns once all are done.
 func (cr *crew) dispatch(bands []band) {
-	cr.cur = bands
-	cr.done.Store(0)
-	cr.publish(len(bands))
-	cr.work(0, cr.gen)
-	n := uint32(len(bands))
-	cr.workers[0].wait(func() bool { return cr.done.Load() == n })
+	for _, ch := range cr.helpers {
+		ch <- bands
+	}
+	cr.share(bands, 0)
+	for range cr.helpers {
+		recv(cr.done)
+	}
+}
+
+// recv receives from ch, yielding crewSpins times while it is empty
+// before it blocks.
+func recv[T any](ch <-chan T) (T, bool) {
+	for range crewSpins {
+		select {
+		case v, ok := <-ch:
+			return v, ok
+		default:
+			runtime.Gosched()
+		}
+	}
+	v, ok := <-ch
+	return v, ok
 }
 
 // smooth relaxes one color of lv across its bands and returns the

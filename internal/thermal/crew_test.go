@@ -211,7 +211,7 @@ func TestCrewLifetime(t *testing.T) {
 	helpers, inside := 0, 0
 	_, err = w.SolveTransient(ctx, TransientOptions{Dt: 0.25, Steps: 3, PowerScale: func(float64, float64) float64 {
 		if cr := w.mg.levels[0].crew; cr != nil {
-			helpers = len(cr.workers) - 1
+			helpers = len(cr.helpers)
 		}
 		inside = max(inside, runtime.NumGoroutine())
 		return 1

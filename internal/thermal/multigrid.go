@@ -95,8 +95,9 @@ type mgLevel struct {
 	amb  float64   // ambient boundary temperature (0 on coarse levels)
 	sc   *lineScratch
 	// crew, while a solve attempt has one attached and the level is
-	// large enough, splits the level's kernels into bands (crew.go);
-	// nil runs them serial.
+	// large enough, runs the level's kernels over its bands: each
+	// worker always takes the same contiguous share of them, handed
+	// to the helpers over channels (crew.go). nil runs them serial.
 	crew  *crew
 	bands []band
 }

@@ -14,7 +14,7 @@ test -z "$(gofmt -l .)" || {
 echo "== go vet =="
 # Besides the standard checks, vet's copylocks is what catches a copied
 # sync/atomic or sync.Mutex value (an obs counter, gauge or histogram,
-# or a crew counter, read by value).
+# or a Figure 5 trace's replay count, read by value).
 go vet ./...
 
 echo "== stacklint =="
@@ -38,12 +38,13 @@ go test -race -timeout 5m ./...
 
 echo "== solver crew race =="
 # The thermal solver splits each large multigrid level across a crew of
-# helpers sized by GOMAXPROCS. -cpu 1,4 races the crew at four workers
-# even on a one-core runner, and checks the GOMAXPROCS 1 serial path.
+# helpers sized by GOMAXPROCS. -cpu 1,2,4 races the crew at two workers
+# (one helper, the crew a 2-vCPU host runs) and at four even on a
+# one-core runner, and checks the GOMAXPROCS 1 serial path.
 # The column-class table tests run here too: every band reads the
 # classes that beginSolve factorizes. So do the WorkspaceCache tests:
 # a solve parked mid-run must not block Len or a solve on another key.
-go test -race -timeout 5m -cpu 1,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
+go test -race -timeout 5m -cpu 1,2,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
 
 echo "== fan-out race =="
 # Figure 5 streams the next trace through the L1 filter while the
