@@ -24,7 +24,6 @@ import (
 
 	"diestack/internal/core"
 	"diestack/internal/serve"
-	"diestack/internal/thermal"
 )
 
 // stackd drops a client that stalls: a request's header must arrive
@@ -56,7 +55,6 @@ func main() {
 		maxSolves    = flag.Int("max-solves", 0, "concurrent experiment bound before shedding with 429 (0 = NumCPU)")
 		retryAfter   = flag.Duration("retry-after", serve.DefaultRetryAfter, "Retry-After hint on shed responses")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline for in-flight requests")
-		workspaces   = flag.Int("workspaces", thermal.DefaultWorkspaceCacheSize, "pooled thermal workspaces shared across requests")
 	)
 	cli := core.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
@@ -65,16 +63,12 @@ func main() {
 	}
 	defer cli.Stop()
 
-	ws := thermal.NewWorkspaceCache(*workspaces)
-	defer ws.Close()
 	srv := serve.New(serve.Config{
 		CacheEntries: *cacheEntries,
 		MaxSolves:    *maxSolves,
 		RetryAfter:   *retryAfter,
 		Obs:          cli.Obs(),
-		Workspaces:   ws,
 	})
-	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

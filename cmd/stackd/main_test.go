@@ -82,7 +82,6 @@ func TestServerDropsStalledClients(t *testing.T) {
 
 	client.CloseIdleConnections()
 	hs.Close()
-	srv.Close()
 	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func RunMultiDieSweep(ctx context.Context, spec RunSpec, maxDies int) ([]MultiDi
 		if err != nil {
 			return nil, err
 		}
-		field, err := solveStack(ctx, spec, fmt.Sprintf("multidie/%dd/g%d", n, nx), stack)
+		field, err := solveStack(ctx, spec, stack)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +133,7 @@ func RunAutoFold(ctx context.Context, spec RunSpec) (AutoFoldComparison, error) 
 		return AutoFoldComparison{}, err
 	}
 	nx, ny := gridOrDefault(spec.Grid)
-	field, err := solveLogicStack(ctx, spec, fmt.Sprintf("logic/autofold/g%d", nx), auto, 1)
+	field, err := solveLogicStack(ctx, spec, auto, 1)
 	if err != nil {
 		return AutoFoldComparison{}, err
 	}

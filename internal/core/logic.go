@@ -90,15 +90,9 @@ func buildLogicStack(fp *floorplan.Floorplan, grid int, powerScale float64) *the
 
 // solveLogicStack builds and solves the thermal stack for a logic
 // floorplan whose block powers have been scaled by powerScale, on the
-// spec's solver settings. key follows the solveStack contract.
-func solveLogicStack(ctx context.Context, spec RunSpec, key string, fp *floorplan.Floorplan, powerScale float64) (*thermal.Field, error) {
-	return solveStack(ctx, spec, key, buildLogicStack(fp, spec.Grid, powerScale))
-}
-
-// logicKey names a Figure 11 stack shape for workspace pooling.
-func logicKey(o LogicOption, grid int) string {
-	nx, _ := gridOrDefault(grid)
-	return fmt.Sprintf("logic/%s/g%d", logicSlug(o), nx)
+// spec's solver settings.
+func solveLogicStack(ctx context.Context, spec RunSpec, fp *floorplan.Floorplan, powerScale float64) (*thermal.Field, error) {
+	return solveStack(ctx, spec, buildLogicStack(fp, spec.Grid, powerScale))
 }
 
 // RunLogicThermal solves one Figure 11 bar. spec.Grid <= 0 selects the
@@ -109,7 +103,7 @@ func RunLogicThermal(ctx context.Context, spec RunSpec, o LogicOption) (LogicThe
 	if err != nil {
 		return LogicThermal{}, err
 	}
-	field, err := solveLogicStack(ctx, spec, logicKey(o, spec.Grid), fp, 1)
+	field, err := solveLogicStack(ctx, spec, fp, 1)
 	if err != nil {
 		return LogicThermal{}, fmt.Errorf("core: thermal solve for %s: %w", o, err)
 	}
@@ -188,7 +182,7 @@ func RunTable5(ctx context.Context, spec RunSpec) ([]power.Point, error) {
 	// stack determines the whole response — the bisection then costs
 	// nothing.
 	base3DPower := threeD.TotalPower()
-	ref, err := solveLogicStack(ctx, spec, logicKey(Logic3D, spec.Grid), threeD, 1)
+	ref, err := solveLogicStack(ctx, spec, threeD, 1)
 	if err != nil {
 		return nil, err
 	}

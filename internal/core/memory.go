@@ -129,12 +129,6 @@ func (o MemoryOption) buildStack(grid int) (*thermal.Stack, *floorplan.Floorplan
 		thermal.LogicDie(cpuMap), o.stackedDie()(memMap), opt), fp, nil
 }
 
-// stackKey names the option's stack shape for workspace pooling.
-func (o MemoryOption) stackKey(grid int) string {
-	nx, _ := gridOrDefault(grid)
-	return fmt.Sprintf("mem/%dMB/g%d", o.CapacityMB(), nx)
-}
-
 // MemoryPerf is one bar (and bandwidth point) of Figure 5.
 type MemoryPerf struct {
 	Benchmark string
@@ -478,7 +472,7 @@ func RunMemoryThermal(ctx context.Context, spec RunSpec, o MemoryOption) (Memory
 	if err != nil {
 		return MemoryThermal{}, err
 	}
-	field, err := solveStack(ctx, spec, o.stackKey(spec.Grid), stack)
+	field, err := solveStack(ctx, spec, stack)
 	if err != nil {
 		return MemoryThermal{}, fmt.Errorf("core: thermal solve for %s: %w", o, err)
 	}
@@ -504,7 +498,7 @@ func RunMemoryThermalMap(ctx context.Context, spec RunSpec, o MemoryOption) ([][
 	if err != nil {
 		return nil, err
 	}
-	field, err := solveStack(ctx, spec, o.stackKey(spec.Grid), stack)
+	field, err := solveStack(ctx, spec, stack)
 	if err != nil {
 		return nil, fmt.Errorf("core: thermal solve for %s: %w", o, err)
 	}

@@ -22,7 +22,9 @@ type anchor struct {
 	// Paper is the paper's value, NaN where the paper shows only a
 	// shape.
 	Paper float64
-	// Lo and Hi bound the measurement, both exclusive.
+	// Lo and Hi bound the measurement, both exclusive. They hold Paper
+	// too, unless the row names a deviation (deviations in
+	// paper_test.go).
 	Lo, Hi float64
 }
 

@@ -30,18 +30,6 @@ func (l SweepLayer) String() string {
 	}
 }
 
-// layerSlug names the swept layer in workspace-key form.
-func layerSlug(l SweepLayer) string {
-	switch l {
-	case SweepCuMetal:
-		return "cu-metal"
-	case SweepBond:
-		return "bond"
-	default:
-		return fmt.Sprintf("layer-%d", int(l))
-	}
-}
-
 // SensitivityPoint is one point of a Figure 3 series.
 type SensitivityPoint struct {
 	ConductivityWmK float64
@@ -89,7 +77,7 @@ func RunFigure3(ctx context.Context, spec RunSpec, layer SweepLayer, ks []float6
 		}
 		stack := thermal.ThreeDStack(fp.DieW, fp.DieH,
 			thermal.LogicDie(top), thermal.SRAMDie(bot), opt)
-		field, err := solveStack(ctx, spec, fmt.Sprintf("fig3/%s/k%g/g%d", layerSlug(layer), k, nx), stack)
+		field, err := solveStack(ctx, spec, stack)
 		if err != nil {
 			return nil, fmt.Errorf("core: thermal solve at %s=%g W/mK: %w", layer, k, err)
 		}
@@ -127,7 +115,7 @@ func Figure6Maps(ctx context.Context, spec RunSpec) (powerDensity [][]float64, t
 	}
 
 	stack := thermal.PlanarStack(fp.DieW, fp.DieH, pm, thermal.StackOptions{Nx: nx, Ny: ny})
-	field, err := solveStack(ctx, spec, fmt.Sprintf("fig6/planar/g%d", nx), stack)
+	field, err := solveStack(ctx, spec, stack)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: planar thermal solve: %w", err)
 	}

@@ -34,10 +34,10 @@ type RunSpec struct {
 	// A nil registry costs nothing on the hot paths.
 	Obs *obs.Registry `json:"-"`
 	// Workspaces, when non-nil, pools thermal discretizations across
-	// solves: an experiment that revisits a stack shape reuses the
-	// cached workspace instead of re-rasterizing. Pooled solves are
-	// bit-identical to fresh ones; a nil cache means every solve starts
-	// cold.
+	// solves: a solve of a stack whose shape (everything but its power
+	// maps) was solved before reuses that workspace instead of
+	// discretizing again. Pooled solves are bit-identical to fresh
+	// ones; a nil pool means every solve starts cold.
 	Workspaces *thermal.WorkspaceCache `json:"-"`
 }
 
@@ -61,11 +61,8 @@ func (spec RunSpec) checkWire() error {
 	return nil
 }
 
-// solveStack solves s with the spec's instrumentation, routing through
-// the spec's workspace cache when one is attached. key names the stack shape under the WorkspaceCache
-// contract: every stack solved under one key must be built
-// identically, so each call site derives its key from everything that
-// shaped the stack (experiment, configuration, grid).
-func solveStack(ctx context.Context, spec RunSpec, key string, s *thermal.Stack) (*thermal.Field, error) {
-	return spec.Workspaces.Solve(ctx, key, s, thermal.SolveOptions{Obs: spec.Obs})
+// solveStack solves s with the spec's instrumentation, on a pooled
+// workspace of s's shape when the spec carries a pool.
+func solveStack(ctx context.Context, spec RunSpec, s *thermal.Stack) (*thermal.Field, error) {
+	return spec.Workspaces.Solve(ctx, s, thermal.SolveOptions{Obs: spec.Obs})
 }

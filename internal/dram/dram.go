@@ -186,14 +186,6 @@ func Publish(reg *obs.Registry, prefix string, was, now Stats) {
 	reg.Counter(prefix + "_remapped").Add(now.Remapped - was.Remapped)
 }
 
-// RowHitRate returns the fraction of accesses that hit the open row.
-func (s Stats) RowHitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // FaultModel lets a fault injector perturb device behaviour without
 // this package depending on the injector (fault.Injector.DRAM returns
 // an implementation). Methods must be deterministic functions of their
@@ -336,21 +328,4 @@ func (d *Device) Reset() {
 		b.busyUntil = 0
 	}
 	d.stats = Stats{}
-}
-
-// UncontendedLatency returns the access latency for each row outcome
-// with no bank queueing, including interface overhead. Useful for
-// configuration reporting and analytical checks.
-func (d *Device) UncontendedLatency(res RowResult) int64 {
-	t := d.cfg.Timing
-	switch res {
-	case RowHit:
-		return t.Read + d.cfg.Overhead
-	case RowClosed:
-		return t.PageOpen + t.Read + d.cfg.Overhead
-	case RowConflict:
-		return t.Precharge + t.PageOpen + t.Read + d.cfg.Overhead
-	default:
-		panic(fmt.Sprintf("dram: unknown RowResult %d", res))
-	}
 }

@@ -143,19 +143,6 @@ func TestOverhead(t *testing.T) {
 	}
 }
 
-func TestUncontendedLatency(t *testing.T) {
-	d := New(stackedCfg())
-	if d.UncontendedLatency(RowHit) != 50 {
-		t.Error("hit latency")
-	}
-	if d.UncontendedLatency(RowClosed) != 100 {
-		t.Error("closed latency")
-	}
-	if d.UncontendedLatency(RowConflict) != 154 {
-		t.Error("conflict latency")
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	d := New(stackedCfg())
 	d.Access(0, 0, false)         // closed
@@ -165,15 +152,6 @@ func TestStatsAccounting(t *testing.T) {
 	s := d.Stats()
 	if s.Accesses != 4 || s.Hits != 2 || s.Closed != 1 || s.Conflicts != 1 {
 		t.Fatalf("stats = %+v", s)
-	}
-	if r := s.RowHitRate(); r != 0.5 {
-		t.Fatalf("RowHitRate = %v, want 0.5", r)
-	}
-}
-
-func TestRowHitRateEmpty(t *testing.T) {
-	if (Stats{}).RowHitRate() != 0 {
-		t.Fatal("empty RowHitRate should be 0")
 	}
 }
 

@@ -12,11 +12,13 @@
 //     requests with 429 and a Retry-After hint instead of queueing
 //     unbounded solver work.
 //
-// Thermal discretizations are pooled across requests through a shared
-// thermal.WorkspaceCache, and everything is instrumented through
-// internal/obs (stackd_requests, stackd_cache_hits,
-// stackd_inflight_merged, stackd_shed, per-experiment latency
-// histograms).
+// Thermal discretizations are pooled across requests in the server's
+// own thermal.WorkspaceCache, keyed by stack shape, so a request that
+// misses the result cache still solves on a pooled workspace when an
+// earlier request solved a stack of the same shape
+// (thermal_ws_reused). Everything is instrumented through internal/obs
+// (stackd_requests, stackd_cache_hits, stackd_inflight_merged,
+// stackd_shed, per-experiment latency histograms).
 package serve
 
 import (
@@ -66,10 +68,6 @@ type Config struct {
 	// substrate metrics. Nil creates a private registry so /v1/metrics
 	// always works.
 	Obs *obs.Registry
-	// Workspaces pools thermal discretizations across requests. Nil
-	// creates a cache of thermal.DefaultWorkspaceCacheSize owned by the
-	// server (closed by Close).
-	Workspaces *thermal.WorkspaceCache
 }
 
 // Server is the stackd handler. Create with New; it implements
@@ -80,7 +78,6 @@ type Server struct {
 	order       []core.Experiment
 	reg         *obs.Registry
 	ws          *thermal.WorkspaceCache
-	ownWS       bool
 	slots       chan struct{}
 	retryAfter  time.Duration
 	cacheMax    int
@@ -132,17 +129,13 @@ func New(cfg Config) *Server {
 		experiments: make(map[string]core.Experiment, len(exps)),
 		order:       exps,
 		reg:         reg,
-		ws:          cfg.Workspaces,
-		ownWS:       cfg.Workspaces == nil,
+		ws:          thermal.NewWorkspaceCache(),
 		slots:       make(chan struct{}, maxSolves),
 		retryAfter:  retryAfter,
 		cacheMax:    cacheMax,
 		lru:         list.New(),
 		idx:         map[string]*list.Element{},
 		flights:     map[string]*flight{},
-	}
-	if s.ownWS {
-		s.ws = thermal.NewWorkspaceCache(thermal.DefaultWorkspaceCacheSize)
 	}
 	for _, e := range exps {
 		s.experiments[e.Name] = e
@@ -163,14 +156,6 @@ func New(cfg Config) *Server {
 
 // ServeHTTP dispatches to the stackd routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Close releases the server-owned workspace cache (a no-op when the
-// caller supplied one).
-func (s *Server) Close() {
-	if s.ownWS {
-		s.ws.Close()
-	}
-}
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +40,7 @@ func countingExperiment(name string, runs *atomic.Int64, gate chan struct{}) cor
 }
 
 // startServer serves a Server built from cfg on a test HTTP server.
-// When the test ends it closes both and the client's idle
+// When the test ends it closes the test server and the client's idle
 // connections, then fails the test if a goroutine the requests started
 // is still running.
 func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -49,7 +50,6 @@ func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
-		s.Close()
 		http.DefaultClient.CloseIdleConnections()
 		leakcheck.Settle(t, base)
 	})
@@ -106,6 +106,44 @@ func TestCacheHitMiss(t *testing.T) {
 	if reg.CounterValue("stackd_cache_hits") != 1 || reg.CounterValue("stackd_requests") != 3 {
 		t.Fatalf("counters: hits=%d requests=%d",
 			reg.CounterValue("stackd_cache_hits"), reg.CounterValue("stackd_requests"))
+	}
+}
+
+// TestColdThermalReusesWorkspace pins stackd's cold-thermal path: a
+// memory-thermal request with a fresh seed misses the result cache
+// (the seed is part of the canonical key) but solves on the workspace
+// that the first request's stack left pooled, and answers the same
+// bytes.
+func TestColdThermalReusesWorkspace(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	url := ts.URL + "/v1/experiments/memory-thermal"
+	var bodies []string
+	for _, body := range []string{
+		`{"spec":{"grid":16},"params":{"capacity_mb":32}}`,
+		`{"spec":{"grid":16,"seed":2},"params":{"capacity_mb":32}}`,
+	} {
+		resp, got := post(t, url, body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Stackd-Cache") != "miss" {
+			t.Fatalf("POST %s: status %d, cache %q, body %s", body, resp.StatusCode, resp.Header.Get("X-Stackd-Cache"), got)
+		}
+		bodies = append(bodies, got)
+	}
+	if bodies[0] != bodies[1] {
+		t.Errorf("bodies differ in the seed alone:\n%s\n%s", bodies[0], bodies[1])
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["thermal_ws_reused"]; got != 1 {
+		t.Errorf("thermal_ws_reused = %d, want 1", got)
 	}
 }
 

@@ -79,11 +79,3 @@ func WritePNG(w io.Writer, m [][]float64, zoom int) error {
 	}
 	return png.Encode(w, img)
 }
-
-// WriteLayerPNG renders one stack layer's temperature map.
-func (f *Field) WriteLayerPNG(w io.Writer, layer, zoom int) error {
-	if layer < 0 || layer >= len(f.stack.Layers) {
-		return fmt.Errorf("thermal: layer %d out of range", layer)
-	}
-	return WritePNG(w, f.LayerMap(layer), zoom)
-}

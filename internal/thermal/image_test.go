@@ -40,24 +40,6 @@ func TestWritePNGErrors(t *testing.T) {
 	}
 }
 
-func TestFieldWriteLayerPNG(t *testing.T) {
-	s := transientStack(30, 10)
-	f, err := Solve(context.Background(), s, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := f.WriteLayerPNG(&buf, s.LayerIndex("active"), 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := png.Decode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteLayerPNG(&buf, 99, 1); err == nil {
-		t.Error("bad layer accepted")
-	}
-}
-
 func TestHeatColorEndpoints(t *testing.T) {
 	cold := heatColor(0)
 	hot := heatColor(1)

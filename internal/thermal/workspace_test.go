@@ -77,22 +77,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism: concurrent solves through one shared
-// WorkspaceCache — the stackd path, where same-key solves serialize on
-// a pooled workspace and distinct keys run side by side — come out
-// bit-identical to a fresh serial solve.
+// TestParallelDeterminism: concurrent solves of one stack shape
+// through a shared WorkspaceCache — the stackd path, where each solve
+// takes an idle pooled workspace or builds its own and none waits on
+// another — come out bit-identical to a fresh serial solve.
 func TestParallelDeterminism(t *testing.T) {
 	s := benchStack(24)
 	fresh, err := Solve(context.Background(), s, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewWorkspaceCache(2)
-	defer c.Close()
+	c := NewWorkspaceCache()
 	fields := make([]*Field, 8)
 	errs := make([]error, 8)
 	inParallel(8, func(i int) {
-		fields[i], errs[i] = c.Solve(context.Background(), []string{"a", "b"}[i%2], benchStack(24), SolveOptions{})
+		fields[i], errs[i] = c.Solve(context.Background(), benchStack(24), SolveOptions{})
 	})
 	for i, f := range fields {
 		if errs[i] != nil {

@@ -43,7 +43,8 @@ echo "== solver crew race =="
 # one-core runner, and checks the GOMAXPROCS 1 serial path.
 # The column-class table tests run here too: every band reads the
 # classes that beginSolve factorizes. So do the WorkspaceCache tests:
-# a solve parked mid-run must not block Len or a solve on another key.
+# a solve parked mid-run must block neither a solve of another stack
+# shape nor one of its own, and concurrent solves share the pool.
 go test -race -timeout 5m -cpu 1,2,4 -run 'Schedule|Crew|VCycleAllocs|ColumnClasses|Footprint|WorkspaceCache' ./internal/thermal/
 
 echo "== fan-out race =="
@@ -125,11 +126,13 @@ go run ./internal/obs/cmd/checksnap -min memhier_records=1 -min dram_mem_accesse
 
 echo "== stackd service smoke =="
 # The experiment service end to end: POST the same spec twice (the
-# second must be served from the result cache) and a concurrent
-# identical cold pair (singleflight must merge the twin into the
-# leader's solve), then drain with SIGTERM. The final metrics snapshot
-# must carry the stackd_* family with the hit and merge counters
-# proving both paths fired.
+# second must be served from the result cache), the same spec with
+# another seed (a result-cache miss that must answer the same bytes
+# from a pooled thermal workspace), and a concurrent identical cold
+# pair (singleflight must merge the twin into the leader's solve), then
+# drain with SIGTERM. The final metrics snapshot must carry the
+# stackd_* family with the hit, merge and workspace-reuse counters
+# proving each path fired.
 go build -o "$tmpdir/stackd" ./cmd/stackd
 sport=$((21000 + $$ % 20000))
 "$tmpdir/stackd" -addr "127.0.0.1:$sport" \
@@ -145,6 +148,13 @@ curl -sf -X POST "http://127.0.0.1:$sport/v1/experiments/memory-thermal" \
 curl -sf -X POST "http://127.0.0.1:$sport/v1/experiments/memory-thermal" \
     -d '{"spec":{"grid":16},"params":{"capacity_mb":32}}' >"$tmpdir/stackd-b.json"
 cmp "$tmpdir/stackd-a.json" "$tmpdir/stackd-b.json"
+curl -sf -D "$tmpdir/stackd-seed.hdr" -X POST "http://127.0.0.1:$sport/v1/experiments/memory-thermal" \
+    -d '{"spec":{"grid":16,"seed":2},"params":{"capacity_mb":32}}' >"$tmpdir/stackd-seed.json"
+grep -qi '^X-Stackd-Cache: miss' "$tmpdir/stackd-seed.hdr" || {
+    echo "verify: memory-thermal with a new seed was not a cache miss" >&2
+    exit 1
+}
+cmp "$tmpdir/stackd-a.json" "$tmpdir/stackd-seed.json"
 curl -sf -X POST "http://127.0.0.1:$sport/v1/experiments/fig6" \
     -d '{"spec":{"grid":48}}' >"$tmpdir/stackd-c.json" &
 pair1=$!
@@ -168,6 +178,6 @@ kill -TERM "$stackd"
 wait "$stackd"
 go run ./internal/obs/cmd/checksnap -families stackd \
     -min stackd_cache_hits=1 -min stackd_inflight_merged=1 \
-    "$tmpdir/stackd-metrics.jsonl"
+    -min thermal_ws_reused=1 "$tmpdir/stackd-metrics.jsonl"
 
 echo "verify: OK"
