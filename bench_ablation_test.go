@@ -278,7 +278,7 @@ func BenchmarkAblationPredictorMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		annotated := uarch.PlanarConfig()
 		modeled := uarch.PlanarConfig()
-		modeled.Predictor = uarch.DefaultPredictor()
+		modeled.Predictor = &uarch.PredictorConfig{TableBits: 12, HistoryBits: 4}
 
 		gain := func(cfg uarch.Config) float64 {
 			base, err := synth.RunSuite(context.Background(), cfg, 1, 100_000)

@@ -1,6 +1,6 @@
 // The benchmark harness: one benchmark per table and figure of the
 // paper's evaluation. Each prints its result through core's renderer,
-// the text the CLIs print (once, on the first iteration), and reports
+// the text diestack prints (once, on the first iteration), and reports
 // its headline number as a benchmark metric, so
 //
 //	go test -bench=. -benchmem
@@ -75,7 +75,12 @@ func BenchmarkFigure3ThermalSensitivity(b *testing.B) {
 		}
 		b.ReportMetric(cu[len(cu)-1].PeakC-cu[0].PeakC, "CuRiseC")
 		b.ReportMetric(bond[len(bond)-1].PeakC-bond[0].PeakC, "BondRiseC")
-		renderOnce(b, i, func(w io.Writer) error { return core.RenderFigure3(w, cu, bond) })
+		renderOnce(b, i, func(w io.Writer) error {
+			if err := core.RenderFigure3(w, core.SweepCuMetal, cu); err != nil {
+				return err
+			}
+			return core.RenderFigure3(w, core.SweepBond, bond)
+		})
 	}
 }
 
@@ -157,7 +162,13 @@ func BenchmarkTable4PipelineGains(b *testing.B) {
 			if err != nil {
 				return err
 			}
-			return core.RenderTable4(w, t4, paths, saving)
+			if err := core.RenderTable4(w, t4); err != nil {
+				return err
+			}
+			if err := core.RenderWireDerivation(w, paths); err != nil {
+				return err
+			}
+			return core.RenderPowerDerivation(w, saving)
 		})
 	}
 }

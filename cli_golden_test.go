@@ -16,12 +16,12 @@ import (
 	"time"
 )
 
-// TestCLIGolden builds the three paper CLIs and the five examples, and
-// checks that each invocation in testdata/cli/cases prints
-// byte-for-byte the recorded standard output, exits with the recorded
-// code and, for a campaign, writes the recorded manifest. Refactors behind the CLIs must leave
-// every byte in place. The thermal3d_sigterm subtest checks how a run
-// stops on SIGTERM.
+// TestCLIGolden builds diestack and the five examples, and checks that
+// each invocation in testdata/cli/cases prints byte-for-byte the
+// recorded standard output, exits with the recorded code and, for a
+// campaign, writes the recorded manifest. Refactors behind the front
+// end must leave every byte in place. The thermal3d_sigterm subtest
+// checks how a run stops on SIGTERM.
 func TestCLIGolden(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -29,8 +29,7 @@ func TestCLIGolden(t *testing.T) {
 	}
 	statModuleSources(t)
 	bin := t.TempDir()
-	for _, pkg := range []string{"cmd/stackmem", "cmd/thermal3d", "cmd/stacklogic",
-		"examples/dramcache", "examples/folded_cpu", "examples/quickstart", "examples/thermal_explore", "examples/tall_stack"} {
+	for _, pkg := range []string{"cmd/diestack", "examples/dramcache", "examples/folded_cpu", "examples/quickstart", "examples/thermal_explore", "examples/tall_stack"} {
 		out, err := exec.Command(gobin, "build", "-o", filepath.Join(bin, filepath.Base(pkg)), "./"+pkg).CombinedOutput()
 		if err != nil {
 			t.Fatalf("go build ./%s: %v\n%s", pkg, err, out)
@@ -110,7 +109,7 @@ func TestCLIGolden(t *testing.T) {
 	}
 }
 
-// checkSigterm sends SIGTERM to a thermal3d DTM run from bin once its
+// checkSigterm sends SIGTERM to a diestack DTM run from bin once its
 // first periodic metrics snapshot is written. The run must stop through
 // its error path: exit code 1, with the final snapshot as the file's
 // last line.
@@ -119,8 +118,8 @@ func checkSigterm(t *testing.T, bin string) {
 		t.Skip("SIGTERM handling is checked on Linux only")
 	}
 	metrics := filepath.Join(t.TempDir(), "metrics.jsonl")
-	cmd := exec.Command(filepath.Join(bin, "thermal3d"), "-dtm", "-grid", "32", "-tmax", "95",
-		"-dtm-steps", "2000", "-metrics-out", metrics)
+	cmd := exec.Command(filepath.Join(bin, "diestack"), "managed-logic-thermal", "-variant", "3d",
+		"-grid", "32", "-tmax_c", "95", "-steps", "2000", "-hysteresis_c", "4", "-metrics-out", metrics)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +149,10 @@ func checkSigterm(t *testing.T, bin string) {
 	}
 }
 
-// statModuleSources stats every Go source the CLIs and examples are
-// built from. The binaries are compiled by a child go build, which go
+// statModuleSources stats every Go source diestack and the examples
+// are built from. The binaries are compiled by a child go build, which go
 // test's result cache cannot see; the stats tie the cached verdict to
-// those files, so editing a CLI, an example or a package only they
+// those files, so editing diestack, an example or a package only they
 // import reruns this test.
 func statModuleSources(t *testing.T) {
 	t.Helper()

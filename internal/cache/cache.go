@@ -78,23 +78,6 @@ func (c Config) Sectors() int {
 // Sets returns the number of sets.
 func (c Config) Sets() uint64 { return c.SizeBytes / c.LineBytes / uint64(c.Ways) }
 
-// TagStoreBytes estimates the tag-array size for a cache covering
-// addrBits of physical address, including per-sector valid+dirty state.
-// The paper uses this to size the on-die tag arrays for the stacked
-// DRAM cache (~2 MB for 32 MB, ~4 MB for 64 MB).
-func (c Config) TagStoreBytes(addrBits int) uint64 {
-	offsetBits := bits.TrailingZeros64(c.LineBytes)
-	indexBits := bits.TrailingZeros64(c.Sets())
-	tagBits := addrBits - offsetBits - indexBits
-	if tagBits < 0 {
-		tagBits = 0
-	}
-	// tag + valid + LRU state (log2 ways, rounded up) + 2 bits/sector.
-	perLine := tagBits + 1 + bits.Len(uint(c.Ways-1)) + 2*c.Sectors()
-	lines := c.SizeBytes / c.LineBytes
-	return (uint64(perLine)*lines + 7) / 8
-}
-
 // way is one line of tag state. A way is valid iff present != 0: an
 // allocation sets the accessed sector's bit, hits only add bits, and
 // Invalidate zeroes them all.
@@ -142,14 +125,6 @@ type Stats struct {
 	Invalidates uint64
 }
 
-// HitRate returns hits/accesses, or 0 when idle.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // Cache is a set-associative write-back, write-allocate cache with
 // true-LRU replacement. It tracks presence and state only — it holds
 // no data payload, as is standard for performance models.
@@ -191,11 +166,6 @@ func New(cfg Config) *Cache {
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
-
-// LineAddr returns the line base address containing addr.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ (c.cfg.LineBytes - 1)
-}
 
 func (c *Cache) index(addr uint64) uint64 {
 	return (addr >> c.offsetBits) & c.indexMask
@@ -290,20 +260,6 @@ func (c *Cache) reconstruct(tag, index uint64) uint64 {
 	return (tag<<uint(bits.Len64(c.indexMask)) | index) << c.offsetBits
 }
 
-// Probe reports whether the addressed sector is present without
-// touching LRU state or statistics.
-func (c *Cache) Probe(addr uint64) bool {
-	set := c.sets[c.index(addr)]
-	tag := c.tag(addr)
-	sb := c.sectorBit(addr)
-	for i := range set {
-		if set[i].tag == tag && set[i].present&sb != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Invalidate drops the line containing addr if present, returning the
 // eviction record by value (ok=false when the line was absent). Used
 // for coherence invalidations from the other core.
@@ -340,19 +296,4 @@ func (c *Cache) Reset() {
 	}
 	c.seq = 0
 	c.stats = Stats{}
-}
-
-// Occupancy returns the fraction of lines currently valid.
-func (c *Cache) Occupancy() float64 {
-	valid := 0
-	total := 0
-	for _, set := range c.sets {
-		for i := range set {
-			total++
-			if set[i].present != 0 {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(total)
 }

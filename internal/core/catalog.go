@@ -18,13 +18,13 @@ import (
 )
 
 // This file is the experiment catalog: every paper figure, table, and
-// extension registered under one uniform entry point. The CLIs, the
-// campaign expansion, and the stackd service all dispatch through it,
-// so "which experiments exist and what do they take" has exactly one
-// answer. Each experiment also defines a canonical wire form
-// (EncodeRequest/DecodeRequest) whose SHA-256 is the service's cache
-// key: semantically equal requests — defaults spelled out or omitted —
-// encode to equal bytes.
+// extension registered under one uniform entry point. The diestack
+// front end, the campaign expansion, and the stackd service all
+// dispatch through it, so "which experiments exist and what do they
+// take" has exactly one answer. Each experiment also defines a
+// canonical wire form (EncodeRequest/DecodeRequest) whose SHA-256 is the
+// service's cache key: semantically equal requests — defaults spelled
+// out or omitted — encode to equal bytes.
 
 // ExperimentRequest invokes one catalog experiment: the cross-cutting
 // spec plus the experiment's own parameters (a pointer to its params
@@ -102,7 +102,15 @@ func (e Experiment) ParamsSchema() map[string]string {
 	if e.NewParams == nil {
 		return nil
 	}
-	t := reflect.TypeOf(e.NewParams()).Elem()
+	return fieldKinds(reflect.TypeOf(e.NewParams()).Elem())
+}
+
+// SpecSchema lists RunSpec's wire fields as ParamsSchema lists a params
+// struct's.
+func SpecSchema() map[string]string { return fieldKinds(reflect.TypeOf(RunSpec{})) }
+
+// fieldKinds maps each JSON-tagged field of struct type t to its kind.
+func fieldKinds(t reflect.Type) map[string]string {
 	out := make(map[string]string, t.NumField())
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -212,8 +220,8 @@ const (
 // checkWire rejects a decoded request whose spec or params lie outside
 // the bounds an outside request may ask for, or name a benchmark,
 // capacity, variant, layer or fault the run would refuse: a client's
-// mistake fails at decode, before it takes a solve slot. The CLIs
-// build requests from flags and skip it.
+// mistake fails at decode, before it takes a solve slot. A diestack
+// command line is decoded the same way, so it meets the same bounds.
 func (req ExperimentRequest) checkWire() error {
 	if err := req.Spec.checkWire(); err != nil {
 		return err
@@ -458,8 +466,7 @@ type MultiDieParams struct {
 	MaxDies int `json:"max_dies,omitempty"`
 }
 
-// Defaults for the managed-thermal experiment, matching the thermal3d
-// CLI's flag defaults.
+// Defaults for the managed-thermal experiment.
 const (
 	DefaultManagedTmaxC = 90
 	DefaultManagedDt    = 0.25
@@ -552,7 +559,7 @@ func ExperimentByName(name string) (Experiment, bool) {
 }
 
 // RunExperiment dispatches req to the named experiment — the uniform
-// entry point behind the CLIs, the campaign jobs, and stackd.
+// entry point behind diestack, the campaign jobs, and stackd.
 func RunExperiment(ctx context.Context, name string, req ExperimentRequest) (ExperimentResult, error) {
 	e, ok := ExperimentByName(name)
 	if !ok {
@@ -562,9 +569,10 @@ func RunExperiment(ctx context.Context, name string, req ExperimentRequest) (Exp
 }
 
 // ExperimentValue runs the named experiment through RunExperiment and
-// returns its value as T: the CLIs' one way into the catalog. With an
-// error it returns whatever value the experiment returned alongside
-// (a DTM run that ran away still carries its trajectory).
+// returns its value as T, for programs that call the catalog directly
+// (examples/quickstart). With an error it returns whatever value the
+// experiment returned alongside (a DTM run that ran away still carries
+// its trajectory).
 func ExperimentValue[T any](ctx context.Context, name string, spec RunSpec, params any) (T, error) {
 	res, err := RunExperiment(ctx, name, ExperimentRequest{Spec: spec, Params: params})
 	if err != nil {

@@ -133,7 +133,7 @@ func RunAutoFold(ctx context.Context, spec RunSpec) (AutoFoldComparison, error) 
 		return AutoFoldComparison{}, err
 	}
 	nx, ny := gridOrDefault(spec.Grid)
-	field, err := solveLogicStack(ctx, spec, auto, 1)
+	field, err := solveLogicStack(ctx, spec, auto)
 	if err != nil {
 		return AutoFoldComparison{}, err
 	}

@@ -70,29 +70,26 @@ type LogicThermal struct {
 }
 
 // buildLogicStack assembles (without solving) the thermal stack for a
-// logic floorplan whose block powers have been scaled by powerScale.
-// Steady runs solve it once; DTM runs integrate it transiently with a
-// controller in the loop (see resilience.go).
-func buildLogicStack(fp *floorplan.Floorplan, grid int, powerScale float64) *thermal.Stack {
+// logic floorplan. Steady runs solve it once; DTM runs integrate it
+// transiently with a controller in the loop (see resilience.go).
+func buildLogicStack(fp *floorplan.Floorplan, grid int) *thermal.Stack {
 	nx, ny := gridOrDefault(grid)
 	opt := thermal.StackOptions{Nx: nx, Ny: ny, TopH: thermal.PerformanceTopH}
 	pkgW, pkgH := thermal.DefaultPackageW, thermal.DefaultPackageH
 
-	scaled := fp.Clone().ScalePower(powerScale)
-	top := scaled.PowerMapCentered(0, nx, ny, pkgW, pkgH)
+	top := fp.PowerMapCentered(0, nx, ny, pkgW, pkgH)
 	if fp.Dies == 1 {
 		return thermal.PlanarStack(fp.DieW, fp.DieH, top, opt)
 	}
-	bot := scaled.PowerMapCentered(1, nx, ny, pkgW, pkgH)
+	bot := fp.PowerMapCentered(1, nx, ny, pkgW, pkgH)
 	return thermal.ThreeDStack(fp.DieW, fp.DieH,
 		thermal.LogicDie(top), thermal.SRAMDie(bot), opt)
 }
 
 // solveLogicStack builds and solves the thermal stack for a logic
-// floorplan whose block powers have been scaled by powerScale, on the
-// spec's solver settings.
-func solveLogicStack(ctx context.Context, spec RunSpec, fp *floorplan.Floorplan, powerScale float64) (*thermal.Field, error) {
-	return solveStack(ctx, spec, buildLogicStack(fp, spec.Grid, powerScale))
+// floorplan on the spec's solver settings.
+func solveLogicStack(ctx context.Context, spec RunSpec, fp *floorplan.Floorplan) (*thermal.Field, error) {
+	return solveStack(ctx, spec, buildLogicStack(fp, spec.Grid))
 }
 
 // RunLogicThermal solves one Figure 11 bar. spec.Grid <= 0 selects the
@@ -103,7 +100,7 @@ func RunLogicThermal(ctx context.Context, spec RunSpec, o LogicOption) (LogicThe
 	if err != nil {
 		return LogicThermal{}, err
 	}
-	field, err := solveLogicStack(ctx, spec, fp, 1)
+	field, err := solveLogicStack(ctx, spec, fp)
 	if err != nil {
 		return LogicThermal{}, fmt.Errorf("core: thermal solve for %s: %w", o, err)
 	}
@@ -182,7 +179,7 @@ func RunTable5(ctx context.Context, spec RunSpec) ([]power.Point, error) {
 	// stack determines the whole response — the bisection then costs
 	// nothing.
 	base3DPower := threeD.TotalPower()
-	ref, err := solveLogicStack(ctx, spec, threeD, 1)
+	ref, err := solveLogicStack(ctx, spec, threeD)
 	if err != nil {
 		return nil, err
 	}

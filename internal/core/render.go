@@ -2,10 +2,12 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
+	"diestack/internal/dtm"
 	"diestack/internal/fault"
 	"diestack/internal/floorplan"
 	"diestack/internal/power"
@@ -14,9 +16,9 @@ import (
 )
 
 // The renderers print each result of the evaluation as text, the one
-// format that the CLIs and the root benchmarks share; paper values come
-// from the anchor table. Each writes through a bufio.Writer, whose
-// Flush returns the first write error.
+// format that the diestack front end and the root benchmarks share;
+// paper values come from the anchor table. Each writes through a
+// bufio.Writer, whose Flush returns the first write error.
 
 // RenderTable2 prints the thermal constants (Table 2).
 func RenderTable2(w io.Writer) error {
@@ -63,24 +65,26 @@ func RenderTable3(w io.Writer) error {
 	return b.Flush()
 }
 
-// RenderFigure3 prints the two conductivity sweeps (Figure 3).
-func RenderFigure3(w io.Writer, cu, bond []SensitivityPoint) error {
+// RenderFigure3 prints one layer's conductivity sweep (Figure 3).
+func RenderFigure3(w io.Writer, layer SweepLayer, pts []SensitivityPoint) error {
 	b := bufio.NewWriter(w)
 	b.WriteString("Figure 3 — peak temperature vs layer conductivity (stacked microprocessor):\n")
-	for i, pts := range [][]SensitivityPoint{cu, bond} {
-		fmt.Fprintf(b, "  %s:\n", []SweepLayer{SweepCuMetal, SweepBond}[i])
-		for _, p := range pts {
-			fmt.Fprintf(b, "    k=%5.1f W/mK  peak %.2f degC\n", p.ConductivityWmK, p.PeakC)
-		}
+	fmt.Fprintf(b, "  %s:\n", layer)
+	for _, p := range pts {
+		fmt.Fprintf(b, "    k=%5.1f W/mK  peak %.2f degC\n", p.ConductivityWmK, p.PeakC)
 	}
 	return b.Flush()
 }
 
 // RenderFigure5 prints the CPMA and off-die bandwidth sweep (Figure 5)
-// at workload scale; with faults, the fault schedule, the per-row
-// fault columns and the totals. A sweep of more than one benchmark
-// ends with the 32 MB headline.
+// at workload scale (<= 0 generates, and prints, as the reference
+// scale 1); with faults, the fault schedule, the per-row fault columns
+// and the totals. A sweep of more than one benchmark ends with the
+// 32 MB headline.
 func RenderFigure5(w io.Writer, res *Figure5Result, scale float64, faults *FaultParams) error {
+	if scale <= 0 {
+		scale = 1
+	}
 	b := bufio.NewWriter(w)
 	fmt.Fprintf(b, "Figure 5 — CPMA and off-die bandwidth, scale %.2f:\n", scale)
 	fc := faults.Config()
@@ -135,9 +139,27 @@ func RenderFigure6(w io.Writer, res Figure6Result) error {
 	low, peak := res.TemperatureRange()
 	fmt.Fprintf(b, "Figure 6 — baseline planar thermal map: peak %.2f degC (paper %g), coolest %.2f (paper %g)\n",
 		peak, paperValue("E5", "peak"), low, paperValue("E5", "coolest"))
-	tm := res.Temperature
+	writeShades(b, res.Temperature, low, peak)
+	_, maxPD := mapRange(res.PowerDensity)
+	fmt.Fprintf(b, "  peak power density %.2f W/mm2\n", maxPD/1e6)
+	return b.Flush()
+}
+
+// RenderThermalMap prints one memory stack's CPU-layer thermal map as
+// ASCII shading, with its hottest and coolest spots (Figure 8b).
+func RenderThermalMap(w io.Writer, o MemoryOption, tm [][]float64) error {
+	b := bufio.NewWriter(w)
+	low, peak := mapRange(tm)
+	fmt.Fprintf(b, "Figure 8b — %s CPU-layer thermal map: peak %.2f degC, coolest %.2f\n", o, peak, low)
+	writeShades(b, tm, low, peak)
+	return b.Flush()
+}
+
+// writeShades draws the map tm, spanning [low, peak], as ASCII shading,
+// every other row for the aspect ratio.
+func writeShades(b *bufio.Writer, tm [][]float64, low, peak float64) {
 	shades := []byte(" .:-=+*#%@")
-	for y := len(tm) - 1; y >= 0; y -= 2 { // subsample rows for aspect ratio
+	for y := len(tm) - 1; y >= 0; y -= 2 {
 		line := make([]byte, len(tm[y]))
 		for x := range tm[y] {
 			f := (tm[y][x] - low) / (peak - low + 1e-9)
@@ -145,9 +167,6 @@ func RenderFigure6(w io.Writer, res Figure6Result) error {
 		}
 		fmt.Fprintf(b, "  %s\n", line)
 	}
-	_, maxPD := mapRange(res.PowerDensity)
-	fmt.Fprintf(b, "  peak power density %.2f W/mm2\n", maxPD/1e6)
-	return b.Flush()
 }
 
 // TemperatureRange returns the thermal map's coolest and hottest
@@ -199,9 +218,8 @@ func RenderFigure8(w io.Writer, rows []MemoryThermal) error {
 	return b.Flush()
 }
 
-// RenderTable4 prints the pipeline gains of the fold (Table 4), then
-// the wire-derived stage counts and power saving behind it.
-func RenderTable4(w io.Writer, t4 Table4Result, paths []WirePath, saving wire.SavingReport) error {
+// RenderTable4 prints the pipeline gains of the fold (Table 4).
+func RenderTable4(w io.Writer, t4 Table4Result) error {
 	b := bufio.NewWriter(w)
 	b.WriteString("Table 4 — Logic+Logic 3D stacking performance improvement:\n")
 	tw := tabwriter.NewWriter(b, 2, 0, 2, ' ', 0)
@@ -220,11 +238,25 @@ func RenderTable4(w io.Writer, t4 Table4Result, paths []WirePath, saving wire.Sa
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	b.WriteString("\nWire-derived stage counts (repeated-wire RC model on the two floorplans):\n")
+	return b.Flush()
+}
+
+// RenderWireDerivation prints the critical paths' wire pipe stages on
+// the planar and folded floorplans, the stage counts behind Table 4.
+func RenderWireDerivation(w io.Writer, paths []WirePath) error {
+	b := bufio.NewWriter(w)
+	b.WriteString("Wire-derived stage counts (repeated-wire RC model on the two floorplans):\n")
 	for _, p := range paths {
 		fmt.Fprintf(b, "  %-14s planar %d stage(s) -> 3D %d\n", p.Path, p.PlanarStages, p.FoldedStages)
 	}
-	fmt.Fprintf(b, "\nWire-derived power saving: planar interconnect %.1f W -> 3D %.1f W: %.1f W saved = %.1f%% of %g W (paper asserts %g%%)\n",
+	return b.Flush()
+}
+
+// RenderPowerDerivation prints the interconnect power the fold saves,
+// derived from the two floorplans.
+func RenderPowerDerivation(w io.Writer, saving wire.SavingReport) error {
+	b := bufio.NewWriter(w)
+	fmt.Fprintf(b, "Wire-derived power saving: planar interconnect %.1f W -> 3D %.1f W: %.1f W saved = %.1f%% of %g W (paper asserts %g%%)\n",
 		saving.Planar.TotalW(), saving.Folded.TotalW(), saving.SavedW, saving.SavingPctOfTotal,
 		floorplan.Pentium4TotalW, paperValue("E8", "wire power saving"))
 	return b.Flush()
@@ -271,4 +303,115 @@ func RenderAutoFold(w io.Writer, cmp AutoFoldComparison) error {
 	fmt.Fprintf(b, "  auto fold: peak %6.2f degC, density %.2fx, %5.1f W\n",
 		cmp.Auto.PeakC, cmp.Auto.DensityRatio, cmp.Auto.TotalPowerW)
 	return b.Flush()
+}
+
+// ErrTmaxNotHeld is what RenderManagedThermal returns, once the whole
+// report is printed, for a run whose verdict is not "Tmax held".
+var ErrTmaxNotHeld = errors.New("core: Tmax not held")
+
+// RenderManagedThermal prints a closed-loop DTM run: the managed
+// operating point, its cost and the verdict. runErr is the run's error,
+// nil or a thermal runaway; a runaway, or a peak that slipped past Tmax
+// between samples, prints its verdict and returns ErrTmaxNotHeld.
+func RenderManagedThermal(w io.Writer, p *ManagedThermalParams, res ManagedLogicThermal, runErr error) error {
+	cfg, opt := p.resolve()
+	b := bufio.NewWriter(w)
+	fmt.Fprintf(b, "DTM on the %s logic stack (Tmax %.1f degC, %d samples at %.2fs):\n", res.Option, cfg.TmaxC, opt.Steps, opt.Dt)
+	fmt.Fprintf(b, "  unmanaged steady peak  %7.2f degC\n", res.UnmanagedPeakC)
+	fmt.Fprintf(b, "  managed peak           %7.2f degC\n", res.DTM.ManagedPeakC)
+	st := res.DTM.Stats
+	fmt.Fprintf(b, "  interventions          %d throttle, %d emergency, %d release (%d/%d samples throttled)\n",
+		st.ThrottleSteps, st.EmergencyDrops, st.ReleaseSteps, st.SamplesThrottled, st.Samples)
+	fmt.Fprintf(b, "  operating point        freq %.2f, perf %.1f%%, power %.1f%% of baseline\n",
+		res.DTM.FinalFreq, res.DTM.PerfPct, res.DTM.PowerPct)
+	if res.DTM.Fallback {
+		b.WriteString("  stacked die PARKED (2D-equivalent fallback)\n")
+	}
+	if p.Faults.Config().Enabled() {
+		fmt.Fprintf(b, "  sensor                 %d reads, peak sensed %.2f vs true %.2f degC\n",
+			res.Faults.SensorReads, st.PeakSensedC, st.PeakTrueC)
+	}
+	verdict := error(nil)
+	switch {
+	case runErr != nil:
+		fmt.Fprintf(b, "  VERDICT: %v\n", runErr)
+		verdict = ErrTmaxNotHeld
+	case res.DTM.ManagedPeakC > cfg.TmaxC:
+		// No runaway, but sampling let the peak slip past the ceiling
+		// between interventions.
+		fmt.Fprintf(b, "  VERDICT: Tmax exceeded transiently by %.2f degC — widen -hysteresis_c or shrink -dt_s\n",
+			res.DTM.ManagedPeakC-cfg.TmaxC)
+		verdict = ErrTmaxNotHeld
+	default:
+		b.WriteString("  VERDICT: Tmax held\n")
+	}
+	if err := b.Flush(); err != nil {
+		return err
+	}
+	return verdict
+}
+
+// printers holds each experiment's text report: the diestack command
+// of that name prints one request's value through it. runErr is the
+// run's error, which only a managed-logic-thermal runaway passes.
+var printers = map[string]func(w io.Writer, req ExperimentRequest, v any, runErr error) error{
+	"fig3": func(w io.Writer, req ExperimentRequest, v any, _ error) error {
+		layer, err := sweepLayerForSlug(req.Params.(*Fig3Params).Layer)
+		if err != nil {
+			return err
+		}
+		return RenderFigure3(w, layer, v.([]SensitivityPoint))
+	},
+	"fig5": func(w io.Writer, req ExperimentRequest, v any, _ error) error {
+		return RenderFigure5(w, v.(*Figure5Result), req.Spec.Scale, req.Params.(*Fig5Params).Faults)
+	},
+	"fig6": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderFigure6(w, v.(Figure6Result))
+	},
+	"fig8": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderFigure8(w, v.([]MemoryThermal))
+	},
+	"memory-thermal-map": func(w io.Writer, req ExperimentRequest, v any, _ error) error {
+		o, err := MemoryOptionForCapacity(req.Params.(*MemoryThermalParams).CapacityMB)
+		if err != nil {
+			return err
+		}
+		return RenderThermalMap(w, o, v.([][]float64))
+	},
+	"fig11": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderFigure11(w, v.([]LogicThermal))
+	},
+	"table4": func(w io.Writer, _ ExperimentRequest, v any, _ error) error { return RenderTable4(w, v.(Table4Result)) },
+	"wire-derivation": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderWireDerivation(w, v.([]WirePath))
+	},
+	"power-derivation": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderPowerDerivation(w, v.(wire.SavingReport))
+	},
+	"table5": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderTable5(w, v.([]power.Point))
+	},
+	"autofold": func(w io.Writer, _ ExperimentRequest, v any, _ error) error {
+		return RenderAutoFold(w, v.(AutoFoldComparison))
+	},
+	"managed-logic-thermal": func(w io.Writer, req ExperimentRequest, v any, runErr error) error {
+		return RenderManagedThermal(w, req.Params.(*ManagedThermalParams), v.(ManagedLogicThermal), runErr)
+	},
+}
+
+// PrintResult writes the text report of one run of the named
+// experiment: req is the request it ran, and v and runErr what it
+// returned. A run that failed prints nothing and returns runErr, except
+// a managed-logic-thermal runaway, which still carries its trajectory.
+// An experiment with no printer (memory-perf, memory-thermal,
+// logic-thermal, multi-die, campaign) is an error.
+func PrintResult(w io.Writer, name string, req ExperimentRequest, v any, runErr error) error {
+	render, ok := printers[name]
+	if !ok {
+		return fmt.Errorf("core: experiment %q has no text report", name)
+	}
+	if runErr != nil && !errors.Is(runErr, dtm.ErrThermalRunaway) {
+		return runErr
+	}
+	return render(w, req, v, runErr)
 }

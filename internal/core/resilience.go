@@ -64,7 +64,7 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 	// One workspace serves the unmanaged steady solve and then the
 	// managed integration: both run on the same stack, and a transient
 	// resets everything a steady solve leaves behind.
-	w, err := thermal.NewWorkspace(buildLogicStack(fp, spec.Grid, 1))
+	w, err := thermal.NewWorkspace(buildLogicStack(fp, spec.Grid))
 	if err != nil {
 		return out, fmt.Errorf("core: unmanaged solve: %w", err)
 	}

@@ -33,7 +33,7 @@ func TestManagedLogicHoldsTmax(t *testing.T) {
 	// Tmax between the 3D stack's cold-start overshoot (82.4C after the
 	// first 0.25 s sample, 87.1C after the second) and its unmanaged
 	// steady peak (~99C), so the controller must intervene and must
-	// succeed. The guard band matches thermal3d's default: it has to
+	// succeed. The 4 K guard band, twice the controller's default, has to
 	// cover the ~4.7 K a sample interval heats the stack near the
 	// guard. A 3 K band puts the release threshold (Tmax-2*band = 84C)
 	// above the first post-throttle reading (83.2C), so the controller

@@ -12,8 +12,8 @@ import (
 // experiment. Each Run* entry point reads only the fields it needs —
 // a replay ignores Grid, a thermal solve ignores Seed and Scale — so
 // one spec can drive a whole campaign. The zero value means: seed 0,
-// reference-scale traces are NOT selected (Scale must be positive for
-// trace replays), default thermal grid, no instrumentation.
+// reference-scale traces (Scale <= 0 generates as Scale 1), default
+// thermal grid, no instrumentation.
 //
 // RunSpec is its own canonical wire form (the "spec" object of an
 // experiment request): exactly the fields that determine a result,
@@ -24,8 +24,8 @@ import (
 type RunSpec struct {
 	// Seed seeds trace generation (replay experiments).
 	Seed uint64 `json:"seed,omitempty"`
-	// Scale sizes the generated workload footprints (1.0 = the paper's
-	// reference; tests use smaller).
+	// Scale sizes the generated workload footprints (1.0, or 0, = the
+	// paper's reference; tests use smaller).
 	Scale float64 `json:"scale,omitempty"`
 	// Grid is the thermal lateral resolution (<= 0 selects the default).
 	Grid int `json:"grid,omitempty"`
@@ -50,7 +50,8 @@ const (
 )
 
 // checkWire rejects a decoded spec outside the bounds an outside
-// request may ask for. The CLIs build specs from flags and skip it.
+// request may ask for, whether a stackd body or a diestack command
+// line.
 func (spec RunSpec) checkWire() error {
 	if spec.Grid < 0 || spec.Grid > maxWireGrid {
 		return fmt.Errorf("core: spec grid %d outside [0, %d]", spec.Grid, maxWireGrid)

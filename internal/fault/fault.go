@@ -318,18 +318,6 @@ func (in *Injector) DRAM() *DRAMModel {
 	return m
 }
 
-// DeadBankCount returns the number of banks configured dead.
-func (m *DRAMModel) DeadBankCount() int {
-	if m == nil {
-		return 0
-	}
-	n := 0
-	for d := m.dead; d != 0; d &= d - 1 {
-		n++
-	}
-	return n
-}
-
 // RemapBank redirects an access aimed at a dead bank to the next live
 // bank (wrapping). A fully dead device returns the original bank; the
 // owning configuration must reject that case up front (ErrAllBanksDead).

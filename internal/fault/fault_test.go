@@ -109,8 +109,8 @@ func TestDRAMRemap(t *testing.T) {
 	if m == nil {
 		t.Fatal("DRAM model missing for dead-bank config")
 	}
-	if m.DeadBankCount() != 3 {
-		t.Fatalf("DeadBankCount = %d", m.DeadBankCount())
+	if m.dead != 0b100011 {
+		t.Fatalf("dead-bank mask = %b, want 100011", m.dead)
 	}
 	const banks = 8
 	if got := m.RemapBank(0, banks); got != 2 {
@@ -143,9 +143,6 @@ func TestNilDRAMModelPassesThrough(t *testing.T) {
 	}
 	if got := m.WidenOccupancy(42); got != 42 {
 		t.Fatalf("nil model widened occupancy to %d", got)
-	}
-	if got := m.DeadBankCount(); got != 0 {
-		t.Fatalf("nil model reports %d dead banks", got)
 	}
 }
 

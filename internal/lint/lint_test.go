@@ -84,7 +84,7 @@ func TestMatchPattern(t *testing.T) {
 		{"internal/thermal", "./...", true},
 		{"internal/thermal", "./internal/...", true},
 		{"internal", "./internal/...", true},
-		{"cmd/stackmem", "./internal/...", false},
+		{"cmd/diestack", "./internal/...", false},
 		{"internal/thermal", "./internal/thermal", true},
 		{"internal/thermal/sub", "./internal/thermal", false},
 		{"internalx", "./internal/...", false},

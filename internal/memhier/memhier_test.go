@@ -119,8 +119,8 @@ func TestAllHitsCPMAAtFloor(t *testing.T) {
 	if res.CPMA < 0.49 || res.CPMA > 0.7 {
 		t.Fatalf("all-hit CPMA = %v, want ~0.5", res.CPMA)
 	}
-	if res.L1D.HitRate() < 0.99 {
-		t.Fatalf("L1D hit rate = %v", res.L1D.HitRate())
+	if hits := float64(res.L1D.Hits) / float64(res.L1D.Accesses); hits < 0.99 {
+		t.Fatalf("L1D hit rate = %v", hits)
 	}
 	// Only the cold fills (8 lines x 64B) cross the bus.
 	if res.OffDieBytes != 512 {

@@ -233,7 +233,7 @@ type SizedStream interface {
 // with empty slots changes no lookup.
 //
 // The window is implicit while every record's id is its position, as
-// in every generated trace and tracegen file: slot s then holds the
+// in every generated trace and trace-write file: slot s then holds the
 // largest position below the current one that is congruent to s, so
 // a dependency resolves iff it is older than the record by at most
 // the window's size, and its distance is the difference of the ids.

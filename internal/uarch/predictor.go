@@ -28,12 +28,6 @@ func (p PredictorConfig) Validate() error {
 	return nil
 }
 
-// DefaultPredictor returns a 4K-entry gshare with a short history — a
-// reasonable stand-in for the era's front ends.
-func DefaultPredictor() *PredictorConfig {
-	return &PredictorConfig{TableBits: 12, HistoryBits: 4}
-}
-
 // gshare is the classic global-history XOR predictor with 2-bit
 // saturating counters; the history is aligned to the high index bits
 // so short histories leave the per-PC mapping mostly intact.

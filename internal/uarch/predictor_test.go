@@ -38,9 +38,6 @@ func TestPredictorConfigValidate(t *testing.T) {
 	if (PredictorConfig{TableBits: 8, HistoryBits: 9}).Validate() == nil {
 		t.Error("history > table accepted")
 	}
-	if DefaultPredictor().Validate() != nil {
-		t.Error("DefaultPredictor invalid")
-	}
 	bad := predictorCfg()
 	bad.Predictor.HistoryBits = -1
 	if bad.Validate() == nil {

@@ -21,7 +21,7 @@ func ringConfigs() map[string]uarch.Config {
 		cfgs[g.Name] = planar.Apply(g.Fold)
 	}
 	pred := planar
-	pred.Predictor = uarch.DefaultPredictor()
+	pred.Predictor = &uarch.PredictorConfig{TableBits: 12, HistoryBits: 4}
 	cfgs["predictor"] = pred
 	narrow := planar
 	narrow.ROBSize, narrow.RetireWidth = 3, 16
@@ -113,7 +113,7 @@ func TestRunMatchesReference(t *testing.T) {
 func TestRunMemoryFlatInProgram(t *testing.T) {
 	ctx := context.Background()
 	cfg := uarch.PlanarConfig()
-	cfg.Predictor = uarch.DefaultPredictor()
+	cfg.Predictor = &uarch.PredictorConfig{TableBits: 12, HistoryBits: 4}
 	bytes := func(n int) uint64 {
 		prog := adversarialProgram(1, n, cfg.ROBSize)
 		var before, after runtime.MemStats

@@ -160,7 +160,7 @@ func TestPredictorModeSuite(t *testing.T) {
 	// mispredictions; the emergent rates must be plausible (biased
 	// branches dominate, so well under 20%, but noise keeps it > 0).
 	cfg := uarch.PlanarConfig()
-	cfg.Predictor = uarch.DefaultPredictor()
+	cfg.Predictor = &uarch.PredictorConfig{TableBits: 12, HistoryBits: 4}
 	res, err := RunSuite(context.Background(), cfg, 1, 30_000)
 	if err != nil {
 		t.Fatal(err)

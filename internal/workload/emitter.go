@@ -209,8 +209,12 @@ func (e *emitter) last() uint64 {
 }
 
 // dims derives an integer dimension from a base size and the scale
-// factor, with a floor to keep degenerate problems meaningful.
+// factor, with a floor to keep degenerate problems meaningful. Scale
+// <= 0 selects the reference size, as in sqrtScale.
 func dims(base int, scale float64, min int) int {
+	if scale <= 0 {
+		scale = 1
+	}
 	v := int(float64(base) * scale)
 	if v < min {
 		return min

@@ -44,7 +44,8 @@ type Benchmark struct {
 
 // Stream returns the benchmark's two-threaded trace as a Stream over
 // the generated threads. scale >= 0.1 grows or shrinks the problem
-// (and the footprint) roughly linearly; scale=1 is the reference size.
+// (and the footprint) roughly linearly; scale=1 is the reference size,
+// and so is scale <= 0.
 // The trace is deterministic in seed. With a non-nil free, the threads
 // are generated into blocks taken from free before any is allocated,
 // and the Stream puts each block back on free once it has read it, for

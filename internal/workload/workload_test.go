@@ -120,6 +120,28 @@ func TestFootprintPartition(t *testing.T) {
 	}
 }
 
+// TestScaleZeroIsReference checks that scale 0, the catalog's default,
+// generates every benchmark at the reference size record for record,
+// in its sparse and FEM dimensions as in its dense ones.
+func TestScaleZeroIsReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reference-scale generation is slow")
+	}
+	for _, b := range All() {
+		zero, ref := b.Stream(1, 0, nil), b.Stream(1, 1, nil)
+		for n := 0; ; n++ {
+			z, zerr := zero.Next()
+			r, rerr := ref.Next()
+			if zerr != rerr || z != r {
+				t.Fatalf("%s: record %d at scale 0 is %+v (%v), at scale 1 %+v (%v)", b.Name, n, z, zerr, r, rerr)
+			}
+			if zerr != nil {
+				break
+			}
+		}
+	}
+}
+
 func TestScaleGrowsFootprint(t *testing.T) {
 	b, _ := ByName("gauss")
 	small := FootprintBytes(b.Generate(1, 0.1))

@@ -102,7 +102,7 @@ echo "== multigrid solver smoke =="
 # ran.
 mgtmp=$(mktemp -d)
 trap 'rm -rf "$mgtmp"' EXIT
-go run ./cmd/thermal3d -baseline -grid 32 \
+go run ./cmd/diestack fig6 -grid 32 \
     -metrics-out "$mgtmp/mg-metrics.jsonl" >/dev/null
 grep -q thermal_mg_cycles "$mgtmp/mg-metrics.jsonl"
 go run ./internal/obs/cmd/checksnap -families thermal,thermal_mg "$mgtmp/mg-metrics.jsonl"
@@ -116,7 +116,7 @@ echo "== supervised campaign smoke =="
 # snapshot must hold nonzero memhier and main-memory counts.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/stackmem -campaign -bench gauss -scale 0.05 -grid 16 \
+go run ./cmd/diestack campaign -benchmarks '["gauss"]' -seed 1 -scale 0.05 -grid 16 \
     -jobs 4 -manifest "$tmpdir/manifest.json" \
     -metrics-out "$tmpdir/metrics.jsonl"
 grep -q '"status": "ok"' "$tmpdir/manifest.json"
